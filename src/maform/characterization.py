@@ -5,6 +5,7 @@ invariance test, the scaling iteration with per-mode decay-rate fits,
 and unitary boundary frames of the indicatrix.
 """
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -13,6 +14,7 @@ import sympy as sp
 from .deformation import contract, rotate
 from .domains import ambient_coords
 from .exterior import standard_j_matrix
+from .symforms import compile_exprs
 
 
 class CharacterizationError(ValueError):
@@ -233,25 +235,27 @@ def _real_rep(w):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _gradient_hessian_fn(n, f):
+    """Compiled gradient and Hessian entries (row-major) of an ambient
+    expression f on C^n."""
+    coords = ambient_coords(n)
+    grad = [sp.diff(f, c) for c in coords]
+    return compile_exprs(coords, grad + [sp.diff(g, c) for g in grad for c in coords])
+
+
 def _kappa_sq_derivatives(kappa, z, h=1e-4):
     """Gradient and Hessian of the squared gauge at an ambient point.
 
-    Exact sympy derivatives when the gauge is closed form; five-point
-    finite differences of the interpolated gauge otherwise.
+    Exact derivatives when the gauge is closed form; five-point finite
+    differences of the interpolated gauge otherwise.
     """
     n = kappa.n
     dim = 2 * n
     if kappa.kappa_sq_ambient is not None:
-        coords = ambient_coords(n)
-        f = kappa.kappa_sq_ambient
-        pt = {c: val for c, val in zip(coords, _real_rep(z))}
-        grad = np.array(
-            [float(sp.diff(f, c).subs(pt)) for c in coords]
-        )
-        hess = np.array(
-            [[float(sp.diff(f, a, b).subs(pt)) for b in coords] for a in coords]
-        )
-        return grad, hess
+        fn = _gradient_hessian_fn(n, kappa.kappa_sq_ambient)
+        vals = fn(*_real_rep(z)).real
+        return vals[:dim], vals[dim:].reshape(dim, dim)
 
     def fval(x):
         zz = x[0::2] + 1j * x[1::2]

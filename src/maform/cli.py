@@ -32,6 +32,7 @@ from .domains import (
 from .foliation import verify_ma_identities
 from .gridforms import dump_records
 from .moser import MoserError, normalize_domain
+from .symforms import compile_exprs
 
 
 @dataclass
@@ -182,27 +183,25 @@ def load_tensor_file(path):
     local = {str(s): s for s in syms}
     local["conj"] = sp.conjugate
     k_max = values["k_max"]
-    fn_entries = []
+    exprs = []
     for line_no, k, a, b, val in entries:
         if not (0 <= k <= k_max and 1 <= a <= n - 1 and 1 <= b <= n - 1):
             raise SpecParseError(line_no, 1, f"mode indices out of range: {k} {a} {b}")
         try:
-            expr = sp.sympify(val, locals=local)
+            exprs.append(sp.sympify(val, locals=local))
         except (sp.SympifyError, SyntaxError, TypeError):
             raise SpecParseError(line_no, 1, f"bad coefficient: {val!r}")
-        fn = sp.lambdify(syms, expr, "numpy")
-        if n == 2:
-            def call(v, fn=fn):
-                return np.broadcast_to(
-                    np.asarray(fn(v), dtype=complex), np.shape(v)
-                ).copy()
-        else:
-            def call(v, fn=fn):
-                args = [v[..., i] for i in range(v.shape[-1])]
-                return np.broadcast_to(
-                    np.asarray(fn(*args), dtype=complex), v.shape[:-1]
-                ).copy()
-        fn_entries.append((k, a - 1, b - 1, call))
+    coefficients = compile_exprs(syms, exprs)
+
+    def call(v, i):
+        v = np.asarray(v)
+        args = [v] if n == 2 else [v[..., j] for j in range(n - 1)]
+        return np.asarray(coefficients(*args)[i], dtype=complex)
+
+    fn_entries = [
+        (k, a - 1, b - 1, lambda v, i=i: call(v, i))
+        for i, (_, k, a, b, _) in enumerate(entries)
+    ]
 
     atlas = ChartAtlas(
         n=n,
@@ -369,19 +368,6 @@ def cmd_scale_test(config):
 # entry point
 
 
-def _cap_threads():
-    cap = os.environ.get("MAFORM_THREADS")
-    if not cap:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = cap
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="maform",
@@ -439,7 +425,6 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    _cap_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

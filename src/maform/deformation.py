@@ -270,38 +270,52 @@ def _ambient_of(tensor, chart, v, zeta):
     return z
 
 
+# (n, n_v, box, chart) -> (Qhalf, Pinvh) of _levi_roots
+_LEVI_ROOTS = {}
+
+
+def _levi_roots(tensor, chart):
+    """Q^(1/2) and P^(-1/2) of the reference Levi Gram matrices at the chart
+    nodes, shape (N, n-1, n-1).
+
+    Evaluated at zeta = 1; the Gram matrices scale by |zeta|^2, so
+    Q^(1/2) phi P^(-1/2) does not depend on the fiber point.  They depend
+    on the atlas geometry only and are computed once per geometry.
+    """
+    n = tensor.n
+    key = (n, tensor.atlas.n_v, tensor.atlas.box, chart)
+    if key not in _LEVI_ROOTS:
+        v = _chart_points(tensor, chart)
+        zeta = np.ones(v.shape[0] if v.ndim > 1 else v.shape, dtype=complex)
+        z = _ambient_of(tensor, chart, v, zeta)
+        e = frame_vectors(n, chart, z)
+        A = reference_form_matrix(n)
+        Pg = np.empty(z.shape[:-1] + (n - 1, n - 1), dtype=complex)
+        Qg = np.empty_like(Pg)
+        for a in range(n - 1):
+            for b in range(n - 1):
+                ea = hol_rep(e[..., a, :])
+                eb_bar = antihol_rep(np.conj(e[..., b, :]))
+                Pg[..., a, b] = np.einsum("...i,ij,...j->...", ea, A, eb_bar) / (2j)
+                Qg[..., a, b] = np.einsum(
+                    "...i,ij,...j->...", antihol_rep(np.conj(e[..., a, :])), A,
+                    hol_rep(e[..., b, :])
+                ) / (-2j)
+        _LEVI_ROOTS[key] = (_mat_sqrt(Qg), np.linalg.inv(_mat_sqrt(Pg)))
+    return _LEVI_ROOTS[key]
+
+
 def _operator_norms(tensor, chart):
     """Per-mode operator norms w.r.t. the reference Levi metric at nodes."""
-    n = tensor.n
-    v = _chart_points(tensor, chart)
-    zeta = np.ones(v.shape[0] if v.ndim > 1 else v.shape, dtype=complex)
-    z = _ambient_of(tensor, chart, v, zeta)
-    e = frame_vectors(n, chart, z)
-    A = reference_form_matrix(n)
-    Pg = np.empty(z.shape[:-1] + (n - 1, n - 1), dtype=complex)
-    Qg = np.empty_like(Pg)
-    for a in range(n - 1):
-        for b in range(n - 1):
-            ea = hol_rep(e[..., a, :])
-            eb_bar = antihol_rep(np.conj(e[..., b, :]))
-            Pg[..., a, b] = np.einsum("...i,ij,...j->...", ea, A, eb_bar) / (2j)
-            Qg[..., a, b] = np.einsum(
-                "...i,ij,...j->...", antihol_rep(np.conj(e[..., a, :])), A,
-                hol_rep(e[..., b, :])
-            ) / (-2j)
-    Phalf = _mat_sqrt(Pg)
-    Qhalf = _mat_sqrt(Qg)
-    Pinvh = np.linalg.inv(Phalf)
+    Qhalf, Pinvh = _levi_roots(tensor, chart)
+    m = tensor.n - 1
     out = []
-    modes = tensor.modes[chart]
-    flatshape = (-1, n - 1, n - 1)
-    for k in range(tensor.k_max + 1):
-        M = modes[k].reshape(flatshape)
-        ops = np.linalg.norm(
-            Qhalf.reshape(flatshape) @ M @ Pinvh.reshape(flatshape),
-            ord=2, axis=(-2, -1),
-        )
-        out.append(ops)
+    for M in tensor.modes[chart].reshape(tensor.k_max + 1, -1, m, m):
+        if m == 1:
+            # 1x1 matrices: the operator norm is the modulus
+            out.append(np.abs(Qhalf[:, 0, 0] * M[:, 0, 0] * Pinvh[:, 0, 0]))
+        else:
+            out.append(np.linalg.norm(Qhalf @ M @ Pinvh, ord=2, axis=(-2, -1)))
     return out
 
 
@@ -817,27 +831,13 @@ def _phi_image_field(tensor, chart, a, mode_select=None):
     return fn
 
 
-def _opnorm_at(tensor, chart, v, zeta):
-    """Operator norm of the full tensor w.r.t. the reference metric."""
-    n = tensor.n
-    npts = len(v)
-    z = _ambient_of(tensor, chart, v, np.full(npts, zeta, dtype=complex))
-    phi = _phi_matrix_at(tensor, chart, z)
-    e = frame_vectors(n, chart, z)
-    A = reference_form_matrix(n)
-    Pg = np.empty((npts, n - 1, n - 1), dtype=complex)
-    Qg = np.empty_like(Pg)
-    for a in range(n - 1):
-        for b in range(n - 1):
-            Pg[..., a, b] = np.einsum(
-                "...i,ij,...j->...",
-                hol_rep(e[..., a, :]), A, antihol_rep(np.conj(e[..., b, :])),
-            ) / (2j)
-            Qg[..., a, b] = np.einsum(
-                "...i,ij,...j->...",
-                antihol_rep(np.conj(e[..., a, :])), A, hol_rep(e[..., b, :]),
-            ) / (-2j)
-    M = _mat_sqrt(Qg) @ phi @ np.linalg.inv(_mat_sqrt(Pg))
+def _opnorm_at(tensor, chart, zeta):
+    """Operator norm of the full tensor w.r.t. the reference metric at the
+    chart nodes over the fiber point zeta."""
+    v = _chart_points(tensor, chart)
+    z = _ambient_of(tensor, chart, v, np.full(len(v), zeta, dtype=complex))
+    Qhalf, Pinvh = _levi_roots(tensor, chart)
+    M = Qhalf @ _phi_matrix_at(tensor, chart, z) @ Pinvh
     return np.linalg.norm(M, ord=2, axis=(-2, -1))
 
 
@@ -931,9 +931,8 @@ def verify_conditions(tensor: DeformationTensor, chart=0, zeta=0.5, h=0.01):
         report["cross_radius"] = refreshed.diagnostics["cross_radius"]
     else:
         report["cross_radius"] = tensor.diagnostics.get("cross_radius", 0.0)
-    v = _chart_points(tensor, chart)
     r_top = tensor.atlas.fiber.r_max if tensor.n == 2 else 1.0
-    ops = _opnorm_at(tensor, chart, v, r_top)
+    ops = _opnorm_at(tensor, chart, r_top)
     report["contraction_margin"] = float(1.0 - np.max(ops))
     report["pass"] = {
         "symmetry": report["symmetry"] < 1e-8,

@@ -7,12 +7,14 @@ phase correction aligns the connection data; the assembled map is
 fiber-linear over the base, z = zeta(1, v) -> zeta * W(v), normalizes the
 gauge, and is the input to deformation-tensor extraction.
 
-Design notes: all flow fields are evaluated from exact chart expressions
-(lambdified sympy), so spatial discretization error enters only through the
-node sampling of results, not through the dynamics.  Derivative data that
-downstream consumers need at grid nodes (dW, dlambda) is propagated by
-variational Jacobians along the flows and stored exactly at the nodes,
-never re-estimated by differencing splines.
+Design notes: all flow fields are evaluated from exact chart expressions,
+compiled once per chart by symforms.compile_exprs (the reference
+coefficient, the curvature coefficient and the primitive in one callable),
+so spatial discretization error enters only through the node sampling of
+results, not through the dynamics.  Derivative data that downstream
+consumers need at grid nodes (dW, dlambda) is propagated by variational
+Jacobians along the flows and stored exactly at the nodes, never
+re-estimated by differencing splines.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from scipy.interpolate import RectBivariateSpline
 from .atlas import ChartAtlas, R_OUTER, blowup_forward
 from .domains import MinkowskiField, ambient_coords
 from .gridforms import GridForm, integrate_base
-from .symforms import AnalyticForm, real_coords
+from .symforms import AnalyticForm, compile_exprs, real_coords
 
 
 class MoserError(ValueError):
@@ -34,12 +36,6 @@ class MoserError(ValueError):
 
 
 FS_AREA = 4.0 * np.pi  # integral of the reference form under the convention
-
-
-def _lambdify(expr, coords):
-    # cancel collapses the rational expressions that chart algebra
-    # produces (an order of magnitude fewer ops for perturbed gauges)
-    return sp.lambdify(coords, sp.cancel(expr), modules="numpy", cse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +46,9 @@ def _lambdify(expr, coords):
 class ConnectionData:
     """Curvature 2-form data of a gauge on the base CP^1.
 
-    w_charts: chart -> lambdified coefficient w(v) with omega = w dx^dy;
-    alpha_charts: chart -> lambdified primitive 1-form components with
-    omega - omega_o = d(alpha); all exact expressions retained.
+    w_exprs: chart -> coefficient w(v) with omega = w dx^dy;
+    alpha_exprs: chart -> components (alpha_x, alpha_y) of the primitive
+    with omega - omega_o = d(alpha); all exact expressions retained.
     """
 
     mink: MinkowskiField
@@ -61,15 +57,6 @@ class ConnectionData:
     alpha_exprs: dict
     integral: float
     min_coefficient: float
-
-    def w_fn(self, chart):
-        return _lambdify(self.w_exprs[chart], real_coords(2))
-
-    def alpha_fn(self, chart):
-        x, y = real_coords(2)
-        ax = self.alpha_exprs[chart].comps.get((0,), sp.Integer(0))
-        ay = self.alpha_exprs[chart].comps.get((1,), sp.Integer(0))
-        return _lambdify(ax, (x, y)), _lambdify(ay, (x, y))
 
     def omega_grid(self):
         x, y = real_coords(2)
@@ -92,14 +79,19 @@ def _disk_integral(fn, n_r=80, n_theta=160):
     wr = 0.5 * weights * rs
     th = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     V = rs[:, None] * np.exp(1j * th)[None, :]
-    vals = np.broadcast_to(np.asarray(fn(V.real, V.imag), dtype=float), V.shape)
-    return float(np.sum(vals * wr[:, None]) * (2 * np.pi / n_theta))
+    return float(np.sum(fn(V.real, V.imag) * wr[:, None]) * (2 * np.pi / n_theta))
 
 
 def reference_coefficient():
     """Coefficient of the reference area form in an affine chart."""
     x, y = real_coords(2)
     return 4 / (1 + x**2 + y**2) ** 2
+
+
+def _chart_fields(w, alpha):
+    """Compiled (w_o, w, alpha_x, alpha_y) at (x, y) arrays of a chart with
+    curvature coefficient w and primitive components alpha."""
+    return compile_exprs(real_coords(2), (reference_coefficient(), w) + alpha)
 
 
 def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
@@ -117,24 +109,25 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     if atlas is None:
         atlas = ChartAtlas(n=2, n_v=33)
     x, y = real_coords(2)
-    w_exprs = {}
-    alpha_exprs = {}
-    ref = reference_coefficient()
+    w_exprs, alpha_exprs = {}, {}
     m_o_sq = 1 + x**2 + y**2
-    min_coeff = np.inf
     for chart in atlas.charts:
         m_sq = mink.m_sq_charts[chart]
         log_form = AnalyticForm.scalar((x, y), sp.log(m_sq))
-        w = sp.cancel(log_form.dc().d().comps.get((0, 1), sp.Integer(0)))
-        w_exprs[chart] = w
+        # cancel collapses the rational expressions that chart algebra
+        # produces (an order of magnitude fewer ops for perturbed gauges)
+        w_exprs[chart] = sp.cancel(log_form.dc().d().comps.get((0, 1), 0))
         # exact primitive of omega - omega_o: d of the conjugated
         # differential of the global potential log(m^2 / m_o^2)
-        F = AnalyticForm.scalar((x, y), sp.log(m_sq / m_o_sq))
-        alpha_exprs[chart] = F.dc()
-        V = atlas.base_points(chart)
-        vals = _lambdify(w, (x, y))(V.real, V.imag)
-        vals = np.broadcast_to(np.asarray(vals, dtype=float), V.shape)
-        min_coeff = min(min_coeff, float(np.min(vals)))
+        alpha = AnalyticForm.scalar((x, y), sp.log(m_sq / m_o_sq)).dc()
+        alpha_exprs[chart] = tuple(
+            sp.cancel(alpha.comps.get((k,), 0)) for k in (0, 1)
+        )
+    fns = {c: _chart_fields(w_exprs[c], alpha_exprs[c]) for c in atlas.charts}
+    min_coeff = np.inf
+    for c in atlas.charts:
+        V = atlas.base_points(c)
+        min_coeff = min(min_coeff, float(np.min(fns[c](V.real, V.imag)[1])))
     if min_coeff <= 0:
         raise MoserError(
             f"curvature coefficient not positive (min {min_coeff:.3e}): "
@@ -144,7 +137,7 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     # boundary circles are identified), and the integrand is analytic, so
     # the high-order disk rule resolves the total to machine precision
     total = sum(
-        _disk_integral(_lambdify(w_exprs[c], (x, y))) for c in atlas.charts
+        _disk_integral(lambda xs, ys, fn=fns[c]: fn(xs, ys)[1]) for c in atlas.charts
     )
     conn = ConnectionData(
         mink=mink,
@@ -167,9 +160,7 @@ def horizontal_space(mink: MinkowskiField, u):
 
     Returns (N, 2, 4) real vectors spanning the J-invariant plane.
     """
-    coords = ambient_coords(2)
-    mu_sq = AnalyticForm.scalar(coords, mink.mu_sq_ambient)
-    grad = mu_sq.d().vector_at(_to_real(u)).real
+    grad = _gauge_grad(mink, u)
     from .exterior import standard_j_matrix
 
     J = standard_j_matrix(4)
@@ -178,6 +169,12 @@ def horizontal_space(mink: MinkowskiField, u):
     k1 = Vt[:, -1, :]
     k2 = k1 @ J.T
     return np.stack([k1, k2], axis=1)
+
+
+def _gauge_grad(mink: MinkowskiField, u):
+    """Real gradient of mu^2 at ambient points u, shape (N, 4)."""
+    d = AnalyticForm.scalar(ambient_coords(2), mink.mu_sq_ambient).d()
+    return d.vector_at(_to_real(np.asarray(u, dtype=complex))).real
 
 
 def _to_real(z):
@@ -206,24 +203,20 @@ class MoserFieldEvaluator:
 
     def __init__(self, conn: ConnectionData):
         self.conn = conn
-        x, y = real_coords(2)
-        self._wo = _lambdify(reference_coefficient(), (x, y))
-        self._w = {c: conn.w_fn(c) for c in conn.atlas.charts}
-        self._alpha = {c: conn.alpha_fn(c) for c in conn.atlas.charts}
+        self._fields = {
+            c: _chart_fields(conn.w_exprs[c], conn.alpha_exprs[c])
+            for c in conn.atlas.charts
+        }
 
     def __call__(self, t, chart, v):
-        xs, ys = v.real, v.imag
-        w = (1.0 - t) * self._wo(xs, ys) + t * self._w[chart](xs, ys)
-        w = np.broadcast_to(np.asarray(w, dtype=float), v.shape)
+        wo, w1, ax, ay = self._fields[chart](v.real, v.imag)
+        w = (1.0 - t) * wo + t * w1
         if np.min(w) <= 0:
             bad = int(np.argmin(w))
             raise MoserError(
                 f"interpolated form degenerates at t={t:.3f}, chart {chart}, "
                 f"v={v.ravel()[bad]:.4f}"
             )
-        ax_fn, ay_fn = self._alpha[chart]
-        ax = np.broadcast_to(np.asarray(ax_fn(xs, ys), dtype=float), v.shape)
-        ay = np.broadcast_to(np.asarray(ay_fn(xs, ys), dtype=float), v.shape)
         return (-ay + 1j * ax) / w
 
     def velocity(self, t, v, chart_of):
@@ -332,18 +325,13 @@ def moser_flow(conn: ConnectionData, n_steps=200):
         jacobians[chart] = M.reshape(at.n_v, at.n_v, 2, 2)
 
     resid = 0.0
-    x, y = real_coords(2)
-    wo_fn = _lambdify(reference_coefficient(), (x, y))
     for chart in at.charts:
+        fn = _chart_fields(conn.w_exprs[chart], conn.alpha_exprs[chart])
         V0 = at.base_points(chart)
         keep = np.abs(V0) <= R_OUTER
         E = endpoints[chart]
-        w_end = np.broadcast_to(
-            np.asarray(conn.w_fn(chart)(E.real, E.imag), dtype=float), E.shape
-        )
-        dets = np.linalg.det(jacobians[chart])
-        pulled = w_end * dets
-        resid = max(resid, float(np.max(np.abs(pulled - wo_fn(V0.real, V0.imag))[keep])))
+        pulled = fn(E.real, E.imag)[1] * np.linalg.det(jacobians[chart])
+        resid = max(resid, float(np.max(np.abs(pulled - fn(V0.real, V0.imag)[0])[keep])))
     return MoserFlowResult(
         conn=conn,
         n_steps=n_steps,
@@ -481,16 +469,6 @@ def horizontal_lift(flow: MoserFlowResult, n_steps=None):
 
 # ---------------------------------------------------------------------------
 # phase correction
-
-
-def _gauge_grad_fn(mink: MinkowskiField):
-    coords = ambient_coords(2)
-    d = AnalyticForm.scalar(coords, mink.mu_sq_ambient).d()
-
-    def grad(u):
-        return d.vector_at(_to_real(np.asarray(u, dtype=complex))).real
-
-    return grad
 
 
 def measure_connection_mismatch(mink, atlas, chart, W, dWx, dWy):
@@ -821,7 +799,6 @@ def assemble(flow: MoserFlowResult, lift: LiftResult) -> NormalizingMap:
     conn = flow.conn
     mink = conn.mink
     at = conn.atlas
-    grad_fn = _gauge_grad_fn(mink)
 
     W_raw, dWx_raw, dWy_raw = {}, {}, {}
     for chart in at.charts:
@@ -834,7 +811,7 @@ def assemble(flow: MoserFlowResult, lift: LiftResult) -> NormalizingMap:
         sy = lift.ds_dy[chart]
         flat_s = s.reshape(-1, 2)
         mu = mink.mu(flat_s).reshape(V.shape)
-        grad = grad_fn(flat_s)  # gradient of mu^2
+        grad = _gauge_grad(mink, flat_s)
         dmu_x = (np.sum(grad * _to_real(sx.reshape(-1, 2)), axis=1) / (2 * mu.ravel())).reshape(V.shape)
         dmu_y = (np.sum(grad * _to_real(sy.reshape(-1, 2)), axis=1) / (2 * mu.ravel())).reshape(V.shape)
         mo3 = m_o[..., None]

@@ -1,9 +1,11 @@
 """Symbolic (exact) differential forms on a single coordinate chart.
 
 This is the analytic path: coefficients are sympy expressions in the real
-chart coordinates, all derivatives are exact, and numeric evaluation goes
-through cached lambdified functions.  The gridded path (gridforms) is
-checked against this one.
+chart coordinates and all derivatives are exact.  Every sympy -> numpy
+conversion in the package goes through compile_exprs: one lambdify call
+with common-subexpression elimination per list of expressions, memoized
+for the life of the process.  The gridded path (gridforms) is checked
+against this one.
 
 Convention: dc = i(dbar - d) for the standard structure J_o, generalized to
 dc(alpha) = (-1)^p * Jact(d(Jact(alpha))) where Jact is the tensor action
@@ -17,6 +19,31 @@ import numpy as np
 import sympy as sp
 
 from . import exterior
+
+# (coords, exprs) -> compiled callable; expressions are immutable, so a hit
+# is the same function whatever caller asked first
+_COMPILED = {}
+
+
+def compile_exprs(coords, exprs):
+    """Compile sympy expressions in coords into one numpy callable.
+
+    The callable takes one array per coordinate and returns an array of
+    shape (len(exprs),) + broadcast shape of the arguments, component k
+    holding exprs[k] (constant components are broadcast too).  Each
+    (coords, exprs) pair is compiled once per process.
+    """
+    key = (tuple(coords), tuple(sp.sympify(e) for e in exprs))
+    fn = _COMPILED.get(key)
+    if fn is None:
+        raw = sp.lambdify(key[0], list(key[1]), modules="numpy", cse=True)
+
+        def fn(*args):
+            shape = np.broadcast(*args).shape
+            return np.array([np.broadcast_to(v, shape) for v in raw(*args)])
+
+        _COMPILED[key] = fn
+    return fn
 
 
 def real_coords(dim, prefix=None):
@@ -52,7 +79,6 @@ class AnalyticForm:
             if expr != 0:
                 clean[idx] = clean.get(idx, 0) + expr
         self.comps = clean
-        self._fns = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -73,9 +99,6 @@ class AnalyticForm:
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, factor):
         factor = sp.sympify(factor)
@@ -157,14 +180,6 @@ class AnalyticForm:
         return AnalyticForm(self.coords, self.degree - 1, comps)
 
     # -- evaluation ---------------------------------------------------
-    def _lambdify(self):
-        if self._fns is None:
-            self._fns = {
-                idx: sp.lambdify(self.coords, expr, modules="numpy")
-                for idx, expr in self.comps.items()
-            }
-        return self._fns
-
     def evaluate(self, points):
         """Evaluate all components at points, shape (N, dim) real.
 
@@ -172,14 +187,11 @@ class AnalyticForm:
         Indices absent from the form are genuinely zero and omitted.
         """
         points = np.asarray(points, dtype=float)
-        args = [points[:, k] for k in range(self.dim)]
-        out = {}
-        for idx, fn in self._lambdify().items():
-            val = np.asarray(fn(*args), dtype=complex)
-            if val.shape != args[0].shape:
-                val = np.broadcast_to(val, args[0].shape).copy()
-            out[idx] = val
-        return out
+        if not self.comps:
+            return {}
+        fn = compile_exprs(self.coords, self.comps.values())
+        vals = np.asarray(fn(*points.T), dtype=complex)
+        return dict(zip(self.comps, vals))
 
     def matrix_at(self, points):
         """For a 2-form, the full antisymmetric coefficient matrix per point."""
@@ -225,7 +237,3 @@ class AnalyticForm:
             self.degree,
             {i: sp.simplify(e) for i, e in self.comps.items()},
         )
-
-
-def complex_modulus_sq(re, im):
-    return re**2 + im**2

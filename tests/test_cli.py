@@ -1,11 +1,14 @@
 """Command-line contract: exit codes, headers, determinism, dumps."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from maform.cli import _cap_threads, main
+import maform
+from maform.cli import main
 from maform.gridforms import dump_records, load_records
 
 BALL_DOM = """\
@@ -231,9 +234,30 @@ class TestPipelineCommands:
 
 
 class TestEnvironment:
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("MAFORM_THREADS", "2")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        _cap_threads()
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task"), reason="needs the Linux /proc"
+    )
+    def test_thread_cap_env(self):
+        # the thread pools start with the first product; count the
+        # threads of a fresh process after one
+        script = (
+            "import os, maform.cli, numpy as np\n"
+            "a = np.ones((1500, 1500))\n"
+            "a @ a\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+        )
+        env = {
+            key: val for key, val in os.environ.items()
+            if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                           "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+        }
+        env["MAFORM_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(maform.__file__))]
+            + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.split() == ["1"]

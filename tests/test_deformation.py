@@ -183,6 +183,56 @@ class TestExtraction:
             )
 
 
+def reference_mode_norms(tensor):
+    """Mode norms by the per-node formula: the reference Levi Gram matrices,
+    their eigh square roots and a batched SVD of every mode at every node."""
+    n, at = tensor.n, tensor.atlas
+    A = reference_form_matrix(n)
+    out = np.zeros(tensor.k_max + 1)
+    for chart in tensor.charts:
+        if n == 2:
+            v = at.base_points(chart).reshape(-1, 1)
+        else:
+            v = np.stack([V.ravel() for V in at.base_points3()], axis=-1)
+        z = np.insert(v, chart, 1.0, axis=1)
+        e = frame_vectors(n, chart, z)
+        P = np.einsum("pai,ij,pbj->pab", hol_rep(e), A, antihol_rep(np.conj(e))) / 2j
+        Q = np.einsum("pai,ij,pbj->pab", antihol_rep(np.conj(e)), A, hol_rep(e)) / -2j
+        roots = []
+        for G in (Q, P):
+            w, U = np.linalg.eigh(G)
+            roots.append((U * np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(U, -1, -2)))
+        r = at.fiber.radii[-1] if n == 2 else 1.0
+        for k in range(tensor.k_max + 1):
+            M = tensor.modes[chart][k].reshape(-1, n - 1, n - 1)
+            ops = np.linalg.norm(
+                roots[0] @ M @ np.linalg.inv(roots[1]), ord=2, axis=(-2, -1)
+            )
+            out[k] = max(out[k], float(np.max(ops)) * r**k)
+    return out
+
+
+class TestModeNorms:
+    def test_n2_matches_per_node_formula(self):
+        t = random_bandlimited(np.random.default_rng(8), k_max=5)
+        want = reference_mode_norms(t)
+        assert np.max(np.abs(t.mode_norms() - want) / want) < 1e-13
+
+    def test_n3_matches_per_node_formula(self):
+        rng = np.random.default_rng(9)
+        entries = []
+        for k in range(3):
+            for a in range(2):
+                for b in range(2):
+                    c = 0.05 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+                    entries.append(
+                        (k, a, b, lambda v, c=c: c[0] + c[1] * v[:, 0] + c[2] * np.conj(v[:, 1]))
+                    )
+        t = tensor_from_mode_functions(ATLAS3, 3, entries, 2)
+        want = reference_mode_norms(t)
+        assert np.max(np.abs(t.mode_norms() - want) / want) < 1e-13
+
+
 class TestFourierModes:
     def test_bandlimited_exact_recovery(self):
         rng = np.random.default_rng(5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from maform import symforms
 from maform.atlas import ChartAtlas, FiberGrid
 from maform.domains import ExhaustionField, ambient_coords, make_circular_domain
 from maform.foliation import (
@@ -147,6 +148,32 @@ class TestIdentitySuite:
         rep = verify_ma_identities(exh)
         assert rep["top_degeneracy"] < 1e-8
         assert rep["all_pass"]
+
+    def test_perturbed_ball_sound_identities(self):
+        # flow_invariance is left out: its finite-difference roundoff
+        # exceeds the 1e-10 tolerance on this domain
+        _, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
+        rep = verify_ma_identities(exh)
+        for key in ("log_potential", "power_rule", "top_degeneracy", "contraction"):
+            assert rep["pass"][key], (key, rep[key])
+
+    def test_each_form_compiles_once(self, monkeypatch):
+        # one lambdify per evaluated form: the log-potential difference,
+        # the top-degree form and its difference (the power-rule difference
+        # is identically zero for n = 2 and compiles nothing), plus tau,
+        # dtau and ddc tau of the Z field
+        _, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
+        calls = []
+        lambdify = sp.lambdify
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return lambdify(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "lambdify", counted)
+        monkeypatch.setattr(symforms, "_COMPILED", {})
+        verify_ma_identities(exh, n_samples=2)
+        assert len(calls) == 6
 
     def test_log_potential_holds_for_any_tau(self):
         # the potential identity is an algebraic consequence for any smooth

@@ -6,13 +6,37 @@ import sympy as sp
 
 from maform.atlas import ChartAtlas, FiberGrid, overlap_weight
 from maform.gridforms import GridForm, chart_consistency_residual, integrate_base
-from maform.symforms import AnalyticForm, real_coords
+from maform.symforms import AnalyticForm, compile_exprs, real_coords
 
 RNG = np.random.default_rng(20260825)
 
 
 def sample_points(dim, n=10, lo=-0.9, hi=0.9):
     return RNG.uniform(lo, hi, size=(n, dim))
+
+
+class TestCompileExprs:
+    def test_matches_per_component_lambdify(self):
+        x, y, s, t = real_coords(4)
+        exprs = [
+            sp.exp(x * t) * sp.sin(y + s) / (1 + x**2 + y**2),
+            sp.log(1 + s**2 + t**2) + sp.I * x * y,
+            sp.Integer(3),
+            sp.Integer(0),
+        ]
+        pts = sample_points(4, n=25)
+        got = compile_exprs((x, y, s, t), exprs)(*pts.T)
+        assert got.shape == (4, 25)
+        for expr, row in zip(exprs, got):
+            plain = sp.lambdify((x, y, s, t), expr, modules="numpy")(*pts.T)
+            want = np.broadcast_to(np.asarray(plain, dtype=complex), (25,))
+            assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(np.abs(want), 1e-300))
+
+    def test_memo_returns_the_same_callable(self):
+        x, y = real_coords(2)
+        first = compile_exprs((x, y), [x * y, x + y])
+        assert compile_exprs([x, y], (x * y, y + x)) is first
+        assert compile_exprs((x, y), [x * y]) is not first
 
 
 class TestAnalyticCalculus:
