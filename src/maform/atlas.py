@@ -180,11 +180,8 @@ def blowup_forward(z):
     chart = np.argmax(np.abs(z), axis=1)
     zeta = np.take_along_axis(z, chart[:, None], axis=1)[:, 0]
     n = z.shape[1]
-    ratios = z / zeta[:, None]
-    v = np.empty((z.shape[0], n - 1), dtype=complex)
-    for row in range(z.shape[0]):
-        c = chart[row]
-        v[row] = [ratios[row, i] for i in range(n) if i != c]
+    rest = np.arange(n) != chart[:, None]
+    v = (z / zeta[:, None])[rest].reshape(-1, n - 1)
     if single:
         return int(chart[0]), v[0], zeta[0]
     return chart, v, zeta
@@ -197,11 +194,9 @@ def blowup_inverse(chart, v, zeta):
     chart_arr = np.broadcast_to(np.asarray(chart, dtype=int), zeta.shape)
     n = v.shape[1] + 1
     z = np.empty((len(zeta), n), dtype=complex)
-    for row in range(len(zeta)):
-        c = int(chart_arr[row])
-        parts = list(v[row])
-        parts.insert(c, 1.0 + 0j)
-        z[row] = zeta[row] * np.array(parts)
+    rest = np.arange(n) != chart_arr[:, None]
+    z[rest] = (zeta[:, None] * v).ravel()
+    z[~rest] = zeta
     if np.isscalar(chart) and z.shape[0] == 1 and np.asarray(v).ndim <= 1:
         return z[0]
     return z

@@ -14,7 +14,7 @@ import sympy as sp
 from .deformation import contract, rotate
 from .domains import ambient_coords
 from .exterior import standard_j_matrix
-from .symforms import compile_exprs
+from .symforms import compile_exprs, to_complex, to_real
 
 
 class CharacterizationError(ValueError):
@@ -226,15 +226,6 @@ class SpecialFrame:
     tangency_residual: float
 
 
-def _real_rep(w):
-    """Complex n-vector to interleaved real 2n-vector."""
-    w = np.asarray(w, dtype=complex)
-    out = np.empty(w.shape[:-1] + (2 * w.shape[-1],))
-    out[..., 0::2] = w.real
-    out[..., 1::2] = w.imag
-    return out
-
-
 @functools.lru_cache(maxsize=16)
 def _gradient_hessian_fn(n, f):
     """Compiled gradient and Hessian entries (row-major) of an ambient
@@ -254,14 +245,13 @@ def _kappa_sq_derivatives(kappa, z, h=1e-4):
     dim = 2 * n
     if kappa.kappa_sq_ambient is not None:
         fn = _gradient_hessian_fn(n, kappa.kappa_sq_ambient)
-        vals = fn(*_real_rep(z)).real
+        vals = fn(*to_real(z)).real
         return vals[:dim], vals[dim:].reshape(dim, dim)
 
     def fval(x):
-        zz = x[0::2] + 1j * x[1::2]
-        return float(kappa.kappa(zz[None, :])[0]) ** 2
+        return float(kappa.kappa(to_complex(x)[None, :])[0]) ** 2
 
-    x0 = _real_rep(z)
+    x0 = to_real(z)
     grad = np.empty(dim)
     hess = np.empty((dim, dim))
     for i in range(dim):
@@ -305,7 +295,7 @@ def special_frame(kappa, direction):
     F = -(hess @ J + J @ hess)  # matrix of the Levi 2-form in real coords
 
     def form(u, w):
-        return float(_real_rep(u) @ F @ _real_rep(w))
+        return float(to_real(u) @ F @ to_real(w))
 
     def herm(u, w):
         # Hermitian pairing with real part form(u, Jw) and imaginary part
@@ -346,8 +336,8 @@ def special_frame(kappa, direction):
             G[a, b] = form(B[a], 1j * B[b]) + 1j * form(B[a], B[b])
         tang = max(
             tang,
-            abs(float(grad @ _real_rep(B[a]))),
-            abs(float(grad @ _real_rep(1j * B[a]))),
+            abs(float(grad @ to_real(B[a]))),
+            abs(float(grad @ to_real(1j * B[a]))),
         )
     gram_res = float(np.max(np.abs(G - np.eye(n - 1))))
     kres = abs(float(kappa.kappa(e0[None, :])[0]) - 1.0)

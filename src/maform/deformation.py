@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atlas import ChartAtlas
+from .exterior import standard_j_matrix
+from .symforms import to_complex, to_real
 
 __all__ = [
     "DeformationError",
@@ -71,22 +73,6 @@ def antihol_rep(q):
     out[..., 0::2] = q / 2.0
     out[..., 1::2] = 1j * q / 2.0
     return out
-
-
-def split_rep(u):
-    """Inverse of hol_rep/antihol_rep: returns (p, q)."""
-    u = np.asarray(u, dtype=complex)
-    p = u[..., 0::2] + 1j * u[..., 1::2]
-    q = u[..., 0::2] - 1j * u[..., 1::2]
-    return p, q
-
-
-def standard_j(n):
-    J = np.zeros((2 * n, 2 * n))
-    for m in range(n):
-        J[2 * m + 1, 2 * m] = 1.0
-        J[2 * m, 2 * m + 1] = -1.0
-    return J
 
 
 def reference_form_matrix(n):
@@ -254,19 +240,16 @@ def _chart_points(tensor, chart):
     return np.stack([V1.ravel(), V2.ravel()], axis=-1)
 
 
-def _ambient_of(tensor, chart, v, zeta):
-    """Ambient points z for base coordinates v and fiber zeta."""
-    n = tensor.n
+def _ambient_of(n, chart, v, zeta):
+    """Ambient points z for base coordinates v (complex for n = 2, shape
+    (..., n-1) otherwise) and fiber values zeta, broadcast together."""
+    v = np.asarray(v, dtype=complex)
     if n == 2:
-        z = np.empty(v.shape + (2,), dtype=complex)
-        z[..., chart] = zeta
-        z[..., 1 - chart] = zeta * v
-        return z
-    z = np.empty(v.shape[:-1] + (3,), dtype=complex)
-    axes = chart_axes(3, chart)
-    z[..., chart] = zeta
-    for a, j in enumerate(axes):
-        z[..., j] = zeta * v[..., a]
+        v = v[..., None]
+    zeta = np.asarray(zeta, dtype=complex)[..., None]
+    z = np.empty(np.broadcast(v, zeta).shape[:-1] + (n,), dtype=complex)
+    z[..., chart] = zeta[..., 0]
+    z[..., chart_axes(n, chart)] = zeta * v
     return z
 
 
@@ -285,9 +268,7 @@ def _levi_roots(tensor, chart):
     n = tensor.n
     key = (n, tensor.atlas.n_v, tensor.atlas.box, chart)
     if key not in _LEVI_ROOTS:
-        v = _chart_points(tensor, chart)
-        zeta = np.ones(v.shape[0] if v.ndim > 1 else v.shape, dtype=complex)
-        z = _ambient_of(tensor, chart, v, zeta)
+        z = _ambient_of(n, chart, _chart_points(tensor, chart), 1.0)
         e = frame_vectors(n, chart, z)
         A = reference_form_matrix(n)
         Pg = np.empty(z.shape[:-1] + (n - 1, n - 1), dtype=complex)
@@ -330,7 +311,29 @@ def _mat_sqrt(H):
 # extraction
 
 
-def extract(nm, k_max=None, fiber=None):
+def _pushforward(n, chart, v, zeta, W, dW):
+    """Real 2n x 2n derivative of the fiber-linear map z = zeta p(v) ->
+    zeta W(v) at the points (v, zeta) of a chart; v as in _ambient_of,
+    dW[..., a, 0, :] and dW[..., a, 1, :] the x_a and y_a partials of W."""
+    v = np.asarray(v, dtype=complex)
+    if n == 2:
+        v = v[..., None]
+    D = np.empty(np.broadcast(v[..., 0], zeta).shape + (2 * n, 2 * n))
+    for col, h in enumerate(np.eye(2 * n)):
+        hc = to_complex(h)
+        dzeta = hc[chart]
+        img = dzeta * W
+        for a, j in enumerate(chart_axes(n, chart)):
+            dva = (hc[j] - v[..., a] * dzeta) / zeta
+            img = img + zeta[..., None] * (
+                dva.real[..., None] * dW[..., a, 0, :]
+                + dva.imag[..., None] * dW[..., a, 1, :]
+            )
+        D[..., :, col] = to_real(img)
+    return D
+
+
+def extract(nm, k_max=None):
     """Deformation tensor of the structure pulled back by a fiber-linear
     normalizing map (n = 2).
 
@@ -342,36 +345,16 @@ def extract(nm, k_max=None, fiber=None):
     at = nm.atlas
     if k_max is None:
         k_max = at.fiber.n_theta // 2 - 1
-    Jo = standard_j(2)
+    Jo = standard_j_matrix(4)
     components = {}
     leaks = []
     for chart in at.charts:
-        V = at.base_points(chart)
-        W = nm.W[chart]
-        Wx = nm.dWx[chart]
-        Wy = nm.dWy[chart]
-        zetas = at.fiber.zetas  # (n_r, n_theta)
-        v4 = V[:, :, None, None]
-        z4 = zetas[None, None, :, :]
-        z = _ambient_of_n2(chart, v4, z4)
-        shape = z.shape[:-1]
-        D = np.empty(shape + (4, 4))
-        for col, h in enumerate(np.eye(4)):
-            hc = np.array([h[0] + 1j * h[1], h[2] + 1j * h[3]])
-            dzeta = hc[chart]
-            dv = (hc[1 - chart] - v4 * dzeta) / z4
-            img = (
-                dzeta * W[:, :, None, None, :]
-                + z4[..., None]
-                * (
-                    dv.real[..., None] * Wx[:, :, None, None, :]
-                    + dv.imag[..., None] * Wy[:, :, None, None, :]
-                )
-            )
-            D[..., 0, col] = img[..., 0].real
-            D[..., 1, col] = img[..., 0].imag
-            D[..., 2, col] = img[..., 1].real
-            D[..., 3, col] = img[..., 1].imag
+        v4 = at.base_points(chart)[:, :, None, None]
+        z4 = at.fiber.zetas[None, None, :, :]
+        z = _ambient_of(2, chart, v4, z4)
+        W = nm.W[chart][:, :, None, None, :]
+        dW = np.stack([nm.dWx[chart], nm.dWy[chart]], axis=-2)[:, :, None, None, None]
+        D = _pushforward(2, chart, v4, z4, W, dW)
         J = np.linalg.solve(D, Jo @ D)
         phi, leak = _graph_from_structure(2, chart, z, J)
         components[chart] = phi
@@ -379,13 +362,6 @@ def extract(nm, k_max=None, fiber=None):
     tensor = fourier_modes_from_components(at, components, k_max)
     tensor.diagnostics["disc_leak"] = max(leaks)
     return tensor
-
-
-def _ambient_of_n2(chart, v, zeta):
-    z = np.empty(np.broadcast(v, zeta).shape + (2,), dtype=complex)
-    z[..., chart] = zeta
-    z[..., 1 - chart] = zeta * v
-    return z
 
 
 @dataclass
@@ -420,7 +396,7 @@ def reconstruct(tensor: DeformationTensor) -> StructureField:
             zetas = at.fiber.zetas
             v4 = np.broadcast_to(V[:, :, None, None], V.shape + zetas.shape)
             z4 = np.broadcast_to(zetas[None, None, :, :], V.shape + zetas.shape)
-            z = _ambient_of_n2(chart, v4, z4)
+            z = _ambient_of(2, chart, v4, z4)
             phi = tensor.components.get(chart)
             if phi is None:
                 phi = tensor.phi_at(chart, v4, z4)
@@ -458,7 +434,7 @@ def extract_from_structure(sf: StructureField, k_max=None) -> DeformationTensor:
         zetas = at.fiber.zetas
         v4 = np.broadcast_to(V[:, :, None, None], V.shape + zetas.shape)
         z4 = np.broadcast_to(zetas[None, None, :, :], V.shape + zetas.shape)
-        z = _ambient_of_n2(chart, v4, z4)
+        z = _ambient_of(2, chart, v4, z4)
         phi, leak = _graph_from_structure(2, chart, z, sf.J[chart])
         components[chart] = phi
         leaks.append(leak)
@@ -602,7 +578,7 @@ def tensor_from_map_field(atlas, n, W_fn, dW_fn, chart_list=(0,)):
     Used for generic-n verification: the graph relation is solved
     pointwise, so the tensor field is available anywhere on the chart.
     """
-    Jo = standard_j(n)
+    Jo = standard_j_matrix(2 * n)
     leaks = [0.0]
 
     def stack_at(chart, v):
@@ -610,27 +586,8 @@ def tensor_from_map_field(atlas, n, W_fn, dW_fn, chart_list=(0,)):
         if n == 2:
             v = v.reshape(-1)
         zeta = np.ones(len(v), dtype=complex)
-        z = _ambient_of_generic(n, chart, v, zeta)
-        W = W_fn(v)
-        dW = dW_fn(v)  # (N, n-1, 2, n): derivative wrt (x_a, y_a)
-        D = np.empty((len(v), 2 * n, 2 * n))
-        axes = chart_axes(n, chart)
-        for col in range(2 * n):
-            h = np.zeros(2 * n)
-            h[col] = 1.0
-            hc = h[0::2] + 1j * h[1::2]
-            dzeta = hc[chart]
-            img = dzeta * W
-            for a, j in enumerate(axes):
-                va = v[..., a] if n == 3 else v
-                dva = (hc[j] - va * dzeta) / zeta
-                img = img + zeta[:, None] * (
-                    dva.real[:, None] * dW[:, a, 0, :]
-                    + dva.imag[:, None] * dW[:, a, 1, :]
-                )
-            for m in range(n):
-                D[:, 2 * m, col] = img[:, m].real
-                D[:, 2 * m + 1, col] = img[:, m].imag
+        z = _ambient_of(n, chart, v, zeta)
+        D = _pushforward(n, chart, v, zeta, W_fn(v), dW_fn(v))
         J = np.linalg.solve(D, Jo @ D)
         phi, leak = _graph_from_structure(n, chart, z, J)
         leaks.append(leak)
@@ -660,19 +617,6 @@ def tensor_from_map_field(atlas, n, W_fn, dW_fn, chart_list=(0,)):
             c: _series(tensor.modes[c], atlas) for c in chart_list
         }
     return tensor
-
-
-def _ambient_of_generic(n, chart, v, zeta):
-    if n == 2:
-        z = np.empty(v.shape + (2,), dtype=complex)
-        z[..., chart] = zeta
-        z[..., 1 - chart] = zeta * v
-        return z
-    z = np.empty(v.shape[:-1] + (n,), dtype=complex)
-    z[..., chart] = zeta
-    for a, j in enumerate(chart_axes(n, chart)):
-        z[..., j] = zeta * v[..., a]
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +713,8 @@ def condition_symmetry(tensor, chart=0, zeta=0.5):
     anti-holomorphic horizontal frame."""
     n = tensor.n
     v = _chart_points(tensor, chart)
-    npts = v.shape[0] if v.ndim > 1 else v.shape[0]
-    z = _ambient_of(tensor, chart, v, np.full(npts, zeta, dtype=complex))
+    npts = v.shape[0]
+    z = _ambient_of(n, chart, v, zeta)
     e = frame_vectors(n, chart, z)
     stack = tensor.mode_field(chart, v)
     powers = np.full(npts, zeta, dtype=complex)[:, None] ** np.arange(
@@ -835,7 +779,7 @@ def _opnorm_at(tensor, chart, zeta):
     """Operator norm of the full tensor w.r.t. the reference metric at the
     chart nodes over the fiber point zeta."""
     v = _chart_points(tensor, chart)
-    z = _ambient_of(tensor, chart, v, np.full(len(v), zeta, dtype=complex))
+    z = _ambient_of(tensor.n, chart, v, zeta)
     Qhalf, Pinvh = _levi_roots(tensor, chart)
     M = Qhalf @ _phi_matrix_at(tensor, chart, z) @ Pinvh
     return np.linalg.norm(M, ord=2, axis=(-2, -1))
@@ -864,8 +808,7 @@ def maurer_cartan_residual(tensor, chart=0, zeta=0.5, dbar_mode=None,
         v = v[keep]
     else:
         v = v_samples
-    npts = len(v)
-    z = _ambient_of(tensor, chart, v, np.full(npts, zeta, dtype=complex))
+    z = _ambient_of(n, chart, v, zeta)
 
     worst = 0.0
     leak = 0.0

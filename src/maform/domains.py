@@ -11,14 +11,14 @@ checks can run at symbolic accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
-from .atlas import ChartAtlas, blowup_forward, blowup_inverse
+from .atlas import ChartAtlas, blowup_forward
 from .exterior import standard_j_matrix
-from .symforms import AnalyticForm, real_coords
+from .symforms import AnalyticForm, real_coords, to_complex, to_real
 
 
 class DomainError(ValueError):
@@ -95,9 +95,9 @@ def _chart_inclusion(n, chart, v_coords):
 class MinkowskiField:
     """Degree-1 homogeneous gauge of a complete circular domain.
 
-    mu_sq_ambient is exact (sympy) for closed-form kinds and None for
-    gridded input; m_sq_charts maps chart id to the exact chart expression
-    m(v)^2 in the real base coordinates, or to sampled grid arrays.
+    mu_sq_ambient is the exact (sympy) mu^2 in the ambient real
+    coordinates; m_sq_charts maps chart id to the exact chart expression
+    m(v)^2 in the real base coordinates.
     """
 
     n: int
@@ -105,12 +105,6 @@ class MinkowskiField:
     params: dict
     mu_sq_ambient: object
     m_sq_charts: dict
-    smooth: bool = True
-    grids: dict = field(default_factory=dict)
-
-    @property
-    def analytic(self):
-        return self.mu_sq_ambient is not None
 
     def base_coords(self):
         return real_coords(2 * (self.n - 1)) if self.n == 2 else ambient_coords(self.n - 1)
@@ -122,16 +116,8 @@ class MinkowskiField:
     def m(self, chart, v):
         """m at complex base points v (n = 2) or (v1, v2) pairs (n = 3)."""
         v = np.asarray(v, dtype=complex)
-        form = self.m_sq_form(chart)
-        if self.n == 2:
-            pts = np.stack([v.real.ravel(), v.imag.ravel()], axis=1)
-        else:
-            pts = np.stack(
-                [v[..., 0].real.ravel(), v[..., 0].imag.ravel(),
-                 v[..., 1].real.ravel(), v[..., 1].imag.ravel()],
-                axis=1,
-            )
-        vals = form.scalar_at(pts).real
+        pts = to_real(v.reshape(-1, self.n - 1))
+        vals = self.m_sq_form(chart).scalar_at(pts).real
         shape = v.shape if self.n == 2 else v.shape[:-1]
         return np.sqrt(vals).reshape(shape)
 
@@ -200,19 +186,12 @@ class ExhaustionField:
         v = np.asarray(v, dtype=complex)
         zeta = np.asarray(zeta, dtype=complex)
         v, zeta = np.broadcast_arrays(v, zeta)
-        pts = np.stack(
-            [v.real.ravel(), v.imag.ravel(), zeta.real.ravel(), zeta.imag.ravel()],
-            axis=1,
-        )
+        pts = to_real(np.stack([v.ravel(), zeta.ravel()], axis=1))
         return self.chart_form(chart).scalar_at(pts).real.reshape(v.shape)
 
     def value_ambient(self, z):
         z = np.asarray(z, dtype=complex)
-        flat = z.reshape(-1, self.n)
-        pts = np.empty((len(flat), 2 * self.n))
-        for i in range(self.n):
-            pts[:, 2 * i] = flat[:, i].real
-            pts[:, 2 * i + 1] = flat[:, i].imag
+        pts = to_real(z.reshape(-1, self.n))
         return self.ambient_form().scalar_at(pts).real.reshape(z.shape[:-1])
 
 
@@ -236,11 +215,7 @@ class IndicatrixField:
         z = np.asarray(z, dtype=complex)
         if self.kappa_sq_ambient is not None:
             form = AnalyticForm.scalar(ambient_coords(self.n), self.kappa_sq_ambient)
-            flat = z.reshape(-1, self.n)
-            pts = np.empty((len(flat), 2 * self.n))
-            for i in range(self.n):
-                pts[:, 2 * i] = flat[:, i].real
-                pts[:, 2 * i + 1] = flat[:, i].imag
+            pts = to_real(z.reshape(-1, self.n))
             return np.sqrt(form.scalar_at(pts).real).reshape(z.shape[:-1])
         from scipy.interpolate import RegularGridInterpolator
 
@@ -257,10 +232,6 @@ class IndicatrixField:
                 np.stack([vv.real, vv.imag], axis=1)
             )
         return out.reshape(z.shape[:-1])
-
-    def angular_factor(self, z_unit):
-        """The quadratic coefficient h on the unit sphere: h = kappa^2."""
-        return self.kappa(z_unit) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +256,15 @@ def _levi_witness(tau_form, n, n_samples=60, seed=7, raise_on_fail=True):
     worst = int(np.argmin(eigs[:, 0]))
     min_eig = float(eigs[worst, 0])
     if min_eig <= 0 and raise_on_fail:
-        zbad = pts[worst, 0::2] + 1j * pts[worst, 1::2]
-        raise PseudoconvexityError(zbad, min_eig)
+        raise PseudoconvexityError(to_complex(pts[worst]), min_eig)
     return min_eig
 
 
 def make_circular_domain(mu_spec, atlas=None):
     """Build (MinkowskiField, ExhaustionField) from a gauge description.
 
-    mu_spec: dict with keys 'kind' in {ball, ellipsoid, perturbed_ball,
-    grid}, 'n' (default 2), and kind parameters (a, b, eps, q, samples).
+    mu_spec: dict with keys 'kind' in {ball, ellipsoid, perturbed_ball},
+    'n' (default 2), and kind parameters (a, b, eps, q).
     Validates positivity of the chart gauge and the strict-pseudoconvexity
     witness at ambient sample points.
     """
@@ -303,9 +273,6 @@ def make_circular_domain(mu_spec, atlas=None):
     kind = spec.pop("kind")
     if atlas is None:
         atlas = ChartAtlas(n=2, n_v=33) if n == 2 else ChartAtlas(n=3, n_v=9)
-
-    if kind == "grid":
-        return _make_gridded_domain(n, spec, atlas)
 
     coords = ambient_coords(n)
     mu_sq = sp.cancel(_mu_sq_expression(n, kind, spec, coords))
@@ -357,46 +324,6 @@ def make_circular_domain(mu_spec, atlas=None):
     return mink, exh
 
 
-def _make_gridded_domain(n, spec, atlas):
-    if n != 2:
-        raise DomainError("gridded gauges are supported for n = 2 only")
-    samples = spec.get("samples")
-    if samples is None:
-        raise DomainError("grid kind needs 'samples': chart -> m array")
-    m_raw = {c: np.asarray(arr, dtype=float) for c, arr in samples.items()}
-    for c, arr in m_raw.items():
-        if arr.shape != (atlas.n_v, atlas.n_v):
-            raise DomainError(f"chart {c} samples must match the atlas grid")
-        if np.min(arr) <= 0:
-            bad = np.unravel_index(np.argmin(arr), arr.shape)
-            raise DomainError(f"gauge not positive at chart {c} node {bad}")
-    m_sq = {c: arr**2 for c, arr in m_raw.items()}
-    # homogeneity across charts on the overlap band, within the FD budget
-    from scipy.interpolate import RegularGridInterpolator
-
-    V = atlas.base_points(0)
-    band = (np.abs(V) > 0.85) & (np.abs(V) < 1.18)
-    interp = RegularGridInterpolator((atlas.xs, atlas.xs), np.sqrt(m_sq[1]))
-    W = 1.0 / V[band]
-    m1 = interp(np.stack([W.real, W.imag], axis=1))
-    m0 = np.sqrt(m_sq[0][band])
-    mismatch = np.max(np.abs(m1 - m0 / np.abs(V[band])))
-    if mismatch > 50 * atlas.h**2:
-        raise DomainError(
-            f"chart gauges violate homogeneity on the overlap: {mismatch:.3e}"
-        )
-    mink = MinkowskiField(
-        n=2,
-        kind="grid",
-        params={},
-        mu_sq_ambient=None,
-        m_sq_charts={},
-        smooth=False,
-        grids=m_sq,
-    )
-    return mink, None
-
-
 def indicatrix_from_exhaustion(exh, atlas=None, tol=1e-8):
     """Recover the center gauge kappa from the quadratic vanishing of tau.
 
@@ -429,7 +356,7 @@ def indicatrix_from_exhaustion(exh, atlas=None, tol=1e-8):
             "exhaustion is not parabolic at the center"
         )
     kappa_sq = None
-    if exh.minkowski is not None and exh.minkowski.analytic:
+    if exh.minkowski is not None:
         kappa_sq = exh.minkowski.mu_sq_ambient
     return IndicatrixField(
         n=2,
@@ -483,7 +410,7 @@ _SPEC_KEYS = {"n", "mu.kind", "a", "b", "eps", "q", "N_v", "N_r", "N_theta"}
 def parse_domain_spec(text):
     """Parse a 'key = value' domain spec.
 
-    Recognized keys: n, mu.kind in {ball, ellipsoid, perturbed_ball, grid},
+    Recognized keys: n, mu.kind in {ball, ellipsoid, perturbed_ball},
     a, b, eps, q (comma list of degree:coeff), N_v, N_r, N_theta.  Lines
     starting with '#' and blank lines are ignored.  Errors carry line and
     column positions.
@@ -540,7 +467,7 @@ def parse_domain_spec(text):
             except ValueError:
                 line_no, line, val = values["q"]
                 raise SpecParseError(line_no, 1, f"bad q list: {val!r}")
-    elif kind not in ("ball", "grid"):
+    elif kind != "ball":
         line_no, line, val = values["mu.kind"]
         col = line.index(val) + 1
         raise SpecParseError(line_no, col, f"unknown mu.kind {val!r}")

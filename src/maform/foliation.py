@@ -19,9 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .domains import ExhaustionField, ambient_coords
+from .atlas import blowup_inverse
+from .domains import ExhaustionField
 from .exterior import standard_j_matrix
-from .symforms import AnalyticForm
+from .ode import rk4_step
+from .symforms import AnalyticForm, to_complex, to_real
 
 
 class FoliationError(ValueError):
@@ -78,29 +80,6 @@ class ZFieldEvaluator:
             e[k] = h
             D[..., :, k] = (self(pts + e) - self(pts - e)) / (2.0 * h)
         return D
-
-    def flow_step(self, pts, dt, with_jacobian=False):
-        """One RK4 step of the Z-flow, optionally with the variational 4x4
-        (2n x 2n) Jacobian propagated alongside."""
-        pts = np.asarray(pts, dtype=float)
-        k1 = self(pts)
-        k2 = self(pts + 0.5 * dt * k1)
-        k3 = self(pts + 0.5 * dt * k2)
-        k4 = self(pts + dt * k3)
-        new = pts + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not with_jacobian:
-            return new
-        eye = np.broadcast_to(np.eye(self.dim), pts.shape[:-1] + (self.dim, self.dim))
-        D1 = self.jacobian(pts)
-        M1 = D1 @ eye
-        D2 = self.jacobian(pts + 0.5 * dt * k1)
-        M2 = D2 @ (eye + 0.5 * dt * M1)
-        D3 = self.jacobian(pts + 0.5 * dt * k2)
-        M3 = D3 @ (eye + 0.5 * dt * M2)
-        D4 = self.jacobian(pts + dt * k3)
-        M4 = D4 @ (eye + dt * M3)
-        jac = eye + dt / 6.0 * (M1 + 2 * M2 + 2 * M3 + M4)
-        return new, jac
 
 
 @dataclass(frozen=True)
@@ -185,12 +164,15 @@ def _lie_derivative_flow(ev: ZFieldEvaluator, pts, rel_step=5e-4):
     pts = np.asarray(pts, dtype=float)
     tau_loc = ev.tau_at(pts)
     hs = rel_step * np.minimum(tau_loc, 1.0)
+    eye = np.eye(ev.dim)
 
     def pullback(sign_mult):
         out = np.empty((len(pts), ev.dim, ev.dim))
         for i, p in enumerate(pts):
-            dt = sign_mult * hs[i]
-            q, Dq = ev.flow_step(p[None, :], dt, with_jacobian=True)
+            q, Dq = rk4_step(
+                lambda _t, y: ev(y), 0.0, p[None, :], sign_mult * hs[i],
+                jac=lambda _t, y: ev.jacobian(y), M=eye,
+            )
             Aq = ev.matrices(q)[0]
             out[i] = Dq[0].T @ Aq @ Dq[0]
         return out
@@ -321,15 +303,18 @@ class LeafDisc:
         return self.ray[:, None, :] * phase[None, :, None]
 
 
-def _real_to_complex(pts):
-    return pts[..., 0::2] + 1j * pts[..., 1::2]
+def _leaf_states(ev: ZFieldEvaluator, X, rhos):
+    """RK4 states of the leaf ODE dX/drho = (2 / sqrt(tau)) Z(X) at every
+    radius of the grid rhos, starting from X at rhos[0]."""
 
+    def rhs(_rho, X):
+        tau_vals = np.maximum(ev.tau_at(X), 1e-30)
+        return 2.0 / np.sqrt(tau_vals)[:, None] * ev(X)
 
-def _complex_to_real(z):
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
+    states = [X]
+    for i in range(len(rhos) - 1):
+        states.append(rk4_step(rhs, rhos[i], states[-1], rhos[i + 1] - rhos[i]))
+    return np.array(states)
 
 
 def trace_leaf(exh: ExhaustionField, base_v, chart=0, rho_start=0.05, rho_end=0.9,
@@ -346,31 +331,11 @@ def trace_leaf(exh: ExhaustionField, base_v, chart=0, rho_start=0.05, rho_end=0.
     n = exh.n
     ev = ZFieldEvaluator(exh.ambient_form())
     vlist = np.atleast_1d(np.asarray(base_v, dtype=complex))
-    direction = np.zeros((len(vlist), n), dtype=complex)
-    for row, v in enumerate(vlist):
-        parts = [v] if n == 2 else list(np.atleast_1d(v))
-        parts.insert(chart, 1.0 + 0j)
-        direction[row] = parts
+    direction = blowup_inverse(chart, vlist.reshape(len(vlist), n - 1), np.ones(len(vlist)))
     m0 = mink.mu(direction)
     seed = rho_start * direction / m0[:, None]
-
-    def rhs(_rho, X):
-        tau_vals = np.maximum(ev.tau_at(X), 1e-30)
-        return 2.0 / np.sqrt(tau_vals)[:, None] * ev(X)
-
     rhos = np.linspace(rho_start, rho_end, n_steps + 1)
-    X = _complex_to_real(seed)
-    ray_real = [X.copy()]
-    for i in range(n_steps):
-        h = rhos[i + 1] - rhos[i]
-        k1 = rhs(rhos[i], X)
-        k2 = rhs(rhos[i] + h / 2, X + h / 2 * k1)
-        k3 = rhs(rhos[i] + h / 2, X + h / 2 * k2)
-        k4 = rhos[i] + h, X + h * k3
-        k4 = rhs(*k4)
-        X = X + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        ray_real.append(X.copy())
-    ray_real = np.array(ray_real)  # (m, B, 2n)
+    ray_real = _leaf_states(ev, to_real(seed), rhos)  # (m, B, 2n)
     tau_along = ev.tau_at(ray_real.reshape(-1, 2 * n)).reshape(ray_real.shape[:2])
     resid = np.max(np.abs(tau_along - rhos[:, None] ** 2), axis=0)
     if np.max(tau_along) > (1.05 * max(rho_end, exh.r_bound)) ** 2:
@@ -386,7 +351,7 @@ def trace_leaf(exh: ExhaustionField, base_v, chart=0, rho_start=0.05, rho_end=0.
                 chart=chart,
                 base_v=complex(v),
                 radii=rhos,
-                ray=_real_to_complex(ray_real[:, b, :]),
+                ray=to_complex(ray_real[:, b, :]),
                 tau_residual=float(resid[b]),
             )
         )
@@ -399,21 +364,9 @@ def reverse_leaf(exh: ExhaustionField, disc: LeafDisc, n_steps=200):
     """Integrate the leaf ODE inward from the outer ray sample and return
     the distance to the original seed (forward/backward consistency)."""
     ev = ZFieldEvaluator(exh.ambient_form())
-
-    def rhs(X):
-        tau_vals = np.maximum(ev.tau_at(X), 1e-30)
-        return 2.0 / np.sqrt(tau_vals)[:, None] * ev(X)
-
     rhos = np.linspace(disc.radii[-1], disc.radii[0], n_steps + 1)
-    X = _complex_to_real(disc.ray[-1][None, :])
-    for i in range(n_steps):
-        h = rhos[i + 1] - rhos[i]
-        k1 = rhs(X)
-        k2 = rhs(X + h / 2 * k1)
-        k3 = rhs(X + h / 2 * k2)
-        k4 = rhs(X + h * k3)
-        X = X + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    back = _real_to_complex(X)[0]
+    X = _leaf_states(ev, to_real(disc.ray[-1][None, :]), rhos)[-1]
+    back = to_complex(X)[0]
     return float(np.max(np.abs(back - disc.ray[0])))
 
 

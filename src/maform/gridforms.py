@@ -307,22 +307,6 @@ def integrate_base(form, region="CP1"):
     return total
 
 
-def integrate_total(form, chart):
-    """Integrate a 4-form over one blow-up chart box (ds dt = r dr dtheta)."""
-    if form.kind != "total" or form.degree != 4:
-        raise ValueError("integrate_total expects a total-space 4-form")
-    at = form.atlas
-    comp = form.component(chart, (0, 1, 2, 3))
-    w = np.full(at.n_v, at.h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    radii = at.fiber.radii
-    wr = np.gradient(radii) * radii  # trapezoid-ish in r times Jacobian r
-    wth = 2.0 * np.pi / at.fiber.n_theta
-    W = w[:, None, None, None] * w[None, :, None, None] * wr[None, None, :, None] * wth
-    return np.sum(comp * W)
-
-
 def chart_consistency_residual(form):
     """Max mismatch of a base form under the CP^1 chart transition.
 

@@ -27,8 +27,9 @@ from scipy.interpolate import RectBivariateSpline
 
 from .atlas import ChartAtlas, R_OUTER, blowup_forward
 from .domains import MinkowskiField, ambient_coords
-from .gridforms import GridForm, integrate_base
-from .symforms import AnalyticForm, compile_exprs, real_coords
+from .exterior import standard_j_matrix
+from .ode import rk4_step
+from .symforms import AnalyticForm, compile_exprs, real_coords, to_complex, to_real
 
 
 class MoserError(ValueError):
@@ -57,14 +58,6 @@ class ConnectionData:
     alpha_exprs: dict
     integral: float
     min_coefficient: float
-
-    def omega_grid(self):
-        x, y = real_coords(2)
-        forms = {
-            c: AnalyticForm((x, y), 2, {(0, 1): self.w_exprs[c]})
-            for c in self.atlas.charts
-        }
-        return GridForm.from_analytic(forms, self.atlas, "base")
 
 
 def _disk_integral(fn, n_r=80, n_theta=160):
@@ -104,8 +97,6 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     """
     if mink.n != 2:
         raise MoserError("curvature data is implemented for n = 2")
-    if not mink.analytic:
-        raise MoserError("curvature needs closed-form gauge charts")
     if atlas is None:
         atlas = ChartAtlas(n=2, n_v=33)
     x, y = real_coords(2)
@@ -161,8 +152,6 @@ def horizontal_space(mink: MinkowskiField, u):
     Returns (N, 2, 4) real vectors spanning the J-invariant plane.
     """
     grad = _gauge_grad(mink, u)
-    from .exterior import standard_j_matrix
-
     J = standard_j_matrix(4)
     rows = np.stack([grad, grad @ J], axis=1)  # d(mu^2), d(mu^2) o J
     _, _, Vt = np.linalg.svd(rows)
@@ -174,19 +163,7 @@ def horizontal_space(mink: MinkowskiField, u):
 def _gauge_grad(mink: MinkowskiField, u):
     """Real gradient of mu^2 at ambient points u, shape (N, 4)."""
     d = AnalyticForm.scalar(ambient_coords(2), mink.mu_sq_ambient).d()
-    return d.vector_at(_to_real(np.asarray(u, dtype=complex))).real
-
-
-def _to_real(z):
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
-
-
-def _to_complex(x):
-    return x[..., 0::2] + 1j * x[..., 1::2]
+    return d.vector_at(to_real(u)).real
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +230,13 @@ class MoserFlowResult:
         return ev
 
 
-def _base_start_jacobian_identity(n):
-    M = np.zeros((n, 2, 2))
-    M[:, 0, 0] = 1.0
-    M[:, 1, 1] = 1.0
-    return M
-
-
 def _field_jacobian(fn, t, chart_of, v, h=1e-6):
     """Real 2x2 spatial derivative of a complex-valued base field by
     central differences."""
     D = np.empty(v.shape + (2, 2))
     for k, delta in enumerate((h, 1j * h)):
         diff = (fn.velocity(t, v + delta, chart_of) - fn.velocity(t, v - delta, chart_of)) / (2 * h)
-        D[..., 0, k] = diff.real
-        D[..., 1, k] = diff.imag
+        D[..., :, k] = to_real(diff[..., None])
     return D
 
 
@@ -284,29 +253,17 @@ def moser_flow(conn: ConnectionData, n_steps=200):
     fn = MoserFieldEvaluator(conn)
     endpoints = {}
     jacobians = {}
-    flipped_record = {}
     for chart in at.charts:
         V0 = at.base_points(chart).ravel()
         v = V0.copy()
         chart_of = np.full(v.shape, chart)
-        M = _base_start_jacobian_identity(len(v))
+        M = np.tile(np.eye(2), (len(v), 1, 1))
         dt = 1.0 / n_steps
         for i in range(n_steps):
-            t = i * dt
-            k1 = fn.velocity(t, v, chart_of)
-            k2 = fn.velocity(t + dt / 2, v + dt / 2 * k1, chart_of)
-            k3 = fn.velocity(t + dt / 2, v + dt / 2 * k2, chart_of)
-            k4 = fn.velocity(t + dt, v + dt * k3, chart_of)
-            D1 = _field_jacobian(fn, t, chart_of, v)
-            N1 = np.einsum("nij,njk->nik", D1, M)
-            D2 = _field_jacobian(fn, t + dt / 2, chart_of, v + dt / 2 * k1)
-            N2 = np.einsum("nij,njk->nik", D2, M + dt / 2 * N1)
-            D3 = _field_jacobian(fn, t + dt / 2, chart_of, v + dt / 2 * k2)
-            N3 = np.einsum("nij,njk->nik", D3, M + dt / 2 * N2)
-            D4 = _field_jacobian(fn, t + dt, chart_of, v + dt * k3)
-            N4 = np.einsum("nij,njk->nik", D4, M + dt * N3)
-            v = v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            M = M + dt / 6 * (N1 + 2 * N2 + 2 * N3 + N4)
+            v, M = rk4_step(
+                lambda t, v: fn.velocity(t, v, chart_of), i * dt, v, dt,
+                jac=lambda t, v: _field_jacobian(fn, t, chart_of, v), M=M,
+            )
             # hand far wanderers to the opposite chart (avoids infinity)
             far = np.abs(v) > 3.0
             if np.any(far):
@@ -320,7 +277,6 @@ def moser_flow(conn: ConnectionData, n_steps=200):
             T = at.transition_jacobian(v[flipped])
             M[flipped] = np.einsum("nij,njk->nik", T, M[flipped])
             v[flipped] = 1.0 / v[flipped]
-        flipped_record[chart] = int(np.sum(flipped))
         endpoints[chart] = v.reshape(at.n_v, at.n_v)
         jacobians[chart] = M.reshape(at.n_v, at.n_v, 2, 2)
 
@@ -374,14 +330,14 @@ class LiftFieldEvaluator:
 
     def real_jacobian(self, t, u, h=1e-6):
         """Real 4x4 spatial derivative by central differences."""
-        ur = _to_real(u)
+        ur = to_real(u)
         D = np.empty((len(u), 4, 4))
         for k in range(4):
             e = np.zeros(4)
             e[k] = h
-            plus = self(t, _to_complex(ur + e))
-            minus = self(t, _to_complex(ur - e))
-            D[:, :, k] = _to_real((plus - minus) / (2 * h))
+            plus = self(t, to_complex(ur + e))
+            minus = self(t, to_complex(ur - e))
+            D[:, :, k] = to_real((plus - minus) / (2 * h))
         return D
 
 
@@ -439,29 +395,15 @@ def horizontal_lift(flow: MoserFlowResult, n_steps=None):
         shape = u0.shape[:2]
         u = u0.reshape(-1, 2)
         M = np.stack(
-            [_to_real(du_dx.reshape(-1, 2)), _to_real(du_dy.reshape(-1, 2))], axis=-1
+            [to_real(du_dx.reshape(-1, 2)), to_real(du_dy.reshape(-1, 2))], axis=-1
         )  # (N, 4, 2)
         for i in range(n_steps):
-            t = i * dt
-            k1 = lift(t, u)
-            k2 = lift(t + dt / 2, u + dt / 2 * k1)
-            k3 = lift(t + dt / 2, u + dt / 2 * k2)
-            k4 = lift(t + dt, u + dt * k3)
-            D1 = lift.real_jacobian(t, u)
-            N1 = np.einsum("nij,njk->nik", D1, M)
-            D2 = lift.real_jacobian(t + dt / 2, u + dt / 2 * k1)
-            N2 = np.einsum("nij,njk->nik", D2, M + dt / 2 * N1)
-            D3 = lift.real_jacobian(t + dt / 2, u + dt / 2 * k2)
-            N3 = np.einsum("nij,njk->nik", D3, M + dt / 2 * N2)
-            D4 = lift.real_jacobian(t + dt, u + dt * k3)
-            N4 = np.einsum("nij,njk->nik", D4, M + dt * N3)
-            u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            M = M + dt / 6 * (N1 + 2 * N2 + 2 * N3 + N4)
+            u, M = rk4_step(lift, i * dt, u, dt, jac=lift.real_jacobian, M=M)
             norms = np.linalg.norm(u, axis=1)
             drift = max(drift, float(np.max(np.abs(norms - 1.0))))
             u = u / norms[:, None]
         s_hat[chart] = u.reshape(shape + (2,))
-        Mc = _to_complex(np.moveaxis(M, -1, 1))  # (N, 2 axes, 2 comps)
+        Mc = to_complex(np.moveaxis(M, -1, 1))  # (N, 2 axes, 2 comps)
         ds_dx[chart] = Mc[:, 0, :].reshape(shape + (2,))
         ds_dy[chart] = Mc[:, 1, :].reshape(shape + (2,))
     return LiftResult(s_hat=s_hat, ds_dx=ds_dx, ds_dy=ds_dy, sphere_drift=drift)
@@ -494,8 +436,8 @@ def measure_connection_mismatch(mink, atlas, chart, W, dWx, dWy):
     cols = np.empty((len(flatW), 4, 4))
     cols[:, :, 0] = K[:, 0, :]
     cols[:, :, 1] = K[:, 1, :]
-    cols[:, :, 2] = _to_real(flatW)
-    cols[:, :, 3] = _to_real(1j * flatW)
+    cols[:, :, 2] = to_real(flatW)
+    cols[:, :, 3] = to_real(1j * flatW)
     s = np.empty(shape + (2,))
     Y = np.empty(shape + (2,), dtype=complex)
     for j, h in enumerate((h1, 1j * h1)):
@@ -509,15 +451,10 @@ def measure_connection_mismatch(mink, atlas, chart, W, dWx, dWy):
             + dv.real[..., None] * dWx
             + dv.imag[..., None] * dWy
         )
-        coeff = np.linalg.solve(cols, _to_real(dphi.reshape(-1, 2))[..., None])[..., 0]
+        coeff = np.linalg.solve(cols, to_real(dphi.reshape(-1, 2))[..., None])[..., 0]
         s[..., j] = coeff[:, 3].reshape(shape)
         Y[..., j] = dv
-    Ymat = np.empty(shape + (2, 2))
-    Ymat[..., 0, 0] = Y[..., 0].real
-    Ymat[..., 0, 1] = Y[..., 0].imag
-    Ymat[..., 1, 0] = Y[..., 1].real
-    Ymat[..., 1, 1] = Y[..., 1].imag
-    return np.linalg.solve(Ymat, s[..., None])[..., 0]
+    return np.linalg.solve(to_real(Y[..., None]), s[..., None])[..., 0]
 
 
 def _nu_splines(atlas, nu_chart):
@@ -812,8 +749,8 @@ def assemble(flow: MoserFlowResult, lift: LiftResult) -> NormalizingMap:
         flat_s = s.reshape(-1, 2)
         mu = mink.mu(flat_s).reshape(V.shape)
         grad = _gauge_grad(mink, flat_s)
-        dmu_x = (np.sum(grad * _to_real(sx.reshape(-1, 2)), axis=1) / (2 * mu.ravel())).reshape(V.shape)
-        dmu_y = (np.sum(grad * _to_real(sy.reshape(-1, 2)), axis=1) / (2 * mu.ravel())).reshape(V.shape)
+        dmu_x = (np.sum(grad * to_real(sx.reshape(-1, 2)), axis=1) / (2 * mu.ravel())).reshape(V.shape)
+        dmu_y = (np.sum(grad * to_real(sy.reshape(-1, 2)), axis=1) / (2 * mu.ravel())).reshape(V.shape)
         mo3 = m_o[..., None]
         mu3 = mu[..., None]
         W_raw[chart] = mo3 * s / mu3

@@ -63,6 +63,21 @@ def real_coords(dim, prefix=None):
     raise ValueError(f"no standard coordinate set for dim {dim}")
 
 
+def to_real(z):
+    """Complex points (..., n) to interleaved real coordinates (..., 2n),
+    z_k = x_2k + i x_2k+1, the order of real_coords and ambient_coords."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape[:-1] + (2 * z.shape[-1],))
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
+    return out
+
+
+def to_complex(x):
+    """Inverse of to_real: (..., 2n) real to (..., n) complex."""
+    return x[..., 0::2] + 1j * x[..., 1::2]
+
+
 class AnalyticForm:
     """A complex-valued p-form with sympy coefficients on one chart."""
 

@@ -101,9 +101,10 @@ class TestExitCodes:
         assert "line 2" in err and "column 1" in err
 
     def test_bad_value_position_reported(self, tmp_path, capsys):
-        dom = write(tmp_path, "bad2.dom", "n = 2\nmu.kind = pear\n")
-        assert run(["verify", "--domain", dom, "--out", str(tmp_path)]) == 2
-        assert "column 11" in capsys.readouterr().err
+        for kind in ("pear", "grid"):
+            dom = write(tmp_path, "bad2.dom", f"n = 2\nmu.kind = {kind}\n")
+            assert run(["verify", "--domain", dom, "--out", str(tmp_path)]) == 2
+            assert "column 11" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         missing = str(tmp_path / "nope.dom")

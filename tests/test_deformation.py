@@ -22,12 +22,12 @@ from maform.deformation import (
     reconstruct,
     reference_form_matrix,
     rotate,
-    standard_j,
     tensor_from_mode_functions,
     verify_conditions,
     verify_mode_equations,
 )
 from maform.domains import make_circular_domain
+from maform.exterior import standard_j_matrix
 from maform.moser import normalize_domain
 
 ATLAS = ChartAtlas(n=2, n_v=17)
@@ -337,7 +337,7 @@ class TestStructureField:
             ATLAS, 2, [(0, 0, 0, lambda v: np.zeros(len(v), complex))], 0
         )
         sf = reconstruct(t)
-        Jo = standard_j(2)
+        Jo = standard_j_matrix(4)
         assert np.max(np.abs(sf.J[0] - Jo)) < 1e-12
 
     def test_structure_squares_to_minus_one(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from maform import domains
 from maform.atlas import ChartAtlas, FiberGrid, blowup_forward, blowup_inverse
 from maform.domains import (
     DomainError,
@@ -84,23 +85,16 @@ class TestMakeCircularDomain:
         assert failed_at is not None, "witness never failed in the scan"
         assert 0.05 in eigs, "small perturbations must stay pseudoconvex"
 
-    def test_gauge_positivity_enforced(self):
-        samples = {
-            c: np.ones((33, 33)) for c in (0, 1)
-        }
-        samples[0][5, 5] = -1.0
-        with pytest.raises(DomainError, match="not positive"):
-            make_circular_domain({"kind": "grid", "samples": samples})
+    def test_gauge_positivity_enforced(self, monkeypatch):
+        # mu^2 = |z2|^2 - |z1|^2 gives m^2 = |v|^2 - 1 < 0 at the chart-0
+        # node v = 0; no spec kind reaches such a gauge, so it is injected
+        def indefinite(n, kind, params, coords):
+            x1, y1, x2, y2 = coords
+            return x2**2 + y2**2 - x1**2 - y1**2
 
-    def test_gridded_homogeneity_enforced(self):
-        at = ChartAtlas(n=2, n_v=33)
-        V = np.abs(at.base_points(0))
-        good = {0: np.sqrt(1 + V**2), 1: np.sqrt(1 + V**2)}
-        mink, _ = make_circular_domain({"kind": "grid", "samples": good}, atlas=at)
-        assert mink.kind == "grid"
-        bad = {0: np.sqrt(1 + V**2), 1: np.sqrt(1 + 4 * V**2)}
-        with pytest.raises(DomainError, match="homogeneity"):
-            make_circular_domain({"kind": "grid", "samples": bad}, atlas=at)
+        monkeypatch.setattr(domains, "_mu_sq_expression", indefinite)
+        with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not positive"):
+            make_circular_domain({"kind": "ball"})
 
 
 class TestIndicatrix:
@@ -170,17 +164,32 @@ class TestBlowupCoords:
         chart, v, zeta = blowup_forward(np.array([0.5, 0.5], dtype=complex))
         assert chart == 0 and abs(v[0] - 1.0) < 1e-15 and abs(zeta - 0.5) < 1e-15
 
-    def test_round_trip(self):
-        z = RNG.normal(size=(100, 2)) + 1j * RNG.normal(size=(100, 2))
+    @staticmethod
+    def _assert_round_trip(z):
         chart, v, zeta = blowup_forward(z)
         back = blowup_inverse(chart, v, zeta)
         assert np.max(np.abs(back - z)) < 1e-12
+        # the same arithmetic row by row
+        assert np.array_equal(v, [np.delete(r / r[c], c) for r, c in zip(z, chart)])
+        rows = [s * np.insert(r, c, 1.0) for r, c, s in zip(v, chart, zeta)]
+        assert np.array_equal(back, rows)
+        return chart
+
+    @staticmethod
+    def _every_chart_batch(n, size=1000):
+        # a separate generator keeps the module draws of later tests fixed
+        rng = np.random.default_rng(n)
+        return rng.normal(size=(size, n)) + 1j * rng.normal(size=(size, n))
+
+    def test_round_trip(self):
+        self._assert_round_trip(RNG.normal(size=(100, 2)) + 1j * RNG.normal(size=(100, 2)))
+        charts = self._assert_round_trip(self._every_chart_batch(2))
+        assert set(charts.tolist()) == {0, 1}
 
     def test_round_trip_n3(self):
-        z = RNG.normal(size=(50, 3)) + 1j * RNG.normal(size=(50, 3))
-        chart, v, zeta = blowup_forward(z)
-        back = blowup_inverse(chart, v, zeta)
-        assert np.max(np.abs(back - z)) < 1e-12
+        self._assert_round_trip(RNG.normal(size=(50, 3)) + 1j * RNG.normal(size=(50, 3)))
+        charts = self._assert_round_trip(self._every_chart_batch(3))
+        assert set(charts.tolist()) == {0, 1, 2}
 
     def test_origin_rejected(self):
         with pytest.raises(ValueError, match="undefined"):

@@ -17,6 +17,7 @@ from maform.foliation import (
     trace_leaf,
     verify_ma_identities,
 )
+from maform.ode import rk4_step
 
 RNG = np.random.default_rng(20260825)
 
@@ -122,7 +123,10 @@ class TestComputeZ:
         ev = ZFieldEvaluator(exh.ambient_form())
         resids = []
         for step in (2e-2, 1e-2):
-            moved, jac = ev.flow_step(frame.points, step, with_jacobian=True)
+            moved, jac = rk4_step(
+                lambda _t, y: ev(y), 0.0, frame.points, step,
+                jac=lambda _t, y: ev.jacobian(y), M=np.eye(4),
+            )
             A = ev.matrices(moved)
             Zm = ev(moved)
             JZm = Zm @ ev.J.T

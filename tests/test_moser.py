@@ -75,17 +75,6 @@ class TestCurvature:
         with pytest.raises(MoserError, match="not positive"):
             curvature(mink, ATLAS)
 
-    def test_gridded_gauge_rejected(self):
-        mink, _ = make_circular_domain({"kind": "ball"})
-        grid = {
-            "kind": "grid",
-            "n": 2,
-            "samples": {c: mink.m(c, ATLAS.base_points(c)) for c in (0, 1)},
-        }
-        gridded, _ = make_circular_domain(grid, atlas=ATLAS)
-        with pytest.raises(MoserError, match="closed-form"):
-            curvature(gridded, ATLAS)
-
 
 class TestMoserFlow:
     def test_ball_flow_is_identity(self, ball_map):
