@@ -292,7 +292,7 @@ class LeafDisc:
     """
 
     chart: int
-    base_v: complex
+    base_v: np.ndarray  # (n - 1,) chart affine coordinates
     radii: np.ndarray  # (m,)
     ray: np.ndarray  # (m, n) complex points of C^n along theta = 0
     tau_residual: float  # max |tau(ray(rho)) - rho^2|
@@ -324,14 +324,17 @@ def trace_leaf(exh: ExhaustionField, base_v, chart=0, rho_start=0.05, rho_end=0.
     The radial parametrization satisfies dX/drho = (2 / sqrt(tau)) Z(X),
     which makes tau(X(rho)) = rho^2 along the leaf; the seed at rho_start
     lies on the ray through the chart point (1, v) normalized by the gauge.
+    A base point has shape (n - 1,), a scalar at n = 2; a batch of shape
+    (B, n - 1), or (B,) at n = 2, returns a list of discs.
     """
     mink = exh.minkowski
     if mink is None:
         raise FoliationError("leaf tracing needs gauge data (circular input)")
     n = exh.n
     ev = ZFieldEvaluator(exh.ambient_form())
-    vlist = np.atleast_1d(np.asarray(base_v, dtype=complex))
-    direction = blowup_inverse(chart, vlist.reshape(len(vlist), n - 1), np.ones(len(vlist)))
+    base = np.asarray(base_v, dtype=complex)
+    vlist = base.reshape(-1, n - 1)
+    direction = blowup_inverse(chart, vlist, np.ones(len(vlist)))
     m0 = mink.mu(direction)
     seed = rho_start * direction / m0[:, None]
     rhos = np.linspace(rho_start, rho_end, n_steps + 1)
@@ -349,13 +352,13 @@ def trace_leaf(exh: ExhaustionField, base_v, chart=0, rho_start=0.05, rho_end=0.
         discs.append(
             LeafDisc(
                 chart=chart,
-                base_v=complex(v),
+                base_v=v,
                 radii=rhos,
                 ray=to_complex(ray_real[:, b, :]),
                 tau_residual=float(resid[b]),
             )
         )
-    if np.isscalar(base_v) or np.asarray(base_v).ndim == 0:
+    if base.ndim == (0 if n == 2 else 1):
         return discs[0]
     return discs
 

@@ -2,7 +2,9 @@
 
 The circle-bundle geometry of a gauge mu on C^2 induces a curvature 2-form
 on the base CP^1.  A Moser flow deforms the reference area form into that
-curvature form, a horizontal lift raises the flow to the unit sphere, and a
+curvature form.  Its horizontal lift to the unit sphere has the closed form
+u = e^{i theta} (1, v) / sqrt(1 + |v|^2) on chart 0 (the Hopf connection),
+so the one flow carries the phase theta next to the base point, and a
 phase correction aligns the connection data; the assembled map is
 fiber-linear over the base, z = zeta(1, v) -> zeta * W(v), normalizes the
 gauge, and is the input to deformation-tensor extraction.
@@ -13,7 +15,7 @@ coefficient, the curvature coefficient and the primitive in one callable),
 so spatial discretization error enters only through the node sampling of
 results, not through the dynamics.  Derivative data that downstream
 consumers need at grid nodes (dW, dlambda) is propagated by variational
-Jacobians along the flows and stored exactly at the nodes, never
+Jacobians along the flow and stored exactly at the nodes, never
 re-estimated by differencing splines.
 """
 
@@ -207,206 +209,131 @@ class MoserFieldEvaluator:
 
 @dataclass(frozen=True)
 class MoserFlowResult:
-    """Endpoint diffeomorphism samples: per start chart, the end positions
-    (represented in the same chart) and real 2x2 Jacobians."""
+    """Endpoint samples of the flow, per start chart: the base end positions
+    (represented in the same chart), the Hopf phases theta of the lifted
+    sphere points, and the real 3x2 derivatives of (x, y, theta) with
+    respect to the start coordinates."""
 
     conn: ConnectionData
     n_steps: int
     endpoints: dict  # chart -> complex (n_v, n_v)
-    jacobians: dict  # chart -> real (n_v, n_v, 2, 2)
+    phases: dict  # chart -> real (n_v, n_v)
+    jacobians: dict  # chart -> real (n_v, n_v, 3, 2)
     endpoint_residual: float
 
-    def psi(self, chart):
-        """Bicubic spline evaluator of the endpoint map on the chart."""
-        at = self.conn.atlas
-        E = self.endpoints[chart]
-        sr = RectBivariateSpline(at.xs, at.xs, E.real)
-        si = RectBivariateSpline(at.xs, at.xs, E.imag)
 
-        def ev(v):
-            v = np.asarray(v, dtype=complex)
-            return sr.ev(v.real, v.imag) + 1j * si.ev(v.real, v.imag)
+def _lifted_field(fn, chart_of):
+    """Base velocity X and the Hopf phase rate theta' = -Im(X conj v) /
+    (1 + |v|^2) of the horizontal lift, on real states (x, y, theta)."""
 
-        return ev
+    def f(t, y):
+        v = y[:, 0] + 1j * y[:, 1]
+        X = fn.velocity(t, v, chart_of)
+        dtheta = -np.imag(X * np.conj(v)) / (1.0 + np.abs(v) ** 2)
+        return np.stack([X.real, X.imag, dtheta], axis=1)
+
+    return f
 
 
-def _field_jacobian(fn, t, chart_of, v, h=1e-6):
-    """Real 2x2 spatial derivative of a complex-valued base field by
-    central differences."""
-    D = np.empty(v.shape + (2, 2))
-    for k, delta in enumerate((h, 1j * h)):
-        diff = (fn.velocity(t, v + delta, chart_of) - fn.velocity(t, v - delta, chart_of)) / (2 * h)
-        D[..., :, k] = to_real(diff[..., None])
+def _field_jacobian(f, t, y, h=1e-6):
+    """Real 3x3 spatial derivative of the lifted field by central
+    differences in x and y; the field does not depend on theta."""
+    D = np.zeros(y.shape + (3,))
+    for k in (0, 1):
+        e = np.zeros(3)
+        e[k] = h
+        D[..., :, k] = (f(t, y + e) - f(t, y - e)) / (2 * h)
     return D
 
 
-def moser_flow(conn: ConnectionData, n_steps=200):
-    """Integrate the interpolation flow from t = 0 to 1 on the base grids.
+def _hand_off(atlas, y, M):
+    """The same sphere points in the opposite chart: v -> 1/v and
+    theta -> theta + arg v, with the start derivatives M carried along."""
+    v = y[:, 0] + 1j * y[:, 1]
+    w = 1.0 / v
+    d_arg = np.stack([-v.imag, v.real], axis=1) / (np.abs(v) ** 2)[:, None]
+    M_new = np.empty_like(M)
+    M_new[:, :2] = np.einsum("nij,njk->nik", atlas.transition_jacobian(v), M[:, :2])
+    M_new[:, 2] = M[:, 2] + np.einsum("ni,nik->nk", d_arg, M[:, :2])
+    return np.stack([w.real, w.imag, y[:, 2] + np.angle(v)], axis=1), M_new
 
-    Fixed-step RK4 on node trajectories with the variational 2x2 Jacobian
-    propagated alongside; trajectories that wander far from the chart are
-    handed to the opposite chart and converted back for storage.  The
-    endpoint contract (the pullback of the target form equals the reference
-    form) is measured at every node.
+
+def _sphere_point(chart, v, theta, M):
+    """Horizontal lift s = e^{i theta} p / m of base points v of a chart,
+    p = (1, v) on chart 0 and (v, 1) on chart 1, m = |p|, with its
+    derivatives along the two start coordinates from the 3x2 matrices M.
+
+    Returns s, ds_dx, ds_dy, each of shape v.shape + (2,).
+    """
+    m = np.sqrt(1.0 + np.abs(v) ** 2)[..., None]
+    ones = np.ones_like(v)
+    p = np.stack([ones, v] if chart == 0 else [v, ones], axis=-1)
+    e = np.zeros_like(p)
+    e[..., 1 - chart] = 1.0
+    rot = np.exp(1j * theta)[..., None]
+    out = [rot * p / m]
+    for a in (0, 1):
+        va = (M[..., 0, a] + 1j * M[..., 1, a])[..., None]
+        theta_a = M[..., 2, a][..., None]
+        dm = np.real(np.conj(v)[..., None] * va)
+        out.append(rot * (1j * theta_a * p / m + e * va / m - p * dm / m**3))
+    return tuple(out)
+
+
+def moser_flow(conn: ConnectionData, n_steps=200):
+    """Integrate the interpolation flow and its horizontal lift from t = 0
+    to 1 on the base grids.
+
+    Fixed-step RK4 on node trajectories of the state (x, y, theta), theta
+    the Hopf phase of the lift to the unit sphere, with the variational 3x2
+    Jacobian propagated alongside; trajectories that wander far from the
+    chart are handed to the opposite chart and converted back for storage.
+    The endpoint contract (the pullback of the target form equals the
+    reference form) is measured at every node.
     """
     at = conn.atlas
     fn = MoserFieldEvaluator(conn)
-    endpoints = {}
-    jacobians = {}
+    endpoints, phases, jacobians = {}, {}, {}
+    dt = 1.0 / n_steps
     for chart in at.charts:
         V0 = at.base_points(chart).ravel()
-        v = V0.copy()
-        chart_of = np.full(v.shape, chart)
-        M = np.tile(np.eye(2), (len(v), 1, 1))
-        dt = 1.0 / n_steps
+        y = np.stack([V0.real, V0.imag, np.zeros(len(V0))], axis=1)
+        chart_of = np.full(len(V0), chart)
+        M = np.tile(np.eye(3, 2), (len(V0), 1, 1))
+        f = _lifted_field(fn, chart_of)
         for i in range(n_steps):
-            v, M = rk4_step(
-                lambda t, v: fn.velocity(t, v, chart_of), i * dt, v, dt,
-                jac=lambda t, v: _field_jacobian(fn, t, chart_of, v), M=M,
+            y, M = rk4_step(
+                f, i * dt, y, dt, jac=lambda t, y: _field_jacobian(f, t, y), M=M
             )
             # hand far wanderers to the opposite chart (avoids infinity)
-            far = np.abs(v) > 3.0
+            far = np.hypot(y[:, 0], y[:, 1]) > 3.0
             if np.any(far):
-                T = at.transition_jacobian(v[far])
-                M[far] = np.einsum("nij,njk->nik", T, M[far])
-                v[far] = 1.0 / v[far]
+                y[far], M[far] = _hand_off(at, y[far], M[far])
                 chart_of[far] = 1 - chart_of[far]
         # represent endpoints in the start chart
         flipped = chart_of != chart
         if np.any(flipped):
-            T = at.transition_jacobian(v[flipped])
-            M[flipped] = np.einsum("nij,njk->nik", T, M[flipped])
-            v[flipped] = 1.0 / v[flipped]
-        endpoints[chart] = v.reshape(at.n_v, at.n_v)
-        jacobians[chart] = M.reshape(at.n_v, at.n_v, 2, 2)
+            y[flipped], M[flipped] = _hand_off(at, y[flipped], M[flipped])
+        endpoints[chart] = (y[:, 0] + 1j * y[:, 1]).reshape(at.n_v, at.n_v)
+        phases[chart] = y[:, 2].reshape(at.n_v, at.n_v)
+        jacobians[chart] = M.reshape(at.n_v, at.n_v, 3, 2)
 
     resid = 0.0
     for chart in at.charts:
-        fn = _chart_fields(conn.w_exprs[chart], conn.alpha_exprs[chart])
+        fields = fn._fields[chart]
         V0 = at.base_points(chart)
         keep = np.abs(V0) <= R_OUTER
         E = endpoints[chart]
-        pulled = fn(E.real, E.imag)[1] * np.linalg.det(jacobians[chart])
-        resid = max(resid, float(np.max(np.abs(pulled - fn(V0.real, V0.imag)[0])[keep])))
+        pulled = fields(E.real, E.imag)[1] * np.linalg.det(jacobians[chart][..., :2, :])
+        resid = max(resid, float(np.max(np.abs(pulled - fields(V0.real, V0.imag)[0])[keep])))
     return MoserFlowResult(
         conn=conn,
         n_steps=n_steps,
         endpoints=endpoints,
+        phases=phases,
         jacobians=jacobians,
         endpoint_residual=resid,
     )
-
-
-# ---------------------------------------------------------------------------
-# horizontal lift to the unit sphere
-
-
-class LiftFieldEvaluator:
-    """Horizontal lift of the base field to the reference circle bundle.
-
-    At u in C^2 the lift lies in the complex line orthogonal to u (the
-    reference horizontal space, tangent to the Euclidean spheres) and
-    projects onto the base velocity; b = (-conj(u2), conj(u1)) spans that
-    line and the projection derivative has the closed chart forms used
-    below.
-    """
-
-    def __init__(self, base: MoserFieldEvaluator):
-        self.base = base
-
-    def __call__(self, t, u):
-        u = np.asarray(u, dtype=complex)
-        u1, u2 = u[:, 0], u[:, 1]
-        use0 = np.abs(u1) >= np.abs(u2)
-        v = np.where(use0, np.divide(u2, np.where(use0, u1, 1.0)),
-                     np.divide(u1, np.where(use0, 1.0, u2)))
-        chart_of = np.where(use0, 0, 1)
-        X = self.base.velocity(t, v, chart_of)
-        norm_sq = np.abs(u1) ** 2 + np.abs(u2) ** 2
-        den = np.where(use0, u1, u2) ** 2
-        dpi = np.where(use0, norm_sq, -norm_sq) / den
-        c = X / dpi
-        return np.stack([-c * np.conj(u2), c * np.conj(u1)], axis=1)
-
-    def real_jacobian(self, t, u, h=1e-6):
-        """Real 4x4 spatial derivative by central differences."""
-        ur = to_real(u)
-        D = np.empty((len(u), 4, 4))
-        for k in range(4):
-            e = np.zeros(4)
-            e[k] = h
-            plus = self(t, to_complex(ur + e))
-            minus = self(t, to_complex(ur - e))
-            D[:, :, k] = to_real((plus - minus) / (2 * h))
-        return D
-
-
-@dataclass(frozen=True)
-class LiftResult:
-    """Endpoint of the lifted flow at the reference-sphere start points
-    over every base node, with base-derivative data."""
-
-    s_hat: dict  # chart -> complex (n_v, n_v, 2), unit vectors
-    ds_dx: dict  # chart -> complex (n_v, n_v, 2)
-    ds_dy: dict
-    sphere_drift: float
-
-    def check_projection(self, flow: MoserFlowResult, chart=0):
-        """Max distance between the projected lift endpoints and the base
-        endpoints."""
-        s = self.s_hat[chart]
-        proj = s[..., 1] / s[..., 0]
-        return float(np.max(np.abs(proj - flow.endpoints[chart])))
-
-
-def _sphere_starts(atlas, chart):
-    V = atlas.base_points(chart)
-    m_o = np.sqrt(1.0 + np.abs(V) ** 2)
-    ones = np.ones_like(V)
-    p = np.stack([ones, V] if chart == 0 else [V, ones], axis=-1)
-    u0 = p / m_o[..., None]
-    # derivative of the start point in the base coordinates
-    e = np.zeros_like(p)
-    e[..., 1 if chart == 0 else 0] = 1.0
-    dm_dx = V.real / m_o
-    dm_dy = V.imag / m_o
-    du_dx = e / m_o[..., None] - p * (dm_dx / m_o**2)[..., None]
-    du_dy = 1j * e / m_o[..., None] - p * (dm_dy / m_o**2)[..., None]
-    return u0, du_dx, du_dy
-
-
-def horizontal_lift(flow: MoserFlowResult, n_steps=None):
-    """Integrate the lifted flow on the unit sphere over every base node.
-
-    The state is (u, M) with M the derivative of u with respect to the
-    base start coordinates; both use the same RK4 time grid as the base
-    flow.  A projection back to the sphere is applied each step and the
-    accumulated drift is recorded.
-    """
-    if n_steps is None:
-        n_steps = flow.n_steps
-    at = flow.conn.atlas
-    lift = LiftFieldEvaluator(MoserFieldEvaluator(flow.conn))
-    s_hat, ds_dx, ds_dy = {}, {}, {}
-    drift = 0.0
-    dt = 1.0 / n_steps
-    for chart in at.charts:
-        u0, du_dx, du_dy = _sphere_starts(at, chart)
-        shape = u0.shape[:2]
-        u = u0.reshape(-1, 2)
-        M = np.stack(
-            [to_real(du_dx.reshape(-1, 2)), to_real(du_dy.reshape(-1, 2))], axis=-1
-        )  # (N, 4, 2)
-        for i in range(n_steps):
-            u, M = rk4_step(lift, i * dt, u, dt, jac=lift.real_jacobian, M=M)
-            norms = np.linalg.norm(u, axis=1)
-            drift = max(drift, float(np.max(np.abs(norms - 1.0))))
-            u = u / norms[:, None]
-        s_hat[chart] = u.reshape(shape + (2,))
-        Mc = to_complex(np.moveaxis(M, -1, 1))  # (N, 2 axes, 2 comps)
-        ds_dx[chart] = Mc[:, 0, :].reshape(shape + (2,))
-        ds_dy[chart] = Mc[:, 1, :].reshape(shape + (2,))
-    return LiftResult(s_hat=s_hat, ds_dx=ds_dx, ds_dy=ds_dy, sphere_drift=drift)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +473,6 @@ class NormalizingMap:
     dWy: dict
     lam: dict  # chart -> real (n_v, n_v)
     dlam: dict  # chart -> real (n_v, n_v, 2), exact node samples
-    psi_endpoints: dict
     residuals: dict
     _splines: dict = field(default_factory=dict, compare=False)
 
@@ -616,6 +542,26 @@ class NormalizingMap:
             v[better] = V[inner][idx[better]]
         return chart, v
 
+    def _residual(self, c, v, target, dx=0, dy=0):
+        """F = W1(v) z0 - W0(v) z1 (or a partial), which vanishes where
+        W(v) is parallel to the target z."""
+        Wv = self.direction(c, v, dx=dx, dy=dy)
+        return Wv[:, 1] * target[:, 0] - Wv[:, 0] * target[:, 1]
+
+    def _newton_step(self, c, v, target, F, scale):
+        """One Newton update of v on F(v) = 0, given F at v; raises when
+        the real 2x2 derivative is singular relative to the target scale."""
+        A = np.stack(
+            [to_real(self._residual(c, v, target, dx=1)[:, None]),
+             to_real(self._residual(c, v, target, dy=1)[:, None])], axis=-1
+        )
+        dets = np.abs(np.linalg.det(A))
+        if np.min(dets) < 1e-13 * scale**2:
+            bad = int(np.argmin(dets))
+            raise MoserError(f"inverse Newton stalls near v = {v[bad]:.4f} (chart {c})")
+        step = np.linalg.solve(A, to_real(F[:, None])[..., None])[..., 0]
+        return v - to_complex(step)[:, 0]
+
     def inverse(self, zp, tol=1e-12, max_iter=60):
         """Invert the map by a Newton iteration on the base coordinate.
 
@@ -638,33 +584,14 @@ class NormalizingMap:
                     continue
                 vc = v[sel]
                 target = flat[sel]
-                Wv = self.direction(c, vc)
-                F = Wv[:, 1] * target[:, 0] - Wv[:, 0] * target[:, 1]
+                F = self._residual(c, vc, target)
                 done = np.abs(F) < tol * scale[sel]
                 active[sel[done]] = False
                 go = ~done
                 if not np.any(go):
                     continue
                 sub = sel[go]
-                vc, target, F = vc[go], target[go], F[go]
-                Wx = self.direction(c, vc, dx=1)
-                Wy = self.direction(c, vc, dy=1)
-                Fx = Wx[:, 1] * target[:, 0] - Wx[:, 0] * target[:, 1]
-                Fy = Wy[:, 1] * target[:, 0] - Wy[:, 0] * target[:, 1]
-                A = np.empty((len(vc), 2, 2))
-                A[:, 0, 0] = Fx.real
-                A[:, 0, 1] = Fy.real
-                A[:, 1, 0] = Fx.imag
-                A[:, 1, 1] = Fy.imag
-                dets = np.abs(np.linalg.det(A))
-                if np.min(dets) < 1e-13 * np.max(scale[sub]) ** 2:
-                    bad = int(np.argmin(dets))
-                    raise MoserError(
-                        f"inverse Newton stalls near v = {vc[bad]:.4f} (chart {c})"
-                    )
-                rhs = np.stack([F.real, F.imag], axis=1)
-                step = np.linalg.solve(A, rhs[..., None])[..., 0]
-                vn = vc - (step[:, 0] + 1j * step[:, 1])
+                vn = self._newton_step(c, vc[go], target[go], F[go], np.max(scale[sub]))
                 hop = np.abs(vn) > 1.1
                 vn[hop] = 1.0 / vn[hop]
                 v[sub] = vn
@@ -684,22 +611,10 @@ class NormalizingMap:
             vc = v[sel]
             target = flat[sel]
             for _ in range(8):
-                Wv = self.direction(c, vc)
-                F = Wv[:, 1] * target[:, 0] - Wv[:, 0] * target[:, 1]
+                F = self._residual(c, vc, target)
                 if np.max(np.abs(F)) < tol * np.max(scale[sel]):
                     break
-                Wx = self.direction(c, vc, dx=1)
-                Wy = self.direction(c, vc, dy=1)
-                Fx = Wx[:, 1] * target[:, 0] - Wx[:, 0] * target[:, 1]
-                Fy = Wy[:, 1] * target[:, 0] - Wy[:, 0] * target[:, 1]
-                A = np.empty((len(vc), 2, 2))
-                A[:, 0, 0] = Fx.real
-                A[:, 0, 1] = Fy.real
-                A[:, 1, 0] = Fx.imag
-                A[:, 1, 1] = Fy.imag
-                rhs = np.stack([F.real, F.imag], axis=1)
-                step = np.linalg.solve(A, rhs[..., None])[..., 0]
-                vc = vc - (step[:, 0] + 1j * step[:, 1])
+                vc = self._newton_step(c, vc, target, F, np.max(scale[sel]))
             v[sel] = vc
         out = np.empty_like(flat)
         for c in (0, 1):
@@ -725,13 +640,15 @@ class NormalizingMap:
         return out.reshape(zp.shape)
 
 
-def assemble(flow: MoserFlowResult, lift: LiftResult) -> NormalizingMap:
-    """Combine base flow, lift, and phase correction into the final map.
+def assemble(flow: MoserFlowResult) -> NormalizingMap:
+    """Combine the lifted base flow and the phase correction into the
+    final map.
 
-    Builds W_raw = m_o * s_hat / mu(s_hat) per chart with flow-accurate
-    derivatives, measures the phase defect, integrates and applies the
-    correction (keeping the defect samples as the exact differential of
-    the phase), and re-measures the defect as the (iii) residual.
+    Builds W_raw = m_o * s_hat / mu(s_hat) per chart from the horizontal
+    lift s_hat of the flow endpoints, with flow-accurate derivatives,
+    measures the phase defect, integrates and applies the correction
+    (keeping the defect samples as the exact differential of the phase),
+    and re-measures the defect as the (iii) residual.
     """
     conn = flow.conn
     mink = conn.mink
@@ -743,9 +660,9 @@ def assemble(flow: MoserFlowResult, lift: LiftResult) -> NormalizingMap:
         m_o = np.sqrt(1.0 + np.abs(V) ** 2)
         dm_dx = (V.real / m_o)[..., None]
         dm_dy = (V.imag / m_o)[..., None]
-        s = lift.s_hat[chart]
-        sx = lift.ds_dx[chart]
-        sy = lift.ds_dy[chart]
+        s, sx, sy = _sphere_point(
+            chart, flow.endpoints[chart], flow.phases[chart], flow.jacobians[chart]
+        )
         flat_s = s.reshape(-1, 2)
         mu = mink.mu(flat_s).reshape(V.shape)
         grad = _gauge_grad(mink, flat_s)
@@ -777,7 +694,7 @@ def assemble(flow: MoserFlowResult, lift: LiftResult) -> NormalizingMap:
         for c in at.charts
     )
 
-    # gauge normalization at the stored nodes (exact up to lift drift)
+    # gauge normalization at the stored nodes
     gauge_resid = 0.0
     for c in at.charts:
         V = at.base_points(c)
@@ -787,7 +704,6 @@ def assemble(flow: MoserFlowResult, lift: LiftResult) -> NormalizingMap:
 
     residuals = {
         "endpoint": flow.endpoint_residual,
-        "sphere_drift": lift.sphere_drift,
         "closedness": closedness,
         "phase_path_mismatch": path_mismatch,
         "connection_mismatch_raw": max(
@@ -804,7 +720,6 @@ def assemble(flow: MoserFlowResult, lift: LiftResult) -> NormalizingMap:
         dWy=dWy,
         lam=lam,
         dlam=dlam,
-        psi_endpoints=flow.endpoints,
         residuals=residuals,
     )
 
@@ -812,6 +727,4 @@ def assemble(flow: MoserFlowResult, lift: LiftResult) -> NormalizingMap:
 def normalize_domain(mink: MinkowskiField, atlas=None, n_steps=200) -> NormalizingMap:
     """Full normalization pipeline for a closed-form gauge."""
     conn = curvature(mink, atlas)
-    flow = moser_flow(conn, n_steps=n_steps)
-    lifted = horizontal_lift(flow)
-    return assemble(flow, lifted)
+    return assemble(moser_flow(conn, n_steps=n_steps))

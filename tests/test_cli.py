@@ -154,6 +154,18 @@ class TestDeterminism:
             outs.append((out / "classify_report.txt").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_normalize_byte_identical(self, tmp_path):
+        # N_v = 9 puts nodes far enough out for the flow to hand some of
+        # them to the opposite chart and back
+        dom = write(tmp_path, "ellipsoid.dom", ELLIPSOID_DOM.replace("N_v = 17", "N_v = 9"))
+        names = ("normalize_report.txt", "map_psi.dat", "map_lambda.dat")
+        outs = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert run(["normalize", "--domain", dom, "--out", str(out), "--steps", "20"]) == 0
+            outs.append([(out / name).read_bytes() for name in names])
+        assert outs[0] == outs[1]
+
 
 class TestPipelineCommands:
     def test_normalize_dump_and_report(self, tmp_path):

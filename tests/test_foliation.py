@@ -245,6 +245,21 @@ class TestLeaves:
         for d in discs:
             assert d.tau_residual < 1e-10
 
+    def test_n3_ball_leaves_single_and_batched(self):
+        # a base point at n = 3 has shape (2,); the leaf through it is the
+        # straight ray of the unit vector along (1, v)
+        _, exh = make_circular_domain({"kind": "ball", "n": 3})
+        v = np.array([0.1, 0.2j])
+        disc = trace_leaf(exh, v, n_steps=100)
+        direction = np.concatenate([[1.0], v]) / np.sqrt(1.0 + np.sum(np.abs(v) ** 2))
+        assert np.max(np.abs(disc.ray - disc.radii[:, None] * direction[None, :])) < 1e-12
+        assert np.array_equal(disc.base_v, v)
+        assert disc.tau_residual < 1e-10
+        discs = trace_leaf(exh, np.array([v, [0.5, -0.3 + 0.1j]]), n_steps=100)
+        assert len(discs) == 2
+        for d in discs:
+            assert d.tau_residual < 1e-10
+
     def test_non_parabolic_rejected(self):
         exh = non_ma_exhaustion()
         object.__setattr__(exh, "minkowski", None)

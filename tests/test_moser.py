@@ -1,4 +1,4 @@
-"""Curvature data, base flow, horizontal lift, and map assembly."""
+"""Curvature data, base flow with its horizontal lift, and map assembly."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,11 @@ from maform.domains import make_circular_domain
 from maform.moser import (
     FS_AREA,
     MoserError,
+    _hand_off,
+    _sphere_point,
     assemble,
     circulation_residual,
     curvature,
-    horizontal_lift,
     measure_connection_mismatch,
     moser_flow,
     normalize_domain,
@@ -113,13 +114,11 @@ class TestMoserFlow:
                 kv = np.where(np.isclose(xs, xs[j]))[0][0]
                 assert abs(E[jv, kv] - 1j * E[j, k]) < 1e-8, v
 
-    def test_psi_spline_matches_nodes(self, ellipsoid_map):
-        mink, _ = ellipsoid_map
-        conn = curvature(mink, ATLAS)
-        flow = moser_flow(conn, n_steps=50)
-        ev = flow.psi(0)
-        V = ATLAS.base_points(0)
-        assert np.max(np.abs(ev(V) - flow.endpoints[0])) < 1e-12
+
+def _lift(flow, chart):
+    return _sphere_point(
+        chart, flow.endpoints[chart], flow.phases[chart], flow.jacobians[chart]
+    )
 
 
 class TestHorizontalLift:
@@ -127,24 +126,40 @@ class TestHorizontalLift:
         mink, _ = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
         conn = curvature(mink, ATLAS)
         flow = moser_flow(conn, n_steps=80)
-        lift = horizontal_lift(flow)
-        assert lift.sphere_drift < 1e-9
-        # reference-sphere membership of the endpoints
         for c in (0, 1):
-            norms = np.linalg.norm(lift.s_hat[c], axis=-1)
-            assert np.max(np.abs(norms - 1.0)) < 1e-12
-        # the lift sits over the base flow
-        assert lift.check_projection(flow, 0) < 1e-7
+            s, _, _ = _lift(flow, c)
+            # reference-sphere membership of the endpoints
+            norms = np.linalg.norm(s, axis=-1)
+            assert np.max(np.abs(norms - 1.0)) < 1e-14
+            # the lift sits over the base flow
+            proj = s[..., 1] / s[..., 0] if c == 0 else s[..., 0] / s[..., 1]
+            assert np.max(np.abs(proj - flow.endpoints[c])) < 1e-13
 
     def test_ball_lift_is_stationary(self):
         mink, _ = make_circular_domain({"kind": "ball"})
         conn = curvature(mink, ATLAS)
         flow = moser_flow(conn, n_steps=30)
-        lift = horizontal_lift(flow)
+        s, _, _ = _lift(flow, 0)
         V = ATLAS.base_points(0)
         m_o = np.sqrt(1.0 + np.abs(V) ** 2)
         start = np.stack([np.ones_like(V), V], axis=-1) / m_o[..., None]
-        assert np.max(np.abs(lift.s_hat[0] - start)) < 1e-13
+        assert np.max(np.abs(s - start)) < 1e-13
+
+    def test_hand_off_keeps_sphere_point_and_derivatives(self):
+        # v -> 1/v with theta -> theta + arg v re-expresses the same lifted
+        # point in the other chart, so the sphere point and its derivatives
+        # along the start coordinates must not change
+        rng = np.random.default_rng(3)
+        n = 200
+        v = rng.uniform(2.0, 5.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        y = np.stack([v.real, v.imag, rng.uniform(-np.pi, np.pi, n)], axis=1)
+        M = rng.normal(size=(n, 3, 2))
+        for c in (0, 1):
+            y2, M2 = _hand_off(ATLAS, y, M)
+            before = _sphere_point(c, v, y[:, 2], M)
+            after = _sphere_point(1 - c, y2[:, 0] + 1j * y2[:, 1], y2[:, 2], M2)
+            for a, b in zip(before, after):
+                assert np.max(np.abs(a - b)) < 1e-13
 
 
 class TestPhaseCorrection:
@@ -219,7 +234,7 @@ class TestNormalizingMap:
 
     def test_residual_report_keys(self, perturbed_map):
         _, nm = perturbed_map
-        for key in ("endpoint", "sphere_drift", "closedness",
+        for key in ("endpoint", "closedness",
                     "phase_path_mismatch", "connection_mismatch",
                     "gauge_normalization"):
             assert key in nm.residuals
