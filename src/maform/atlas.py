@@ -1,10 +1,10 @@
 """Chart atlas for the blow-up coordinates (v, zeta).
 
 The base CP^{n-1} is covered by stereographic-style affine charts; for
-n = 2 two charts with transition v -> 1/v, overlapping on the annulus
-0.8 <= |v| <= 1.25, with a smooth partition of unity.  The fiber carries a
-polar grid in zeta with N_theta a power of two so the angular DFT used by
-the deformation module is exact on band-limited data.
+n = 2 two charts with transition v -> 1/v, each a square grid of half-width
+1.25 so the charts overlap.  The fiber carries a polar grid in zeta with
+N_theta a power of two so the angular DFT used by the deformation module
+is exact on band-limited data.
 """
 
 from __future__ import annotations
@@ -13,31 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-R_INNER = 0.8
 R_OUTER = 1.25
-
-
-def _smootherstep(x):
-    """C-infinity step: 0 for x<=0, 1 for x>=1, g(x)/(g(x)+g(1-x)) inside."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    out[x >= 1.0] = 1.0
-    mid = (x > 0.0) & (x < 1.0)
-    xm = x[mid]
-    g = np.exp(-1.0 / xm)
-    g1 = np.exp(-1.0 / (1.0 - xm))
-    out[mid] = g / (g + g1)
-    return out
-
-
-def overlap_weight(r):
-    """Chart weight as a function of |v|: 1 inside |v|<=0.8, 0 outside
-    |v|>=1.25, and w(r) + w(1/r) = 1 on the overlap band."""
-    r = np.asarray(r, dtype=float)
-    with np.errstate(divide="ignore"):
-        t = np.where(r > 0, np.log(np.maximum(r, 1e-300)) / np.log(R_OUTER), -1.0)
-    # t runs over [-1, 1] across the band; symmetric step gives the partition
-    return _smootherstep((1.0 - t) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -103,10 +79,6 @@ class ChartAtlas:
     def xs(self):
         return np.linspace(-self.box, self.box, self.n_v)
 
-    @property
-    def h(self):
-        return 2.0 * self.box / (self.n_v - 1)
-
     def base_points(self, chart):
         """Complex base coordinates on the chart grid, shape (n_v, n_v)."""
         if chart not in self.charts:
@@ -121,15 +93,6 @@ class ChartAtlas:
         X1, Y1, X2, Y2 = np.meshgrid(self.xs, self.xs, self.xs, self.xs, indexing="ij")
         return X1 + 1j * Y1, X2 + 1j * Y2
 
-    def weights(self, chart):
-        """Partition-of-unity weight at the chart's base nodes."""
-        V = self.base_points(chart)
-        return overlap_weight(np.abs(V))
-
-    def transition(self, v):
-        """Base transition map between the two CP^1 charts (involutive)."""
-        return 1.0 / v
-
     def transition_jacobian(self, v):
         """Real 2x2 Jacobian of v -> 1/v at each point of v (complex array)."""
         dw = -1.0 / v**2  # holomorphic derivative
@@ -140,29 +103,6 @@ class ChartAtlas:
         Jc[..., 1, 0] = b
         Jc[..., 1, 1] = a
         return Jc
-
-    def total_points(self, chart):
-        """Real coordinates (x, y, s, t) at every (base, fiber) node.
-
-        Shape (n_v, n_v, n_r, n_theta, 4).
-        """
-        V = self.base_points(chart)
-        Z = self.fiber.zetas
-        shp = V.shape + Z.shape
-        pts = np.empty(shp + (4,))
-        pts[..., 0] = V.real[:, :, None, None]
-        pts[..., 1] = V.imag[:, :, None, None]
-        pts[..., 2] = Z.real[None, None, :, :]
-        pts[..., 3] = Z.imag[None, None, :, :]
-        return pts
-
-    def base_quad_weights(self, chart):
-        """Trapezoid quadrature weights times the partition of unity."""
-        w = np.full(self.n_v, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        W2 = w[:, None] * w[None, :]
-        return W2 * self.weights(chart)
 
 
 def blowup_forward(z):

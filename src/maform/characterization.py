@@ -1,24 +1,18 @@
-"""Classification suite for deformation tensors and indicatrix frames.
+"""Classification suite for deformation tensors.
 
 Circularity and ball verdicts from fiber-mode norms, the rotational
-invariance test, the scaling iteration with per-mode decay-rate fits,
-and unitary boundary frames of the indicatrix.
+invariance test, and the scaling iteration with per-mode decay-rate fits.
 """
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import sympy as sp
 
 from .deformation import contract, rotate
-from .domains import ambient_coords
-from .exterior import standard_j_matrix
-from .symforms import compile_exprs, to_complex, to_real
 
 
 class CharacterizationError(ValueError):
-    """Raised for resonant angles, bad ratios, or degenerate metrics."""
+    """Raised for resonant angles or bad contraction ratios."""
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +123,6 @@ class ClassificationReport:
                 out.append(f"{j:4d}  {s:.12e}  {e:.12e}")
         return out
 
-    def text(self):
-        return "\n".join(self.lines()) + "\n"
-
 
 def scaling_test(tensor, k, iters=20, slope_tol=1e-6):
     """Iterate the fiber contraction and fit the per-mode decay rates.
@@ -204,144 +195,3 @@ def classify(tensor, tol_circular=1e-5, tol_ball=1e-8, angles=(0.7, 1.9)):
             tensor, theta, tol_circular
         )
     return report
-
-
-# ---------------------------------------------------------------------------
-# boundary frames of the indicatrix
-
-
-@dataclass
-class SpecialFrame:
-    """Boundary point with a unitary holomorphic tangent basis.
-
-    e0 lies on the unit level of the gauge; the rows of basis span the
-    complex tangent of the level set at e0 and are orthonormal for the
-    Levi form of the squared gauge, scaled so that form(e_a, J e_a) = 1.
-    """
-
-    e0: np.ndarray
-    basis: np.ndarray  # (n-1, n) complex
-    kappa_residual: float
-    gram_residual: float
-    tangency_residual: float
-
-
-@functools.lru_cache(maxsize=16)
-def _gradient_hessian_fn(n, f):
-    """Compiled gradient and Hessian entries (row-major) of an ambient
-    expression f on C^n."""
-    coords = ambient_coords(n)
-    grad = [sp.diff(f, c) for c in coords]
-    return compile_exprs(coords, grad + [sp.diff(g, c) for g in grad for c in coords])
-
-
-def _kappa_sq_derivatives(kappa, z, h=1e-4):
-    """Gradient and Hessian of the squared gauge at an ambient point.
-
-    Exact derivatives when the gauge is closed form; five-point finite
-    differences of the interpolated gauge otherwise.
-    """
-    n = kappa.n
-    dim = 2 * n
-    if kappa.kappa_sq_ambient is not None:
-        fn = _gradient_hessian_fn(n, kappa.kappa_sq_ambient)
-        vals = fn(*to_real(z)).real
-        return vals[:dim], vals[dim:].reshape(dim, dim)
-
-    def fval(x):
-        return float(kappa.kappa(to_complex(x)[None, :])[0]) ** 2
-
-    x0 = to_real(z)
-    grad = np.empty(dim)
-    hess = np.empty((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        grad[i] = (
-            -fval(x0 + 2 * e) + 8 * fval(x0 + e)
-            - 8 * fval(x0 - e) + fval(x0 - 2 * e)
-        ) / (12 * h)
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = h
-        for j in range(i, dim):
-            ej = np.zeros(dim)
-            ej[j] = h
-            val = (
-                fval(x0 + ei + ej) - fval(x0 + ei - ej)
-                - fval(x0 - ei + ej) + fval(x0 - ei - ej)
-            ) / (4 * h * h)
-            hess[i, j] = val
-            hess[j, i] = val
-    return grad, hess
-
-
-def special_frame(kappa, direction):
-    """Unitary tangent frame of the indicatrix boundary along a direction.
-
-    The base point is direction scaled onto the unit level; the complex
-    tangent there is the common kernel of the level differential and its
-    pullback by the standard structure; Gram-Schmidt runs in standard
-    basis order under the Levi form of the squared gauge.
-    """
-    direction = np.asarray(direction, dtype=complex)
-    n = kappa.n
-    kd = float(kappa.kappa(direction[None, :])[0])
-    if not np.isfinite(kd) or kd <= 0:
-        raise CharacterizationError("direction has no positive gauge value")
-    e0 = direction / kd
-    grad, hess = _kappa_sq_derivatives(kappa, e0)
-    J = standard_j_matrix(2 * n)
-    F = -(hess @ J + J @ hess)  # matrix of the Levi 2-form in real coords
-
-    def form(u, w):
-        return float(to_real(u) @ F @ to_real(w))
-
-    def herm(u, w):
-        # Hermitian pairing with real part form(u, Jw) and imaginary part
-        # form(u, w); reduces to 4<u, w> for the standard gauge
-        return form(u, 1j * w) + 1j * form(u, w)
-
-    # complex gradient p with p.X = 0 cutting the holomorphic tangent
-    p = 0.5 * (grad[0::2] - 1j * grad[1::2])
-    pe0 = np.dot(p, e0)
-    if abs(pe0) < 1e-12:
-        raise CharacterizationError("level differential degenerates at e0")
-
-    basis = []
-    gram_res = 0.0
-    for j in range(n):
-        cand = np.zeros(n, dtype=complex)
-        cand[j] = 1.0
-        cand = cand - (p[j] / pe0) * e0
-        for e in basis:
-            cand = cand - (herm(e, cand) / herm(e, e)) * e
-        norm_sq = herm(cand, cand).real
-        if norm_sq < 1e-10:
-            continue
-        basis.append(cand)
-        if len(basis) == n - 1:
-            break
-    if len(basis) < n - 1:
-        raise CharacterizationError(
-            "Levi form of the gauge degenerates on the tangent space"
-        )
-    # scale so that form(e_a, J e_a) = 1
-    basis = [e / np.sqrt(form(e, 1j * e)) for e in basis]
-    B = np.stack(basis)
-    G = np.empty((n - 1, n - 1), dtype=complex)
-    tang = 0.0
-    for a in range(n - 1):
-        for b in range(n - 1):
-            G[a, b] = form(B[a], 1j * B[b]) + 1j * form(B[a], B[b])
-        tang = max(
-            tang,
-            abs(float(grad @ to_real(B[a]))),
-            abs(float(grad @ to_real(1j * B[a]))),
-        )
-    gram_res = float(np.max(np.abs(G - np.eye(n - 1))))
-    kres = abs(float(kappa.kappa(e0[None, :])[0]) - 1.0)
-    return SpecialFrame(
-        e0=e0, basis=B, kappa_residual=kres,
-        gram_residual=gram_res, tangency_residual=tang,
-    )

@@ -12,11 +12,13 @@ failed check or a propagated module error, 2 on a spec parse error.
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+from sympy.core.function import AppliedUndef
 
 from . import CONVENTION
 from .characterization import classify, scaling_test
@@ -47,7 +49,6 @@ class RunConfig:
     seed: int = 13
     rk4_steps: int = 200
     k_max: int = 7
-    identity_tol: float = 1e-8
     moser_tol: float = 1e-6
     mode_tol: float = 1e-5
     ratio: float = 0.5
@@ -56,7 +57,7 @@ class RunConfig:
 
 
 def _validate(config, n_theta):
-    for name in ("identity_tol", "moser_tol", "mode_tol"):
+    for name in ("moser_tol", "mode_tol"):
         if getattr(config, name) <= 0:
             raise ValueError(f"{name} must be positive")
     if n_theta < 2 or n_theta & (n_theta - 1):
@@ -76,9 +77,7 @@ def report_header(config, spec_text, resolutions):
         f"# command: {config.command}",
         f"# convention: {CONVENTION}",
         f"# resolutions: {res}",
-        "# tolerances: "
-        + f"identity={config.identity_tol:.3e} "
-        + f"moser={config.moser_tol:.3e} mode={config.mode_tol:.3e}",
+        f"# tolerances: moser={config.moser_tol:.3e} mode={config.mode_tol:.3e}",
         f"# seed: {config.seed}",
         "# spec-echo-begin",
         spec_text.rstrip("\n"),
@@ -99,6 +98,18 @@ def _write_report(config, name, lines):
 # spec files
 
 
+def _reject_unknown_names(expr, allowed, line_no, line, val):
+    """Raise SpecParseError at the first name in the expression text val
+    (on the spec line line) that is neither an allowed coordinate nor a
+    known function; compiled code would only fail on it when called."""
+    unknown = {s.name for s in expr.free_symbols - set(allowed)}
+    unknown |= {f.func.__name__ for f in expr.atoms(AppliedUndef)}
+    if unknown:
+        found = [m for m in re.finditer(r"[A-Za-z_]\w*", val) if m.group() in unknown]
+        name, offset = (found[0].group(), found[0].start()) if found else (min(unknown), 0)
+        raise SpecParseError(line_no, line.index(val) + 1 + offset, f"unknown name {name!r}")
+
+
 def load_domain_file(path):
     """Read a domain spec; a tau.expr line overrides the gauge-based
     construction with an arbitrary ambient exhaustion expression."""
@@ -112,7 +123,7 @@ def load_domain_file(path):
             _, eq, val = stripped.partition("=")
             if not eq or not val.strip():
                 raise SpecParseError(line_no, 1, "tau.expr needs a value")
-            tau_expr = (line_no, val.strip())
+            tau_expr = (line_no, line, val.strip())
             continue
         kept.append(line)
     body = "\n".join(kept)
@@ -122,13 +133,14 @@ def load_domain_file(path):
     spec = parse_domain_spec(body)
     exh_override = None
     if tau_expr is not None:
-        line_no, val = tau_expr
+        line_no, line, val = tau_expr
         coords = ambient_coords(spec.n)
         try:
             expr = sp.sympify(val, locals={str(c): c for c in coords})
         except (sp.SympifyError, SyntaxError, TypeError):
             raise SpecParseError(line_no, 1, f"bad tau.expr: {val!r}")
-        exh_override = ExhaustionField.from_ambient(spec.n, expr)
+        _reject_unknown_names(expr, coords, line_no, line, val)
+        exh_override = ExhaustionField(n=spec.n, tau_ambient=expr)
     return spec, exh_override, text
 
 
@@ -148,7 +160,8 @@ def load_tensor_file(path):
         text = fh.read()
     values = {"n": 2, "N_v": 17, "N_r": 8, "N_theta": 16, "k_max": 0}
     entries = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -188,9 +201,11 @@ def load_tensor_file(path):
         if not (0 <= k <= k_max and 1 <= a <= n - 1 and 1 <= b <= n - 1):
             raise SpecParseError(line_no, 1, f"mode indices out of range: {k} {a} {b}")
         try:
-            exprs.append(sp.sympify(val, locals=local))
+            expr = sp.sympify(val, locals=local)
         except (sp.SympifyError, SyntaxError, TypeError):
             raise SpecParseError(line_no, 1, f"bad coefficient: {val!r}")
+        _reject_unknown_names(expr, syms, line_no, lines[line_no - 1], val)
+        exprs.append(expr)
     coefficients = compile_exprs(syms, exprs)
 
     def call(v, i):
@@ -388,7 +403,6 @@ def build_parser():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=13)
         p.add_argument("--binary", action="store_true", help="binary dumps")
-        p.add_argument("--identity-tol", type=float, default=1e-8)
         p.add_argument("--moser-tol", type=float, default=1e-6)
         p.add_argument("--mode-tol", type=float, default=1e-5)
         p.add_argument("--steps", type=int, default=200, help="RK4 steps")
@@ -437,7 +451,6 @@ def main(argv=None):
         out_dir=args.out,
         seed=args.seed,
         binary=args.binary,
-        identity_tol=args.identity_tol,
         moser_tol=args.moser_tol,
         mode_tol=args.mode_tol,
         rk4_steps=args.steps,

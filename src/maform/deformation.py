@@ -37,11 +37,8 @@ __all__ = [
     "reconstruct",
     "rotate",
     "contract",
-    "verify_conditions",
     "verify_mode_equations",
-    "nijenhuis_residual",
     "tensor_from_mode_functions",
-    "tensor_from_map_field",
 ]
 
 
@@ -199,20 +196,6 @@ class DeformationTensor:
             return self.field_fn(chart, v)
         raise DeformationError("tensor carries node samples only")
 
-    def phi_at(self, chart, v, zeta):
-        """Tensor value phi(v, zeta) = sum_k phi_k(v) zeta^k."""
-        v = np.asarray(v, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        if self.n == 2:
-            flat, base_shape = v.ravel(), v.shape
-        else:
-            flat, base_shape = v.reshape(-1, self.n - 1), v.shape[:-1]
-        stack = self.mode_field(chart, flat).reshape(
-            base_shape + (self.k_max + 1, self.n - 1, self.n - 1)
-        )
-        powers = zeta[..., None] ** np.arange(self.k_max + 1)
-        return np.einsum("...k,...kab->...ab", powers, stack)
-
     def mode_norms(self):
         """Reference-metric operator norm of each mode, sup over nodes.
 
@@ -226,9 +209,6 @@ class DeformationTensor:
             for k in range(self.k_max + 1):
                 out[k] = max(out[k], float(np.max(ops[k])) * r**k)
         return out
-
-    def max_norm(self):
-        return float(np.sum(self.mode_norms()))
 
 
 def _chart_points(tensor, chart):
@@ -366,21 +346,18 @@ def extract(nm, k_max=None):
 
 @dataclass
 class StructureField:
-    """Almost complex structure samples on the blow-up grid (n = 2), with
-    an optional closed-form evaluator for off-node queries."""
+    """Almost complex structure samples on the blow-up grid (n = 2)."""
 
     atlas: ChartAtlas
     J: dict  # chart -> (n_v, n_v, n_r, n_theta, 4, 4)
-    J_at: object = None  # (chart, z ambient (N, 2)) -> (N, 4, 4)
 
 
 def reconstruct(tensor: DeformationTensor) -> StructureField:
     """Complex structure whose anti-holomorphic horizontal space is the
-    graph of the tensor; standard along the radial discs.
-
-    For n = 2 the structure matrices are sampled on the full blow-up
-    grid; for higher n only the closed-form off-node evaluator is built
-    (the tensor must carry a field evaluator in that case)."""
+    graph of the tensor; standard along the radial discs.  The structure
+    matrices are sampled on the full blow-up grid (n = 2)."""
+    if tensor.n != 2:
+        raise DeformationError("structure reconstruction is implemented for n = 2")
     norms = tensor.mode_norms()
     if np.sum(norms) >= 1.0:
         raise DeformationError(
@@ -388,38 +365,18 @@ def reconstruct(tensor: DeformationTensor) -> StructureField:
             "not transverse and no structure exists"
         )
     at = tensor.atlas
-    n = tensor.n
     J = {}
-    if n == 2:
-        for chart in tensor.charts:
-            V = at.base_points(chart)
-            zetas = at.fiber.zetas
-            v4 = np.broadcast_to(V[:, :, None, None], V.shape + zetas.shape)
-            z4 = np.broadcast_to(zetas[None, None, :, :], V.shape + zetas.shape)
-            z = _ambient_of(2, chart, v4, z4)
-            phi = tensor.components.get(chart)
-            if phi is None:
-                phi = tensor.phi_at(chart, v4, z4)
-            J[chart] = _structure_from_graph(2, chart, z, phi)
-    elif tensor.field_fn is None:
-        raise DeformationError(
-            "off-grid structure reconstruction needs a field evaluator"
-        )
-
-    J_at = None
-    if tensor.field_fn is not None:
-        def J_at(chart, z):
-            z = np.asarray(z, dtype=complex)
-            zeta = z[..., chart]
-            if n == 2:
-                v = z[..., 1 - chart] / zeta
-            else:
-                axes = chart_axes(n, chart)
-                v = np.stack([z[..., j] / zeta for j in axes], axis=-1)
-            phi = tensor.phi_at(chart, v, zeta)
-            return _structure_from_graph(n, chart, z, phi)
-
-    return StructureField(atlas=at, J=J, J_at=J_at)
+    for chart in tensor.charts:
+        V = at.base_points(chart)
+        zetas = at.fiber.zetas
+        v4 = np.broadcast_to(V[:, :, None, None], V.shape + zetas.shape)
+        z4 = np.broadcast_to(zetas[None, None, :, :], V.shape + zetas.shape)
+        z = _ambient_of(2, chart, v4, z4)
+        phi = tensor.components.get(chart)
+        if phi is None:  # rotate and contract carry the modes only
+            phi = _series(tensor.modes[chart], at)
+        J[chart] = _structure_from_graph(2, chart, z, phi)
+    return StructureField(atlas=at, J=J)
 
 
 def extract_from_structure(sf: StructureField, k_max=None) -> DeformationTensor:
@@ -571,54 +528,6 @@ def tensor_from_mode_functions(atlas, n, entries, k_max, chart_list=(0,)):
     return tensor
 
 
-def tensor_from_map_field(atlas, n, W_fn, dW_fn, chart_list=(0,)):
-    """Mode-0 tensor of the fiber-linear map z = zeta p(v) -> zeta W(v),
-    with W and its base partial derivatives given in closed form.
-
-    Used for generic-n verification: the graph relation is solved
-    pointwise, so the tensor field is available anywhere on the chart.
-    """
-    Jo = standard_j_matrix(2 * n)
-    leaks = [0.0]
-
-    def stack_at(chart, v):
-        v = np.atleast_2d(np.asarray(v, dtype=complex))
-        if n == 2:
-            v = v.reshape(-1)
-        zeta = np.ones(len(v), dtype=complex)
-        z = _ambient_of(n, chart, v, zeta)
-        D = _pushforward(n, chart, v, zeta, W_fn(v), dW_fn(v))
-        J = np.linalg.solve(D, Jo @ D)
-        phi, leak = _graph_from_structure(n, chart, z, J)
-        leaks.append(leak)
-        return phi[:, None, :, :]  # single mode 0
-
-    modes = {}
-    for chart in chart_list:
-        if n == 2:
-            v = atlas.base_points(chart).ravel()
-            arr = stack_at(chart, v)
-            modes[chart] = np.moveaxis(
-                arr.reshape(atlas.n_v, atlas.n_v, 1, n - 1, n - 1), 2, 0
-            )
-        else:
-            V1, V2 = atlas.base_points3()
-            v = np.stack([V1.ravel(), V2.ravel()], axis=-1)
-            arr = stack_at(chart, v)
-            modes[chart] = np.moveaxis(
-                arr.reshape(V1.shape + (1, n - 1, n - 1)), -3, 0
-            )
-    tensor = DeformationTensor(
-        n=n, atlas=atlas, k_max=0, modes=modes, field_fn=stack_at,
-        diagnostics={"graph_leak": max(leaks)},
-    )
-    if n == 2:
-        tensor.components = {
-            c: _series(tensor.modes[c], atlas) for c in chart_list
-        }
-    return tensor
-
-
 # ---------------------------------------------------------------------------
 # group actions
 
@@ -650,13 +559,10 @@ def _remap_modes(tensor, factors):
         def field_fn(chart, v):
             return inner(chart, v) * np.asarray(factors)[None, :, None, None]
 
-    out = DeformationTensor(
+    return DeformationTensor(
         n=tensor.n, atlas=tensor.atlas, k_max=tensor.k_max, modes=modes,
         diagnostics=dict(tensor.diagnostics), field_fn=field_fn,
     )
-    if tensor.n == 2 and tensor.components:
-        out.components = {c: _series(modes[c], tensor.atlas) for c in modes}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -775,16 +681,6 @@ def _phi_image_field(tensor, chart, a, mode_select=None):
     return fn
 
 
-def _opnorm_at(tensor, chart, zeta):
-    """Operator norm of the full tensor w.r.t. the reference metric at the
-    chart nodes over the fiber point zeta."""
-    v = _chart_points(tensor, chart)
-    z = _ambient_of(tensor.n, chart, v, zeta)
-    Qhalf, Pinvh = _levi_roots(tensor, chart)
-    M = Qhalf @ _phi_matrix_at(tensor, chart, z) @ Pinvh
-    return np.linalg.norm(M, ord=2, axis=(-2, -1))
-
-
 def maurer_cartan_residual(tensor, chart=0, zeta=0.5, dbar_mode=None,
                            bracket_pairs=None, h=0.01, v_samples=None):
     """Residual arrays of the structure equation on one chart.
@@ -854,38 +750,6 @@ def maurer_cartan_residual(tensor, chart=0, zeta=0.5, dbar_mode=None,
     }
 
 
-def verify_conditions(tensor: DeformationTensor, chart=0, zeta=0.5, h=0.01):
-    """Report on the four integrability conditions of the tensor.
-
-    (i) symmetry of the associated bilinear form; (ii) structure-equation
-    residual with finite-difference brackets; (iii) radial independence of
-    the fiber modes; (iv) strict-contraction margin 1 - sup operator norm.
-    All outcomes are report entries, never exceptions.
-    """
-    report = {}
-    report["symmetry"] = condition_symmetry(tensor, chart, zeta)
-    mc = maurer_cartan_residual(tensor, chart, zeta, h=h)
-    report["maurer_cartan"] = mc["residual"]
-    report["antihol_leak"] = mc["antihol_leak"]
-    if tensor.n == 2 and tensor.components:
-        refreshed = fourier_modes_from_components(
-            tensor.atlas, tensor.components, tensor.k_max
-        )
-        report["cross_radius"] = refreshed.diagnostics["cross_radius"]
-    else:
-        report["cross_radius"] = tensor.diagnostics.get("cross_radius", 0.0)
-    r_top = tensor.atlas.fiber.r_max if tensor.n == 2 else 1.0
-    ops = _opnorm_at(tensor, chart, r_top)
-    report["contraction_margin"] = float(1.0 - np.max(ops))
-    report["pass"] = {
-        "symmetry": report["symmetry"] < 1e-8,
-        "maurer_cartan": report["maurer_cartan"] < 1e-6,
-        "cross_radius": report["cross_radius"] < 1e-6,
-        "contraction": report["contraction_margin"] > 0.0,
-    }
-    return report
-
-
 def verify_mode_equations(tensor: DeformationTensor, k_max=None, chart=0,
                           zeta=0.5, h=0.01):
     """Per-mode residuals of the graded structure equations.
@@ -928,44 +792,3 @@ def verify_mode_equations(tensor: DeformationTensor, k_max=None, chart=0,
         acc = acc + (extra["field"] - base["field"])
     out["consistency"] = float(np.max(np.abs(acc - full["field"])))
     return out
-
-
-def nijenhuis_residual(sf: StructureField, chart, z, h=5e-3):
-    """Integrability defect of a structure field at sample points.
-
-    Five-point finite differences of the J matrices in each real
-    direction; returns the sup norm of the torsion tensor over all
-    coordinate-field pairs, normalized by the matrix scale.
-    """
-    if sf.J_at is None:
-        raise DeformationError("structure field has no off-node evaluator")
-    z = np.asarray(z, dtype=complex)
-    npts, n = z.shape
-    dim = 2 * n
-
-    def Jfn(pts):
-        return sf.J_at(chart, pts)
-
-    J = Jfn(z)
-    dJ = np.empty((npts, dim, dim, dim))
-    for d in range(dim):
-        step = np.zeros(n, dtype=complex)
-        if d % 2 == 0:
-            step[d // 2] = h
-        else:
-            step[d // 2] = 1j * h
-        dJ[..., d] = (
-            -Jfn(z + 2 * step) + 8 * Jfn(z + step)
-            - 8 * Jfn(z - step) + Jfn(z - 2 * step)
-        ) / (12 * h)
-    worst = 0.0
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            # torsion of the pair of coordinate fields (e_a, e_b)
-            t1 = np.einsum("pd,pid->pi", J[:, :, a], dJ[:, :, b, :])
-            t2 = np.einsum("pd,pid->pi", J[:, :, b], dJ[:, :, a, :])
-            t3 = np.einsum("pij,pj->pi", J, dJ[:, :, a, b])
-            t4 = np.einsum("pij,pj->pi", J, dJ[:, :, b, a])
-            N = t1 - t2 + t3 - t4
-            worst = max(worst, float(np.max(np.abs(N))))
-    return worst

@@ -1,11 +1,10 @@
-"""Complete circular domains: gauge data, exhaustions, and the indicatrix.
+"""Complete circular domains: gauge data, exhaustions, and spec files.
 
 A complete circular domain is described by its degree-1 homogeneous gauge mu
 on C^n.  On the blow-up charts the gauge is carried by the chart functions
-m(v) = mu((1, v)) (and its permutations), the exhaustion is tau = mu^2, and
-the indicatrix recovers mu from the quadratic vanishing of tau at the
-center.  All closed-form domains keep exact sympy expressions in both the
-ambient real coordinates and the chart coordinates, so downstream identity
+m(v) = mu((1, v)) (and its permutations), and the exhaustion is tau = mu^2.
+All closed-form domains keep exact sympy expressions, mu^2 in the ambient
+real coordinates and m^2 in the chart coordinates, so downstream identity
 checks can run at symbolic accuracy.
 """
 
@@ -139,99 +138,17 @@ class MinkowskiField:
 
 @dataclass(frozen=True)
 class ExhaustionField:
-    """Parabolic exhaustion in blow-up coordinates, center at zeta = 0.
+    """Parabolic exhaustion of C^n given by its ambient expression.
 
-    For circular domains tau(v, zeta) = |zeta|^2 m(v)^2; the ambient
-    expression (when available) is tau(z) = mu(z)^2.  r_bound is the radius
-    of the sublevel set of interest.
+    For circular domains tau(z) = mu(z)^2; a tau.expr spec line supplies an
+    arbitrary smooth expression in the ambient real coordinates.
     """
 
     n: int
     tau_ambient: object
-    tau_charts: dict
-    minkowski: MinkowskiField | None = None
-    r_bound: float = 1.0
-
-    @classmethod
-    def from_ambient(cls, n, expr, r_bound=1.0):
-        """Wrap an arbitrary smooth ambient exhaustion (no circularity)."""
-        charts = {}
-        coords = ambient_coords(n)
-        if n == 2:
-            x, y, s, t = real_coords(4)
-            for chart in (0, 1):
-                zeta = s + sp.I * t
-                vv = x + sp.I * y
-                z = [zeta, zeta * vv] if chart == 0 else [zeta * vv, zeta]
-                subs = {}
-                for i in range(n):
-                    subs[coords[2 * i]] = sp.re(sp.expand(z[i]))
-                    subs[coords[2 * i + 1]] = sp.im(sp.expand(z[i]))
-                charts[chart] = sp.cancel(expr.subs(subs, simultaneous=True))
-        return cls(n=n, tau_ambient=expr, tau_charts=charts, r_bound=r_bound)
-
-    def chart_form(self, chart):
-        """tau as a 0-form in the total chart coordinates (x, y, s, t)."""
-        if self.n != 2:
-            raise DomainError("chart forms are provided for n = 2 only")
-        return AnalyticForm.scalar(real_coords(4), self.tau_charts[chart])
 
     def ambient_form(self):
-        if self.tau_ambient is None:
-            raise DomainError("no ambient expression for this exhaustion")
         return AnalyticForm.scalar(ambient_coords(self.n), self.tau_ambient)
-
-    def value(self, chart, v, zeta):
-        """tau at base points v and fiber values zeta (broadcastable)."""
-        v = np.asarray(v, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        v, zeta = np.broadcast_arrays(v, zeta)
-        pts = to_real(np.stack([v.ravel(), zeta.ravel()], axis=1))
-        return self.chart_form(chart).scalar_at(pts).real.reshape(v.shape)
-
-    def value_ambient(self, z):
-        z = np.asarray(z, dtype=complex)
-        pts = to_real(z.reshape(-1, self.n))
-        return self.ambient_form().scalar_at(pts).real.reshape(z.shape[:-1])
-
-
-@dataclass(frozen=True)
-class IndicatrixField:
-    """Homogeneous degree-1 gauge recovered from the center vanishing.
-
-    kappa_charts holds chart samples kappa((1, v)) on the atlas base grid;
-    kappa_sq_ambient, when present, is the exact expression validated by
-    the radial fit.
-    """
-
-    n: int
-    atlas: ChartAtlas
-    kappa_charts: dict
-    fit_residual: float
-    kappa_sq_ambient: object = None
-
-    def kappa(self, z):
-        """Gauge value at ambient points by homogeneity + interpolation."""
-        z = np.asarray(z, dtype=complex)
-        if self.kappa_sq_ambient is not None:
-            form = AnalyticForm.scalar(ambient_coords(self.n), self.kappa_sq_ambient)
-            pts = to_real(z.reshape(-1, self.n))
-            return np.sqrt(form.scalar_at(pts).real).reshape(z.shape[:-1])
-        from scipy.interpolate import RegularGridInterpolator
-
-        flat = z.reshape(-1, self.n)
-        chart, v, zeta = blowup_forward(flat)
-        out = np.empty(len(flat))
-        for c in np.unique(chart):
-            sel = chart == c
-            interp = RegularGridInterpolator(
-                (self.atlas.xs, self.atlas.xs), self.kappa_charts[int(c)]
-            )
-            vv = v[sel, 0]
-            out[sel] = np.abs(zeta[sel]) * interp(
-                np.stack([vv.real, vv.imag], axis=1)
-            )
-        return out.reshape(z.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -301,70 +218,7 @@ def make_circular_domain(mu_spec, atlas=None):
 
     tau_form = AnalyticForm.scalar(coords, mu_sq)
     _levi_witness(tau_form, n)
-
-    if n == 2:
-        x, y, s, t = real_coords(4)
-        tau_charts = {
-            chart: sp.cancel((s**2 + t**2) * m_sq[chart].subs({base[0]: x, base[1]: y}))
-            for chart in (0, 1)
-        }
-    else:
-        x1, y1, x2, y2, s, t = real_coords(6)
-        tau_charts = {
-            0: sp.cancel(
-                (s**2 + t**2)
-                * m_sq[0].subs(
-                    dict(zip(base, (x1, y1, x2, y2))), simultaneous=True
-                )
-            )
-        }
-    exh = ExhaustionField(
-        n=n, tau_ambient=mu_sq, tau_charts=tau_charts, minkowski=mink
-    )
-    return mink, exh
-
-
-def indicatrix_from_exhaustion(exh, atlas=None, tol=1e-8):
-    """Recover the center gauge kappa from the quadratic vanishing of tau.
-
-    sqrt(tau) is fitted against |zeta| through the origin on the 4 smallest
-    fiber radii of the atlas; the fit slope at base point v is kappa((1,v))
-    (times the chart factor).  A residual above tol means tau does not
-    vanish to exact second order at the center.
-    """
-    if atlas is None:
-        atlas = ChartAtlas(n=2, n_v=33)
-    if exh.n != 2:
-        raise DomainError("indicatrix extraction is implemented for n = 2")
-    radii = atlas.fiber.radii[:4]
-    kappa_charts = {}
-    worst = 0.0
-    for chart in atlas.charts:
-        V = atlas.base_points(chart)
-        vals = np.stack(
-            [np.sqrt(np.maximum(exh.value(chart, V, r + 0j), 0.0)) for r in radii],
-            axis=-1,
-        )  # (n_v, n_v, 4)
-        denom = float(np.sum(radii**2))
-        slope = np.tensordot(vals, radii, axes=([-1], [0])) / denom
-        resid = vals - slope[..., None] * radii
-        worst = max(worst, float(np.max(np.abs(resid))))
-        kappa_charts[chart] = slope
-    if worst > tol:
-        raise DomainError(
-            f"radial fit residual {worst:.3e} exceeds {tol:.1e}: "
-            "exhaustion is not parabolic at the center"
-        )
-    kappa_sq = None
-    if exh.minkowski is not None:
-        kappa_sq = exh.minkowski.mu_sq_ambient
-    return IndicatrixField(
-        n=2,
-        atlas=atlas,
-        kappa_charts=kappa_charts,
-        fit_residual=worst,
-        kappa_sq_ambient=kappa_sq,
-    )
+    return mink, ExhaustionField(n=n, tau_ambient=mu_sq)
 
 
 # ---------------------------------------------------------------------------

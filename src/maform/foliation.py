@@ -1,29 +1,25 @@
 """Degenerate Monge-Ampere geometry of a parabolic exhaustion.
 
 Off the center, a parabolic exhaustion tau determines a real vector field Z
-by ddc tau(Z, JX) = dtau(X) for every X, a rank-2 distribution spanned by
-(Z, JZ), and a complementary distribution H annihilated by ddc tau against
-both.  The identities verified here characterize when tau solves the
-homogeneous complex Monge-Ampere equation; their failure is a quantitative
-obstruction, not an exception.
+by ddc tau(Z, JX) = dtau(X) for every X; Z and JZ span the leaves of the
+Monge-Ampere foliation.  The identities verified here characterize when
+tau solves the homogeneous complex Monge-Ampere equation; their failure is
+a quantitative obstruction, not an exception.
 
-All analytic-path computations run in ambient real coordinates of C^n with
-exact symbolic differentiation; the gridded path reuses the finite
-difference form calculus on the blow-up charts.
+All computations run in ambient real coordinates of C^n; the derivatives
+of tau are exact (symbolic), and only the Lie derivative along Z is taken
+by finite differences in flow time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import sympy as sp
 
-from .atlas import blowup_inverse
 from .domains import ExhaustionField
 from .exterior import standard_j_matrix
 from .ode import rk4_step
-from .symforms import AnalyticForm, to_complex, to_real
+from .symforms import AnalyticForm
 
 
 class FoliationError(ValueError):
@@ -82,24 +78,6 @@ class ZFieldEvaluator:
         return D
 
 
-@dataclass(frozen=True)
-class FoliationFrame:
-    """Nodewise frame data: the field Z, its rotation JZ, the normal
-    distribution basis, and diagnostics of the defining condition."""
-
-    points: np.ndarray  # (N, 2n) real ambient coordinates
-    tau: np.ndarray  # (N,)
-    Z: np.ndarray  # (N, 2n)
-    JZ: np.ndarray  # (N, 2n)
-    H: np.ndarray  # (N, 2n-2, 2n) basis of the normal distribution
-    residual: float  # max residual of the defining linear condition
-    condition: float  # worst condition number of the combined basis
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-
 def _ambient_points(n, n_samples, seed=11, lo=0.35, hi=1.0):
     """Random sample points in the spherical shell lo <= |z| <= hi."""
     rng = np.random.default_rng(seed)
@@ -107,46 +85,6 @@ def _ambient_points(n, n_samples, seed=11, lo=0.35, hi=1.0):
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     radii = rng.uniform(lo, hi, size=(n_samples, 1))
     return raw * radii
-
-
-def compute_Z(exh: ExhaustionField, points=None, n_samples=64, seed=11):
-    """Solve the defining linear condition for Z at the given ambient
-    points (random shell samples when omitted) and build the frame."""
-    tau_form = exh.ambient_form()
-    ev = ZFieldEvaluator(tau_form)
-    dim = ev.dim
-    if points is None:
-        points = _ambient_points(exh.n, n_samples, seed=seed)
-    points = np.asarray(points, dtype=float)
-    Z = ev(points)
-    JZ = Z @ ev.J.T
-    A = ev.matrices(points)
-    rhs = ev.dtau_at(points)
-    resid = float(
-        np.max(np.abs(np.einsum("ni,nij,jk->nk", Z, A, ev.J) - rhs))
-    )
-    # normal distribution: null space of the two rows Z^T A and (JZ)^T A
-    rows = np.stack([np.einsum("ni,nij->nj", Z, A), np.einsum("ni,nij->nj", JZ, A)], axis=1)
-    _, svals, Vt = np.linalg.svd(rows)
-    X1 = Vt[:, -1, :]
-    X2 = X1 @ ev.J.T
-    if dim == 4:
-        H = np.stack([X1, X2], axis=1)
-    else:
-        X3 = Vt[:, -2, :]
-        # keep the basis J-invariant: re-orthogonalize X3 against J X1
-        X3 = X3 - (np.sum(X3 * X2, axis=1, keepdims=True)) * X2
-        X3 /= np.linalg.norm(X3, axis=1, keepdims=True)
-        H = np.stack([X1, X2, X3, X3 @ ev.J.T], axis=1)
-    combined = np.concatenate([Z[:, None, :], JZ[:, None, :], H], axis=1)
-    cond = float(np.max(np.linalg.cond(combined)))
-    if cond > 1e6:
-        bad = int(np.argmax(np.linalg.cond(combined)))
-        raise FoliationError(f"frame degenerates at node {bad}: cond {cond:.2e}")
-    tau_vals = ev.tau_at(points)
-    return FoliationFrame(
-        points=points, tau=tau_vals, Z=Z, JZ=JZ, H=H, residual=resid, condition=cond
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +121,7 @@ def _lie_derivative_flow(ev: ZFieldEvaluator, pts, rel_step=5e-4):
     return num / (12.0 * hs)[:, None, None]
 
 
-def verify_ma_identities(exh: ExhaustionField, n_samples=40, seed=13, tolerances=None):
+def verify_ma_identities(exh: ExhaustionField, n_samples=40, seed=13):
     """Residual report for the exhaustion identity suite.
 
     Checks, at random ambient shell samples: the log-potential identity
@@ -201,8 +139,6 @@ def verify_ma_identities(exh: ExhaustionField, n_samples=40, seed=13, tolerances
         "contraction": 1e-10,
         "flow_invariance": 1e-10,
     }
-    if tolerances:
-        tol.update(tolerances)
     n = exh.n
     tau = exh.ambient_form()
     pts = _ambient_points(n, n_samples, seed=seed)
@@ -255,139 +191,3 @@ def verify_ma_identities(exh: ExhaustionField, n_samples=40, seed=13, tolerances
     report["tolerances"] = tol
     report["all_pass"] = all(report["pass"].values())
     return report
-
-
-def gridded_top_degeneracy(exh: ExhaustionField, atlas, chart=0):
-    """The top-degree identity residual on the finite-difference path.
-
-    Returns the relative sup-residual over interior nodes of the chart.
-    The expected behavior is second-order decay under grid refinement for
-    circular inputs.
-    """
-    from .gridforms import GridForm
-
-    n = exh.n
-    if n != 2:
-        raise FoliationError("the gridded path is implemented for n = 2")
-    tau = GridForm.from_analytic(exh.chart_form(chart), atlas, "total", charts=(chart,))
-    dtau = tau.d()
-    dctau = tau.dc()
-    ddctau = dctau.d()
-    lhs = ddctau.wedge(ddctau).mul_scalar_field(tau)
-    rhs = dtau.wedge(dctau).wedge(ddctau).scale(float(n))
-    diff = lhs - rhs
-    scale = max(lhs.max_abs(interior_margin=2), 1e-30)
-    return diff.max_abs(interior_margin=2) / scale
-
-
-# ---------------------------------------------------------------------------
-# leaves
-
-
-@dataclass(frozen=True)
-class LeafDisc:
-    """A sampled leaf through the center in direction v (chart affine
-    coordinate).  ray holds the points at radii rho; the full disc follows
-    from the rotation rule F(v, e^{i theta} zeta) = e^{i theta} F(v, zeta).
-    """
-
-    chart: int
-    base_v: np.ndarray  # (n - 1,) chart affine coordinates
-    radii: np.ndarray  # (m,)
-    ray: np.ndarray  # (m, n) complex points of C^n along theta = 0
-    tau_residual: float  # max |tau(ray(rho)) - rho^2|
-
-    def points(self, thetas):
-        """Disc samples at all (rho, theta): shape (m, len(thetas), n)."""
-        phase = np.exp(1j * np.asarray(thetas))
-        return self.ray[:, None, :] * phase[None, :, None]
-
-
-def _leaf_states(ev: ZFieldEvaluator, X, rhos):
-    """RK4 states of the leaf ODE dX/drho = (2 / sqrt(tau)) Z(X) at every
-    radius of the grid rhos, starting from X at rhos[0]."""
-
-    def rhs(_rho, X):
-        tau_vals = np.maximum(ev.tau_at(X), 1e-30)
-        return 2.0 / np.sqrt(tau_vals)[:, None] * ev(X)
-
-    states = [X]
-    for i in range(len(rhos) - 1):
-        states.append(rk4_step(rhs, rhos[i], states[-1], rhos[i + 1] - rhos[i]))
-    return np.array(states)
-
-
-def trace_leaf(exh: ExhaustionField, base_v, chart=0, rho_start=0.05, rho_end=0.9,
-               n_steps=200, tol=1e-8):
-    """Integrate one leaf of the foliation outward from the center.
-
-    The radial parametrization satisfies dX/drho = (2 / sqrt(tau)) Z(X),
-    which makes tau(X(rho)) = rho^2 along the leaf; the seed at rho_start
-    lies on the ray through the chart point (1, v) normalized by the gauge.
-    A base point has shape (n - 1,), a scalar at n = 2; a batch of shape
-    (B, n - 1), or (B,) at n = 2, returns a list of discs.
-    """
-    mink = exh.minkowski
-    if mink is None:
-        raise FoliationError("leaf tracing needs gauge data (circular input)")
-    n = exh.n
-    ev = ZFieldEvaluator(exh.ambient_form())
-    base = np.asarray(base_v, dtype=complex)
-    vlist = base.reshape(-1, n - 1)
-    direction = blowup_inverse(chart, vlist, np.ones(len(vlist)))
-    m0 = mink.mu(direction)
-    seed = rho_start * direction / m0[:, None]
-    rhos = np.linspace(rho_start, rho_end, n_steps + 1)
-    ray_real = _leaf_states(ev, to_real(seed), rhos)  # (m, B, 2n)
-    tau_along = ev.tau_at(ray_real.reshape(-1, 2 * n)).reshape(ray_real.shape[:2])
-    resid = np.max(np.abs(tau_along - rhos[:, None] ** 2), axis=0)
-    if np.max(tau_along) > (1.05 * max(rho_end, exh.r_bound)) ** 2:
-        raise FoliationError("leaf escapes the sublevel domain")
-    discs = []
-    for b, v in enumerate(vlist):
-        if resid[b] > tol:
-            raise FoliationError(
-                f"leaf through v = {v} violates tau = rho^2 by {resid[b]:.3e}"
-            )
-        discs.append(
-            LeafDisc(
-                chart=chart,
-                base_v=v,
-                radii=rhos,
-                ray=to_complex(ray_real[:, b, :]),
-                tau_residual=float(resid[b]),
-            )
-        )
-    if base.ndim == (0 if n == 2 else 1):
-        return discs[0]
-    return discs
-
-
-def reverse_leaf(exh: ExhaustionField, disc: LeafDisc, n_steps=200):
-    """Integrate the leaf ODE inward from the outer ray sample and return
-    the distance to the original seed (forward/backward consistency)."""
-    ev = ZFieldEvaluator(exh.ambient_form())
-    rhos = np.linspace(disc.radii[-1], disc.radii[0], n_steps + 1)
-    X = _leaf_states(ev, to_real(disc.ray[-1][None, :]), rhos)[-1]
-    back = to_complex(X)[0]
-    return float(np.max(np.abs(back - disc.ray[0])))
-
-
-def kernel_diagnostics(exh: ExhaustionField, frame: FoliationFrame):
-    """Check that span(Z, JZ) is the kernel of ddc log tau and that the
-    form is positive semidefinite on the normal distribution."""
-    tau = exh.ambient_form()
-    log_tau = AnalyticForm.scalar(tau.coords, sp.log(tau.comps[()]))
-    A = log_tau.dc().d().matrix_at(frame.points).real
-    J = standard_j_matrix(frame.dim)
-    kernel_resid = float(
-        max(
-            np.max(np.abs(np.einsum("nij,nj->ni", A, frame.Z))),
-            np.max(np.abs(np.einsum("nij,nj->ni", A, frame.JZ))),
-        )
-        / max(np.max(np.abs(A)), 1e-30)
-    )
-    g = 0.5 * ((A @ J) + np.swapaxes(A @ J, 1, 2))
-    vals = np.einsum("nai,nij,naj->na", frame.H, g, frame.H)
-    min_on_H = float(np.min(vals))
-    return {"kernel_residual": kernel_resid, "min_normal_eigenvalue": min_on_H}

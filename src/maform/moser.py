@@ -31,7 +31,7 @@ from .atlas import ChartAtlas, R_OUTER, blowup_forward
 from .domains import MinkowskiField, ambient_coords
 from .exterior import standard_j_matrix
 from .ode import rk4_step
-from .symforms import AnalyticForm, compile_exprs, real_coords, to_complex, to_real
+from .symforms import AnalyticForm, compile_exprs, real_coords, to_real
 
 
 class MoserError(ValueError):
@@ -519,125 +519,6 @@ class NormalizingMap:
             sel = chart == c
             out[sel] = zeta[sel, None] * self.fiber_vector(int(c), v[sel, 0])
         return out.reshape(z.shape)
-
-    def _seed_inverse(self, target):
-        """Initial (chart, v) per target from the nearest node image."""
-        q = target / np.linalg.norm(target, axis=1)[:, None]
-        best_d = np.full(len(target), np.inf)
-        chart = np.zeros(len(target), dtype=int)
-        v = np.zeros(len(target), dtype=complex)
-        for c in (0, 1):
-            V = self.atlas.base_points(c)
-            inner = np.abs(V) <= 1.05
-            nodes = self.W[c][inner]
-            p = nodes / np.linalg.norm(nodes, axis=1)[:, None]
-            # chordal distance on the base line through each node image
-            overlap = np.abs(q @ np.conj(p).T)
-            d = np.sqrt(np.maximum(0.0, 1.0 - overlap**2))
-            idx = np.argmin(d, axis=1)
-            dmin = d[np.arange(len(target)), idx]
-            better = dmin < best_d
-            best_d[better] = dmin[better]
-            chart[better] = c
-            v[better] = V[inner][idx[better]]
-        return chart, v
-
-    def _residual(self, c, v, target, dx=0, dy=0):
-        """F = W1(v) z0 - W0(v) z1 (or a partial), which vanishes where
-        W(v) is parallel to the target z."""
-        Wv = self.direction(c, v, dx=dx, dy=dy)
-        return Wv[:, 1] * target[:, 0] - Wv[:, 0] * target[:, 1]
-
-    def _newton_step(self, c, v, target, F, scale):
-        """One Newton update of v on F(v) = 0, given F at v; raises when
-        the real 2x2 derivative is singular relative to the target scale."""
-        A = np.stack(
-            [to_real(self._residual(c, v, target, dx=1)[:, None]),
-             to_real(self._residual(c, v, target, dy=1)[:, None])], axis=-1
-        )
-        dets = np.abs(np.linalg.det(A))
-        if np.min(dets) < 1e-13 * scale**2:
-            bad = int(np.argmin(dets))
-            raise MoserError(f"inverse Newton stalls near v = {v[bad]:.4f} (chart {c})")
-        step = np.linalg.solve(A, to_real(F[:, None])[..., None])[..., 0]
-        return v - to_complex(step)[:, 0]
-
-    def inverse(self, zp, tol=1e-12, max_iter=60):
-        """Invert the map by a Newton iteration on the base coordinate.
-
-        Seeds from the nearest grid-node image and hops charts whenever an
-        iterate drifts out of the chart box, so the splines are never
-        evaluated in extrapolation territory.
-        """
-        zp = np.asarray(zp, dtype=complex)
-        flat = zp.reshape(-1, 2)
-        n = len(flat)
-        chart, v = self._seed_inverse(flat)
-        active = np.ones(n, dtype=bool)
-        scale = np.max(np.abs(flat), axis=1)
-        for _ in range(max_iter):
-            if not np.any(active):
-                break
-            for c in (0, 1):
-                sel = np.where(active & (chart == c))[0]
-                if len(sel) == 0:
-                    continue
-                vc = v[sel]
-                target = flat[sel]
-                F = self._residual(c, vc, target)
-                done = np.abs(F) < tol * scale[sel]
-                active[sel[done]] = False
-                go = ~done
-                if not np.any(go):
-                    continue
-                sub = sel[go]
-                vn = self._newton_step(c, vc[go], target[go], F[go], np.max(scale[sub]))
-                hop = np.abs(vn) > 1.1
-                vn[hop] = 1.0 / vn[hop]
-                v[sub] = vn
-                chart[sub] = np.where(hop, 1 - c, c)
-        if np.any(active):
-            raise MoserError("inverse Newton failed to converge")
-        # polish in the chart the forward evaluation would pick (|v| <= 1),
-        # since the two chart splines agree only to interpolation error on
-        # the overlap and the round trip must close in a single chart
-        flip = np.abs(v) > 1.0
-        v[flip] = 1.0 / v[flip]
-        chart[flip] = 1 - chart[flip]
-        for c in (0, 1):
-            sel = np.where(flip & (chart == c))[0]
-            if len(sel) == 0:
-                continue
-            vc = v[sel]
-            target = flat[sel]
-            for _ in range(8):
-                F = self._residual(c, vc, target)
-                if np.max(np.abs(F)) < tol * np.max(scale[sel]):
-                    break
-                vc = self._newton_step(c, vc, target, F, np.max(scale[sel]))
-            v[sel] = vc
-        out = np.empty_like(flat)
-        for c in (0, 1):
-            sel = chart == c
-            if not np.any(sel):
-                continue
-            vc = v[sel]
-            target = flat[sel]
-            Wn = self.fiber_vector(c, vc)
-            zeta = np.where(
-                np.abs(Wn[:, 0]) >= np.abs(Wn[:, 1]),
-                target[:, 0] / Wn[:, 0],
-                target[:, 1] / Wn[:, 1],
-            )
-            res = np.empty((len(vc), 2), dtype=complex)
-            if c == 0:
-                res[:, 0] = zeta
-                res[:, 1] = zeta * vc
-            else:
-                res[:, 0] = zeta * vc
-                res[:, 1] = zeta
-            out[sel] = res
-        return out.reshape(zp.shape)
 
 
 def assemble(flow: MoserFlowResult) -> NormalizingMap:

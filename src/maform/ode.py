@@ -1,8 +1,8 @@
 """The classical fourth-order Runge-Kutta step with its variational equation.
 
-Every flow of the package (the Moser flow, which carries the Hopf phase
-of its horizontal lift, the flow of the Monge-Ampere field Z and the leaf
-ODE) advances through rk4_step.
+Both flows of the package (the Moser flow, which carries the Hopf phase
+of its horizontal lift, and the flow of the Monge-Ampere field Z) advance
+through rk4_step.
 The derivative M of the state with respect to its start value obeys the
 variational equation M' = Df(t, y) M; it is advanced through the same four
 stages (Hairer, Norsett, Wanner, Solving Ordinary Differential Equations I).

@@ -1,11 +1,10 @@
 """Symbolic (exact) differential forms on a single coordinate chart.
 
-This is the analytic path: coefficients are sympy expressions in the real
-chart coordinates and all derivatives are exact.  Every sympy -> numpy
+Coefficients are sympy expressions in the real chart coordinates and all
+derivatives are exact.  Every sympy -> numpy
 conversion in the package goes through compile_exprs: one lambdify call
 with common-subexpression elimination per list of expressions, memoized
-for the life of the process.  The gridded path (gridforms) is checked
-against this one.
+for the life of the process.
 
 Convention: dc = i(dbar - d) for the standard structure J_o, generalized to
 dc(alpha) = (-1)^p * Jact(d(Jact(alpha))) where Jact is the tensor action
@@ -181,19 +180,6 @@ class AnalyticForm:
             out = out.wedge(self)
         return out
 
-    def interior(self, X):
-        """Interior product with a vector field given as component exprs."""
-        if self.degree == 0:
-            raise ValueError("degree mismatch: cannot contract a 0-form")
-        if len(X) != self.dim:
-            raise ValueError("vector field dimension mismatch")
-        comps = {}
-        for idx, expr in self.comps.items():
-            for k in idx:
-                sign, new = exterior.remove_index(idx, k)
-                comps[new] = comps.get(new, 0) + sign * sp.sympify(X[k]) * expr
-        return AnalyticForm(self.coords, self.degree - 1, comps)
-
     # -- evaluation ---------------------------------------------------
     def evaluate(self, points):
         """Evaluate all components at points, shape (N, dim) real.
@@ -245,10 +231,3 @@ class AnalyticForm:
         if not vals:
             return 0.0
         return max(float(np.max(np.abs(arr))) for arr in vals.values())
-
-    def simplify(self):
-        return AnalyticForm(
-            self.coords,
-            self.degree,
-            {i: sp.simplify(e) for i, e in self.comps.items()},
-        )

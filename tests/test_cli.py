@@ -57,6 +57,25 @@ def run(argv):
     return main(argv)
 
 
+def package_env(**extra):
+    """The environment with the package importable in a fresh process."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(maform.__file__))]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    return env
+
+
+def run_process(argv):
+    """The command line in a fresh process, so that an uncaught exception
+    shows as a traceback on stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "maform.cli", *argv], env=package_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+
+
 class TestDumpFormat:
     @pytest.mark.parametrize("binary", [False, True])
     def test_round_trip(self, tmp_path, binary):
@@ -118,6 +137,23 @@ class TestExitCodes:
         assert run(["classify", "--tensor", tns, "--out", str(tmp_path)]) == 2
         assert "mode k a b" in capsys.readouterr().err
 
+    def test_unknown_name_in_tensor_spec_exits_2(self, tmp_path):
+        tns = write(tmp_path, "bad.tns", "n = 2\nN_v = 9\nmode 0 1 1 = 0.05*w\n")
+        out = run_process(["classify", "--tensor", tns, "--out", str(tmp_path)])
+        assert out.returncode == 2
+        assert "line 3, column 19: unknown name 'w'" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_unknown_name_in_tau_expr_exits_2(self, tmp_path):
+        dom = write(
+            tmp_path, "bad.dom",
+            "n = 2\ntau.expr = z1*conjugate(z1) + x2**2 + y2**2\nN_v = 9\n",
+        )
+        out = run_process(["verify", "--domain", dom, "--out", str(tmp_path), "--samples", "1"])
+        assert out.returncode == 2
+        assert "line 2, column 12: unknown name 'z1'" in out.stderr
+        assert "Traceback" not in out.stderr
+
 
 class TestReportHeader:
     def test_header_block_and_spec_echo(self, tmp_path):
@@ -127,7 +163,10 @@ class TestReportHeader:
         assert "# convention: dc = i(dbar - d)" in text
         assert "ddc|z|^2 = 4 dx^dy" in text
         assert "# resolutions: N_v=9 N_r=8 N_theta=16" in text
-        assert "identity=1.000e-08" in text
+        # the verify rows print each tolerance they apply; the header
+        # lists only the tolerances of the other commands
+        assert "# tolerances: moser=1.000e-06 mode=1.000e-05\n" in text
+        assert "identity=" not in text
         assert "# seed: 7" in text
         # the spec file is echoed bit-exactly between the markers
         start = text.index("# spec-echo-begin\n") + len("# spec-echo-begin\n")
@@ -260,15 +299,10 @@ class TestEnvironment:
             "print(len(os.listdir('/proc/self/task')))\n"
         )
         env = {
-            key: val for key, val in os.environ.items()
+            key: val for key, val in package_env(MAFORM_THREADS="1").items()
             if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
         }
-        env["MAFORM_THREADS"] = "1"
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.dirname(os.path.dirname(maform.__file__))]
-            + env.get("PYTHONPATH", "").split(os.pathsep)
-        )
         out = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True,
             text=True, check=True, timeout=120,

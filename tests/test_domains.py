@@ -1,21 +1,18 @@
-"""Domain model: gauge construction, exhaustion, indicatrix, spec files."""
+"""Domain model: gauge construction, exhaustion, spec files."""
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from maform import domains
-from maform.atlas import ChartAtlas, FiberGrid, blowup_forward, blowup_inverse
+from maform.atlas import blowup_forward, blowup_inverse
 from maform.domains import (
     DomainError,
     PseudoconvexityError,
     SpecParseError,
-    ambient_coords,
-    indicatrix_from_exhaustion,
     make_circular_domain,
     parse_domain_spec,
 )
-from maform.symforms import real_coords
+from maform.symforms import to_real
 
 RNG = np.random.default_rng(20260825)
 
@@ -58,15 +55,8 @@ class TestMakeCircularDomain:
     def test_exhaustion_matches_gauge_squared(self):
         mink, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
         z = RNG.normal(size=(20, 2)) + 1j * RNG.normal(size=(20, 2))
-        tau = exh.value_ambient(z)
+        tau = exh.ambient_form().scalar_at(to_real(z)).real
         assert np.max(np.abs(tau - mink.mu(z) ** 2)) < 1e-10
-
-    def test_exhaustion_chart_form(self):
-        _, exh = make_circular_domain({"kind": "ball"})
-        v = 0.5 + 0.25j
-        zeta = 0.3 - 0.1j
-        val = exh.value(0, v, zeta)
-        assert abs(val - abs(zeta) ** 2 * (1 + abs(v) ** 2)) < 1e-14
 
     def test_pseudoconvexity_eps_scan(self):
         # scan the perturbation upward; the witness must flip from pass to
@@ -95,66 +85,6 @@ class TestMakeCircularDomain:
         monkeypatch.setattr(domains, "_mu_sq_expression", indefinite)
         with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="not positive"):
             make_circular_domain({"kind": "ball"})
-
-
-class TestIndicatrix:
-    def test_ball_reference(self):
-        # tau_o pulls back to kappa = Euclidean norm
-        _, exh = make_circular_domain({"kind": "ball"})
-        kap = indicatrix_from_exhaustion(exh)
-        z = RNG.normal(size=(20, 2)) + 1j * RNG.normal(size=(20, 2))
-        assert np.max(np.abs(kap.kappa(z) - np.linalg.norm(z, axis=1))) < 1e-10
-
-    def test_ellipsoid_recovers_gauge(self):
-        mink, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
-        kap = indicatrix_from_exhaustion(exh)
-        z = RNG.normal(size=(20, 2)) + 1j * RNG.normal(size=(20, 2))
-        assert np.max(np.abs(kap.kappa(z) - mink.mu(z))) < 1e-10
-
-    def test_cubic_perturbation_leaves_kappa_unchanged(self):
-        # tau + |zeta|^3 g(v) vanishes to the same second order; the radial
-        # fit oracle must see the same slope within the fit tolerance
-        from maform.domains import ExhaustionField
-
-        _, exh = make_circular_domain({"kind": "ball"})
-        x, y, s, t = real_coords(4)
-        charts = {
-            c: exh.tau_charts[c] + (s**2 + t**2) ** sp.Rational(3, 2) * (1 + x * y)
-            for c in (0, 1)
-        }
-        pert = ExhaustionField(n=2, tau_ambient=None, tau_charts=charts)
-        at = ChartAtlas(n=2, n_v=17, fiber=FiberGrid(n_r=8, n_theta=16, r_min=1e-5, r_max=1e-3))
-        kap = indicatrix_from_exhaustion(pert, atlas=at, tol=1e-3)
-        V = at.base_points(0)
-        ref = np.sqrt(1 + np.abs(V) ** 2)
-        # the linear radial fit has an O(r_max) bias against the cubic term
-        assert np.max(np.abs(kap.kappa_charts[0] - ref)) < 1e-3
-
-    def test_non_parabolic_rejected(self):
-        from maform.domains import ExhaustionField
-
-        x, y, s, t = real_coords(4)
-        # vanishing order 4 in zeta: no linear radial slope
-        charts = {c: (s**2 + t**2) ** 2 * (1 + x**2 + y**2) for c in (0, 1)}
-        bad = ExhaustionField(n=2, tau_ambient=None, tau_charts=charts)
-        with pytest.raises(DomainError, match="not parabolic"):
-            indicatrix_from_exhaustion(bad)
-
-    def test_idempotence(self):
-        # feeding kappa^2 of a computed indicatrix back in returns kappa
-        from maform.domains import ExhaustionField
-
-        mink, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
-        kap1 = indicatrix_from_exhaustion(exh)
-        exh2 = ExhaustionField(
-            n=2,
-            tau_ambient=kap1.kappa_sq_ambient,
-            tau_charts=exh.tau_charts,
-            minkowski=mink,
-        )
-        kap2 = indicatrix_from_exhaustion(exh2)
-        z = RNG.normal(size=(20, 2)) + 1j * RNG.normal(size=(20, 2))
-        assert np.max(np.abs(kap1.kappa(z) - kap2.kappa(z))) < 1e-10
 
 
 class TestBlowupCoords:

@@ -224,14 +224,6 @@ class TestNormalizingMap:
         b = lam[:, None] * nm.forward(z)
         assert np.max(np.abs(a - b)) < 1e-12
 
-    def test_round_trip(self, ellipsoid_map, perturbed_map):
-        rng = np.random.default_rng(13)
-        z = rng.normal(size=(120, 2)) + 1j * rng.normal(size=(120, 2))
-        z *= rng.uniform(0.2, 0.7, size=120)[:, None] / np.linalg.norm(z, axis=1)[:, None]
-        for _, nm in (ellipsoid_map, perturbed_map):
-            back = nm.inverse(nm.forward(z))
-            assert np.max(np.abs(back - z)) < 1e-8
-
     def test_residual_report_keys(self, perturbed_map):
         _, nm = perturbed_map
         for key in ("endpoint", "closedness",

@@ -6,6 +6,11 @@ from pathlib import Path
 import maform
 
 SOURCES = sorted(Path(maform.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# every file that may use the package: its sources, the tests and the benchmark
+USERS = sorted(
+    set(SOURCES) | {p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")}
+)
 
 
 def _unused_imports(tree):
@@ -28,3 +33,38 @@ def test_no_unused_imports():
         unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
         found += [f"{path.name}:{line}: {name}" for name, line in sorted(unused.items())]
     assert SOURCES and not found, found
+
+
+def _names_read(node):
+    """Identifiers that a syntax tree reads, as names, attributes or
+    imported names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_no_unreferenced_definitions():
+    # a top-level def or class that no other top-level statement of the
+    # sources, tests or benchmark names is dead code
+    defs = {}
+    readers = {}
+    for path in USERS:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            key = (path, stmt.lineno)
+            readers[key] = _names_read(stmt)
+            if path in SOURCES and isinstance(
+                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                defs[stmt.name] = key
+    dead = sorted(
+        f"{key[0].name}:{key[1]}: {name}"
+        for name, key in defs.items()
+        if not any(name in names for other, names in readers.items() if other != key)
+    )
+    assert defs and not dead, dead
