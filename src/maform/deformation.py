@@ -38,6 +38,7 @@ __all__ = [
     "rotate",
     "contract",
     "verify_mode_equations",
+    "nijenhuis_residual",
     "tensor_from_mode_functions",
 ]
 
@@ -196,6 +197,20 @@ class DeformationTensor:
             return self.field_fn(chart, v)
         raise DeformationError("tensor carries node samples only")
 
+    def phi_at(self, chart, v, zeta):
+        """Tensor value phi(v, zeta) = sum_k phi_k(v) zeta^k."""
+        v = np.asarray(v, dtype=complex)
+        zeta = np.asarray(zeta, dtype=complex)
+        if self.n == 2:
+            flat, base_shape = v.ravel(), v.shape
+        else:
+            flat, base_shape = v.reshape(-1, self.n - 1), v.shape[:-1]
+        stack = self.mode_field(chart, flat).reshape(
+            base_shape + (self.k_max + 1, self.n - 1, self.n - 1)
+        )
+        powers = zeta[..., None] ** np.arange(self.k_max + 1)
+        return np.einsum("...k,...kab->...ab", powers, stack)
+
     def mode_norms(self):
         """Reference-metric operator norm of each mode, sup over nodes.
 
@@ -346,18 +361,21 @@ def extract(nm, k_max=None):
 
 @dataclass
 class StructureField:
-    """Almost complex structure samples on the blow-up grid (n = 2)."""
+    """Almost complex structure samples on the blow-up grid (n = 2), with
+    an optional closed-form evaluator for off-node queries."""
 
     atlas: ChartAtlas
     J: dict  # chart -> (n_v, n_v, n_r, n_theta, 4, 4)
+    J_at: object = None  # (chart, z ambient (N, n)) -> (N, 2n, 2n)
 
 
 def reconstruct(tensor: DeformationTensor) -> StructureField:
     """Complex structure whose anti-holomorphic horizontal space is the
-    graph of the tensor; standard along the radial discs.  The structure
-    matrices are sampled on the full blow-up grid (n = 2)."""
-    if tensor.n != 2:
-        raise DeformationError("structure reconstruction is implemented for n = 2")
+    graph of the tensor; standard along the radial discs.
+
+    For n = 2 the structure matrices are sampled on the full blow-up
+    grid; for higher n only the closed-form off-node evaluator is built
+    (the tensor must carry a field evaluator in that case)."""
     norms = tensor.mode_norms()
     if np.sum(norms) >= 1.0:
         raise DeformationError(
@@ -365,18 +383,38 @@ def reconstruct(tensor: DeformationTensor) -> StructureField:
             "not transverse and no structure exists"
         )
     at = tensor.atlas
+    n = tensor.n
     J = {}
-    for chart in tensor.charts:
-        V = at.base_points(chart)
-        zetas = at.fiber.zetas
-        v4 = np.broadcast_to(V[:, :, None, None], V.shape + zetas.shape)
-        z4 = np.broadcast_to(zetas[None, None, :, :], V.shape + zetas.shape)
-        z = _ambient_of(2, chart, v4, z4)
-        phi = tensor.components.get(chart)
-        if phi is None:  # rotate and contract carry the modes only
-            phi = _series(tensor.modes[chart], at)
-        J[chart] = _structure_from_graph(2, chart, z, phi)
-    return StructureField(atlas=at, J=J)
+    if n == 2:
+        for chart in tensor.charts:
+            V = at.base_points(chart)
+            zetas = at.fiber.zetas
+            v4 = np.broadcast_to(V[:, :, None, None], V.shape + zetas.shape)
+            z4 = np.broadcast_to(zetas[None, None, :, :], V.shape + zetas.shape)
+            z = _ambient_of(2, chart, v4, z4)
+            phi = tensor.components.get(chart)
+            if phi is None:  # rotate and contract carry the modes only
+                phi = _series(tensor.modes[chart], at)
+            J[chart] = _structure_from_graph(2, chart, z, phi)
+    elif tensor.field_fn is None:
+        raise DeformationError(
+            "off-grid structure reconstruction needs a field evaluator"
+        )
+
+    J_at = None
+    if tensor.field_fn is not None:
+        def J_at(chart, z):
+            z = np.asarray(z, dtype=complex)
+            zeta = z[..., chart]
+            if n == 2:
+                v = z[..., 1 - chart] / zeta
+            else:
+                axes = chart_axes(n, chart)
+                v = np.stack([z[..., j] / zeta for j in axes], axis=-1)
+            phi = tensor.phi_at(chart, v, zeta)
+            return _structure_from_graph(n, chart, z, phi)
+
+    return StructureField(atlas=at, J=J, J_at=J_at)
 
 
 def extract_from_structure(sf: StructureField, k_max=None) -> DeformationTensor:
@@ -792,3 +830,44 @@ def verify_mode_equations(tensor: DeformationTensor, k_max=None, chart=0,
         acc = acc + (extra["field"] - base["field"])
     out["consistency"] = float(np.max(np.abs(acc - full["field"])))
     return out
+
+
+def nijenhuis_residual(sf: StructureField, chart, z, h=5e-3):
+    """Integrability defect of a structure field at sample points.
+
+    Five-point finite differences of the J matrices in each real
+    direction; returns the sup norm of the torsion tensor over all
+    coordinate-field pairs, normalized by the matrix scale.
+    """
+    if sf.J_at is None:
+        raise DeformationError("structure field has no off-node evaluator")
+    z = np.asarray(z, dtype=complex)
+    npts, n = z.shape
+    dim = 2 * n
+
+    def Jfn(pts):
+        return sf.J_at(chart, pts)
+
+    J = Jfn(z)
+    dJ = np.empty((npts, dim, dim, dim))
+    for d in range(dim):
+        step = np.zeros(n, dtype=complex)
+        if d % 2 == 0:
+            step[d // 2] = h
+        else:
+            step[d // 2] = 1j * h
+        dJ[..., d] = (
+            -Jfn(z + 2 * step) + 8 * Jfn(z + step)
+            - 8 * Jfn(z - step) + Jfn(z - 2 * step)
+        ) / (12 * h)
+    worst = 0.0
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            # torsion of the pair of coordinate fields (e_a, e_b)
+            t1 = np.einsum("pd,pid->pi", J[:, :, a], dJ[:, :, b, :])
+            t2 = np.einsum("pd,pid->pi", J[:, :, b], dJ[:, :, a, :])
+            t3 = np.einsum("pij,pj->pi", J, dJ[:, :, a, b])
+            t4 = np.einsum("pij,pj->pi", J, dJ[:, :, b, a])
+            N = t1 - t2 + t3 - t4
+            worst = max(worst, float(np.max(np.abs(N))))
+    return worst

@@ -140,12 +140,16 @@ class MinkowskiField:
 class ExhaustionField:
     """Parabolic exhaustion of C^n given by its ambient expression.
 
-    For circular domains tau(z) = mu(z)^2; a tau.expr spec line supplies an
-    arbitrary smooth expression in the ambient real coordinates.
+    For circular domains tau(z) = mu(z)^2 and minkowski holds the gauge; a
+    tau.expr spec line supplies an arbitrary smooth expression in the
+    ambient real coordinates and no gauge.  r_bound is the radius of the
+    sublevel set of interest.
     """
 
     n: int
     tau_ambient: object
+    minkowski: MinkowskiField | None = None
+    r_bound: float = 1.0
 
     def ambient_form(self):
         return AnalyticForm.scalar(ambient_coords(self.n), self.tau_ambient)
@@ -218,7 +222,7 @@ def make_circular_domain(mu_spec, atlas=None):
 
     tau_form = AnalyticForm.scalar(coords, mu_sq)
     _levi_witness(tau_form, n)
-    return mink, ExhaustionField(n=n, tau_ambient=mu_sq)
+    return mink, ExhaustionField(n=n, tau_ambient=mu_sq, minkowski=mink)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A p-form is stored as a mapping from strictly increasing index tuples to
 coefficients.  The helpers here do the sign bookkeeping for wedge products,
-exterior derivatives and the action of the standard complex structure on
-forms, and build the matrix of that structure.
+exterior derivatives, interior products and the action of the standard
+complex structure on forms, and build the matrix of that structure.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ def insert_index(I, k):
         return None
     pos = sum(1 for i in I if i < k)
     return (-1) ** pos, tuple(sorted(I + (k,)))
+
+
+def remove_index(I, k):
+    """Remove axis k from increasing tuple I; returns (sign, K) or None."""
+    if k not in I:
+        return None
+    pos = I.index(k)
+    return (-1) ** pos, tuple(i for i in I if i != k)
 
 
 def standard_pairs(dim):

@@ -8,18 +8,22 @@ a quantitative obstruction, not an exception.
 
 All computations run in ambient real coordinates of C^n; the derivatives
 of tau are exact (symbolic), and only the Lie derivative along Z is taken
-by finite differences in flow time.
+by finite differences in flow time.  The leaves through the center are
+traced by integrating the radial leaf ODE from the gauge direction.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import sympy as sp
 
+from .atlas import blowup_inverse
 from .domains import ExhaustionField
 from .exterior import standard_j_matrix
 from .ode import rk4_step
-from .symforms import AnalyticForm
+from .symforms import AnalyticForm, to_complex, to_real
 
 
 class FoliationError(ValueError):
@@ -191,3 +195,96 @@ def verify_ma_identities(exh: ExhaustionField, n_samples=40, seed=13):
     report["tolerances"] = tol
     report["all_pass"] = all(report["pass"].values())
     return report
+
+
+# ---------------------------------------------------------------------------
+# leaves
+
+
+@dataclass(frozen=True)
+class LeafDisc:
+    """A sampled leaf through the center in direction v (chart affine
+    coordinate).  ray holds the points at radii rho; the full disc follows
+    from the rotation rule F(v, e^{i theta} zeta) = e^{i theta} F(v, zeta).
+    """
+
+    chart: int
+    base_v: np.ndarray  # (n - 1,) chart affine coordinates
+    radii: np.ndarray  # (m,)
+    ray: np.ndarray  # (m, n) complex points of C^n along theta = 0
+    tau_residual: float  # max |tau(ray(rho)) - rho^2|
+
+    def points(self, thetas):
+        """Disc samples at all (rho, theta): shape (m, len(thetas), n)."""
+        phase = np.exp(1j * np.asarray(thetas))
+        return self.ray[:, None, :] * phase[None, :, None]
+
+
+def _leaf_states(ev: ZFieldEvaluator, X, rhos):
+    """RK4 states of the leaf ODE dX/drho = (2 / sqrt(tau)) Z(X) at every
+    radius of the grid rhos, starting from X at rhos[0]."""
+
+    def rhs(_rho, X):
+        tau_vals = np.maximum(ev.tau_at(X), 1e-30)
+        return 2.0 / np.sqrt(tau_vals)[:, None] * ev(X)
+
+    states = [X]
+    for i in range(len(rhos) - 1):
+        states.append(rk4_step(rhs, rhos[i], states[-1], rhos[i + 1] - rhos[i]))
+    return np.array(states)
+
+
+def trace_leaf(exh: ExhaustionField, base_v, chart=0, rho_start=0.05, rho_end=0.9,
+               n_steps=200, tol=1e-8):
+    """Integrate one leaf of the foliation outward from the center.
+
+    The radial parametrization satisfies dX/drho = (2 / sqrt(tau)) Z(X),
+    which makes tau(X(rho)) = rho^2 along the leaf; the seed at rho_start
+    lies on the ray through the chart point (1, v) normalized by the gauge.
+    A base point has shape (n - 1,), a scalar at n = 2; a batch of shape
+    (B, n - 1), or (B,) at n = 2, returns a list of discs.
+    """
+    mink = exh.minkowski
+    if mink is None:
+        raise FoliationError("leaf tracing needs gauge data (circular input)")
+    n = exh.n
+    ev = ZFieldEvaluator(exh.ambient_form())
+    base = np.asarray(base_v, dtype=complex)
+    vlist = base.reshape(-1, n - 1)
+    direction = blowup_inverse(chart, vlist, np.ones(len(vlist)))
+    m0 = mink.mu(direction)
+    seed = rho_start * direction / m0[:, None]
+    rhos = np.linspace(rho_start, rho_end, n_steps + 1)
+    ray_real = _leaf_states(ev, to_real(seed), rhos)  # (m, B, 2n)
+    tau_along = ev.tau_at(ray_real.reshape(-1, 2 * n)).reshape(ray_real.shape[:2])
+    resid = np.max(np.abs(tau_along - rhos[:, None] ** 2), axis=0)
+    if np.max(tau_along) > (1.05 * max(rho_end, exh.r_bound)) ** 2:
+        raise FoliationError("leaf escapes the sublevel domain")
+    discs = []
+    for b, v in enumerate(vlist):
+        if resid[b] > tol:
+            raise FoliationError(
+                f"leaf through v = {v} violates tau = rho^2 by {resid[b]:.3e}"
+            )
+        discs.append(
+            LeafDisc(
+                chart=chart,
+                base_v=v,
+                radii=rhos,
+                ray=to_complex(ray_real[:, b, :]),
+                tau_residual=float(resid[b]),
+            )
+        )
+    if base.ndim == (0 if n == 2 else 1):
+        return discs[0]
+    return discs
+
+
+def reverse_leaf(exh: ExhaustionField, disc: LeafDisc, n_steps=200):
+    """Integrate the leaf ODE inward from the outer ray sample and return
+    the distance to the original seed (forward/backward consistency)."""
+    ev = ZFieldEvaluator(exh.ambient_form())
+    rhos = np.linspace(disc.radii[-1], disc.radii[0], n_steps + 1)
+    X = _leaf_states(ev, to_real(disc.ray[-1][None, :]), rhos)[-1]
+    back = to_complex(X)[0]
+    return float(np.max(np.abs(back - disc.ray[0])))

@@ -180,6 +180,19 @@ class AnalyticForm:
             out = out.wedge(self)
         return out
 
+    def interior(self, X):
+        """Interior product with a vector field given as component exprs."""
+        if self.degree == 0:
+            raise ValueError("degree mismatch: cannot contract a 0-form")
+        if len(X) != self.dim:
+            raise ValueError("vector field dimension mismatch")
+        comps = {}
+        for idx, expr in self.comps.items():
+            for k in idx:
+                sign, new = exterior.remove_index(idx, k)
+                comps[new] = comps.get(new, 0) + sign * sp.sympify(X[k]) * expr
+        return AnalyticForm(self.coords, self.degree - 1, comps)
+
     # -- evaluation ---------------------------------------------------
     def evaluate(self, points):
         """Evaluate all components at points, shape (N, dim) real.

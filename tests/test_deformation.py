@@ -6,6 +6,8 @@ import pytest
 from maform.atlas import ChartAtlas
 from maform.deformation import (
     DeformationError,
+    StructureField,
+    _structure_from_graph,
     condition_symmetry,
     contract,
     extract,
@@ -16,6 +18,7 @@ from maform.deformation import (
     hol_rep,
     antihol_rep,
     maurer_cartan_residual,
+    nijenhuis_residual,
     reconstruct,
     reference_form_matrix,
     rotate,
@@ -344,9 +347,40 @@ class TestStructureField:
         eye = np.eye(4)
         assert np.max(np.abs(J @ J + eye)) < 1e-10
 
-    def test_reconstruct_is_n2_only(self):
-        with pytest.raises(DeformationError, match="n = 2"):
-            reconstruct(mc_exact_tensor())
+    def test_nijenhuis_of_single_mode_tensor(self):
+        # phi = 0.3 zeta ebar x e: fiber-holomorphic graph structures are
+        # integrable, measured by the finite-difference torsion
+        t = tensor_from_mode_functions(
+            ATLAS, 2, [(1, 0, 0, lambda v: np.full(len(v), 0.3 + 0j))], 1
+        )
+        sf = reconstruct(t)
+        rng = np.random.default_rng(19)
+        v = rng.uniform(-0.5, 0.5, (15, 2)) @ np.array([1, 1j])
+        z = np.stack([np.full(15, 0.5 + 0j), 0.5 * v], axis=-1)
+        res = nijenhuis_residual(sf, 0, z)
+        assert np.max(np.abs(res)) < 1e-6
+
+    def test_nijenhuis_detects_radial_dependence(self):
+        # |zeta| in the coefficient breaks fiber holomorphy, condition
+        # (iii), and with it integrability
+        def J_at(chart, z):
+            zeta = z[..., chart]
+            phi = np.zeros(z.shape[:-1] + (1, 1), dtype=complex)
+            phi[..., 0, 0] = 0.3 * np.abs(zeta)
+            return _structure_from_graph(2, chart, z, phi)
+
+        sf = StructureField(atlas=ATLAS, J={}, J_at=J_at)
+        rng = np.random.default_rng(21)
+        v = rng.uniform(-0.5, 0.5, (15, 2)) @ np.array([1, 1j])
+        z = np.stack([np.full(15, 0.5 + 0j), 0.5 * v], axis=-1)
+        res = nijenhuis_residual(sf, 0, z)
+        assert np.max(np.abs(res)) > 1e-2
+
+    def test_reconstruct_without_field_requires_grid(self):
+        t = mc_exact_tensor()
+        t2 = type(t)(n=3, atlas=ATLAS3, k_max=0, modes=t.modes)
+        with pytest.raises(DeformationError, match="field evaluator"):
+            reconstruct(t2)
 
 
 class TestConditionSymmetry:

@@ -10,6 +10,8 @@ from maform.foliation import (
     FoliationError,
     ZFieldEvaluator,
     _ambient_points,
+    reverse_leaf,
+    trace_leaf,
     verify_ma_identities,
 )
 from maform.ode import rk4_step
@@ -90,6 +92,23 @@ class TestComputeZ:
         assert np.max(np.abs(c - tau)) < 1e-11
         d = np.sum(ev.dtau_at(pts) * Z, axis=1)
         assert np.max(np.abs(d - tau)) < 1e-11
+
+    def test_normal_distribution_properties(self):
+        _, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
+        ev, pts, Z = z_field(exh, 25)
+        H = normal_basis(ev, pts, Z)
+        A = ev.matrices(pts)
+        # defining property of the normal distribution
+        for row in (Z, Z @ ev.J.T):
+            pair = np.einsum("ni,nij,naj->na", row, A, H)
+            assert np.max(np.abs(pair)) < 1e-10
+        # tangent to the level sets
+        dt = ev.dtau_at(pts)
+        assert np.max(np.abs(np.einsum("ni,nai->na", dt, H))) < 1e-10
+        # J-invariance of the basis
+        assert np.max(np.abs(H[:, 1, :] - H[:, 0, :] @ ev.J.T)) < 1e-12
+        combined = np.concatenate([Z[:, None, :], (Z @ ev.J.T)[:, None, :], H], axis=1)
+        assert np.max(np.linalg.cond(combined)) < 1e6
 
     def test_kernel_of_log_form(self):
         # Z and JZ span the kernel of ddc log tau
@@ -185,3 +204,64 @@ class TestIdentitySuite:
         assert rep["top_degeneracy"] > 1e-2
         assert not rep["pass"]["top_degeneracy"]
         assert not rep["all_pass"]
+
+
+class TestLeaves:
+    def test_ball_axis_leaf(self):
+        _, exh = make_circular_domain({"kind": "ball"})
+        disc = trace_leaf(exh, 0.0, n_steps=100)
+        # the leaf through [1:0] is the straight disc zeta -> (zeta, 0)
+        assert np.max(np.abs(disc.ray[:, 0] - disc.radii)) < 1e-9
+        assert np.max(np.abs(disc.ray[:, 1])) < 1e-12
+        assert disc.tau_residual < 1e-10
+
+    def test_ellipsoid_leaf_is_straight_and_normalized(self):
+        mink, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
+        v0 = 0.7 - 0.2j
+        disc = trace_leaf(exh, v0, n_steps=150)
+        direction = np.array([1.0, v0]) / mink.m(0, v0)
+        expected = disc.radii[:, None] * direction[None, :]
+        assert np.max(np.abs(disc.ray - expected)) < 1e-9
+        assert disc.tau_residual < 1e-10
+
+    def test_rotation_equivariance(self):
+        _, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
+        disc = trace_leaf(exh, 0.3 + 0.4j, n_steps=120)
+        thetas = np.array([0.0, 1.1, 2.7])
+        pts = disc.points(thetas)
+        for i, th in enumerate(thetas):
+            assert np.max(np.abs(pts[:, i, :] - np.exp(1j * th) * disc.ray)) < 1e-14
+
+    def test_reversal(self):
+        _, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
+        disc = trace_leaf(exh, 0.5 + 0.1j, n_steps=150)
+        assert reverse_leaf(exh, disc, n_steps=150) < 1e-8
+
+    def test_batched_tracing(self):
+        _, exh = make_circular_domain({"kind": "ball"})
+        vs = np.array([0.1, 0.5 + 0.5j, -0.9j])
+        discs = trace_leaf(exh, vs, n_steps=100)
+        assert len(discs) == 3
+        for d in discs:
+            assert d.tau_residual < 1e-10
+
+    def test_n3_ball_leaves_single_and_batched(self):
+        # a base point at n = 3 has shape (2,); the leaf through it is the
+        # straight ray of the unit vector along (1, v)
+        _, exh = make_circular_domain({"kind": "ball", "n": 3})
+        v = np.array([0.1, 0.2j])
+        disc = trace_leaf(exh, v, n_steps=100)
+        direction = np.concatenate([[1.0], v]) / np.sqrt(1.0 + np.sum(np.abs(v) ** 2))
+        assert np.max(np.abs(disc.ray - disc.radii[:, None] * direction[None, :])) < 1e-12
+        assert np.array_equal(disc.base_v, v)
+        assert disc.tau_residual < 1e-10
+        discs = trace_leaf(exh, np.array([v, [0.5, -0.3 + 0.1j]]), n_steps=100)
+        assert len(discs) == 2
+        for d in discs:
+            assert d.tau_residual < 1e-10
+
+    def test_non_parabolic_rejected(self):
+        exh = non_ma_exhaustion()
+        object.__setattr__(exh, "minkowski", None)
+        with pytest.raises(FoliationError, match="gauge data"):
+            trace_leaf(exh, 0.2)

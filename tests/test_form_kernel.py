@@ -107,11 +107,14 @@ class TestAnalyticCalculus:
             )
             assert np.min(np.linalg.eigvalsh(0.5 * (Hn + Hn.conj().T))) > 0
 
-    def test_wedge_unit_and_overflow(self):
+    def test_wedge_unit_and_interior(self):
         x, y = real_coords(2)
         one = AnalyticForm.scalar((x, y), 1)
         dxdy = AnalyticForm((x, y), 2, {(0, 1): 1})
         assert one.wedge(dxdy).comps == {(0, 1): sp.Integer(1)}
+        # interior(d/dx, dx^dy) = dy
+        iota = dxdy.interior([1, 0])
+        assert iota.comps == {(1,): sp.Integer(1)}
         # a product above the top degree is the zero top-degree form
         over = dxdy.wedge(AnalyticForm((x, y), 1, {(0,): x}))
         assert over.degree == 2 and over.comps == {}
