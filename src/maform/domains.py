@@ -159,12 +159,9 @@ class ExhaustionField:
 # construction and validation
 
 
-def _levi_witness(tau_form, n, n_samples=60, seed=7, raise_on_fail=True):
-    """Check ddc(tau) > 0 at random ambient sample points off the origin.
-
-    Returns the smallest eigenvalue seen; raises PseudoconvexityError with
-    the offending point when requested.
-    """
+def _levi_witness(tau_form, n, n_samples=60, seed=7):
+    """Check ddc(tau) > 0 at random ambient sample points off the origin;
+    raises PseudoconvexityError with the offending point."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(n_samples, 2 * n))
     norms = np.linalg.norm(pts, axis=1)
@@ -175,10 +172,8 @@ def _levi_witness(tau_form, n, n_samples=60, seed=7, raise_on_fail=True):
     g = 0.5 * ((A @ J) + (A @ J).swapaxes(1, 2))
     eigs = np.linalg.eigvalsh(g)
     worst = int(np.argmin(eigs[:, 0]))
-    min_eig = float(eigs[worst, 0])
-    if min_eig <= 0 and raise_on_fail:
-        raise PseudoconvexityError(to_complex(pts[worst]), min_eig)
-    return min_eig
+    if eigs[worst, 0] <= 0:
+        raise PseudoconvexityError(to_complex(pts[worst]), eigs[worst, 0])
 
 
 def make_circular_domain(mu_spec, atlas=None):
@@ -196,14 +191,12 @@ def make_circular_domain(mu_spec, atlas=None):
         atlas = ChartAtlas(n=2, n_v=33) if n == 2 else ChartAtlas(n=3, n_v=9)
 
     coords = ambient_coords(n)
-    mu_sq = sp.cancel(_mu_sq_expression(n, kind, spec, coords))
+    mu_sq = _mu_sq_expression(n, kind, spec, coords)
     base = real_coords(2 * (n - 1)) if n == 2 else ambient_coords(n - 1)
     m_sq = {}
     for chart in range(n) if n == 3 else (0, 1):
         vals = _chart_inclusion(n, chart, base)
-        m_sq[chart] = sp.cancel(
-            mu_sq.subs(dict(zip(coords, vals)), simultaneous=True)
-        )
+        m_sq[chart] = mu_sq.subs(dict(zip(coords, vals)), simultaneous=True)
     mink = MinkowskiField(
         n=n, kind=kind, params=spec, mu_sq_ambient=mu_sq, m_sq_charts=m_sq
     )

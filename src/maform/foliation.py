@@ -7,9 +7,11 @@ tau solves the homogeneous complex Monge-Ampere equation; their failure is
 a quantitative obstruction, not an exception.
 
 All computations run in ambient real coordinates of C^n; the derivatives
-of tau are exact (symbolic), and only the Lie derivative along Z is taken
-by finite differences in flow time.  The leaves through the center are
-traced by integrating the radial leaf ODE from the gauge direction.
+of tau are exact (symbolic).  The Lie derivative along Z is taken by finite
+differences in flow time, and the flow's variational equation uses DZ by
+central differences of Z, the one remaining finite difference of the
+identity suite.  The leaves through the center are traced by integrating
+the radial leaf ODE from the gauge direction.
 """
 
 from __future__ import annotations
@@ -112,8 +114,8 @@ def _lie_derivative_flow(ev: ZFieldEvaluator, pts, rel_step=5e-4):
         out = np.empty((len(pts), ev.dim, ev.dim))
         for i, p in enumerate(pts):
             q, Dq = rk4_step(
-                lambda _t, y: ev(y), 0.0, p[None, :], sign_mult * hs[i],
-                jac=lambda _t, y: ev.jacobian(y), M=eye,
+                lambda _t, y: (ev(y), ev.jacobian(y)), 0.0, p[None, :],
+                sign_mult * hs[i], M=eye,
             )
             Aq = ev.matrices(q)[0]
             out[i] = Dq[0].T @ Aq @ Dq[0]

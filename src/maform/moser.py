@@ -11,11 +11,13 @@ gauge, and is the input to deformation-tensor extraction.
 
 Design notes: all flow fields are evaluated from exact chart expressions,
 compiled once per chart by symforms.compile_exprs (the reference
-coefficient, the curvature coefficient and the primitive in one callable),
-so spatial discretization error enters only through the node sampling of
-results, not through the dynamics.  Derivative data that downstream
-consumers need at grid nodes (dW, dlambda) is propagated by variational
-Jacobians along the flow and stored exactly at the nodes, never
+coefficient, the curvature coefficient and the primitive, each with its x
+and y partials from sympy diff of the uncancelled expressions, in one CSE
+callable), so spatial discretization error enters only through the node
+sampling of results, not through the dynamics.  The field and its exact
+Jacobian come from one evaluation per RK4 stage.  Derivative data that
+downstream consumers need at grid nodes (dW, dlambda) is propagated by
+variational Jacobians along the flow and stored exactly at the nodes, never
 re-estimated by differencing splines.
 """
 
@@ -85,8 +87,12 @@ def reference_coefficient():
 
 def _chart_fields(w, alpha):
     """Compiled (w_o, w, alpha_x, alpha_y) at (x, y) arrays of a chart with
-    curvature coefficient w and primitive components alpha."""
-    return compile_exprs(real_coords(2), (reference_coefficient(), w) + alpha)
+    curvature coefficient w and primitive components alpha, followed by
+    the x partials and then the y partials of those four (12 rows)."""
+    x, y = real_coords(2)
+    exprs = (reference_coefficient(), w) + alpha
+    partials = tuple(sp.diff(e, c) for c in (x, y) for e in exprs)
+    return compile_exprs((x, y), exprs + partials)
 
 
 def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
@@ -107,15 +113,11 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     for chart in atlas.charts:
         m_sq = mink.m_sq_charts[chart]
         log_form = AnalyticForm.scalar((x, y), sp.log(m_sq))
-        # cancel collapses the rational expressions that chart algebra
-        # produces (an order of magnitude fewer ops for perturbed gauges)
-        w_exprs[chart] = sp.cancel(log_form.dc().d().comps.get((0, 1), 0))
+        w_exprs[chart] = log_form.dc().d().comps.get((0, 1), sp.Integer(0))
         # exact primitive of omega - omega_o: d of the conjugated
         # differential of the global potential log(m^2 / m_o^2)
         alpha = AnalyticForm.scalar((x, y), sp.log(m_sq / m_o_sq)).dc()
-        alpha_exprs[chart] = tuple(
-            sp.cancel(alpha.comps.get((k,), 0)) for k in (0, 1)
-        )
+        alpha_exprs[chart] = tuple(alpha.comps.get((k,), sp.Integer(0)) for k in (0, 1))
     fns = {c: _chart_fields(w_exprs[c], alpha_exprs[c]) for c in atlas.charts}
     min_coeff = np.inf
     for c in atlas.charts:
@@ -188,22 +190,27 @@ class MoserFieldEvaluator:
         }
 
     def __call__(self, t, chart, v):
-        wo, w1, ax, ay = self._fields[chart](v.real, v.imag)
-        w = (1.0 - t) * wo + t * w1
-        if np.min(w) <= 0:
-            bad = int(np.argmin(w))
+        """X and its partials X_x, X_y at base points v of one chart, as a
+        complex array of shape (3,) + v.shape."""
+        F = self._fields[chart](v.real, v.imag).reshape((3, 4) + v.shape)
+        w = (1.0 - t) * F[:, 0] + t * F[:, 1]
+        if np.min(w[0]) <= 0:
+            bad = int(np.argmin(w[0]))
             raise MoserError(
                 f"interpolated form degenerates at t={t:.3f}, chart {chart}, "
                 f"v={v.ravel()[bad]:.4f}"
             )
-        return (-ay + 1j * ax) / w
+        X = (-F[0, 3] + 1j * F[0, 2]) / w[0]
+        # quotient rule on (-alpha_y + i alpha_x) / w_t
+        dX = (-F[1:, 3] + 1j * F[1:, 2] - X * w[1:]) / w[0]
+        return np.concatenate([X[None], dX])
 
     def velocity(self, t, v, chart_of):
-        """Velocity for a batch with per-point chart labels."""
-        out = np.empty(v.shape, dtype=complex)
+        """(X, X_x, X_y) for a batch with per-point chart labels."""
+        out = np.empty((3,) + v.shape, dtype=complex)
         for c in np.unique(chart_of):
             sel = chart_of == c
-            out[sel] = self(t, int(c), v[sel])
+            out[:, sel] = self(t, int(c), v[sel])
         return out
 
 
@@ -224,26 +231,25 @@ class MoserFlowResult:
 
 def _lifted_field(fn, chart_of):
     """Base velocity X and the Hopf phase rate theta' = -Im(X conj v) /
-    (1 + |v|^2) of the horizontal lift, on real states (x, y, theta)."""
+    (1 + |v|^2) of the horizontal lift, on real states (x, y, theta), with
+    their exact 3x3 spatial derivative; the field does not depend on
+    theta."""
 
     def f(t, y):
         v = y[:, 0] + 1j * y[:, 1]
-        X = fn.velocity(t, v, chart_of)
-        dtheta = -np.imag(X * np.conj(v)) / (1.0 + np.abs(v) ** 2)
-        return np.stack([X.real, X.imag, dtheta], axis=1)
+        X, Xx, Xy = fn.velocity(t, v, chart_of)
+        q = 1.0 + np.abs(v) ** 2
+        dtheta = -np.imag(X * np.conj(v)) / q
+        D = np.zeros(y.shape + (3,))
+        # d v / dx = 1 and d v / dy = i, so d conj(v) is 1 and -i
+        for k, (Xk, dv_bar) in enumerate(((Xx, 1.0), (Xy, -1j))):
+            D[:, 0, k] = Xk.real
+            D[:, 1, k] = Xk.imag
+            dg = np.imag(Xk * np.conj(v) + X * dv_bar)
+            D[:, 2, k] = (-dg - dtheta * 2.0 * y[:, k]) / q
+        return np.stack([X.real, X.imag, dtheta], axis=1), D
 
     return f
-
-
-def _field_jacobian(f, t, y, h=1e-6):
-    """Real 3x3 spatial derivative of the lifted field by central
-    differences in x and y; the field does not depend on theta."""
-    D = np.zeros(y.shape + (3,))
-    for k in (0, 1):
-        e = np.zeros(3)
-        e[k] = h
-        D[..., :, k] = (f(t, y + e) - f(t, y - e)) / (2 * h)
-    return D
 
 
 def _hand_off(atlas, y, M):
@@ -302,9 +308,7 @@ def moser_flow(conn: ConnectionData, n_steps=200):
         M = np.tile(np.eye(3, 2), (len(V0), 1, 1))
         f = _lifted_field(fn, chart_of)
         for i in range(n_steps):
-            y, M = rk4_step(
-                f, i * dt, y, dt, jac=lambda t, y: _field_jacobian(f, t, y), M=M
-            )
+            y, M = rk4_step(f, i * dt, y, dt, M=M)
             # hand far wanderers to the opposite chart (avoids infinity)
             far = np.hypot(y[:, 0], y[:, 1]) > 3.0
             if np.any(far):

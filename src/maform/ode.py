@@ -13,30 +13,29 @@ from __future__ import annotations
 import numpy as np
 
 
-def rk4_step(f, t, y, dt, jac=None, M=None):
+def rk4_step(f, t, y, dt, M=None):
     """One RK4 step of y' = f(t, y) from t to t + dt.
 
-    Without jac the new state is returned.  With jac(t, y) -> Df of shape
-    (..., d, d), the variational matrices M of shape (..., d, k) are
-    propagated along the same stage points and (y_new, M_new) is returned.
+    Without M, f(t, y) returns the slope and the new state is returned.
+    With variational matrices M of shape (..., d, k), f(t, y) returns the
+    slope and its spatial derivative Df of shape (..., d, d) from one call;
+    M is advanced along the same stage points and (y_new, M_new) is
+    returned.
     """
+
+    def stage(s, k, N):
+        # slope (and variational slope) at t + s, y + s k, M + s N
+        if M is None:
+            return f(t + s, y + s * k), None
+        slope, D = f(t + s, y + s * k)
+        return slope, np.einsum("...ij,...jk->...ik", D, M + s * N)
+
     half = dt / 2
-    k1 = f(t, y)
-    y2 = y + half * k1
-    k2 = f(t + half, y2)
-    y3 = y + half * k2
-    k3 = f(t + half, y3)
-    y4 = y + dt * k3
-    k4 = f(t + dt, y4)
+    k1, N1 = stage(0.0, 0.0, 0.0)
+    k2, N2 = stage(half, k1, N1)
+    k3, N3 = stage(half, k2, N2)
+    k4, N4 = stage(dt, k3, N3)
     y_new = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if jac is None:
+    if M is None:
         return y_new
-
-    def prod(D, N):
-        return np.einsum("...ij,...jk->...ik", D, N)
-
-    N1 = prod(jac(t, y), M)
-    N2 = prod(jac(t + half, y2), M + half * N1)
-    N3 = prod(jac(t + half, y3), M + half * N2)
-    N4 = prod(jac(t + dt, y4), M + dt * N3)
     return y_new, M + dt / 6 * (N1 + 2 * N2 + 2 * N3 + N4)

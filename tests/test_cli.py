@@ -30,6 +30,13 @@ N_r = 8
 N_theta = 16
 """
 
+PERTURBED_DOM = """\
+n = 2
+mu.kind = perturbed_ball
+eps = 0.05
+N_v = 17
+"""
+
 NONMA_DOM = """\
 # ambient exhaustion violating the top-degree degeneracy
 n = 2
@@ -105,6 +112,12 @@ class TestExitCodes:
     def test_ball_verifies(self, tmp_path, capsys):
         dom = write(tmp_path, "ball.dom", BALL_DOM)
         assert run(["verify", "--domain", dom, "--out", str(tmp_path)]) == 0
+
+    def test_perturbed_ball_verifies(self, tmp_path):
+        dom = write(tmp_path, "perturbed.dom", PERTURBED_DOM)
+        argv = ["verify", "--domain", dom, "--out", str(tmp_path), "--samples", "1"]
+        assert run(argv) == 0
+        assert "all_pass: pass" in (tmp_path / "verify_report.txt").read_text()
 
     def test_non_degenerate_exhaustion_fails(self, tmp_path):
         dom = write(tmp_path, "nonMA.dom", NONMA_DOM)

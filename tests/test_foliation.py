@@ -137,8 +137,7 @@ class TestComputeZ:
         resids = []
         for step in (2e-2, 1e-2):
             moved, jac = rk4_step(
-                lambda _t, y: ev(y), 0.0, pts, step,
-                jac=lambda _t, y: ev.jacobian(y), M=np.eye(4),
+                lambda _t, y: (ev(y), ev.jacobian(y)), 0.0, pts, step, M=np.eye(4),
             )
             A = ev.matrices(moved)
             Zm = ev(moved)
@@ -167,12 +166,12 @@ class TestIdentitySuite:
         assert rep["all_pass"]
 
     def test_perturbed_ball_sound_identities(self):
-        # flow_invariance is left out: its finite-difference roundoff
-        # exceeds the 1e-10 tolerance on this domain
         _, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
         rep = verify_ma_identities(exh)
-        for key in ("log_potential", "power_rule", "top_degeneracy", "contraction"):
+        for key in ("log_potential", "power_rule", "top_degeneracy",
+                    "contraction", "flow_invariance"):
             assert rep["pass"][key], (key, rep[key])
+        assert rep["all_pass"]
 
     def test_each_form_compiles_once(self, monkeypatch):
         # one lambdify per evaluated form: the log-potential difference,

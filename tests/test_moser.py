@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from maform.atlas import ChartAtlas
+from maform.deformation import extract
 from maform.domains import make_circular_domain
 from maform.moser import (
     FS_AREA,
     MoserError,
+    MoserFieldEvaluator,
     _hand_off,
+    _lifted_field,
     _sphere_point,
-    assemble,
     circulation_residual,
     curvature,
     measure_connection_mismatch,
     moser_flow,
     normalize_domain,
-    phase_correction,
     reference_coefficient,
 )
 from maform.symforms import real_coords
@@ -98,6 +99,43 @@ class TestMoserFlow:
         conn = curvature(mink, ATLAS)
         r = [moser_flow(conn, n_steps=n).endpoint_residual for n in (25, 50)]
         assert r[1] < r[0]
+
+    def test_lifted_field_jacobian_matches_central_differences(self):
+        # the exact Df that the field returns with its slope, entry by
+        # entry against central differences of the slope; the theta row is
+        # the Hopf phase rate, whose partials enter the phase correction
+        mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
+        fn = MoserFieldEvaluator(curvature(mink, ATLAS))
+        rng = np.random.default_rng(29)
+        n, h = 200, 1e-5
+        rows = ("Re X", "Im X", "theta'")
+        for chart in (0, 1):
+            y = np.column_stack(
+                [*rng.uniform(-2.5, 2.5, (2, n)), rng.uniform(-np.pi, np.pi, n)]
+            )
+            f = _lifted_field(fn, np.full(n, chart))
+            for t in (0.0, 0.37, 1.0):
+                _, D = f(t, y)
+                for k, coord in enumerate(("x", "y", "theta")):
+                    e = np.zeros(3)
+                    e[k] = h
+                    fd = (f(t, y + e)[0] - f(t, y - e)[0]) / (2 * h)
+                    for r, row in enumerate(rows):
+                        scale = np.max(np.abs(D[:, r, :2]))
+                        err = np.max(np.abs(D[:, r, k] - fd[:, r]))
+                        assert err <= 1e-6 * scale, (
+                            f"d({row})/d{coord}, chart {chart}, t = {t}: "
+                            f"{err:.2e} against scale {scale:.2e}"
+                        )
+
+    def test_perturbed_ball_anchor(self):
+        # at the benchmark's resolution the pulled-back target form equals
+        # the reference form, and the fiber-constant mode has the closed-form
+        # norm tanh(eps)
+        mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
+        nm = normalize_domain(mink, atlas=ATLAS, n_steps=50)
+        assert nm.residuals["endpoint"] <= 5.1e-12
+        assert abs(extract(nm).mode_norms()[0] - np.tanh(0.05)) <= 1e-12
 
     def test_circle_equivariance(self):
         # the gauge is circle symmetric, so the endpoint map commutes with

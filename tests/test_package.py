@@ -29,7 +29,7 @@ def _unused_imports(tree):
 
 def test_no_unused_imports():
     found = []
-    for path in SOURCES:
+    for path in SOURCES + sorted((ROOT / "tests").glob("*.py")):
         unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
         found += [f"{path.name}:{line}: {name}" for name, line in sorted(unused.items())]
     assert SOURCES and not found, found
