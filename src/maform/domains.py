@@ -256,6 +256,13 @@ class SpecParseError(ValueError):
 
 
 _SPEC_KEYS = {"n", "mu.kind", "a", "b", "eps", "q", "N_v", "N_r", "N_theta"}
+# integer keys: the values the pipeline can run on, and what a bad one lacks
+_SPEC_RANGES = {
+    "n": (lambda v: v in (2, 3), "must be 2 or 3"),
+    "N_v": (lambda v: v >= 4, "must be at least 4, the nodes per axis a cubic interpolant needs"),
+    "N_r": (lambda v: v >= 2, "must be at least 2 fiber radii"),
+    "N_theta": (lambda v: v >= 2 and not v & (v - 1), "must be a power of two, at least 2"),
+}
 
 
 def parse_domain_spec(text):
@@ -264,7 +271,8 @@ def parse_domain_spec(text):
     Recognized keys: n, mu.kind in {ball, ellipsoid, perturbed_ball},
     a, b, eps, q (comma list of degree:coeff), N_v, N_r, N_theta.  Lines
     starting with '#' and blank lines are ignored.  Errors carry line and
-    column positions.
+    column positions; an integer key outside the range the pipeline runs
+    on (_SPEC_RANGES) is an error at its value.
     """
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -289,11 +297,14 @@ def parse_domain_spec(text):
                 raise SpecParseError(0, 0, f"missing required key {key!r}")
             return default
         line_no, line, val = values[key]
+        col = line.index(val, line.index("=")) + 1 if val else 1
         try:
-            return cast(val)
+            out = cast(val)
         except ValueError:
-            col = line.index(val) + 1 if val and val in line else 1
             raise SpecParseError(line_no, col, f"bad value for {key!r}: {val!r}")
+        if key in _SPEC_RANGES and not _SPEC_RANGES[key][0](out):
+            raise SpecParseError(line_no, col, f"{key} {_SPEC_RANGES[key][1]}, got {out}")
+        return out
 
     kind = take("mu.kind")
     n = take("n", 2, int)

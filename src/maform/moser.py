@@ -18,7 +18,10 @@ sampling of results, not through the dynamics.  The field and its exact
 Jacobian come from one evaluation per RK4 stage.  Derivative data that
 downstream consumers need at grid nodes (dW, dlambda) is propagated by
 variational Jacobians along the flow and stored exactly at the nodes, never
-re-estimated by differencing splines.
+re-estimated by differencing an interpolant.  Off-node values (the phase
+defect along the integration segments of the phase potential, and W for
+NormalizingMap.forward) come from one numpy not-a-knot bicubic interpolant
+through the node samples, NotAKnotBicubic.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
-from scipy.interpolate import RectBivariateSpline
 
 from .atlas import ChartAtlas, R_OUTER, blowup_forward
 from .domains import MinkowskiField, ambient_coords
@@ -388,48 +390,79 @@ def measure_connection_mismatch(mink, atlas, chart, W, dWx, dWy):
     return np.linalg.solve(to_real(Y[..., None]), s[..., None])[..., 0]
 
 
-def _nu_splines(atlas, nu_chart):
-    return (
-        RectBivariateSpline(atlas.xs, atlas.xs, nu_chart[..., 0]),
-        RectBivariateSpline(atlas.xs, atlas.xs, nu_chart[..., 1]),
-    )
+class NotAKnotBicubic:
+    """Tensor-product cubic spline with not-a-knot ends through samples
+    F[i, j, ...] at (xs[i], xs[j]) on a uniform grid of at least 4 nodes,
+    the interpolant FITPACK fits at s = 0 (de Boor, A Practical Guide to
+    Splines, ch. IV).
+
+    Along each axis the spline is written through its node values f and
+    second derivatives ("moments") M = K f, so one cell's bicubic is fixed
+    by the value, the x and y moments and the cross moment at its four
+    corners.  Arguments outside the box are clamped to it, as FITPACK's
+    fpbisp does.
+    """
+
+    def __init__(self, xs, F):
+        n = len(xs)
+        self.n, self.value_shape = n, F.shape[2:]
+        self.lo, self.hi, self.h = xs[0], xs[-1], (xs[-1] - xs[0]) / (n - 1)
+        A, B = np.zeros((n, n)), np.zeros((n, n))
+        for i in range(1, n - 1):
+            A[i, i - 1:i + 2] = (1.0, 4.0, 1.0)
+            B[i, i - 1:i + 2] = np.array((6.0, -12.0, 6.0)) / self.h**2
+        # not-a-knot: the third derivative is continuous at xs[1] and xs[-2]
+        A[0, :3] = A[-1, -3:] = (1.0, -2.0, 1.0)
+        K = np.linalg.solve(A, B)
+        KF = np.einsum("ik,kj...->ij...", K, F)
+        FK, KFK = (np.einsum("jk,ik...->ij...", K, G) for G in (F, KF))
+        # per cell: value, x, y and cross moment (a, b) at each corner (d, e)
+        G = np.array([[F, FK], [KF, KFK]])
+        cells = np.array([[G[:, :, d:n - 1 + d, e:n - 1 + e] for e in (0, 1)] for d in (0, 1)])
+        self.cells = np.moveaxis(cells, (4, 5), (0, 1)).reshape((n - 1) ** 2, 16, -1)
+
+    def _cell(self, x):
+        """Cell index along one axis and the (end, kind) weights of the
+        value and the moment at the cell's two ends."""
+        s = (np.clip(x, self.lo, self.hi) - self.lo) / self.h
+        i = np.minimum(s.astype(int), self.n - 2)
+        t = s - i
+        u = 1.0 - t
+        c = self.h**2 / 6.0
+        return i, np.array([[u, (u**3 - u) * c], [t, (t**3 - t) * c]])
+
+    def __call__(self, x, y):
+        """Values at the points (x, y) of one shape, shape x.shape +
+        F.shape[2:]."""
+        i, wx = self._cell(np.ravel(x))
+        j, wy = self._cell(np.ravel(y))
+        w = (wx[:, None, :, None] * wy[None, :, None, :]).reshape(16, 1, -1).T
+        out = np.matmul(w, self.cells[i * (self.n - 1) + j])
+        return out.reshape(np.shape(x) + self.value_shape)
 
 
-def _segment_integral(splines, start, ends, n_quad=24):
-    """Line integral of the splined 1-form along straight segments."""
-    sx, sy = splines
+def _segment_integral(nu, starts, ends, n_quad=24):
+    """Line integrals of the interpolated 1-form nu along the straight
+    segments from starts to ends, all quadrature nodes in one evaluation."""
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
-    ts = 0.5 * (nodes + 1.0)
-    ws = 0.5 * weights
-    ends = np.asarray(ends, dtype=complex)
-    out = np.zeros(ends.shape)
-    delta = ends - start
-    for t, w in zip(ts, ws):
-        p = start + t * delta
-        vx = sx.ev(p.real, p.imag)
-        vy = sy.ev(p.real, p.imag)
-        out += w * (vx * delta.real + vy * delta.imag)
-    return out
+    delta = np.asarray(ends, dtype=complex) - starts
+    p = starts + np.multiply.outer(0.5 * (nodes + 1.0), delta)
+    vals = nu(p.real, p.imag)
+    return np.tensordot(0.5 * weights, vals[..., 0] * delta.real + vals[..., 1] * delta.imag, axes=1)
 
 
 def circulation_residual(atlas, nu_chart, side=0.3, n_loops=16, seed=5):
-    """Closedness probe: circulations of the splined 1-form around square
-    loops, normalized by the loop area."""
-    spl = _nu_splines(atlas, nu_chart)
+    """Closedness probe: circulations of the interpolated 1-form around
+    square loops, normalized by the loop area."""
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-0.7, 0.7, size=(n_loops, 2))
-    worst = 0.0
-    for cx, cy in centers:
-        c = cx + 1j * cy
-        corners = [
-            c + side / 2 * (1 + 1j), c + side / 2 * (-1 + 1j),
-            c + side / 2 * (-1 - 1j), c + side / 2 * (1 - 1j),
-        ]
-        total = 0.0
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            total += float(_segment_integral(spl, a, np.array([b]))[0])
-        worst = max(worst, abs(total) / side**2)
-    return worst
+    corners = (centers[:, 0] + 1j * centers[:, 1])[:, None] + side / 2 * np.array(
+        [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]
+    )
+    sides = _segment_integral(
+        NotAKnotBicubic(atlas.xs, nu_chart), corners, np.roll(corners, -1, axis=1)
+    )
+    return float(np.max(np.abs(np.sum(sides, axis=1)))) / side**2
 
 
 def phase_correction(mink, atlas, nu):
@@ -440,18 +473,17 @@ def phase_correction(mink, atlas, nu):
     overlap mismatch between the two chart potentials is returned as the
     path-dependence diagnostic.
     """
-    spl0 = _nu_splines(atlas, nu[0])
+    nu0, nu1 = (NotAKnotBicubic(atlas.xs, nu[c]) for c in atlas.charts)
     V0 = atlas.base_points(0)
-    lam0 = -_segment_integral(spl0, 0.0 + 0.0j, V0)
+    lam0 = -_segment_integral(nu0, 0.0 + 0.0j, V0)
     base1 = 1.0 + 0.0j
-    lam_base = -float(_segment_integral(spl0, 0.0 + 0.0j, np.array([base1]))[0])
-    spl1 = _nu_splines(atlas, nu[1])
+    lam_base = -float(_segment_integral(nu0, 0.0 + 0.0j, np.array([base1]))[0])
     V1 = atlas.base_points(1)
-    lam1 = lam_base - _segment_integral(spl1, base1, V1)
+    lam1 = lam_base - _segment_integral(nu1, base1, V1)
     # overlap consistency: evaluate the chart-1 potential at 1/v for
     # chart-0 nodes in the annulus and compare
     band = (np.abs(V0) > 0.85) & (np.abs(V0) < 1.18)
-    other = lam_base - _segment_integral(spl1, base1, 1.0 / V0[band])
+    other = lam_base - _segment_integral(nu1, base1, 1.0 / V0[band])
     mismatch = float(np.max(np.abs(other - lam0[band]))) if np.any(band) else 0.0
     return {0: lam0, 1: lam1}, mismatch
 
@@ -465,9 +497,10 @@ class NormalizingMap:
     """Fiber-linear normalizing diffeomorphism z = zeta p(v) -> zeta W(v).
 
     W and its base derivatives are stored exactly at the grid nodes
-    (flow-accurate); spline evaluators serve off-node queries, with the
-    gauge normalization re-imposed at evaluation time so the normalization
-    contract holds to machine precision everywhere.
+    (flow-accurate); off-node queries interpolate W with the not-a-knot
+    bicubic through the node values, and re-impose the gauge normalization
+    at evaluation time so the normalization contract holds to machine
+    precision everywhere.
     """
 
     mink: MinkowskiField
@@ -478,32 +511,14 @@ class NormalizingMap:
     lam: dict  # chart -> real (n_v, n_v)
     dlam: dict  # chart -> real (n_v, n_v, 2), exact node samples
     residuals: dict
-    _splines: dict = field(default_factory=dict, compare=False)
+    _interpolants: dict = field(default_factory=dict, compare=False)
 
-    def _spline(self, chart):
-        if chart not in self._splines:
-            at = self.atlas
-            comps = []
-            for i in range(2):
-                comps.append(
-                    (
-                        RectBivariateSpline(at.xs, at.xs, self.W[chart][..., i].real),
-                        RectBivariateSpline(at.xs, at.xs, self.W[chart][..., i].imag),
-                    )
-                )
-            self._splines[chart] = comps
-        return self._splines[chart]
-
-    def direction(self, chart, v, dx=0, dy=0):
-        """Splined W (optionally a partial derivative), shape (..., 2)."""
+    def direction(self, chart, v):
+        """W interpolated at base points v of a chart, shape v.shape + (2,)."""
+        if chart not in self._interpolants:
+            self._interpolants[chart] = NotAKnotBicubic(self.atlas.xs, self.W[chart])
         v = np.asarray(v, dtype=complex)
-        comps = self._spline(chart)
-        out = np.empty(v.shape + (2,), dtype=complex)
-        for i, (sr, si) in enumerate(comps):
-            out[..., i] = sr.ev(v.real, v.imag, dx=dx, dy=dy) + 1j * si.ev(
-                v.real, v.imag, dx=dx, dy=dy
-            )
-        return out
+        return self._interpolants[chart](v.real, v.imag)
 
     def fiber_vector(self, chart, v):
         """The normalized fiber direction W(v) with mu(W) = m_o(v) exact."""

@@ -150,6 +150,21 @@ class TestExitCodes:
         assert run(["classify", "--tensor", tns, "--out", str(tmp_path)]) == 2
         assert "mode k a b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", "5"), ("N_theta", "12"), ("N_theta", "1"), ("N_v", "1"), ("N_v", "3"), ("N_r", "0")],
+    )
+    def test_resolution_out_of_range_exits_2(self, tmp_path, capsys, key, value):
+        dom = write(tmp_path, "bad.dom", f"mu.kind = ball\n{key} = {value}\n")
+        argv = ["verify", "--domain", dom, "--out", str(tmp_path), "--samples", "1"]
+        assert run(argv) == 2
+        assert f"line 2, column {len(key) + 4}: {key} must be" in capsys.readouterr().err
+
+    def test_four_nodes_per_axis_normalize(self, tmp_path):
+        dom = write(tmp_path, "ball.dom", BALL_DOM.replace("N_v = 9", "N_v = 4"))
+        argv = ["normalize", "--domain", dom, "--out", str(tmp_path), "--steps", "5"]
+        assert run(argv) == 0
+
     def test_unknown_name_in_tensor_spec_exits_2(self, tmp_path):
         tns = write(tmp_path, "bad.tns", "n = 2\nN_v = 9\nmode 0 1 1 = 0.05*w\n")
         out = run_process(["classify", "--tensor", tns, "--out", str(tmp_path)])
@@ -321,3 +336,28 @@ class TestEnvironment:
             text=True, check=True, timeout=120,
         )
         assert out.stdout.split() == ["1"]
+
+    def test_commands_import_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: no command may load it
+        dom = write(tmp_path, "ball.dom", BALL_DOM)
+        tns = write(tmp_path, "synth.tns", SYNTH_TNS)
+        commands = [
+            ["normalize", "--domain", dom, "--steps", "5"],
+            ["invariants", "--domain", dom, "--steps", "5"],
+            ["verify", "--domain", dom, "--samples", "1"],
+            ["classify", "--tensor", tns],
+            ["scale-test", "--tensor", tns],
+        ]
+        script = (
+            "import sys\n"
+            "from maform.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            f"    print(main(argv + ['--out', {str(tmp_path)!r}]))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=package_env(), capture_output=True,
+            text=True, check=True, timeout=300,
+        )
+        assert out.stdout.splitlines()[-1] == "[]", out.stdout
+        assert [line for line in out.stdout.splitlines() if line.isdigit()] == ["0"] * 5

@@ -10,6 +10,7 @@ from maform.moser import (
     FS_AREA,
     MoserError,
     MoserFieldEvaluator,
+    NotAKnotBicubic,
     _hand_off,
     _lifted_field,
     _sphere_point,
@@ -198,6 +199,29 @@ class TestHorizontalLift:
             after = _sphere_point(1 - c, y2[:, 0] + 1j * y2[:, 1], y2[:, 2], M2)
             for a, b in zip(before, after):
                 assert np.max(np.abs(a - b)) < 1e-13
+
+
+class TestInterpolant:
+    @pytest.mark.parametrize("n_v", [4, 9, 33])
+    def test_matches_fitpack_spline(self, n_v):
+        # the reference is the cubic spline FITPACK fits at s = 0
+        RectBivariateSpline = pytest.importorskip("scipy.interpolate").RectBivariateSpline
+        rng = np.random.default_rng(n_v)
+        xs = ChartAtlas(n=2, n_v=n_v).xs
+        F = rng.standard_normal((n_v, n_v, 2)) + 1j * rng.standard_normal((n_v, n_v, 2))
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        px, py = (
+            np.concatenate([G.ravel(), rng.uniform(-1.25, 1.25, 400), rng.uniform(-4.0, 4.0, 400)])
+            for G in (X, Y)
+        )
+        got = NotAKnotBicubic(xs, F)(px, py)
+        assert got.shape == px.shape + (2,)
+        scale = np.max(np.abs(F))
+        for k in range(2):
+            for part in (np.real, np.imag):
+                ref = RectBivariateSpline(xs, xs, part(F[..., k])).ev(px, py)
+                assert np.max(np.abs(part(got[:, k]) - ref)) <= 1e-13 * scale
+        assert np.max(np.abs(got[: n_v * n_v] - F.reshape(-1, 2))) <= 1e-13 * scale
 
 
 class TestPhaseCorrection:

@@ -1,6 +1,8 @@
 """Static checks over the package sources."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import maform
@@ -68,3 +70,19 @@ def test_no_unreferenced_definitions():
         if not any(name in names for other, names in readers.items() if other != key)
     )
     assert defs and not dead, dead
+
+
+def test_runtime_dependencies_match_imports():
+    # the third-party packages the sources import are exactly the
+    # [project] dependencies: no undeclared import, no unused requirement
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"maform"}
+    block = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+    declared = set(re.findall(r'"([\w.-]+)', block.group(1)))
+    assert third_party == declared, (third_party, declared)
