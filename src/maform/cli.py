@@ -30,6 +30,7 @@ from .domains import (
     ambient_coords,
     make_circular_domain,
     parse_domain_spec,
+    parse_spec_value,
 )
 from .foliation import verify_ma_identities
 from .gridforms import dump_records
@@ -56,12 +57,10 @@ class RunConfig:
     binary: bool = False
 
 
-def _validate(config, n_theta):
+def _validate(config):
     for name in ("moser_tol", "mode_tol"):
         if getattr(config, name) <= 0:
             raise ValueError(f"{name} must be positive")
-    if n_theta < 2 or n_theta & (n_theta - 1):
-        raise ValueError(f"N_theta must be a power of two, got {n_theta}")
 
 
 def _fmt(x):
@@ -144,11 +143,9 @@ def load_domain_file(path):
     return spec, exh_override, text
 
 
-_TENSOR_KEYS = {"n", "N_v", "N_r", "N_theta", "k_max"}
-
-
 def load_tensor_file(path):
-    """Parse a synthetic-tensor spec: resolution keys plus mode entries.
+    """Parse a synthetic-tensor spec: resolution keys, checked like those
+    of a domain spec (domains.parse_spec_value), plus mode entries.
 
     Mode lines read 'mode k a b = expr' with a, b in 1..n-1 and expr a
     closed-form coefficient in the base coordinate v (v1, v2 for n = 3);
@@ -180,13 +177,10 @@ def load_tensor_file(path):
                 raise SpecParseError(line_no, 1, f"bad mode indices: {key!r}")
             entries.append((line_no, k, a, b, val))
             continue
-        if key not in _TENSOR_KEYS:
+        if key not in values:
             col = line.index(key) + 1
             raise SpecParseError(line_no, col, f"unknown key {key!r}")
-        try:
-            values[key] = int(val)
-        except ValueError:
-            raise SpecParseError(line_no, 1, f"bad value for {key!r}: {val!r}")
+        values[key] = parse_spec_value(key, line_no, line, val, int)
 
     n = values["n"]
     if n == 2:
@@ -240,7 +234,7 @@ def _pipeline_tensor(config, spec):
 
 def cmd_verify(config):
     spec, exh_override, raw = load_domain_file(config.domain_path)
-    _validate(config, spec.n_theta)
+    _validate(config)
     if exh_override is not None:
         exh = exh_override
     else:
@@ -265,7 +259,7 @@ def cmd_verify(config):
 
 def cmd_normalize(config):
     spec, exh_override, raw = load_domain_file(config.domain_path)
-    _validate(config, spec.n_theta)
+    _validate(config)
     if exh_override is not None:
         raise DomainError("normalize needs a gauge-based circular domain")
     mink, _ = make_circular_domain(spec.mu_spec())
@@ -308,7 +302,7 @@ def cmd_normalize(config):
 
 def cmd_invariants(config):
     spec, exh_override, raw = load_domain_file(config.domain_path)
-    _validate(config, spec.n_theta)
+    _validate(config)
     if exh_override is not None:
         raise DomainError("invariants needs a gauge-based circular domain")
     tensor, _ = _pipeline_tensor(config, spec)
@@ -344,11 +338,11 @@ def cmd_invariants(config):
 def cmd_classify(config):
     if config.tensor_path:
         tensor, values, raw = load_tensor_file(config.tensor_path)
-        _validate(config, values["N_theta"])
+        _validate(config)
         res = {k: values[k] for k in ("N_v", "N_r", "N_theta", "k_max")}
     else:
         spec, exh_override, raw = load_domain_file(config.domain_path)
-        _validate(config, spec.n_theta)
+        _validate(config)
         if exh_override is not None:
             raise DomainError("classify needs a gauge-based circular domain")
         tensor, _ = _pipeline_tensor(config, spec)
@@ -369,7 +363,7 @@ def cmd_classify(config):
 
 def cmd_scale_test(config):
     tensor, values, raw = load_tensor_file(config.tensor_path)
-    _validate(config, values["N_theta"])
+    _validate(config)
     report = scaling_test(tensor, config.ratio, iters=config.iters)
     res = {k: values[k] for k in ("N_v", "N_r", "N_theta", "k_max")}
     lines = report_header(config, raw, res)

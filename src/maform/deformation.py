@@ -9,6 +9,13 @@ normalizing map or a structure field, expands it in fiber-Fourier modes,
 verifies the integrability conditions, reconstructs J from phi, and
 implements the rotation and contraction actions on modes.
 
+Extraction (n = 2) is closed-form 2 x 2 complex algebra at every node.  In
+the coordinates p d/dz + q d/dzbar the (0,1) space of J is {(p, q):
+A p + B q = 0}; for the pullback by a map with dphi(h) = A h + B hbar
+these are the blocks of dphi.  ebar projects onto that space along its
+conjugate as (p', q'), q' = (Abar - Bbar A^-1 B)^-1 Abar ebar and
+p' = -A^-1 B q', and since e is orthogonal to z, phi = <p', e> / <q', ebar>.
+
 Conventions: the reference exhaustion is |z|^2; the frame e_a over a
 chart is the horizontal projection of the coordinate lift, extended
 along fibers equivariantly, e_a = zeta * (eps_{j_a} - (conj(z^{j_a}) /
@@ -22,8 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atlas import ChartAtlas
-from .exterior import standard_j_matrix
-from .symforms import to_complex, to_real
 
 __all__ = [
     "DeformationError",
@@ -114,39 +119,49 @@ def _graph_basis(n, chart, z):
     return e, cols
 
 
-def _graph_from_structure(n, chart, z, J):
-    """Solve the graph relation for phi at points z with J matrices.
-
-    Projects the reference anti-holomorphic frame into the (0,1) space of
-    J, decomposes over the splitting, and solves phi(beta) = alpha.
-    Returns (phi, leak) with leak the radial-disc component that a
-    fibered structure must not produce.
-    """
-    e, cols = _graph_basis(n, chart, z)
-    eye = np.eye(2 * n)
-    P = 0.5 * (eye + 1j * J)
-    eta = np.empty(z.shape[:-1] + (2 * n, n - 1), dtype=complex)
-    for a in range(n - 1):
-        eta[..., :, a] = np.einsum(
-            "...ij,...j->...i", P, antihol_rep(np.conj(e[..., a, :]))
-        )
-    coeff = np.linalg.solve(cols, eta)
-    beta = coeff[..., : n - 1, :]
-    alpha = coeff[..., n : 2 * n - 1, :]
-    leak = np.maximum(
-        np.max(np.abs(coeff[..., n - 1, :]), axis=-1),
-        np.max(np.abs(coeff[..., 2 * n - 1, :]), axis=-1),
-    )
-    det = np.linalg.det(beta)
-    bad = np.abs(det) < 1e-10
+def _require_nonzero(x, chart, what):
+    """Raise DeformationError at the first node where |x| < 1e-10 or x is
+    not finite, so that no nan or inf reaches the modes."""
+    bad = ~(np.abs(x) >= 1e-10)
     if np.any(bad):
-        idx = np.unravel_index(np.argmin(np.abs(det)), det.shape)
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         raise DeformationError(
-            f"graph projection degenerates at node {idx}: the structure "
-            "violates the strict-contraction bound"
+            f"graph projection degenerates on chart {chart} at node {idx}: "
+            f"|{what}| = {abs(x[idx]):.3e}"
         )
-    phi = alpha @ np.linalg.inv(beta)
-    return phi, float(np.max(leak))
+
+
+def _mul2(M, N):
+    """Products of 2 x 2 matrix fields M (2, 2, ...) and N (2, k, ...)."""
+    return np.sum(M[:, :, None] * N[None], axis=1)
+
+
+def _solve2(M, b, chart, what):
+    """Cramer's rule for 2 x 2 matrix fields M (2, 2, ...), b (2, k, ...)."""
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    _require_nonzero(det, chart, what)
+    return np.stack([M[1, 1] * b[0] - M[0, 1] * b[1], M[0, 0] * b[1] - M[1, 0] * b[0]]) / det
+
+
+def _graph_from_blocks(chart, z, A, B):
+    """Solve the graph relation (n = 2) in closed form (module docstring) at
+    points z (..., 2), for blocks A and B of shape (2, 2, ...) broadcast
+    against them.  beta and alpha are the Hermitian projections of q' on
+    ebar and of p' on e; returns (phi, leak) with leak the radial-disc
+    (zbar and z) component that a fibered structure must not produce."""
+    e = np.moveaxis(frame_vectors(2, chart, z)[..., 0, :], -1, 0)
+    z = np.moveaxis(z, -1, 0)
+    X = _solve2(A, B, chart, "det A")
+    Abar = np.conj(A)
+    M = Abar - _mul2(np.conj(B), X)
+    q = _solve2(M, _mul2(Abar, np.conj(e)[:, None]), chart, "det(Abar - Bbar A^-1 B)")[:, 0]
+    p = -_mul2(X, q[:, None])[:, 0]
+    esq = np.sum(np.abs(e) ** 2, axis=0)
+    beta = np.sum(q * e, axis=0) / esq
+    _require_nonzero(beta, chart, "beta")
+    phi = np.sum(p * np.conj(e), axis=0) / (esq * beta)
+    leak = np.maximum(np.abs(np.sum(q * z, axis=0)), np.abs(np.sum(p * np.conj(z), axis=0)))
+    return phi[..., None, None], float(np.max(leak / np.sum(np.abs(z) ** 2, axis=0)))
 
 
 def _structure_from_graph(n, chart, z, phi):
@@ -306,57 +321,48 @@ def _mat_sqrt(H):
 # extraction
 
 
-def _pushforward(n, chart, v, zeta, W, dW):
-    """Real 2n x 2n derivative of the fiber-linear map z = zeta p(v) ->
-    zeta W(v) at the points (v, zeta) of a chart; v as in _ambient_of,
-    dW[..., a, 0, :] and dW[..., a, 1, :] the x_a and y_a partials of W."""
-    v = np.asarray(v, dtype=complex)
-    if n == 2:
-        v = v[..., None]
-    D = np.empty(np.broadcast(v[..., 0], zeta).shape + (2 * n, 2 * n))
-    for col, h in enumerate(np.eye(2 * n)):
-        hc = to_complex(h)
-        dzeta = hc[chart]
-        img = dzeta * W
-        for a, j in enumerate(chart_axes(n, chart)):
-            dva = (hc[j] - v[..., a] * dzeta) / zeta
-            img = img + zeta[..., None] * (
-                dva.real[..., None] * dW[..., a, 0, :]
-                + dva.imag[..., None] * dW[..., a, 1, :]
-            )
-        D[..., :, col] = to_real(img)
-    return D
+def _graph_tensor(atlas, charts, k_max, blocks):
+    """Tensor of the graph relation solved at every node of the blow-up
+    grid of the charts; blocks(chart, V) gives the matrix fields (A, B) of
+    _graph_from_blocks at the base points V, shape (n_v, n_v, 1, 1)."""
+    if k_max is None:
+        k_max = atlas.fiber.n_theta // 2 - 1
+    components, leaks = {}, []
+    for chart in charts:
+        V = atlas.base_points(chart)[:, :, None, None]
+        z = _ambient_of(2, chart, V, atlas.fiber.zetas)
+        components[chart], leak = _graph_from_blocks(chart, z, *blocks(chart, V))
+        leaks.append(leak)
+    tensor = fourier_modes_from_components(atlas, components, k_max)
+    tensor.diagnostics["disc_leak"] = max(leaks)
+    return tensor
 
 
 def extract(nm, k_max=None):
     """Deformation tensor of the structure pulled back by a fiber-linear
-    normalizing map (n = 2).
+    normalizing map z = zeta p(v) -> zeta W(v) (n = 2).
 
-    Builds the pullback structure J = dphi^{-1} J_o dphi at every node of
-    the blow-up grid from the stored W and dW node arrays, then solves the
-    graph relation.  A fiber-linear map yields a tensor with mode 0 only;
-    the higher-mode content measured here is a residual of the pipeline.
+    Its derivative is dphi(h) = A h + B hbar, with dW = (W_x - i W_y)/2 and
+    dbarW = (W_x + i W_y)/2: A = [W - v dW, dW] and B = (zeta/zetabar)
+    [-vbar dbarW, dbarW] on the chart and the other slot.  The graph
+    relation is solved from them in closed form at every node of the
+    blow-up grid.  A fiber-linear map yields a tensor with mode 0 only; the
+    higher-mode content measured here is a residual of the pipeline.
     """
-    at = nm.atlas
-    if k_max is None:
-        k_max = at.fiber.n_theta // 2 - 1
-    Jo = standard_j_matrix(4)
-    components = {}
-    leaks = []
-    for chart in at.charts:
-        v4 = at.base_points(chart)[:, :, None, None]
-        z4 = at.fiber.zetas[None, None, :, :]
-        z = _ambient_of(2, chart, v4, z4)
-        W = nm.W[chart][:, :, None, None, :]
-        dW = np.stack([nm.dWx[chart], nm.dWy[chart]], axis=-2)[:, :, None, None, None]
-        D = _pushforward(2, chart, v4, z4, W, dW)
-        J = np.linalg.solve(D, Jo @ D)
-        phi, leak = _graph_from_structure(2, chart, z, J)
-        components[chart] = phi
-        leaks.append(leak)
-    tensor = fourier_modes_from_components(at, components, k_max)
-    tensor.diagnostics["disc_leak"] = max(leaks)
-    return tensor
+    zetas = nm.atlas.fiber.zetas
+
+    def blocks(chart, V):
+        W, Wx, Wy = (
+            np.moveaxis(a[chart], -1, 0)[..., None, None] for a in (nm.W, nm.dWx, nm.dWy)
+        )
+        dW, dbarW = (Wx - 1j * Wy) / 2, (Wx + 1j * Wy) / 2
+        A = np.empty((2,) + W.shape, dtype=complex)
+        A[:, chart], A[:, 1 - chart] = W - V * dW, dW
+        B = np.empty_like(A)
+        B[:, chart], B[:, 1 - chart] = -np.conj(V) * dbarW, dbarW
+        return A, B * (zetas / np.conj(zetas))
+
+    return _graph_tensor(nm.atlas, nm.atlas.charts, k_max, blocks)
 
 
 @dataclass
@@ -418,24 +424,23 @@ def reconstruct(tensor: DeformationTensor) -> StructureField:
 
 
 def extract_from_structure(sf: StructureField, k_max=None) -> DeformationTensor:
-    """Solve the graph relation at every node of a structure field."""
-    at = sf.atlas
-    if k_max is None:
-        k_max = at.fiber.n_theta // 2 - 1
-    components = {}
-    leaks = []
-    for chart in sorted(sf.J.keys()):
-        V = at.base_points(chart)
-        zetas = at.fiber.zetas
-        v4 = np.broadcast_to(V[:, :, None, None], V.shape + zetas.shape)
-        z4 = np.broadcast_to(zetas[None, None, :, :], V.shape + zetas.shape)
-        z = _ambient_of(2, chart, v4, z4)
-        phi, leak = _graph_from_structure(2, chart, z, sf.J[chart])
-        components[chart] = phi
-        leaks.append(leak)
-    tensor = fourier_modes_from_components(at, components, k_max)
-    tensor.diagnostics["disc_leak"] = max(leaks)
-    return tensor
+    """Solve the graph relation at every node of a structure field.
+
+    J acts on complex tangent vectors as h -> Jc h + Ja hbar, with Jc and
+    Ja the halves (Jx -+ i Jy)/2 of its x and y columns as complex rows,
+    so its (0,1) space is {(p, q): (Jc + i) p + Ja q = 0}: the blocks
+    A = Jc + i and B = Ja of the closed form that extract uses.
+    """
+
+    def blocks(chart, V):
+        J = np.moveaxis(sf.J[chart], (-2, -1), (0, 1))
+        rows = J[0::2] + 1j * J[1::2]
+        Jx, Jy = rows[:, 0::2], rows[:, 1::2]
+        A = (Jx - 1j * Jy) / 2
+        A[[0, 1], [0, 1]] += 1j
+        return A, (Jx + 1j * Jy) / 2
+
+    return _graph_tensor(sf.atlas, sorted(sf.J), k_max, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +462,11 @@ def fourier_modes_from_components(atlas, components, k_max):
         )
     radii = atlas.fiber.radii
     modes = {}
-    cross = 0.0
+    cross = negative = tail = 0.0
     for chart, comp in components.items():
         F = np.fft.fft(comp, axis=3) / n_theta  # (nv, nv, nr, ntheta, .., ..)
+        neg = np.abs(F[:, :, :, n_theta // 2 + 1 :])
+        negative = max(negative, float(np.max(neg, initial=0.0)))
         ring = np.moveaxis(F, 3, 0)  # (ntheta, nv, nv, nr, .., ..)
         stack = []
         for k in range(k_max + 1):
@@ -471,18 +478,11 @@ def fourier_modes_from_components(atlas, components, k_max):
             )
             stack.append(mean)
         modes[chart] = np.array(stack)
-    # tail: distance between the components and the truncated series
-    tail = 0.0
-    for chart, comp in components.items():
-        approx = _series(modes[chart], atlas)
-        tail = max(tail, float(np.max(np.abs(comp - approx))))
+        # tail: distance between the components and the truncated series
+        tail = max(tail, float(np.max(np.abs(comp - _series(modes[chart], atlas)))))
     tensor = DeformationTensor(
         n=2, atlas=atlas, k_max=k_max, modes=modes, components=dict(components),
-        diagnostics={
-            "cross_radius": cross,
-            "negative_energy": _negative_energy(components),
-            "tail": tail,
-        },
+        diagnostics={"cross_radius": cross, "negative_energy": negative, "tail": tail},
     )
     return tensor
 
@@ -493,18 +493,6 @@ def _series(mode_stack, atlas):
     k_max = mode_stack.shape[0] - 1
     powers = zetas[..., None] ** np.arange(k_max + 1)  # (nr, ntheta, k)
     return np.einsum("rtk,kxyab->xyrtab", powers, mode_stack)
-
-
-def _negative_energy(components):
-    worst = 0.0
-    for comp in components.values():
-        n_theta = comp.shape[3]
-        F = np.fft.fft(comp, axis=3) / n_theta
-        half = n_theta // 2
-        negpart = F[:, :, :, half + 1 :]
-        if negpart.size:
-            worst = max(worst, float(np.max(np.abs(negpart))))
-    return worst
 
 
 def fourier_modes(tensor: DeformationTensor, k_max) -> DeformationTensor:

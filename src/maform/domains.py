@@ -262,7 +262,21 @@ _SPEC_RANGES = {
     "N_v": (lambda v: v >= 4, "must be at least 4, the nodes per axis a cubic interpolant needs"),
     "N_r": (lambda v: v >= 2, "must be at least 2 fiber radii"),
     "N_theta": (lambda v: v >= 2 and not v & (v - 1), "must be a power of two, at least 2"),
+    "k_max": (lambda v: v >= 0, "must be non-negative"),
 }
+
+
+def parse_spec_value(key, line_no, line, val, cast):
+    """The value text val of key on a spec line, cast and checked against
+    _SPEC_RANGES; a SpecParseError points at val, found after the '='."""
+    col = line.index(val, line.index("=")) + 1 if val else 1
+    try:
+        out = cast(val)
+    except ValueError:
+        raise SpecParseError(line_no, col, f"bad value for {key!r}: {val!r}")
+    if key in _SPEC_RANGES and not _SPEC_RANGES[key][0](out):
+        raise SpecParseError(line_no, col, f"{key} {_SPEC_RANGES[key][1]}, got {out}")
+    return out
 
 
 def parse_domain_spec(text):
@@ -296,15 +310,7 @@ def parse_domain_spec(text):
             if default is None and key in ("mu.kind",):
                 raise SpecParseError(0, 0, f"missing required key {key!r}")
             return default
-        line_no, line, val = values[key]
-        col = line.index(val, line.index("=")) + 1 if val else 1
-        try:
-            out = cast(val)
-        except ValueError:
-            raise SpecParseError(line_no, col, f"bad value for {key!r}: {val!r}")
-        if key in _SPEC_RANGES and not _SPEC_RANGES[key][0](out):
-            raise SpecParseError(line_no, col, f"{key} {_SPEC_RANGES[key][1]}, got {out}")
-        return out
+        return parse_spec_value(key, *values[key], cast)
 
     kind = take("mu.kind")
     n = take("n", 2, int)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 from . import exterior
 
@@ -35,7 +36,17 @@ def compile_exprs(coords, exprs):
     key = (tuple(coords), tuple(sp.sympify(e) for e in exprs))
     fn = _COMPILED.get(key)
     if fn is None:
-        raw = sp.lambdify(key[0], list(key[1]), modules="numpy", cse=True)
+        # lambdify's own printer for modules="numpy", whose namespace is
+        # `from numpy import *` (that loads every lazily imported numpy
+        # submodule): here the functions printed by name, conjugate among
+        # them, resolve to their numpy namesakes, the rest import one by one
+        names = {f.func.__name__ for e in key[1] for f in e.atoms(sp.Function)}
+        namespace = {name: getattr(np, name) for name in names if hasattr(np, name)}
+        printer = NumPyPrinter({
+            "fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True,
+            "user_functions": {name: name for name in namespace},
+        })
+        raw = sp.lambdify(key[0], list(key[1]), modules=[namespace], printer=printer, cse=True)
 
         def fn(*args):
             shape = np.broadcast(*args).shape

@@ -160,6 +160,23 @@ class TestExitCodes:
         assert run(argv) == 2
         assert f"line 2, column {len(key) + 4}: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n = 5", "n must be 2 or 3"),
+            ("N_v = 2", "N_v must be at least 4"),
+            ("N_r = 1", "N_r must be at least 2"),
+            ("N_theta = 12", "N_theta must be a power of two"),
+            ("k_max = -1", "k_max must be non-negative"),
+            ("N_v = N", "bad value for 'N_v'"),
+        ],
+    )
+    def test_bad_tensor_key_exits_2(self, tmp_path, capsys, line, message):
+        tns = write(tmp_path, "bad.tns", f"mode 0 1 1 = 0.01\n{line}\n")
+        assert run(["classify", "--tensor", tns, "--out", str(tmp_path)]) == 2
+        col = line.index("=") + 3
+        assert f"line 2, column {col}: {message}" in capsys.readouterr().err
+
     def test_four_nodes_per_axis_normalize(self, tmp_path):
         dom = write(tmp_path, "ball.dom", BALL_DOM.replace("N_v = 9", "N_v = 4"))
         argv = ["normalize", "--domain", dom, "--out", str(tmp_path), "--steps", "5"]
@@ -336,6 +353,21 @@ class TestEnvironment:
             text=True, check=True, timeout=120,
         )
         assert out.stdout.split() == ["1"]
+
+    def test_compile_loads_no_numpy_test_modules(self):
+        # a star import of numpy would load numpy.testing and with it unittest
+        script = (
+            "import sys\n"
+            "from maform.symforms import compile_exprs, real_coords\n"
+            "x, y = real_coords(2)\n"
+            "compile_exprs((x, y), [x * y])\n"
+            "print([m for m in ('numpy.testing', 'unittest') if m in sys.modules])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=package_env(), capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.split() == ["[]"], out.stdout
 
     def test_commands_import_no_scipy(self, tmp_path):
         # scipy is a test dependency only: no command may load it

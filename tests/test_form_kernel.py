@@ -13,15 +13,19 @@ def sample_points(dim, n=10, lo=-0.9, hi=0.9):
     return RNG.uniform(lo, hi, size=(n, dim))
 
 
+def kernel_exprs():
+    x, y, s, t = real_coords(4)
+    return (x, y, s, t), [
+        sp.exp(x * t) * sp.sin(y + s) / (1 + x**2 + y**2),
+        sp.log(1 + s**2 + t**2) + sp.I * x * y,
+        sp.Integer(3),
+        sp.Integer(0),
+    ]
+
+
 class TestCompileExprs:
     def test_matches_per_component_lambdify(self):
-        x, y, s, t = real_coords(4)
-        exprs = [
-            sp.exp(x * t) * sp.sin(y + s) / (1 + x**2 + y**2),
-            sp.log(1 + s**2 + t**2) + sp.I * x * y,
-            sp.Integer(3),
-            sp.Integer(0),
-        ]
+        (x, y, s, t), exprs = kernel_exprs()
         pts = sample_points(4, n=25)
         got = compile_exprs((x, y, s, t), exprs)(*pts.T)
         assert got.shape == (4, 25)
@@ -29,6 +33,16 @@ class TestCompileExprs:
             plain = sp.lambdify((x, y, s, t), expr, modules="numpy")(*pts.T)
             want = np.broadcast_to(np.asarray(plain, dtype=complex), (25,))
             assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(np.abs(want), 1e-300))
+
+    def test_bitwise_equal_to_star_import_namespace(self):
+        # compiled code calls numpy.<name> in the namespace {"numpy": numpy};
+        # lambdify's "numpy" module string star-imports numpy instead
+        coords, exprs = kernel_exprs()
+        pts = sample_points(4, n=25)
+        got = compile_exprs(coords, exprs)(*pts.T)
+        star = sp.lambdify(coords, exprs, modules="numpy", cse=True)(*pts.T)
+        for row, want in zip(got, star):
+            assert np.array_equal(row, np.broadcast_to(want, row.shape))
 
     def test_memo_returns_the_same_callable(self):
         x, y = real_coords(2)
