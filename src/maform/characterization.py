@@ -67,7 +67,6 @@ def rotational_test(tensor, theta, tol=1e-5):
     diff = replace(
         tensor,
         modes={c: rotated.modes[c] - tensor.modes[c] for c in tensor.charts},
-        components={},
         field_fn=None,
     )
     moved = diff.mode_norms()

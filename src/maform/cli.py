@@ -225,6 +225,21 @@ def load_tensor_file(path):
 # commands
 
 
+def _moser_spec(config):
+    """Domain spec and text of a command that runs the Moser pipeline: a
+    gauge-based circular domain with n = 2, the only dimension whose
+    curvature data is implemented."""
+    spec, exh_override, raw = load_domain_file(config.domain_path)
+    _validate(config)
+    if exh_override is not None:
+        raise DomainError(f"{config.command} needs a gauge-based circular domain")
+    if spec.n != 2:
+        raise SpecParseError(
+            *spec.n_at, f"{config.command} is implemented for n = 2 only, got n = {spec.n}"
+        )
+    return spec, raw
+
+
 def _pipeline_tensor(config, spec):
     """Full pipeline: gauge -> normalizing map -> deformation tensor."""
     mink, _ = make_circular_domain(spec.mu_spec())
@@ -258,10 +273,7 @@ def cmd_verify(config):
 
 
 def cmd_normalize(config):
-    spec, exh_override, raw = load_domain_file(config.domain_path)
-    _validate(config)
-    if exh_override is not None:
-        raise DomainError("normalize needs a gauge-based circular domain")
+    spec, raw = _moser_spec(config)
     mink, _ = make_circular_domain(spec.mu_spec())
     nm = normalize_domain(mink, atlas=spec.atlas(), n_steps=config.rk4_steps)
 
@@ -301,10 +313,7 @@ def cmd_normalize(config):
 
 
 def cmd_invariants(config):
-    spec, exh_override, raw = load_domain_file(config.domain_path)
-    _validate(config)
-    if exh_override is not None:
-        raise DomainError("invariants needs a gauge-based circular domain")
+    spec, raw = _moser_spec(config)
     tensor, _ = _pipeline_tensor(config, spec)
 
     ext = "bin" if config.binary else "dat"
@@ -341,10 +350,7 @@ def cmd_classify(config):
         _validate(config)
         res = {k: values[k] for k in ("N_v", "N_r", "N_theta", "k_max")}
     else:
-        spec, exh_override, raw = load_domain_file(config.domain_path)
-        _validate(config)
-        if exh_override is not None:
-            raise DomainError("classify needs a gauge-based circular domain")
+        spec, raw = _moser_spec(config)
         tensor, _ = _pipeline_tensor(config, spec)
         res = {
             "N_v": spec.n_v,

@@ -4,17 +4,23 @@ A complex structure J on the blown-up ball that is standard along the
 radial discs and preserves the horizontal distribution is encoded by a
 tensor phi mapping reference anti-holomorphic horizontal vectors to
 holomorphic ones, through the graph relation: the J-anti-holomorphic
-horizontal space is {w + phi(w)}.  This module extracts phi from a
-normalizing map or a structure field, expands it in fiber-Fourier modes,
-verifies the integrability conditions, reconstructs J from phi, and
+horizontal space is {w + phi(w)}.  A tensor is the stack of its
+fiber-Fourier modes phi = sum_k phi_k(v) zeta^k over the base nodes.  This
+module extracts phi from a normalizing map or a structure field, verifies
+the integrability conditions, reconstructs J from phi (n = 2), and
 implements the rotation and contraction actions on modes.
 
-Extraction (n = 2) is closed-form 2 x 2 complex algebra at every node.  In
-the coordinates p d/dz + q d/dzbar the (0,1) space of J is {(p, q):
+Extraction (n = 2) is closed-form 2 x 2 complex algebra.  In the
+coordinates p d/dz + q d/dzbar the (0,1) space of J is {(p, q):
 A p + B q = 0}; for the pullback by a map with dphi(h) = A h + B hbar
 these are the blocks of dphi.  ebar projects onto that space along its
 conjugate as (p', q'), q' = (Abar - Bbar A^-1 B)^-1 Abar ebar and
 p' = -A^-1 B q', and since e is orthogonal to z, phi = <p', e> / <q', ebar>.
+For a fiber-linear normalizing map A depends on v alone, Bbar A^-1 B
+carries the factor |zeta / zetabar| = 1 and ebar scales by zetabar, so phi
+does not depend on zeta: extract solves once per base node, at zeta = 1,
+and the tensor is mode 0 only.  A general structure field is not
+fiber-invariant, and extract_from_structure solves at every fiber node.
 
 Conventions: the reference exhaustion is |z|^2; the frame e_a over a
 chart is the horizontal projection of the coordinate lift, extended
@@ -38,12 +44,11 @@ __all__ = [
     "frame_vectors",
     "extract",
     "extract_from_structure",
-    "fourier_modes",
+    "fourier_modes_from_components",
     "reconstruct",
     "rotate",
     "contract",
     "verify_mode_equations",
-    "nijenhuis_residual",
     "tensor_from_mode_functions",
 ]
 
@@ -166,7 +171,7 @@ def _graph_from_blocks(chart, z, A, B):
 
 def _structure_from_graph(n, chart, z, phi):
     """J matrices whose (0,1) space is the graph of phi plus the disc part."""
-    e, cols = _graph_basis(n, chart, z)
+    e = frame_vectors(n, chart, z)
     S = np.empty(z.shape[:-1] + (2 * n, n), dtype=complex)
     for a in range(n - 1):
         u = antihol_rep(np.conj(e[..., a, :]))
@@ -186,19 +191,17 @@ def _structure_from_graph(n, chart, z, phi):
 
 @dataclass
 class DeformationTensor:
-    """Deformation tensor samples on the blow-up grid of one or two charts.
+    """Deformation tensor modes on the base grid of one or two charts.
 
-    modes[chart] has shape (k_max+1, n_v, ..., n-1, n-1) over base nodes;
-    components[chart] has the full fiber grid (n=2 only).  field, when
-    present, evaluates the mode coefficient stack at arbitrary base points
-    and makes finite-difference verification node-free.
+    modes[chart] has shape (k_max+1, n_v, ..., n-1, n-1) over base nodes.
+    field, when present, evaluates the mode coefficient stack at arbitrary
+    base points and makes finite-difference verification node-free.
     """
 
     n: int
     atlas: ChartAtlas
     k_max: int
     modes: dict
-    components: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     field_fn: object = None  # (chart, v) -> (len(v), k_max+1, n-1, n-1)
 
@@ -211,20 +214,6 @@ class DeformationTensor:
         if self.field_fn is not None:
             return self.field_fn(chart, v)
         raise DeformationError("tensor carries node samples only")
-
-    def phi_at(self, chart, v, zeta):
-        """Tensor value phi(v, zeta) = sum_k phi_k(v) zeta^k."""
-        v = np.asarray(v, dtype=complex)
-        zeta = np.asarray(zeta, dtype=complex)
-        if self.n == 2:
-            flat, base_shape = v.ravel(), v.shape
-        else:
-            flat, base_shape = v.reshape(-1, self.n - 1), v.shape[:-1]
-        stack = self.mode_field(chart, flat).reshape(
-            base_shape + (self.k_max + 1, self.n - 1, self.n - 1)
-        )
-        powers = zeta[..., None] ** np.arange(self.k_max + 1)
-        return np.einsum("...k,...kab->...ab", powers, stack)
 
     def mode_norms(self):
         """Reference-metric operator norm of each mode, sup over nodes.
@@ -321,21 +310,16 @@ def _mat_sqrt(H):
 # extraction
 
 
-def _graph_tensor(atlas, charts, k_max, blocks):
-    """Tensor of the graph relation solved at every node of the blow-up
-    grid of the charts; blocks(chart, V) gives the matrix fields (A, B) of
-    _graph_from_blocks at the base points V, shape (n_v, n_v, 1, 1)."""
+def _mode_cutoff(atlas, k_max):
+    """k_max, by default the highest mode the fiber angles resolve."""
+    n_theta = atlas.fiber.n_theta
     if k_max is None:
-        k_max = atlas.fiber.n_theta // 2 - 1
-    components, leaks = {}, []
-    for chart in charts:
-        V = atlas.base_points(chart)[:, :, None, None]
-        z = _ambient_of(2, chart, V, atlas.fiber.zetas)
-        components[chart], leak = _graph_from_blocks(chart, z, *blocks(chart, V))
-        leaks.append(leak)
-    tensor = fourier_modes_from_components(atlas, components, k_max)
-    tensor.diagnostics["disc_leak"] = max(leaks)
-    return tensor
+        return n_theta // 2 - 1
+    if n_theta < 2 * (k_max + 1):
+        raise DeformationError(
+            f"k_max {k_max} needs at least {2 * (k_max + 1)} fiber angles"
+        )
+    return k_max
 
 
 def extract(nm, k_max=None):
@@ -343,45 +327,48 @@ def extract(nm, k_max=None):
     normalizing map z = zeta p(v) -> zeta W(v) (n = 2).
 
     Its derivative is dphi(h) = A h + B hbar, with dW = (W_x - i W_y)/2 and
-    dbarW = (W_x + i W_y)/2: A = [W - v dW, dW] and B = (zeta/zetabar)
-    [-vbar dbarW, dbarW] on the chart and the other slot.  The graph
-    relation is solved from them in closed form at every node of the
-    blow-up grid.  A fiber-linear map yields a tensor with mode 0 only; the
-    higher-mode content measured here is a residual of the pipeline.
+    dbarW = (W_x + i W_y)/2: A = [W - v dW, dW] and B = [-vbar dbarW, dbarW]
+    on the chart and the other slot at zeta = 1.  The graph relation is
+    solved from them in closed form once per base node; phi does not
+    depend on zeta (module docstring), so mode 0 is phi(v) and modes
+    1..k_max are zero.
     """
-    zetas = nm.atlas.fiber.zetas
-
-    def blocks(chart, V):
-        W, Wx, Wy = (
-            np.moveaxis(a[chart], -1, 0)[..., None, None] for a in (nm.W, nm.dWx, nm.dWy)
-        )
+    at = nm.atlas
+    k_max = _mode_cutoff(at, k_max)
+    modes, leaks = {}, []
+    for chart in at.charts:
+        V = at.base_points(chart)
+        W, Wx, Wy = (np.moveaxis(a[chart], -1, 0) for a in (nm.W, nm.dWx, nm.dWy))
         dW, dbarW = (Wx - 1j * Wy) / 2, (Wx + 1j * Wy) / 2
         A = np.empty((2,) + W.shape, dtype=complex)
         A[:, chart], A[:, 1 - chart] = W - V * dW, dW
         B = np.empty_like(A)
         B[:, chart], B[:, 1 - chart] = -np.conj(V) * dbarW, dbarW
-        return A, B * (zetas / np.conj(zetas))
-
-    return _graph_tensor(nm.atlas, nm.atlas.charts, k_max, blocks)
+        phi, leak = _graph_from_blocks(chart, _ambient_of(2, chart, V, 1.0), A, B)
+        modes[chart] = np.zeros((k_max + 1,) + phi.shape, dtype=complex)
+        modes[chart][0] = phi
+        leaks.append(leak)
+    return DeformationTensor(
+        n=2, atlas=at, k_max=k_max, modes=modes, diagnostics={"disc_leak": max(leaks)}
+    )
 
 
 @dataclass
 class StructureField:
-    """Almost complex structure samples on the blow-up grid (n = 2), with
-    an optional closed-form evaluator for off-node queries."""
+    """Almost complex structure samples on the blow-up grid (n = 2)."""
 
     atlas: ChartAtlas
     J: dict  # chart -> (n_v, n_v, n_r, n_theta, 4, 4)
-    J_at: object = None  # (chart, z ambient (N, n)) -> (N, 2n, 2n)
 
 
 def reconstruct(tensor: DeformationTensor) -> StructureField:
     """Complex structure whose anti-holomorphic horizontal space is the
-    graph of the tensor; standard along the radial discs.
-
-    For n = 2 the structure matrices are sampled on the full blow-up
-    grid; for higher n only the closed-form off-node evaluator is built
-    (the tensor must carry a field evaluator in that case)."""
+    graph of the tensor, standard along the radial discs, sampled on the
+    full blow-up grid (n = 2)."""
+    if tensor.n != 2:
+        raise DeformationError(
+            f"structure reconstruction is implemented for n = 2 only, got n = {tensor.n}"
+        )
     norms = tensor.mode_norms()
     if np.sum(norms) >= 1.0:
         raise DeformationError(
@@ -389,38 +376,11 @@ def reconstruct(tensor: DeformationTensor) -> StructureField:
             "not transverse and no structure exists"
         )
     at = tensor.atlas
-    n = tensor.n
     J = {}
-    if n == 2:
-        for chart in tensor.charts:
-            V = at.base_points(chart)
-            zetas = at.fiber.zetas
-            v4 = np.broadcast_to(V[:, :, None, None], V.shape + zetas.shape)
-            z4 = np.broadcast_to(zetas[None, None, :, :], V.shape + zetas.shape)
-            z = _ambient_of(2, chart, v4, z4)
-            phi = tensor.components.get(chart)
-            if phi is None:  # rotate and contract carry the modes only
-                phi = _series(tensor.modes[chart], at)
-            J[chart] = _structure_from_graph(2, chart, z, phi)
-    elif tensor.field_fn is None:
-        raise DeformationError(
-            "off-grid structure reconstruction needs a field evaluator"
-        )
-
-    J_at = None
-    if tensor.field_fn is not None:
-        def J_at(chart, z):
-            z = np.asarray(z, dtype=complex)
-            zeta = z[..., chart]
-            if n == 2:
-                v = z[..., 1 - chart] / zeta
-            else:
-                axes = chart_axes(n, chart)
-                v = np.stack([z[..., j] / zeta for j in axes], axis=-1)
-            phi = tensor.phi_at(chart, v, zeta)
-            return _structure_from_graph(n, chart, z, phi)
-
-    return StructureField(atlas=at, J=J, J_at=J_at)
+    for chart in tensor.charts:
+        z = _ambient_of(2, chart, at.base_points(chart)[:, :, None, None], at.fiber.zetas)
+        J[chart] = _structure_from_graph(2, chart, z, _series(tensor.modes[chart], at))
+    return StructureField(atlas=at, J=J)
 
 
 def extract_from_structure(sf: StructureField, k_max=None) -> DeformationTensor:
@@ -429,18 +389,24 @@ def extract_from_structure(sf: StructureField, k_max=None) -> DeformationTensor:
     J acts on complex tangent vectors as h -> Jc h + Ja hbar, with Jc and
     Ja the halves (Jx -+ i Jy)/2 of its x and y columns as complex rows,
     so its (0,1) space is {(p, q): (Jc + i) p + Ja q = 0}: the blocks
-    A = Jc + i and B = Ja of the closed form that extract uses.
+    A = Jc + i and B = Ja of the closed form that extract uses.  A general
+    J is not fiber-invariant, so the solve runs on the full fiber grid and
+    the modes come from fourier_modes_from_components.
     """
-
-    def blocks(chart, V):
+    at = sf.atlas
+    components, leaks = {}, []
+    for chart in sorted(sf.J):
         J = np.moveaxis(sf.J[chart], (-2, -1), (0, 1))
         rows = J[0::2] + 1j * J[1::2]
         Jx, Jy = rows[:, 0::2], rows[:, 1::2]
         A = (Jx - 1j * Jy) / 2
         A[[0, 1], [0, 1]] += 1j
-        return A, (Jx + 1j * Jy) / 2
-
-    return _graph_tensor(sf.atlas, sorted(sf.J), k_max, blocks)
+        z = _ambient_of(2, chart, at.base_points(chart)[:, :, None, None], at.fiber.zetas)
+        components[chart], leak = _graph_from_blocks(chart, z, A, (Jx + 1j * Jy) / 2)
+        leaks.append(leak)
+    tensor = fourier_modes_from_components(at, components, k_max)
+    tensor.diagnostics["disc_leak"] = max(leaks)
+    return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +421,8 @@ def fourier_modes_from_components(atlas, components, k_max):
     fiber-holomorphy residual and the negative-frequency energy measures
     departure from a power series in zeta.
     """
+    k_max = _mode_cutoff(atlas, k_max)
     n_theta = atlas.fiber.n_theta
-    if n_theta < 2 * (k_max + 1):
-        raise DeformationError(
-            f"k_max {k_max} needs at least {2 * (k_max + 1)} fiber angles"
-        )
     radii = atlas.fiber.radii
     modes = {}
     cross = negative = tail = 0.0
@@ -480,11 +443,10 @@ def fourier_modes_from_components(atlas, components, k_max):
         modes[chart] = np.array(stack)
         # tail: distance between the components and the truncated series
         tail = max(tail, float(np.max(np.abs(comp - _series(modes[chart], atlas)))))
-    tensor = DeformationTensor(
-        n=2, atlas=atlas, k_max=k_max, modes=modes, components=dict(components),
+    return DeformationTensor(
+        n=2, atlas=atlas, k_max=k_max, modes=modes,
         diagnostics={"cross_radius": cross, "negative_energy": negative, "tail": tail},
     )
-    return tensor
 
 
 def _series(mode_stack, atlas):
@@ -493,15 +455,6 @@ def _series(mode_stack, atlas):
     k_max = mode_stack.shape[0] - 1
     powers = zetas[..., None] ** np.arange(k_max + 1)  # (nr, ntheta, k)
     return np.einsum("rtk,kxyab->xyrtab", powers, mode_stack)
-
-
-def fourier_modes(tensor: DeformationTensor, k_max) -> DeformationTensor:
-    """Re-expand a tensor's components with a different mode cutoff."""
-    if not tensor.components:
-        raise DeformationError("tensor has no component samples to expand")
-    out = fourier_modes_from_components(tensor.atlas, tensor.components, k_max)
-    out.field_fn = tensor.field_fn
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +497,9 @@ def tensor_from_mode_functions(atlas, n, entries, k_max, chart_list=(0,)):
             modes[chart] = np.moveaxis(
                 arr.reshape(V1.shape + (k_max + 1, n - 1, n - 1)), -3, 0
             )
-    tensor = DeformationTensor(
+    return DeformationTensor(
         n=n, atlas=atlas, k_max=k_max, modes=modes, field_fn=stack_at
     )
-    if n == 2:
-        tensor.components = {
-            c: _series(tensor.modes[c], atlas) for c in chart_list
-        }
-    return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -818,44 +766,3 @@ def verify_mode_equations(tensor: DeformationTensor, k_max=None, chart=0,
         acc = acc + (extra["field"] - base["field"])
     out["consistency"] = float(np.max(np.abs(acc - full["field"])))
     return out
-
-
-def nijenhuis_residual(sf: StructureField, chart, z, h=5e-3):
-    """Integrability defect of a structure field at sample points.
-
-    Five-point finite differences of the J matrices in each real
-    direction; returns the sup norm of the torsion tensor over all
-    coordinate-field pairs, normalized by the matrix scale.
-    """
-    if sf.J_at is None:
-        raise DeformationError("structure field has no off-node evaluator")
-    z = np.asarray(z, dtype=complex)
-    npts, n = z.shape
-    dim = 2 * n
-
-    def Jfn(pts):
-        return sf.J_at(chart, pts)
-
-    J = Jfn(z)
-    dJ = np.empty((npts, dim, dim, dim))
-    for d in range(dim):
-        step = np.zeros(n, dtype=complex)
-        if d % 2 == 0:
-            step[d // 2] = h
-        else:
-            step[d // 2] = 1j * h
-        dJ[..., d] = (
-            -Jfn(z + 2 * step) + 8 * Jfn(z + step)
-            - 8 * Jfn(z - step) + Jfn(z - 2 * step)
-        ) / (12 * h)
-    worst = 0.0
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            # torsion of the pair of coordinate fields (e_a, e_b)
-            t1 = np.einsum("pd,pid->pi", J[:, :, a], dJ[:, :, b, :])
-            t2 = np.einsum("pd,pid->pi", J[:, :, b], dJ[:, :, a, :])
-            t3 = np.einsum("pij,pj->pi", J, dJ[:, :, a, b])
-            t4 = np.einsum("pij,pj->pi", J, dJ[:, :, b, a])
-            N = t1 - t2 + t3 - t4
-            worst = max(worst, float(np.max(np.abs(N))))
-    return worst

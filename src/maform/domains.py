@@ -234,6 +234,7 @@ class DomainSpec:
     n_r: int
     n_theta: int
     raw: str
+    n_at: tuple = None  # (line, column) of the n value, when given
 
     def mu_spec(self):
         return {"n": self.n, "kind": self.kind, **self.params}
@@ -266,10 +267,15 @@ _SPEC_RANGES = {
 }
 
 
+def _value_col(line, val):
+    """Column of the value text val on a spec line, found after the '='."""
+    return line.index(val, line.index("=")) + 1 if val else 1
+
+
 def parse_spec_value(key, line_no, line, val, cast):
     """The value text val of key on a spec line, cast and checked against
-    _SPEC_RANGES; a SpecParseError points at val, found after the '='."""
-    col = line.index(val, line.index("=")) + 1 if val else 1
+    _SPEC_RANGES; a SpecParseError points at val."""
+    col = _value_col(line, val)
     try:
         out = cast(val)
     except ValueError:
@@ -347,4 +353,5 @@ def parse_domain_spec(text):
         n_r=take("N_r", 8, int),
         n_theta=take("N_theta", 16, int),
         raw=text,
+        n_at=(values["n"][0], _value_col(*values["n"][1:])) if "n" in values else None,
     )

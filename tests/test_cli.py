@@ -182,6 +182,16 @@ class TestExitCodes:
         argv = ["normalize", "--domain", dom, "--out", str(tmp_path), "--steps", "5"]
         assert run(argv) == 0
 
+    @pytest.mark.parametrize("command", ["normalize", "invariants", "classify"])
+    def test_moser_command_on_n3_domain_exits_2(self, tmp_path, command):
+        # the Moser pipeline is n = 2 only; verify runs the n = 3 ball
+        dom = write(tmp_path, "ball3.dom", "mu.kind = ball\nn = 3\nN_v = 5\n")
+        out = run_process([command, "--domain", dom, "--out", str(tmp_path)])
+        assert out.returncode == 2
+        assert f"line 2, column 5: {command} is implemented for n = 2 only, got n = 3" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert run(["verify", "--domain", dom, "--out", str(tmp_path), "--samples", "1"]) == 0
+
     def test_unknown_name_in_tensor_spec_exits_2(self, tmp_path):
         tns = write(tmp_path, "bad.tns", "n = 2\nN_v = 9\nmode 0 1 1 = 0.05*w\n")
         out = run_process(["classify", "--tensor", tns, "--out", str(tmp_path)])
