@@ -123,7 +123,7 @@ def load_domain_file(path):
             if not eq or not val.strip():
                 raise SpecParseError(line_no, 1, "tau.expr needs a value")
             tau_expr = (line_no, line, val.strip())
-            continue
+            line = ""  # a blank line keeps the line numbers of what follows
         kept.append(line)
     body = "\n".join(kept)
     if tau_expr is not None and "mu.kind" not in body:

@@ -17,7 +17,7 @@ import sympy as sp
 
 from .atlas import ChartAtlas, blowup_forward
 from .exterior import standard_j_matrix
-from .symforms import AnalyticForm, real_coords, to_complex, to_real
+from .symforms import AnalyticForm, Jet, real_coords, to_complex, to_real
 
 
 class DomainError(ValueError):
@@ -159,18 +159,23 @@ class ExhaustionField:
 # construction and validation
 
 
-def _levi_witness(tau_form, n, n_samples=60, seed=7):
-    """Check ddc(tau) > 0 at random ambient sample points off the origin;
+def _ddc_matrix(mu_sq, coords, pts):
+    """The antisymmetric matrix of ddc(mu^2) at real points (N, 2n): with
+    the Hessian H of the second-order jet, A = (HJ)^T - HJ, since dc f =
+    -J^T grad f in components."""
+    HJ = Jet.of(mu_sq, coords, pts).hess @ standard_j_matrix(len(coords))
+    return HJ.swapaxes(1, 2) - HJ
+
+
+def _levi_witness(mu_sq, coords, n_samples=60, seed=7):
+    """Check ddc(mu^2) > 0 at random ambient sample points off the origin;
     raises PseudoconvexityError with the offending point."""
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(n_samples, 2 * n))
+    pts = rng.uniform(-1.0, 1.0, size=(n_samples, len(coords)))
     norms = np.linalg.norm(pts, axis=1)
     pts = pts[norms > 0.3]
-    ddc = tau_form.dc().d()
-    A = ddc.matrix_at(pts).real
-    J = standard_j_matrix(2 * n)
-    g = 0.5 * ((A @ J) + (A @ J).swapaxes(1, 2))
-    eigs = np.linalg.eigvalsh(g)
+    AJ = _ddc_matrix(mu_sq, coords, pts) @ standard_j_matrix(len(coords))
+    eigs = np.linalg.eigvalsh(0.5 * (AJ + AJ.swapaxes(1, 2)))
     worst = int(np.argmin(eigs[:, 0]))
     if eigs[worst, 0] <= 0:
         raise PseudoconvexityError(to_complex(pts[worst]), eigs[worst, 0])
@@ -213,8 +218,7 @@ def make_circular_domain(mu_spec, atlas=None):
             bad = np.unravel_index(np.argmin(m), m.shape)
             raise DomainError(f"gauge not positive at chart {chart} node {bad}")
 
-    tau_form = AnalyticForm.scalar(coords, mu_sq)
-    _levi_witness(tau_form, n)
+    _levi_witness(mu_sq, coords)
     return mink, ExhaustionField(n=n, tau_ambient=mu_sq, minkowski=mink)
 
 

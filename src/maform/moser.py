@@ -9,13 +9,17 @@ phase correction aligns the connection data; the assembled map is
 fiber-linear over the base, z = zeta(1, v) -> zeta * W(v), normalizes the
 gauge, and is the input to deformation-tensor extraction.
 
-Design notes: all flow fields are evaluated from exact chart expressions,
-compiled once per chart by symforms.compile_exprs (the reference
-coefficient, the curvature coefficient and the primitive, each with its x
-and y partials from sympy diff of the uncancelled expressions, in one CSE
-callable), so spatial discretization error enters only through the node
-sampling of results, not through the dynamics.  The field and its exact
-Jacobian come from one evaluation per RK4 stage.  Derivative data that
+Design notes: all flow fields are evaluated from exact chart expressions.
+Sympy differentiates only the chart function m^2 (to order 3) and the
+rational reference terms, compiled once per chart by
+symforms.compile_exprs into one CSE callable; the curvature coefficient
+and the primitive, with their x and y partials, follow from those by the
+chain rule for log m^2 in numpy (_chart_fields), so no logarithm is
+differentiated symbolically and spatial discretization error enters only
+through the node sampling of results, not through the dynamics.  The
+field and its exact Jacobian come from one evaluation per RK4 stage.  The
+ambient gradient of mu^2 (horizontal planes, the lift's gauge derivative)
+comes from its forward-mode jet, symforms.Jet.  Derivative data that
 downstream consumers need at grid nodes (dW, dlambda) is propagated by
 variational Jacobians along the flow and stored exactly at the nodes, never
 re-estimated by differencing an interpolant.  Off-node values (the phase
@@ -35,7 +39,7 @@ from .atlas import ChartAtlas, R_OUTER, blowup_forward
 from .domains import MinkowskiField, ambient_coords
 from .exterior import standard_j_matrix
 from .ode import rk4_step
-from .symforms import AnalyticForm, compile_exprs, real_coords, to_real
+from .symforms import Jet, compile_exprs, real_coords, to_real
 
 
 class MoserError(ValueError):
@@ -53,15 +57,16 @@ FS_AREA = 4.0 * np.pi  # integral of the reference form under the convention
 class ConnectionData:
     """Curvature 2-form data of a gauge on the base CP^1.
 
-    w_exprs: chart -> coefficient w(v) with omega = w dx^dy;
-    alpha_exprs: chart -> components (alpha_x, alpha_y) of the primitive
-    with omega - omega_o = d(alpha); all exact expressions retained.
+    fields: chart -> compiled callable of _chart_fields, giving at (x, y)
+    arrays the coefficients w_o and w of the reference form and of the
+    curvature form omega = w dx^dy, the components (alpha_x, alpha_y) of
+    the primitive with omega - omega_o = d(alpha), and the x and y partials
+    of all four.
     """
 
     mink: MinkowskiField
     atlas: ChartAtlas
-    w_exprs: dict
-    alpha_exprs: dict
+    fields: dict
     integral: float
     min_coefficient: float
 
@@ -81,50 +86,74 @@ def _disk_integral(fn, n_r=80, n_theta=160):
     return float(np.sum(fn(V.real, V.imag) * wr[:, None]) * (2 * np.pi / n_theta))
 
 
-def reference_coefficient():
-    """Coefficient of the reference area form in an affine chart."""
+def _partials(expr, order):
+    """expr and its partials in the chart coordinates (x, y) up to order,
+    each order k listed as d^k/dx^k, d^k/dx^(k-1)dy, ..., d^k/dy^k."""
     x, y = real_coords(2)
-    return 4 / (1 + x**2 + y**2) ** 2
+    rows = [[expr]]
+    for _ in range(order):
+        rows.append([sp.diff(e, x) for e in rows[-1]] + [sp.diff(rows[-1][-1], y)])
+    return [e for block in rows for e in block]
 
 
-def _chart_fields(w, alpha):
+def _log_partials(u, ux, uy, uxx, uxy, uyy):
+    """First and second partials of log u from those of u, by the chain
+    rule L_i = u_i/u and L_ij = u_ij/u - L_i L_j."""
+    a, b = ux / u, uy / u
+    return a, b, uxx / u - a * a, uxy / u - a * b, uyy / u - b * b
+
+
+def _chart_fields(m_sq):
     """Compiled (w_o, w, alpha_x, alpha_y) at (x, y) arrays of a chart with
-    curvature coefficient w and primitive components alpha, followed by
-    the x partials and then the y partials of those four (12 rows)."""
+    gauge chart function m_sq, followed by the x partials and then the y
+    partials of those four: shape (3, 4) + point shape.
+
+    With L = log m^2 and g = L - log(1 + |v|^2), w = L_xx + L_yy and alpha =
+    dc g = (-g_y, g_x).  Sympy differentiates only m^2 (to order 3) and the
+    rational reference terms; the partials of the logarithms follow from
+    those by the chain rule, the third ones from L_ijk = u_ijk/u - (L_ij L_k
+    + L_ik L_j + L_jk L_i) - L_i L_j L_k, all rows from one callable.
+    """
     x, y = real_coords(2)
-    exprs = (reference_coefficient(), w) + alpha
-    partials = tuple(sp.diff(e, c) for c in (x, y) for e in exprs)
-    return compile_exprs((x, y), exprs + partials)
+    q = 1 + x**2 + y**2
+    rows = compile_exprs((x, y), _partials(m_sq, 3) + _partials(q, 2) + _partials(4 / q**2, 1))
+
+    def fields(xs, ys):
+        R = rows(xs, ys)
+        u = R[0]
+        L = Lx, Ly, Lxx, Lxy, Lyy = _log_partials(*R[:6])
+        gx, gy, gxx, gxy, gyy = (a - b for a, b in zip(L, _log_partials(*R[10:16])))
+        # w_x = L_xxx + L_xyy and w_y = L_xxy + L_yyy
+        s = Lx * Lx + Ly * Ly
+        wx = (R[6] + R[8]) / u - Lx * (3 * Lxx + Lyy + s) - 2 * Ly * Lxy
+        wy = (R[7] + R[9]) / u - Ly * (Lxx + 3 * Lyy + s) - 2 * Lx * Lxy
+        return np.array([
+            [R[16], Lxx + Lyy, -gy, gx],
+            [R[17], wx, -gxy, gxx],
+            [R[18], wy, -gyy, gxy],
+        ])
+
+    return fields
 
 
 def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     """Curvature form of the gauge circle bundle on the base charts.
 
-    omega = ddc log m^2 per chart; positivity of the coefficient witnesses
-    strict pseudoconvexity of the gauge, and the chart-weighted integral
-    must reproduce the reference total area (the two forms differ by an
-    exact form).
+    omega = ddc log m^2 per chart, evaluated through _chart_fields from the
+    partials of m^2; positivity of the coefficient witnesses strict
+    pseudoconvexity of the gauge, and the chart-weighted integral must
+    reproduce the reference total area (the two forms differ by an exact
+    form).
     """
     if mink.n != 2:
         raise MoserError("curvature data is implemented for n = 2")
     if atlas is None:
         atlas = ChartAtlas(n=2, n_v=33)
-    x, y = real_coords(2)
-    w_exprs, alpha_exprs = {}, {}
-    m_o_sq = 1 + x**2 + y**2
-    for chart in atlas.charts:
-        m_sq = mink.m_sq_charts[chart]
-        log_form = AnalyticForm.scalar((x, y), sp.log(m_sq))
-        w_exprs[chart] = log_form.dc().d().comps.get((0, 1), sp.Integer(0))
-        # exact primitive of omega - omega_o: d of the conjugated
-        # differential of the global potential log(m^2 / m_o^2)
-        alpha = AnalyticForm.scalar((x, y), sp.log(m_sq / m_o_sq)).dc()
-        alpha_exprs[chart] = tuple(alpha.comps.get((k,), sp.Integer(0)) for k in (0, 1))
-    fns = {c: _chart_fields(w_exprs[c], alpha_exprs[c]) for c in atlas.charts}
+    fns = {c: _chart_fields(mink.m_sq_charts[c]) for c in atlas.charts}
     min_coeff = np.inf
     for c in atlas.charts:
         V = atlas.base_points(c)
-        min_coeff = min(min_coeff, float(np.min(fns[c](V.real, V.imag)[1])))
+        min_coeff = min(min_coeff, float(np.min(fns[c](V.real, V.imag)[0, 1])))
     if min_coeff <= 0:
         raise MoserError(
             f"curvature coefficient not positive (min {min_coeff:.3e}): "
@@ -134,13 +163,12 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     # boundary circles are identified), and the integrand is analytic, so
     # the high-order disk rule resolves the total to machine precision
     total = sum(
-        _disk_integral(lambda xs, ys, fn=fns[c]: fn(xs, ys)[1]) for c in atlas.charts
+        _disk_integral(lambda xs, ys, fn=fns[c]: fn(xs, ys)[0, 1]) for c in atlas.charts
     )
     conn = ConnectionData(
         mink=mink,
         atlas=atlas,
-        w_exprs=w_exprs,
-        alpha_exprs=alpha_exprs,
+        fields=fns,
         integral=total,
         min_coefficient=min_coeff,
     )
@@ -167,9 +195,9 @@ def horizontal_space(mink: MinkowskiField, u):
 
 
 def _gauge_grad(mink: MinkowskiField, u):
-    """Real gradient of mu^2 at ambient points u, shape (N, 4)."""
-    d = AnalyticForm.scalar(ambient_coords(2), mink.mu_sq_ambient).d()
-    return d.vector_at(to_real(u)).real
+    """Real gradient of mu^2 at ambient points u, shape (N, 4), from its
+    jet."""
+    return Jet.of(mink.mu_sq_ambient, ambient_coords(2), to_real(u)).grad
 
 
 # ---------------------------------------------------------------------------
@@ -186,15 +214,11 @@ class MoserFieldEvaluator:
 
     def __init__(self, conn: ConnectionData):
         self.conn = conn
-        self._fields = {
-            c: _chart_fields(conn.w_exprs[c], conn.alpha_exprs[c])
-            for c in conn.atlas.charts
-        }
 
     def __call__(self, t, chart, v):
         """X and its partials X_x, X_y at base points v of one chart, as a
         complex array of shape (3,) + v.shape."""
-        F = self._fields[chart](v.real, v.imag).reshape((3, 4) + v.shape)
+        F = self.conn.fields[chart](v.real, v.imag)
         w = (1.0 - t) * F[:, 0] + t * F[:, 1]
         if np.min(w[0]) <= 0:
             bad = int(np.argmin(w[0]))
@@ -326,12 +350,12 @@ def moser_flow(conn: ConnectionData, n_steps=200):
 
     resid = 0.0
     for chart in at.charts:
-        fields = fn._fields[chart]
+        fields = conn.fields[chart]
         V0 = at.base_points(chart)
         keep = np.abs(V0) <= R_OUTER
         E = endpoints[chart]
-        pulled = fields(E.real, E.imag)[1] * np.linalg.det(jacobians[chart][..., :2, :])
-        resid = max(resid, float(np.max(np.abs(pulled - fields(V0.real, V0.imag)[0])[keep])))
+        pulled = fields(E.real, E.imag)[0, 1] * np.linalg.det(jacobians[chart][..., :2, :])
+        resid = max(resid, float(np.max(np.abs(pulled - fields(V0.real, V0.imag)[0, 0])[keep])))
     return MoserFlowResult(
         conn=conn,
         n_steps=n_steps,

@@ -56,6 +56,96 @@ def compile_exprs(coords, exprs):
     return fn
 
 
+class Jet:
+    """Second-order forward-mode jet of a real function at N points: the
+    value (N,), the gradient (N, d) and the Hessian (N, d, d), propagated
+    through + - * / and numeric powers, with numbers on either side
+    (Griewank & Walther, Evaluating Derivatives, ch. 13)."""
+
+    def __init__(self, val, grad, hess):
+        self.val, self.grad, self.hess = val, grad, hess
+
+    @classmethod
+    def of(cls, expr, coords, points):
+        """The jet of the sympy expression expr in coords at real points
+        (N, d), by a walk of its Add/Mul/Pow/Symbol/Number tree; any other
+        node raises TypeError."""
+        points = np.asarray(points, dtype=float)
+        n, d = points.shape
+        zero_hess = np.broadcast_to(0.0, (n, d, d))
+        seeds = {
+            c: cls(points[:, k], np.broadcast_to(np.eye(d)[k], (n, d)), zero_hess)
+            for k, c in enumerate(coords)
+        }
+
+        def walk(e):
+            if e in seeds:
+                return seeds[e]
+            if e.is_Number:
+                return float(e)
+            if e.is_Add or e.is_Mul:
+                args = [walk(a) for a in e.args]
+                out = args[0]
+                for a in args[1:]:
+                    out = out + a if e.is_Add else out * a
+                return out
+            if e.is_Pow and e.exp.is_Number:
+                return walk(e.base) ** (int(e.exp) if e.exp.is_Integer else float(e.exp))
+            raise TypeError(f"no jet rule for {type(e).__name__} node {e}")
+
+        out = walk(sp.sympify(expr))
+        if not isinstance(out, cls):  # a constant
+            return cls(np.full(n, out), np.zeros((n, d)), np.zeros((n, d, d)))
+        return out
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+        return Jet(self.val + other, self.grad, self.hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.val, -self.grad, -self.hess)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.val * other, self.grad * other, self.hess * other)
+        cross = self.grad[:, :, None] * other.grad[:, None, :]
+        return Jet(
+            self.val * other.val,
+            self.grad * other.val[:, None] + self.val[:, None] * other.grad,
+            self.hess * other.val[:, None, None] + cross + cross.swapaxes(1, 2)
+            + self.val[:, None, None] * other.hess,
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, p):
+        """(f^p)' = p f^(p-1) f' and (f^p)'' = p f^(p-1) f'' + p (p-1)
+        f^(p-2) f' f'^T, for a number p."""
+        v1 = p * self.val ** (p - 1)
+        v2 = p * (p - 1) * self.val ** (p - 2)
+        g = self.grad
+        return Jet(
+            self.val**p,
+            v1[:, None] * g,
+            v1[:, None, None] * self.hess + v2[:, None, None] * g[:, :, None] * g[:, None, :],
+        )
+
+    def __truediv__(self, other):
+        return self * other**-1 if isinstance(other, Jet) else self * (1.0 / other)
+
+    def __rtruediv__(self, other):
+        return other * self**-1
+
+
 def real_coords(dim, prefix=None):
     """Standard real coordinate symbols.
 

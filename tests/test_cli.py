@@ -209,6 +209,14 @@ class TestExitCodes:
         assert "line 2, column 12: unknown name 'z1'" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_error_after_tau_expr_names_its_own_line(self, tmp_path, capsys):
+        dom = write(
+            tmp_path, "bad.dom",
+            "n = 2\ntau.expr = x1**2 + y1**2 + x2**2 + y2**2\nN_v = 9\nN_theta = 12\n",
+        )
+        assert run(["verify", "--domain", dom, "--out", str(tmp_path), "--samples", "1"]) == 2
+        assert "line 4, column 11: N_theta must be a power of two" in capsys.readouterr().err
+
 
 class TestReportHeader:
     def test_header_block_and_spec_echo(self, tmp_path):

@@ -12,7 +12,8 @@ from maform.domains import (
     make_circular_domain,
     parse_domain_spec,
 )
-from maform.symforms import to_real
+from maform.exterior import standard_j_matrix
+from maform.symforms import AnalyticForm, to_real
 
 RNG = np.random.default_rng(20260825)
 
@@ -74,6 +75,35 @@ class TestMakeCircularDomain:
                 break
         assert failed_at is not None, "witness never failed in the scan"
         assert 0.05 in eigs, "small perturbations must stay pseudoconvex"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "ball"},
+            {"kind": "ellipsoid", "a": 1, "b": 4},
+            {"kind": "perturbed_ball", "eps": 0.05},
+        ],
+    )
+    def test_ddc_matrix_matches_symbolic_ddc(self, spec):
+        mink, _ = make_circular_domain(spec)
+        coords = domains.ambient_coords(2)
+        pts = RNG.uniform(-1.0, 1.0, size=(50, 4))
+        got = domains._ddc_matrix(mink.mu_sq_ambient, coords, pts)
+        want = AnalyticForm.scalar(coords, mink.mu_sq_ambient).dc().d().matrix_at(pts).real
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_witness_eigenvalue_matches_symbolic_ddc(self):
+        # the witness's sample points, with the Levi form of the symbolic
+        # ddc of mu^2: its smallest eigenvalue is the one reported
+        with pytest.raises(PseudoconvexityError) as err:
+            make_circular_domain({"kind": "perturbed_ball", "eps": 0.8})
+        coords = domains.ambient_coords(2)
+        mu_sq = domains._mu_sq_expression(2, "perturbed_ball", {"eps": 0.8}, coords)
+        pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(60, 4))
+        pts = pts[np.linalg.norm(pts, axis=1) > 0.3]
+        AJ = AnalyticForm.scalar(coords, mu_sq).dc().d().matrix_at(pts).real @ standard_j_matrix(4)
+        eigs = np.linalg.eigvalsh(0.5 * (AJ + AJ.swapaxes(1, 2)))
+        assert abs(err.value.eigenvalue - eigs.min()) <= 1e-13 * np.max(np.abs(eigs))
 
     def test_gauge_positivity_enforced(self, monkeypatch):
         # mu^2 = |z2|^2 - |z1|^2 gives m^2 = |v|^2 - 1 < 0 at the chart-0

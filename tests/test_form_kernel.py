@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from maform.symforms import AnalyticForm, compile_exprs, real_coords
+from maform.domains import _mu_sq_expression, ambient_coords
+from maform.symforms import AnalyticForm, Jet, compile_exprs, real_coords
 
 RNG = np.random.default_rng(20260825)
 
@@ -49,6 +50,50 @@ class TestCompileExprs:
         first = compile_exprs((x, y), [x * y, x + y])
         assert compile_exprs([x, y], (x * y, y + x)) is first
         assert compile_exprs((x, y), [x * y]) is not first
+
+
+class TestJet:
+    @pytest.mark.parametrize(
+        "n, kind, params",
+        [
+            (2, "ball", {}),
+            (2, "ellipsoid", {"a": 1, "b": 4}),
+            (2, "perturbed_ball", {"eps": 0.05}),
+            (3, "ball", {}),
+            (3, "ellipsoid", {}),
+        ],
+    )
+    def test_gauge_derivatives_match_sympy_diff(self, n, kind, params):
+        coords = ambient_coords(n)
+        mu_sq = _mu_sq_expression(n, kind, params, coords)
+        pts = sample_points(2 * n, n=40, lo=-1.5, hi=1.5)
+        jet = Jet.of(mu_sq, coords, pts)
+        grad = [sp.diff(mu_sq, c) for c in coords]
+        hess = [sp.diff(g, c) for g in grad for c in coords]
+        want = compile_exprs(coords, [mu_sq] + grad + hess)(*pts.T).real
+        d = len(coords)
+        for got, ref in (
+            (jet.val, want[0]),
+            (jet.grad, want[1:d + 1].T),
+            (jet.hess, want[d + 1:].T.reshape(-1, d, d)),
+        ):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_arithmetic_with_numbers_on_either_side(self):
+        x, y = real_coords(2)
+        pts = sample_points(2, n=15, lo=0.2, hi=0.9)
+        f = Jet.of(x, (x, y), pts)
+        g = Jet.of(y, (x, y), pts)
+        got = (2 - f) / (1 + g * g) ** 3 + 3 / f - f * 0.5
+        expr = (2 - x) / (1 + y * y) ** 3 + 3 / x - x / 2
+        want = Jet.of(expr, (x, y), pts)
+        for a, b in ((got.val, want.val), (got.grad, want.grad), (got.hess, want.hess)):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    def test_other_nodes_raise(self):
+        coords = ambient_coords(2)
+        with pytest.raises(TypeError, match="sin"):
+            Jet.of(coords[0] ** 2 + sp.sin(coords[0]), coords, sample_points(4))
 
 
 class TestAnalyticCalculus:

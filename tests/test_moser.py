@@ -5,7 +5,7 @@ import pytest
 
 from maform.atlas import ChartAtlas
 from maform.deformation import extract
-from maform.domains import make_circular_domain
+from maform.domains import ambient_coords, make_circular_domain
 from maform.moser import (
     FS_AREA,
     MoserError,
@@ -19,9 +19,8 @@ from maform.moser import (
     measure_connection_mismatch,
     moser_flow,
     normalize_domain,
-    reference_coefficient,
 )
-from maform.symforms import real_coords
+from maform.symforms import AnalyticForm, compile_exprs, real_coords
 
 ATLAS = ChartAtlas(n=2, n_v=17)
 
@@ -46,13 +45,72 @@ def perturbed_map():
 
 class TestCurvature:
     def test_ball_coefficient_is_reference(self):
-        import sympy as sp
-
+        # the ball's curvature is the reference form 4/(1 + |v|^2)^2; the
+        # chain rule through log m^2 reproduces it up to roundoff
         mink, _ = make_circular_domain({"kind": "ball"})
         conn = curvature(mink, ATLAS)
-        x, y = real_coords(2)
+        rng = np.random.default_rng(41)
+        r = 2.5 * np.sqrt(rng.uniform(0, 1, 400))
+        random_points = r * np.exp(2j * np.pi * rng.uniform(0, 1, 400))
         for c in (0, 1):
-            assert sp.cancel(conn.w_exprs[c] - reference_coefficient()) == 0
+            for v in (ATLAS.base_points(c), random_points):
+                w = conn.fields[c](v.real, v.imag)[0, 1]
+                ref = 4 / (1 + np.abs(v) ** 2) ** 2
+                assert np.max(np.abs(w - ref)) <= 1e-15 * np.max(ref)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "ball"},
+            {"kind": "ellipsoid", "a": 1, "b": 4},
+            {"kind": "perturbed_ball", "eps": 0.05},
+        ],
+    )
+    def test_chart_fields_match_the_log_form_route(self, spec):
+        # the rows as symbolic ddc and dc of the logarithms, each
+        # differentiated once more, against the chain rule through m^2
+        import sympy as sp
+
+        mink, _ = make_circular_domain(spec)
+        conn = curvature(mink, ATLAS)
+        x, y = real_coords(2)
+        rng = np.random.default_rng(43)
+        for c in (0, 1):
+            m_sq = mink.m_sq_charts[c]
+            w = AnalyticForm.scalar((x, y), sp.log(m_sq)).dc().d().comps[(0, 1)]
+            alpha = AnalyticForm.scalar((x, y), sp.log(m_sq / (1 + x**2 + y**2))).dc()
+            exprs = [4 / (1 + x**2 + y**2) ** 2, w] + [alpha.comps.get((k,), 0) for k in (0, 1)]
+            rows = compile_exprs((x, y), exprs + [sp.diff(e, u) for u in (x, y) for e in exprs])
+            v = 2.5 * np.sqrt(rng.uniform(0, 1, 300)) * np.exp(2j * np.pi * rng.uniform(0, 1, 300))
+            want = rows(v.real, v.imag)
+            got = conn.fields[c](v.real, v.imag).reshape(12, -1)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_no_symbolic_derivative_of_the_ambient_gauge_or_a_logarithm(self, monkeypatch):
+        # sympy differentiates only the chart functions m^2 (and the
+        # rational reference terms); ambient derivatives come from jets
+        import sympy as sp
+
+        calls = []
+        expr_diff, diff = sp.Expr.diff, sp.diff
+
+        def recording_expr_diff(self, *args, **kwargs):
+            calls.append(self)
+            return expr_diff(self, *args, **kwargs)
+
+        def recording_diff(f, *args, **kwargs):
+            calls.append(sp.sympify(f))
+            return diff(f, *args, **kwargs)
+
+        monkeypatch.setattr(sp.Expr, "diff", recording_expr_diff)
+        monkeypatch.setattr(sp, "diff", recording_diff)
+        mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
+        assert calls == []
+        normalize_domain(mink, atlas=ChartAtlas(n=2, n_v=9), n_steps=5)
+        assert calls, "the chart functions m^2 are differentiated"
+        ambient = set(ambient_coords(2))
+        for e in calls:
+            assert not e.free_symbols & ambient and not e.has(sp.log), e
 
     def test_total_curvature_matches_reference_area(self):
         for spec in ({"kind": "ball"},
