@@ -126,17 +126,3 @@ def blowup_forward(z):
         return int(chart[0]), v[0], zeta[0]
     return chart, v, zeta
 
-
-def blowup_inverse(chart, v, zeta):
-    """Inverse of blowup_forward: rebuild z from (chart, v, zeta)."""
-    v = np.atleast_2d(np.asarray(v, dtype=complex))
-    zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    chart_arr = np.broadcast_to(np.asarray(chart, dtype=int), zeta.shape)
-    n = v.shape[1] + 1
-    z = np.empty((len(zeta), n), dtype=complex)
-    rest = np.arange(n) != chart_arr[:, None]
-    z[rest] = (zeta[:, None] * v).ravel()
-    z[~rest] = zeta
-    if np.isscalar(chart) and z.shape[0] == 1 and np.asarray(v).ndim <= 1:
-        return z[0]
-    return z

@@ -27,6 +27,7 @@ from .domains import (
     DomainError,
     ExhaustionField,
     SpecParseError,
+    _value_col,
     ambient_coords,
     make_circular_domain,
     parse_domain_spec,
@@ -106,7 +107,7 @@ def _reject_unknown_names(expr, allowed, line_no, line, val):
     if unknown:
         found = [m for m in re.finditer(r"[A-Za-z_]\w*", val) if m.group() in unknown]
         name, offset = (found[0].group(), found[0].start()) if found else (min(unknown), 0)
-        raise SpecParseError(line_no, line.index(val) + 1 + offset, f"unknown name {name!r}")
+        raise SpecParseError(line_no, _value_col(line, val) + offset, f"unknown name {name!r}")
 
 
 def load_domain_file(path):

@@ -140,16 +140,12 @@ class MinkowskiField:
 class ExhaustionField:
     """Parabolic exhaustion of C^n given by its ambient expression.
 
-    For circular domains tau(z) = mu(z)^2 and minkowski holds the gauge; a
-    tau.expr spec line supplies an arbitrary smooth expression in the
-    ambient real coordinates and no gauge.  r_bound is the radius of the
-    sublevel set of interest.
+    For circular domains tau(z) = mu(z)^2; a tau.expr spec line supplies
+    an arbitrary smooth expression in the ambient real coordinates.
     """
 
     n: int
     tau_ambient: object
-    minkowski: MinkowskiField | None = None
-    r_bound: float = 1.0
 
     def ambient_form(self):
         return AnalyticForm.scalar(ambient_coords(self.n), self.tau_ambient)
@@ -219,7 +215,7 @@ def make_circular_domain(mu_spec, atlas=None):
             raise DomainError(f"gauge not positive at chart {chart} node {bad}")
 
     _levi_witness(mu_sq, coords)
-    return mink, ExhaustionField(n=n, tau_ambient=mu_sq, minkowski=mink)
+    return mink, ExhaustionField(n=n, tau_ambient=mu_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +343,7 @@ def parse_domain_spec(text):
                 raise SpecParseError(line_no, 1, f"bad q list: {val!r}")
     elif kind != "ball":
         line_no, line, val = values["mu.kind"]
-        col = line.index(val) + 1
-        raise SpecParseError(line_no, col, f"unknown mu.kind {val!r}")
+        raise SpecParseError(line_no, _value_col(line, val), f"unknown mu.kind {val!r}")
     return DomainSpec(
         n=n,
         kind=kind,

@@ -208,8 +208,8 @@ class MoserFieldEvaluator:
     """The time-dependent base vector field of the interpolation method.
 
     With omega_t = (1-t) omega_o + t omega and the exact primitive alpha
-    of omega - omega_o, the field X_t solves interior(X_t, omega_t) =
-    -alpha, which in a chart is X = (-alpha_y + i alpha_x) / w_t.
+    of omega - omega_o, the field X_t solves i_{X_t} omega_t = -alpha,
+    which in a chart is X = (-alpha_y + i alpha_x) / w_t.
     """
 
     def __init__(self, conn: ConnectionData):

@@ -1,8 +1,9 @@
 """The classical fourth-order Runge-Kutta step with its variational equation.
 
 Both flows of the package (the Moser flow, which carries the Hopf phase
-of its horizontal lift, and the flow of the Monge-Ampere field Z) advance
-through rk4_step.
+of its horizontal lift, and the flow of the Monge-Ampere field Z in the
+Lie-derivative stencil of the identity suite) advance through rk4_step
+with their variational matrices.
 The derivative M of the state with respect to its start value obeys the
 variational equation M' = Df(t, y) M; it is advanced through the same four
 stages (Hairer, Norsett, Wanner, Solving Ordinary Differential Equations I).
@@ -13,20 +14,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def rk4_step(f, t, y, dt, M=None):
-    """One RK4 step of y' = f(t, y) from t to t + dt.
+def rk4_step(f, t, y, dt, M):
+    """One RK4 step of y' = f(t, y) from t to t + dt, with the variational
+    matrices M of shape (..., d, k).
 
-    Without M, f(t, y) returns the slope and the new state is returned.
-    With variational matrices M of shape (..., d, k), f(t, y) returns the
-    slope and its spatial derivative Df of shape (..., d, d) from one call;
-    M is advanced along the same stage points and (y_new, M_new) is
-    returned.
+    f(t, y) returns the slope and its spatial derivative Df of shape
+    (..., d, d) from one call; M is advanced along the same stage points
+    and (y_new, M_new) is returned.
     """
 
     def stage(s, k, N):
-        # slope (and variational slope) at t + s, y + s k, M + s N
-        if M is None:
-            return f(t + s, y + s * k), None
+        # slope and variational slope at t + s, y + s k, M + s N
         slope, D = f(t + s, y + s * k)
         return slope, np.einsum("...ij,...jk->...ik", D, M + s * N)
 
@@ -36,6 +34,4 @@ def rk4_step(f, t, y, dt, M=None):
     k3, N3 = stage(half, k2, N2)
     k4, N4 = stage(dt, k3, N3)
     y_new = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if M is None:
-        return y_new
     return y_new, M + dt / 6 * (N1 + 2 * N2 + 2 * N3 + N4)

@@ -281,19 +281,6 @@ class AnalyticForm:
             out = out.wedge(self)
         return out
 
-    def interior(self, X):
-        """Interior product with a vector field given as component exprs."""
-        if self.degree == 0:
-            raise ValueError("degree mismatch: cannot contract a 0-form")
-        if len(X) != self.dim:
-            raise ValueError("vector field dimension mismatch")
-        comps = {}
-        for idx, expr in self.comps.items():
-            for k in idx:
-                sign, new = exterior.remove_index(idx, k)
-                comps[new] = comps.get(new, 0) + sign * sp.sympify(X[k]) * expr
-        return AnalyticForm(self.coords, self.degree - 1, comps)
-
     # -- evaluation ---------------------------------------------------
     def evaluate(self, points):
         """Evaluate all components at points, shape (N, dim) real.
@@ -319,17 +306,6 @@ class AnalyticForm:
             A[:, i, j] = arr
             A[:, j, i] = -arr
         return A
-
-    def vector_at(self, points):
-        """For a 1-form, the coefficient row vector per point."""
-        if self.degree != 1:
-            raise ValueError("vector_at needs a 1-form")
-        vals = self.evaluate(points)
-        n = len(points)
-        V = np.zeros((n, self.dim), dtype=complex)
-        for (i,), arr in vals.items():
-            V[:, i] = arr
-        return V
 
     def scalar_at(self, points):
         if self.degree != 0:

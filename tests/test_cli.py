@@ -209,6 +209,23 @@ class TestExitCodes:
         assert "line 2, column 12: unknown name 'z1'" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "command, name, text, message",
+        [
+            ("verify", "bad.dom", "n = 2\ntau.expr = a\n", "line 2, column 12: unknown name 'a'"),
+            ("classify", "bad.tns", "n = 2\nmode 0 1 1 = d\n", "line 2, column 14: unknown name 'd'"),
+            ("verify", "bad.dom", "n = 2\nmu.kind = u\n", "line 2, column 11: unknown mu.kind 'u'"),
+        ],
+    )
+    def test_value_text_inside_the_key_points_at_the_value(
+        self, tmp_path, capsys, command, name, text, message
+    ):
+        # the value text also occurs in the key, left of the '='
+        spec = write(tmp_path, name, text)
+        flag = "--domain" if name.endswith(".dom") else "--tensor"
+        assert run([command, flag, spec, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_error_after_tau_expr_names_its_own_line(self, tmp_path, capsys):
         dom = write(
             tmp_path, "bad.dom",

@@ -1,21 +1,23 @@
 """The Monge-Ampere field Z and the exhaustion identity suite."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from maform import symforms
 from maform.domains import ExhaustionField, ambient_coords, make_circular_domain
+from maform.exterior import standard_j_matrix
 from maform.foliation import (
     FoliationError,
     ZFieldEvaluator,
     _ambient_points,
-    reverse_leaf,
-    trace_leaf,
+    _lie_derivative_flow,
     verify_ma_identities,
 )
 from maform.ode import rk4_step
-from maform.symforms import AnalyticForm
+from maform.symforms import AnalyticForm, compile_exprs
 
 RNG = np.random.default_rng(20260825)
 
@@ -38,7 +40,7 @@ def z_field(exh, n_samples, seed=11):
 
 def normal_basis(ev, pts, Z):
     """Basis (X, JX) of the plane ddc tau-orthogonal to Z and JZ (n = 2)."""
-    A = ev.matrices(pts)
+    A = ev.fields(pts)[2]
     rows = np.stack([np.einsum("ni,nij->nj", Z, A), np.einsum("ni,nij->nj", Z @ ev.J.T, A)], axis=1)
     X = np.linalg.svd(rows)[2][:, -1, :]
     return np.stack([X, X @ ev.J.T], axis=1)
@@ -53,7 +55,8 @@ class TestComputeZ:
         # (1/2) z^i d/dz^i and the flow rescales tau by e^t
         _, exh = make_circular_domain({"kind": "ball"})
         ev, pts, Z = z_field(exh, 30)
-        resid = np.einsum("ni,nij,jk->nk", Z, ev.matrices(pts), ev.J) - ev.dtau_at(pts)
+        _, dtau, A = ev.fields(pts)
+        resid = np.einsum("ni,nij,jk->nk", Z, A, ev.J) - dtau
         assert np.max(np.abs(resid)) < 1e-12
         assert np.max(np.abs(Z - 0.5 * pts)) < 1e-12
 
@@ -87,23 +90,22 @@ class TestComputeZ:
         # ddc tau(Z, JZ) = dtau(Z) = tau at random nodes
         _, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
         ev, pts, Z = z_field(exh, 20)
-        tau = ev.tau_at(pts)
-        c = np.einsum("ni,nij,nj->n", Z, ev.matrices(pts), Z @ ev.J.T)
+        tau, dtau, A = ev.fields(pts)
+        c = np.einsum("ni,nij,nj->n", Z, A, Z @ ev.J.T)
         assert np.max(np.abs(c - tau)) < 1e-11
-        d = np.sum(ev.dtau_at(pts) * Z, axis=1)
+        d = np.sum(dtau * Z, axis=1)
         assert np.max(np.abs(d - tau)) < 1e-11
 
     def test_normal_distribution_properties(self):
         _, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
         ev, pts, Z = z_field(exh, 25)
         H = normal_basis(ev, pts, Z)
-        A = ev.matrices(pts)
+        _, dt, A = ev.fields(pts)
         # defining property of the normal distribution
         for row in (Z, Z @ ev.J.T):
             pair = np.einsum("ni,nij,naj->na", row, A, H)
             assert np.max(np.abs(pair)) < 1e-10
         # tangent to the level sets
-        dt = ev.dtau_at(pts)
         assert np.max(np.abs(np.einsum("ni,nai->na", dt, H))) < 1e-10
         # J-invariance of the basis
         assert np.max(np.abs(H[:, 1, :] - H[:, 0, :] @ ev.J.T)) < 1e-12
@@ -139,7 +141,7 @@ class TestComputeZ:
             moved, jac = rk4_step(
                 lambda _t, y: (ev(y), ev.jacobian(y)), 0.0, pts, step, M=np.eye(4),
             )
-            A = ev.matrices(moved)
+            A = ev.fields(moved)[2]
             Zm = ev(moved)
             JZm = Zm @ ev.J.T
             pushed = np.einsum("nij,naj->nai", jac, H)
@@ -176,8 +178,8 @@ class TestIdentitySuite:
     def test_each_form_compiles_once(self, monkeypatch):
         # one lambdify per evaluated form: the log-potential difference,
         # the top-degree form and its difference (the power-rule difference
-        # is identically zero for n = 2 and compiles nothing), plus tau,
-        # dtau and ddc tau of the Z field
+        # is identically zero for n = 2 and compiles nothing), plus one for
+        # tau, dtau and ddc tau of the Z field together
         _, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
         calls = []
         lambdify = sp.lambdify
@@ -189,7 +191,7 @@ class TestIdentitySuite:
         monkeypatch.setattr(sp, "lambdify", counted)
         monkeypatch.setattr(symforms, "_COMPILED", {})
         verify_ma_identities(exh, n_samples=2)
-        assert len(calls) == 6
+        assert len(calls) == 4
 
     def test_log_potential_holds_for_any_tau(self):
         # the potential identity is an algebraic consequence for any smooth
@@ -205,62 +207,72 @@ class TestIdentitySuite:
         assert not rep["all_pass"]
 
 
-class TestLeaves:
-    def test_ball_axis_leaf(self):
-        _, exh = make_circular_domain({"kind": "ball"})
-        disc = trace_leaf(exh, 0.0, n_steps=100)
-        # the leaf through [1:0] is the straight disc zeta -> (zeta, 0)
-        assert np.max(np.abs(disc.ray[:, 0] - disc.radii)) < 1e-9
-        assert np.max(np.abs(disc.ray[:, 1])) < 1e-12
-        assert disc.tau_residual < 1e-10
+def exact_z_jets(exh, pts):
+    """Oracle from the order-3 sympy partials of tau at real points (N, d):
+    A = (HJ)^T - HJ and M = (AJ)^T, Z from M Z = grad tau, DZ by implicit
+    differentiation, M d_k Z = d_k grad tau - (d_k M) Z, and the Lie
+    derivative L = Z^k d_k A + DZ^T A + A DZ.  Returns (Z, DZ, A, L)."""
+    coords = ambient_coords(exh.n)
+    n, d = pts.shape
+    partials = {(): exh.tau_ambient}  # keyed by sorted axis tuples
+    for order in (1, 2, 3):
+        for idx in itertools.combinations_with_replacement(range(d), order):
+            partials[idx] = sp.diff(partials[idx[:-1]], coords[idx[-1]])
+    fn = compile_exprs(coords, list(partials.values()))
+    vals = dict(zip(partials, np.real(fn(*pts.T))))
 
-    def test_ellipsoid_leaf_is_straight_and_normalized(self):
-        mink, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
-        v0 = 0.7 - 0.2j
-        disc = trace_leaf(exh, v0, n_steps=150)
-        direction = np.array([1.0, v0]) / mink.m(0, v0)
-        expected = disc.radii[:, None] * direction[None, :]
-        assert np.max(np.abs(disc.ray - expected)) < 1e-9
-        assert disc.tau_residual < 1e-10
+    def tensor(order):
+        out = np.empty((n,) + (d,) * order)
+        for idx in itertools.product(range(d), repeat=order):
+            out[(slice(None),) + idx] = vals[tuple(sorted(idx))]
+        return out
 
-    def test_rotation_equivariance(self):
-        _, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
-        disc = trace_leaf(exh, 0.3 + 0.4j, n_steps=120)
-        thetas = np.array([0.0, 1.1, 2.7])
-        pts = disc.points(thetas)
-        for i, th in enumerate(thetas):
-            assert np.max(np.abs(pts[:, i, :] - np.exp(1j * th) * disc.ray)) < 1e-14
+    g, H, T = tensor(1), tensor(2), tensor(3)
+    J = standard_j_matrix(d)
 
-    def test_reversal(self):
-        _, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
-        disc = trace_leaf(exh, 0.5 + 0.1j, n_steps=150)
-        assert reverse_leaf(exh, disc, n_steps=150) < 1e-8
+    def ddc(hessian):
+        HJ = hessian @ J
+        return np.swapaxes(HJ, -1, -2) - HJ
 
-    def test_batched_tracing(self):
-        _, exh = make_circular_domain({"kind": "ball"})
-        vs = np.array([0.1, 0.5 + 0.5j, -0.9j])
-        discs = trace_leaf(exh, vs, n_steps=100)
-        assert len(discs) == 3
-        for d in discs:
-            assert d.tau_residual < 1e-10
+    A = ddc(H)
+    M = np.swapaxes(A @ J, -1, -2)
+    Z = np.linalg.solve(M, g[..., None])[..., 0]
+    dA = ddc(np.moveaxis(T, -1, 1))  # (N, k, i, j) = d_k A_ij
+    dM = np.swapaxes(dA @ J, -1, -2)
+    rhs = H - np.einsum("nkij,nj->nki", dM, Z)  # row k: d_k grad tau - (d_k M) Z
+    DZ = np.swapaxes(np.linalg.solve(M[:, None], rhs[..., None])[..., 0], 1, 2)
+    L = np.einsum("nk,nkij->nij", Z, dA) + np.swapaxes(DZ, 1, 2) @ A + A @ DZ
+    return Z, DZ, A, L
 
-    def test_n3_ball_leaves_single_and_batched(self):
-        # a base point at n = 3 has shape (2,); the leaf through it is the
-        # straight ray of the unit vector along (1, v)
-        _, exh = make_circular_domain({"kind": "ball", "n": 3})
-        v = np.array([0.1, 0.2j])
-        disc = trace_leaf(exh, v, n_steps=100)
-        direction = np.concatenate([[1.0], v]) / np.sqrt(1.0 + np.sum(np.abs(v) ** 2))
-        assert np.max(np.abs(disc.ray - disc.radii[:, None] * direction[None, :])) < 1e-12
-        assert np.array_equal(disc.base_v, v)
-        assert disc.tau_residual < 1e-10
-        discs = trace_leaf(exh, np.array([v, [0.5, -0.3 + 0.1j]]), n_steps=100)
-        assert len(discs) == 2
-        for d in discs:
-            assert d.tau_residual < 1e-10
 
-    def test_non_parabolic_rejected(self):
-        exh = non_ma_exhaustion()
-        object.__setattr__(exh, "minkowski", None)
-        with pytest.raises(FoliationError, match="gauge data"):
-            trace_leaf(exh, 0.2)
+def skew_exhaustion():
+    """tau = |z|^2 + (x1 y2)^2: not circular, so Z is not the half-radial
+    field, and DZ is not symmetric (on the circular domains DZ = I/2)."""
+    x1, y1, x2, y2 = ambient_coords(2)
+    return ExhaustionField(n=2, tau_ambient=x1**2 + y1**2 + x2**2 + y2**2 + (x1 * y2) ** 2)
+
+
+ORACLE_CASES = {
+    "ball": lambda: make_circular_domain({"kind": "ball"})[1],
+    "ellipsoid": lambda: make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})[1],
+    "perturbed_ball": lambda: make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})[1],
+    "ellipsoid_n3": lambda: make_circular_domain({"kind": "ellipsoid", "n": 3})[1],
+    "skew": skew_exhaustion,
+}
+
+
+class TestExactOracle:
+    """The finite differences of DZ and of the Lie derivative against exact
+    derivatives, and Cartan's formula L_Z ddc tau = d(i_Z ddc tau) =
+    ddc tau, which holds wherever Z is defined."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_finite_differences_match_exact_derivatives(self, case):
+        exh = ORACLE_CASES[case]()
+        ev, pts, Z = z_field(exh, 20, seed=13)
+        Z_exact, DZ, A, L = exact_z_jets(exh, pts)
+        assert np.max(np.abs(Z - Z_exact)) < 1e-12
+        assert np.max(np.abs(A - ev.fields(pts)[2])) < 1e-12
+        assert np.max(np.abs(ev.jacobian(pts) - DZ)) < 1e-10
+        assert np.max(np.abs(_lie_derivative_flow(ev, pts) - L)) < 1e-10
+        assert np.max(np.abs(L - A)) < 1e-14

@@ -171,9 +171,6 @@ class TestAnalyticCalculus:
         one = AnalyticForm.scalar((x, y), 1)
         dxdy = AnalyticForm((x, y), 2, {(0, 1): 1})
         assert one.wedge(dxdy).comps == {(0, 1): sp.Integer(1)}
-        # interior(d/dx, dx^dy) = dy
-        iota = dxdy.interior([1, 0])
-        assert iota.comps == {(1,): sp.Integer(1)}
         # a product above the top degree is the zero top-degree form
         over = dxdy.wedge(AnalyticForm((x, y), 1, {(0,): x}))
         assert over.degree == 2 and over.comps == {}
