@@ -1,9 +1,11 @@
-"""Index combinatorics of the symbolic form calculus.
+"""Index combinatorics of the form calculus.
 
 A p-form is stored as a mapping from strictly increasing index tuples to
-coefficients.  The helpers here do the sign bookkeeping for wedge products,
-exterior derivatives and the action of the standard
-complex structure on forms, and build the matrix of that structure.
+coefficients: sympy expressions for the symbolic forms, (N,) arrays of
+point values for the numeric ones.  The helpers here do the sign
+bookkeeping for wedge products, exterior derivatives and the action of
+the standard complex structure on forms, for either kind of coefficient,
+and build the matrix of that structure.
 """
 
 from __future__ import annotations
@@ -17,23 +19,39 @@ def merge_indices(I, J):
     Returns (sign, K) where sign is the parity of the merge permutation,
     or None when the tuples share an index (the wedge vanishes).
     """
-    if set(I) & set(J):
+    combined = I + J
+    if len(set(combined)) != len(combined):
         return None
-    combined = list(I) + list(J)
-    # count inversions of the concatenation
-    inv = 0
-    for a, b in itertools.combinations(range(len(combined)), 2):
-        if combined[a] > combined[b]:
-            inv += 1
+    inv = sum(a > b for a, b in itertools.combinations(combined, 2))
     return (-1) ** inv, tuple(sorted(combined))
 
 
-def insert_index(I, k):
-    """Insert axis k into increasing tuple I; returns (sign, K) or None."""
-    if k in I:
-        return None
-    pos = sum(1 for i in I if i < k)
-    return (-1) ** pos, tuple(sorted(I + (k,)))
+def wedge_comps(A, B):
+    """Components of the wedge product of the forms with components A and
+    B; above the top degree there are none."""
+    out = {}
+    for I, a in A.items():
+        for J, b in B.items():
+            res = merge_indices(I, J)
+            if res is not None:
+                sign, K = res
+                out[K] = out.get(K, 0) + sign * a * b
+    return out
+
+
+def jo_comps(A):
+    """Components of the tensor action of J_o on the form with components A.
+
+    J e_{2m} = e_{2m+1} and J e_{2m+1} = -e_{2m}, so alpha(J e_{i1}, ..,
+    J e_{ip}) is alpha_K for the sorted mapped axes K, with the sign of the
+    odd axes of I and the parity of the sort.
+    """
+    out = {}
+    for I, a in A.items():
+        sign, K = merge_indices(tuple(i ^ 1 for i in I), ())
+        sign *= (-1) ** sum(i % 2 for i in I)
+        out[K] = out.get(K, 0) + sign * a
+    return out
 
 
 def standard_pairs(dim):
@@ -54,34 +72,3 @@ def standard_j_matrix(dim):
         J[b, a] = 1.0
         J[a, b] = -1.0
     return J
-
-
-def jo_axis_action(k):
-    """J_o on basis vectors as (sign, axis): J e_k = sign * e_axis."""
-    if k % 2 == 0:
-        return 1, k + 1
-    return -1, k - 1
-
-
-def jo_on_indices(I):
-    """Evaluate alpha(J e_{i1}, ..., J e_{ip}) index bookkeeping for J_o.
-
-    Returns (sign, K) with K increasing, such that
-    alpha(J e_{i1}, ..., J e_{ip}) = sign * alpha_K, or None if two mapped
-    axes coincide (impossible for J_o, kept for symmetry).
-    """
-    sign = 1
-    mapped = []
-    for i in I:
-        s, j = jo_axis_action(i)
-        sign *= s
-        mapped.append(j)
-    if len(set(mapped)) != len(mapped):
-        return None
-    # sort mapped axes, tracking permutation parity
-    arr = list(mapped)
-    inv = 0
-    for a, b in itertools.combinations(range(len(arr)), 2):
-        if arr[a] > arr[b]:
-            inv += 1
-    return sign * (-1) ** inv, tuple(sorted(arr))

@@ -200,10 +200,6 @@ class AnalyticForm:
     def scalar(cls, coords, expr):
         return cls(coords, 0, {(): expr})
 
-    @classmethod
-    def zero(cls, coords, degree):
-        return cls(coords, degree, {})
-
     # -- algebra ------------------------------------------------------
     def __add__(self, other):
         self._check(other)
@@ -232,27 +228,20 @@ class AnalyticForm:
         comps = {}
         for idx, expr in self.comps.items():
             for k, xk in enumerate(self.coords):
-                if k in idx:
-                    continue
-                sign, new = exterior.insert_index(idx, k)
-                comps[new] = comps.get(new, 0) + sign * sp.diff(expr, xk)
+                res = exterior.merge_indices((k,), idx)
+                if res is not None:
+                    sign, new = res
+                    comps[new] = comps.get(new, 0) + sign * sp.diff(expr, xk)
         return AnalyticForm(self.coords, self.degree + 1, comps)
 
     def jconj(self):
         """Tensor action of J_o: (J a)(X..) = (-1)^p a(J X..).
 
-        The loop runs over source indices; because J_o maps basis covectors
-        to signed basis covectors and J_o^{-1} = -J_o, the per-axis inverse
-        signs exactly absorb the (-1)^p prefactor.
+        exterior.jo_comps runs over source indices; because J_o maps basis
+        covectors to signed basis covectors and J_o^{-1} = -J_o, the
+        per-axis inverse signs exactly absorb the (-1)^p prefactor.
         """
-        comps = {}
-        for idx, expr in self.comps.items():
-            res = exterior.jo_on_indices(idx)
-            if res is None:
-                continue
-            sign, new = res
-            comps[new] = comps.get(new, 0) + sign * expr
-        return AnalyticForm(self.coords, self.degree, comps)
+        return AnalyticForm(self.coords, self.degree, exterior.jo_comps(self.comps))
 
     def dc(self):
         """dc = (-1)^p Jact d Jact; equals i(dbar-d) on scalars."""
@@ -262,24 +251,8 @@ class AnalyticForm:
     def wedge(self, other):
         if self.coords != other.coords:
             raise ValueError("mismatched charts")
-        deg = self.degree + other.degree
-        if deg > self.dim:
-            return AnalyticForm.zero(self.coords, min(deg, self.dim))
-        comps = {}
-        for I, a in self.comps.items():
-            for J, b in other.comps.items():
-                res = exterior.merge_indices(I, J)
-                if res is None:
-                    continue
-                sign, K = res
-                comps[K] = comps.get(K, 0) + sign * a * b
-        return AnalyticForm(self.coords, deg, comps)
-
-    def wedge_power(self, k):
-        out = AnalyticForm.scalar(self.coords, 1)
-        for _ in range(k):
-            out = out.wedge(self)
-        return out
+        deg = min(self.degree + other.degree, self.dim)
+        return AnalyticForm(self.coords, deg, exterior.wedge_comps(self.comps, other.comps))
 
     # -- evaluation ---------------------------------------------------
     def evaluate(self, points):
@@ -314,10 +287,3 @@ class AnalyticForm:
         if not vals:
             return np.zeros(len(points), dtype=complex)
         return vals[()]
-
-    def max_abs_at(self, points):
-        """Max absolute component value over the sample points."""
-        vals = self.evaluate(points)
-        if not vals:
-            return 0.0
-        return max(float(np.max(np.abs(arr))) for arr in vals.values())

@@ -119,6 +119,17 @@ class TestExitCodes:
         assert run(argv) == 0
         assert "all_pass: pass" in (tmp_path / "verify_report.txt").read_text()
 
+    def test_module_entry_point_verifies(self, tmp_path):
+        # `python -m maform` runs the same command line as `maform`
+        dom = write(tmp_path, "ball.dom", BALL_DOM)
+        out = subprocess.run(
+            [sys.executable, "-m", "maform", "verify", "--domain", dom, "--samples", "1",
+             "--out", str(tmp_path)],
+            env=package_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "all_pass: pass" in (tmp_path / "verify_report.txt").read_text()
+
     def test_non_degenerate_exhaustion_fails(self, tmp_path):
         dom = write(tmp_path, "nonMA.dom", NONMA_DOM)
         assert run(["verify", "--domain", dom, "--out", str(tmp_path)]) == 1

@@ -8,7 +8,7 @@ import sympy as sp
 
 from maform import symforms
 from maform.domains import ExhaustionField, ambient_coords, make_circular_domain
-from maform.exterior import standard_j_matrix
+from maform.exterior import standard_j_matrix, wedge_comps
 from maform.foliation import (
     FoliationError,
     ZFieldEvaluator,
@@ -17,7 +17,7 @@ from maform.foliation import (
     verify_ma_identities,
 )
 from maform.ode import rk4_step
-from maform.symforms import AnalyticForm, compile_exprs
+from maform.symforms import AnalyticForm, compile_exprs, real_coords
 
 RNG = np.random.default_rng(20260825)
 
@@ -175,11 +175,18 @@ class TestIdentitySuite:
             assert rep["pass"][key], (key, rep[key])
         assert rep["all_pass"]
 
+    def test_ellipsoid_n3_all_identities(self):
+        # n = 3 is the first dimension whose power rule reaches the
+        # compiled ddc tau^2 rows
+        _, exh = make_circular_domain({"kind": "ellipsoid", "n": 3})
+        rep = verify_ma_identities(exh)
+        assert rep["power_rule"] < 1e-10
+        assert rep["all_pass"], rep
+
     def test_each_form_compiles_once(self, monkeypatch):
-        # one lambdify per evaluated form: the log-potential difference,
-        # the top-degree form and its difference (the power-rule difference
-        # is identically zero for n = 2 and compiles nothing), plus one for
-        # tau, dtau and ddc tau of the Z field together
+        # two lambdify calls: tau, dtau and ddc tau of the Z field together,
+        # and ddc log tau with the ddc tau^k rows (none for n = 2); every
+        # wedge product is taken of their values
         _, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
         calls = []
         lambdify = sp.lambdify
@@ -191,7 +198,7 @@ class TestIdentitySuite:
         monkeypatch.setattr(sp, "lambdify", counted)
         monkeypatch.setattr(symforms, "_COMPILED", {})
         verify_ma_identities(exh, n_samples=2)
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_log_potential_holds_for_any_tau(self):
         # the potential identity is an algebraic consequence for any smooth
@@ -205,6 +212,72 @@ class TestIdentitySuite:
         assert rep["top_degeneracy"] > 1e-2
         assert not rep["pass"]["top_degeneracy"]
         assert not rep["all_pass"]
+
+
+def _alternation(form, vectors):
+    """A p-form with components {I: (N,) array} on the p columns of vectors
+    (dim, p): the sum over I of form_I det(vectors[I])."""
+    return sum(v * np.linalg.det(vectors[list(I)]) for I, v in form.items())
+
+
+def _shuffle_wedge(a, p, b, q, vectors):
+    """(a ^ b)(v_1..v_p+q) as the signed sum over (p, q)-shuffles of
+    a(v_S) b(v_S'), the sign (-1)^(sum S - p(p-1)/2) of the shuffle: an
+    oracle that shares no sign bookkeeping with exterior.merge_indices."""
+    total = 0.0
+    for S in itertools.combinations(range(p + q), p):
+        rest = [k for k in range(p + q) if k not in S]
+        sign = (-1) ** (sum(S) - p * (p - 1) // 2)
+        total = total + sign * _alternation(a, vectors[:, list(S)]) * _alternation(b, vectors[:, rest])
+    return total
+
+
+class TestNumericWedge:
+    """The identity suite wedges point values; the symbolic products it
+    replaced are the reference."""
+
+    def random_form(self, coords, degree, rng):
+        x = coords
+        comps = {
+            I: rng.uniform(-1, 1) + rng.uniform(-1, 1) * x[I[0]] * x[-1 - I[-1]]
+            for I in itertools.combinations(range(len(coords)), degree)
+            if rng.uniform() < 0.7
+        }
+        return AnalyticForm(coords, degree, comps)
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 2), (1, 3)])
+    def test_matches_symbolic_wedge_and_shuffle_oracle(self, dim, p, q):
+        rng = np.random.default_rng(100 * dim + 10 * p + q)
+        coords = real_coords(dim, prefix="x")
+        a, b = self.random_form(coords, p, rng), self.random_form(coords, q, rng)
+        pts = rng.uniform(-0.9, 0.9, size=(12, dim))
+        numeric = wedge_comps(a.evaluate(pts), b.evaluate(pts))
+        symbolic = a.wedge(b).evaluate(pts)
+        assert numeric.keys() == symbolic.keys()
+        for K, v in symbolic.items():
+            assert np.max(np.abs(numeric[K] - v)) < 1e-14
+        vectors = rng.normal(size=(dim, p + q))
+        want = _shuffle_wedge(a.evaluate(pts), p, b.evaluate(pts), q, vectors)
+        assert np.max(np.abs(_alternation(numeric, vectors) - want)) < 1e-13
+
+    def test_top_degeneracy_matches_symbolic_products(self):
+        # the non-Monge-Ampere residual is order one, so both routes must
+        # give the same number, not only both a small one
+        exh = non_ma_exhaustion()
+        tau = exh.ambient_form()
+        dtau, ddc = tau.d(), tau.dc().d()
+        cross = dtau.wedge(tau.dc())
+        top_lhs = tau.wedge(ddc.wedge(ddc))
+        diff = top_lhs - cross.wedge(ddc).scale(2)
+        pts = _ambient_points(2, 40, seed=13)
+
+        def max_abs(form):
+            return max(float(np.max(np.abs(v))) for v in form.evaluate(pts).values())
+
+        want = max_abs(diff) / max_abs(top_lhs)
+        got = verify_ma_identities(exh)["top_degeneracy"]
+        assert abs(got - want) <= 1e-12 * want
 
 
 def exact_z_jets(exh, pts):
