@@ -10,7 +10,10 @@ checks can run at symbolic accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ast
+import operator
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import sympy as sp
@@ -219,13 +222,166 @@ def make_circular_domain(mu_spec, atlas=None):
 
 
 # ---------------------------------------------------------------------------
-# domain spec files
+# spec files
+
+
+class SpecParseError(ValueError):
+    def __init__(self, line_no, col, message):
+        self.line_no = line_no
+        self.col = col
+        super().__init__(f"line {line_no}, column {col}: {message}")
+
+
+class SpecLine(NamedTuple):
+    """One 'key = value' line of a spec: its number, the key and the value
+    text, with the column at which each starts."""
+
+    line_no: int
+    key: str
+    key_col: int
+    text: str
+    col: int
+
+    def error(self, message, at_key=False):
+        """A SpecParseError at the value text, or at the key."""
+        return SpecParseError(self.line_no, self.key_col if at_key else self.col, message)
+
+
+def read_spec(text, keys, entry=None):
+    """The 'key = value' lines of a spec text, skipping blank lines and
+    lines that start with '#'.
+
+    Returns ({key: SpecLine} over the keys given, each at most once, and
+    the list of SpecLines whose key's first word is entry).  A line
+    without '=', an unknown key or a repeated one is an error at its
+    line and column.
+    """
+    values, entries = {}, []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, val = stripped.partition("=")
+        if not eq:
+            raise SpecParseError(line_no, line.index(stripped) + 1, "expected 'key = value'")
+        key, val = key.strip(), val.strip()
+        at = line.index("=")
+        item = SpecLine(
+            line_no, key, line.index(key) + 1, val, line.index(val, at) + 1 if val else at + 2
+        )
+        if key.split()[:1] == [entry]:
+            entries.append(item)
+        elif key not in keys:
+            raise item.error(f"unknown key {key!r}", at_key=True)
+        elif key in values:
+            raise item.error(f"duplicate key {key!r}", at_key=True)
+        else:
+            values[key] = item
+    return values, entries
+
+
+# integer keys: the values the pipeline can run on, and what a bad one lacks
+_SPEC_RANGES = {
+    "n": (lambda v: v in (2, 3), "must be 2 or 3"),
+    "N_v": (lambda v: v >= 4, "must be at least 4, the nodes per axis a cubic interpolant needs"),
+    "N_r": (lambda v: v >= 2, "must be at least 2 fiber radii"),
+    "N_theta": (lambda v: v >= 2 and not v & (v - 1), "must be a power of two, at least 2"),
+    "k_max": (lambda v: v >= 0, "must be non-negative"),
+}
+
+
+def parse_spec_value(item, cast):
+    """The value of a SpecLine, cast and checked against _SPEC_RANGES; a
+    SpecParseError points at the value."""
+    try:
+        out = cast(item.text)
+    except ValueError:
+        raise item.error(f"bad value for {item.key!r}: {item.text!r}")
+    if item.key in _SPEC_RANGES and not _SPEC_RANGES[item.key][0](out):
+        raise item.error(f"{item.key} {_SPEC_RANGES[item.key][1]}, got {out}")
+    return out
+
+
+_FUNCTIONS = dict(abs=sp.Abs, conj=sp.conjugate, **{
+    name: getattr(sp, name)
+    for name in "sqrt exp log sin cos tan asin acos atan sinh cosh tanh asinh acosh atanh "
+    "Abs conjugate re im".split()
+})
+_CONSTANTS = {"I": sp.I, "pi": sp.pi, "E": sp.E}
+# an exact rational power is computed in full: bound its size
+_MAX_POWER_BITS = 10**6
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow}
+
+
+def parse_expression(text, names, line_no=1, col=1):
+    """The sympy expression of the spec text text, which starts at column
+    col of line line_no.
+
+    The text is parsed by ast and nothing in it is evaluated: the tree may
+    hold only numbers, + - * / ** and unary minus, the coordinates in
+    names ({name: symbol}), I, pi, E and calls of the elementary functions
+    in _FUNCTIONS (conj is conjugate).  Anything else is a SpecParseError
+    at its column.
+    """
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        offset = min(max((exc.offset or 1) - 1, 0), len(text))
+        raise SpecParseError(line_no, col + offset, f"bad expression: {exc.msg}")
+    except ValueError as exc:  # a null byte or a lone surrogate
+        raise SpecParseError(line_no, col, f"bad expression: {exc}")
+    except (RecursionError, MemoryError):
+        raise SpecParseError(line_no, col, "expression nested too deeply")
+
+    def fail(node, message):
+        # ast columns count UTF-8 bytes
+        offset = len(text.encode()[: node.col_offset].decode(errors="ignore"))
+        raise SpecParseError(line_no, col + offset, message)
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return sp.Integer(node.value)
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            return sp.Float(ast.get_source_segment(text, node))  # all digits given
+        if isinstance(node, ast.Name):
+            if node.id in names:
+                return names[node.id]
+            if node.id in _CONSTANTS:
+                return _CONSTANTS[node.id]
+            fail(node, f"unknown name {node.id!r}")
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            left, right = build(node.left), build(node.right)
+            if isinstance(node.op, ast.Pow) and left.is_Rational and right.is_Rational:
+                if abs(right) * max(abs(left.p), left.q).bit_length() > _MAX_POWER_BITS:
+                    fail(node, "exact power too large")
+            return _OPERATORS[type(node.op)](left, right)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -build(node.operand)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id not in _FUNCTIONS:
+                fail(node.func, f"unknown name {node.func.id!r}")
+            if node.keywords:
+                fail(node.keywords[0], "keyword arguments are not allowed")
+            args = [build(arg) for arg in node.args]
+            try:
+                return _FUNCTIONS[node.func.id](*args)
+            except (TypeError, ValueError) as exc:
+                fail(node, f"bad call of {node.func.id}: {exc}")
+        fail(node, f"{ast.get_source_segment(text, node)!r} is not allowed in an expression")
+
+    try:
+        return build(tree.body)
+    except RecursionError:
+        raise SpecParseError(line_no, col, "expression nested too deeply")
 
 
 @dataclass(frozen=True)
 class DomainSpec:
     """Parsed text description of a domain, with the raw text preserved so
-    reports can echo it bit-exactly."""
+    reports can echo it bit-exactly.  kind is None when a tau.expr line
+    gives the exhaustion tau_expr; at maps each key given to the (line,
+    column) of its value."""
 
     n: int
     kind: str
@@ -234,7 +390,8 @@ class DomainSpec:
     n_r: int
     n_theta: int
     raw: str
-    n_at: tuple = None  # (line, column) of the n value, when given
+    tau_expr: object = None
+    at: dict = field(default_factory=dict)
 
     def mu_spec(self):
         return {"n": self.n, "kind": self.kind, **self.params}
@@ -249,76 +406,39 @@ class DomainSpec:
         )
 
 
-class SpecParseError(ValueError):
-    def __init__(self, line_no, col, message):
-        self.line_no = line_no
-        self.col = col
-        super().__init__(f"line {line_no}, column {col}: {message}")
+_DOMAIN_KEYS = {"n", "mu.kind", "tau.expr", "a", "b", "eps", "q", "N_v", "N_r", "N_theta"}
 
 
-_SPEC_KEYS = {"n", "mu.kind", "a", "b", "eps", "q", "N_v", "N_r", "N_theta"}
-# integer keys: the values the pipeline can run on, and what a bad one lacks
-_SPEC_RANGES = {
-    "n": (lambda v: v in (2, 3), "must be 2 or 3"),
-    "N_v": (lambda v: v >= 4, "must be at least 4, the nodes per axis a cubic interpolant needs"),
-    "N_r": (lambda v: v >= 2, "must be at least 2 fiber radii"),
-    "N_theta": (lambda v: v >= 2 and not v & (v - 1), "must be a power of two, at least 2"),
-    "k_max": (lambda v: v >= 0, "must be non-negative"),
-}
-
-
-def _value_col(line, val):
-    """Column of the value text val on a spec line, found after the '='."""
-    return line.index(val, line.index("=")) + 1 if val else 1
-
-
-def parse_spec_value(key, line_no, line, val, cast):
-    """The value text val of key on a spec line, cast and checked against
-    _SPEC_RANGES; a SpecParseError points at val."""
-    col = _value_col(line, val)
-    try:
-        out = cast(val)
-    except ValueError:
-        raise SpecParseError(line_no, col, f"bad value for {key!r}: {val!r}")
-    if key in _SPEC_RANGES and not _SPEC_RANGES[key][0](out):
-        raise SpecParseError(line_no, col, f"{key} {_SPEC_RANGES[key][1]}, got {out}")
+def _q_list(text):
+    """A perturbed_ball q list 'degree:coeff, ...' as {degree: coeff}."""
+    out = {}
+    for item in text.split(","):
+        d, _, c = item.partition(":")
+        out[int(d.strip())] = float(c.strip())
     return out
 
 
 def parse_domain_spec(text):
-    """Parse a 'key = value' domain spec.
+    """Parse a 'key = value' domain spec (read_spec).
 
-    Recognized keys: n, mu.kind in {ball, ellipsoid, perturbed_ball},
-    a, b, eps, q (comma list of degree:coeff), N_v, N_r, N_theta.  Lines
-    starting with '#' and blank lines are ignored.  Errors carry line and
-    column positions; an integer key outside the range the pipeline runs
-    on (_SPEC_RANGES) is an error at its value.
+    Keys: n, mu.kind in {ball, ellipsoid, perturbed_ball}, a, b, eps, q
+    (comma list of degree:coeff), N_v, N_r, N_theta, and tau.expr, an
+    exhaustion in the ambient coordinates x1, y1, ..., xn, yn
+    (parse_expression) that replaces the gauge.  mu.kind is required
+    unless tau.expr is given.  Errors carry line and column positions; an
+    integer key outside the range the pipeline runs on (_SPEC_RANGES) is
+    an error at its value.
     """
-    values = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise SpecParseError(line_no, 1, "expected 'key = value'")
-        key, _, val = stripped.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _SPEC_KEYS:
-            col = line.index(key) + 1
-            raise SpecParseError(line_no, col, f"unknown key {key!r}")
-        if key in values:
-            raise SpecParseError(line_no, 1, f"duplicate key {key!r}")
-        values[key] = (line_no, line, val)
+    values, _ = read_spec(text, _DOMAIN_KEYS)
 
-    def take(key, default=None, cast=str):
-        if key not in values:
-            if default is None and key in ("mu.kind",):
-                raise SpecParseError(0, 0, f"missing required key {key!r}")
-            return default
-        return parse_spec_value(key, *values[key], cast)
+    def take(key, default, cast=str):
+        return parse_spec_value(values[key], cast) if key in values else default
 
-    kind = take("mu.kind")
+    kind = take("mu.kind", None)
+    if kind is None and "tau.expr" not in values:
+        lines = text.splitlines() or [""]  # the error points past the end of the text
+        message = "missing required key 'mu.kind' (or 'tau.expr')"
+        raise SpecParseError(len(lines), len(lines[-1]) + 1, message)
     n = take("n", 2, int)
     params = {}
     if kind == "ellipsoid":
@@ -326,24 +446,11 @@ def parse_domain_spec(text):
         params["b"] = take("b", 4.0, float)
     elif kind == "perturbed_ball":
         params["eps"] = take("eps", 0.05, float)
-        qraw = take("q", "2:1")
-
-        def parse_q(s):
-            out = {}
-            for item in s.split(","):
-                d, _, c = item.partition(":")
-                out[int(d.strip())] = float(c.strip())
-            return out
-
-        if isinstance(qraw, str):
-            try:
-                params["q"] = parse_q(qraw)
-            except ValueError:
-                line_no, line, val = values["q"]
-                raise SpecParseError(line_no, 1, f"bad q list: {val!r}")
-    elif kind != "ball":
-        line_no, line, val = values["mu.kind"]
-        raise SpecParseError(line_no, _value_col(line, val), f"unknown mu.kind {val!r}")
+        params["q"] = take("q", {2: 1.0}, _q_list)
+    elif kind not in ("ball", None):
+        raise values["mu.kind"].error(f"unknown mu.kind {kind!r}")
+    coords = {str(c): c for c in ambient_coords(n)}
+    tau = values.get("tau.expr")
     return DomainSpec(
         n=n,
         kind=kind,
@@ -352,5 +459,39 @@ def parse_domain_spec(text):
         n_r=take("N_r", 8, int),
         n_theta=take("N_theta", 16, int),
         raw=text,
-        n_at=(values["n"][0], _value_col(*values["n"][1:])) if "n" in values else None,
+        tau_expr=None if tau is None else parse_expression(tau.text, coords, tau.line_no, tau.col),
+        at={key: (item.line_no, item.col) for key, item in values.items()},
     )
+
+
+_TENSOR_DEFAULTS = {"n": 2, "N_v": 17, "N_r": 8, "N_theta": 16, "k_max": 0}
+
+
+def parse_tensor_spec(text):
+    """Parse a synthetic-tensor spec (read_spec): the integer keys of
+    _TENSOR_DEFAULTS, checked like those of a domain spec, and entries
+    'mode k a b = expr' with 0 <= k <= k_max, a, b in 1..n-1 and expr a
+    coefficient (parse_expression) in the base coordinate v (v1, v2 for
+    n = 3).
+
+    Returns (values, coords, modes): the integer values, the coordinate
+    symbols and a list of (k, a, b, expr).
+    """
+    items, entries = read_spec(text, set(_TENSOR_DEFAULTS), entry="mode")
+    values = {
+        key: parse_spec_value(items[key], int) if key in items else default
+        for key, default in _TENSOR_DEFAULTS.items()
+    }
+    n = values["n"]
+    coords = [sp.Symbol("v")] if n == 2 else [sp.Symbol(f"v{i+1}") for i in range(n - 1)]
+    names = {str(c): c for c in coords}
+    modes = []
+    for item in entries:
+        try:  # a wrong count of indices fails the unpacking
+            k, a, b = (int(p) for p in item.key.split()[1:])
+        except ValueError:
+            raise item.error(f"expected 'mode k a b = expr', got {item.key!r}", at_key=True)
+        if not (0 <= k <= values["k_max"] and 1 <= a <= n - 1 and 1 <= b <= n - 1):
+            raise item.error(f"mode indices out of range: {k} {a} {b}", at_key=True)
+        modes.append((k, a, b, parse_expression(item.text, names, item.line_no, item.col)))
+    return values, coords, modes

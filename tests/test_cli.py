@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import maform
-from maform.cli import main
+from maform.cli import build_parser, main
 from maform.gridforms import dump_records, load_records
 
 BALL_DOM = """\
@@ -245,6 +245,52 @@ class TestExitCodes:
         assert run(["verify", "--domain", dom, "--out", str(tmp_path), "--samples", "1"]) == 2
         assert "line 4, column 11: N_theta must be a power of two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("bad.dom", "n = 2\ntau.expression = x1**2\n", "line 2, column 1: unknown key 'tau.expression'"),
+            ("bad.dom", "tau.expr = x1**2\ntau.expr = y1**2\n", "line 2, column 1: duplicate key 'tau.expr'"),
+            ("bad.dom", "n = 2\nN_v = 9\n", "line 2, column 8: missing required key 'mu.kind'"),
+            ("bad.tns", "N_v = 17\nmode 0 1 1 = 0.01\nN_v = 17\n", "line 3, column 1: duplicate key 'N_v'"),
+        ],
+    )
+    def test_spec_reader_faults_exit_2(self, tmp_path, capsys, name, text, message):
+        spec = write(tmp_path, name, text)
+        if name.endswith(".dom"):
+            argv = ["verify", "--domain", spec, "--samples", "1"]
+        else:
+            argv = ["classify", "--tensor", spec]
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_tau_expr_spec_whose_comment_names_mu_kind_verifies(self, tmp_path):
+        dom = write(
+            tmp_path, "tau.dom",
+            "# no mu.kind line: tau.expr replaces the gauge\n"
+            "n = 2\ntau.expr = x1**2 + y1**2 + x2**2 + y2**2\nN_v = 9\n",
+        )
+        assert run(["verify", "--domain", dom, "--out", str(tmp_path), "--samples", "1"]) == 0
+
+    @pytest.mark.parametrize("command", ["normalize", "invariants", "classify"])
+    def test_moser_command_on_tau_expr_exits_2(self, tmp_path, capsys, command):
+        dom = write(tmp_path, "tau.dom", "n = 2\ntau.expr = x1**2 + y1**2 + x2**2 + y2**2\n")
+        assert run([command, "--domain", dom, "--out", str(tmp_path)]) == 2
+        message = f"line 2, column 12: {command} needs a gauge (mu.kind), not tau.expr"
+        assert message in capsys.readouterr().err
+
+    def test_tau_expr_code_is_not_run(self, tmp_path):
+        target = tmp_path / "x"
+        dom = write(
+            tmp_path, "evil.dom",
+            "n = 2\ntau.expr = x1**2 + y1**2 + x2**2 + y2**2"
+            f" + 0*len(str(__import__('os').mkdir('{target}')))\n",
+        )
+        out = run_process(["verify", "--domain", dom, "--out", str(tmp_path), "--samples", "1"])
+        assert out.returncode == 2
+        assert "line 2, column 46: unknown name 'len'" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not target.exists()
+
 
 class TestReportHeader:
     def test_header_block_and_spec_echo(self, tmp_path):
@@ -255,14 +301,128 @@ class TestReportHeader:
         assert "ddc|z|^2 = 4 dx^dy" in text
         assert "# resolutions: N_v=9 N_r=8 N_theta=16" in text
         # the verify rows print each tolerance they apply; the header
-        # lists only the tolerances of the other commands
-        assert "# tolerances: moser=1.000e-06 mode=1.000e-05\n" in text
+        # prints only a tolerance that the command applies
+        assert "# tolerances:" not in text
         assert "identity=" not in text
         assert "# seed: 7" in text
         # the spec file is echoed bit-exactly between the markers
         start = text.index("# spec-echo-begin\n") + len("# spec-echo-begin\n")
         end = text.index("\n# spec-echo-end")
         assert text[start:end] == BALL_DOM.rstrip("\n")
+
+
+# the options of each command, as documented in the README
+COMMAND_OPTIONS = {
+    "verify": {"--domain", "--out", "--seed", "--samples"},
+    "normalize": {"--domain", "--out", "--seed", "--binary", "--moser-tol", "--steps"},
+    "invariants": {"--domain", "--out", "--seed", "--binary", "--steps", "--kmax"},
+    "classify": {"--domain", "--tensor", "--out", "--seed", "--mode-tol", "--steps", "--kmax"},
+    "scale-test": {"--tensor", "--out", "--seed", "--k", "--iters"},
+}
+
+# for each command: the options of a quick run, and for every option it
+# applies a value that changes its outputs (None: a flag)
+ACTING = {
+    "verify": ({"--samples": "2"}, {"--samples": "3", "--seed": "7"}),
+    "normalize": (
+        {"--steps": "5"}, {"--binary": None, "--moser-tol": "1e-30", "--steps": "6"}
+    ),
+    "invariants": ({"--steps": "5"}, {"--binary": None, "--steps": "6", "--kmax": "3"}),
+    "classify": ({"--steps": "5"}, {"--mode-tol": "1e-3", "--steps": "6", "--kmax": "3"}),
+    "scale-test": ({}, {"--k": "0.25", "--iters": "3"}),
+}
+
+
+def _registered_options():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    return {
+        name: {a.option_strings[-1] for a in p._actions if a.option_strings} - {"--help"}
+        for name, p in commands.items()
+    }
+
+
+class TestOptions:
+    def test_each_command_registers_the_options_it_applies(self):
+        assert _registered_options() == COMMAND_OPTIONS
+
+    def test_other_options_exit_2(self, tmp_path, capsys):
+        spec = write(tmp_path, "ball.dom", BALL_DOM)
+        every = set().union(*COMMAND_OPTIONS.values()) - {"--domain", "--tensor"}
+        for command, options in COMMAND_OPTIONS.items():
+            for option in sorted(every - options):
+                value = [] if option == "--binary" else ["1"]
+                flag = "--tensor" if command == "scale-test" else "--domain"
+                argv = [command, flag, spec, option, *value, "--out", str(tmp_path)]
+                assert run(argv) == 2, (command, option)
+                assert "unrecognized arguments" in capsys.readouterr().err
+        out = ["--out", str(tmp_path)]
+        assert run(["verify", "--domain", spec, "--sample", "2", *out]) == 2  # no abbreviations
+        assert run(["classify", "--domain", spec, "--tensor", spec, *out]) == 2
+        assert run(["classify", *out]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normalize", "--moser-tol", "0"],
+            ["normalize", "--moser-tol=-1e-6"],
+            ["normalize", "--moser-tol", "nan"],
+            ["classify", "--mode-tol", "0"],
+        ],
+    )
+    def test_non_positive_tolerance_exits_2(self, tmp_path, capsys, argv):
+        spec = write(tmp_path, "ball.dom", BALL_DOM)
+        assert run([*argv, "--domain", spec, "--out", str(tmp_path)]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_every_option_acts(self, tmp_path):
+        # no option is accepted and then ignored: each changes a report
+        # body, a dump or the exit code (--out and, but on verify, --seed
+        # change only where the outputs go and the header)
+        domain = write(tmp_path, "ellipsoid.dom", ELLIPSOID_DOM.replace("N_v = 17", "N_v = 9"))
+        specs = {
+            "verify": ["--domain", write(tmp_path, "perturbed.dom", PERTURBED_DOM)],
+            "scale-test": ["--tensor", write(tmp_path, "synth.tns", SYNTH_TNS.replace("N_v = 17", "N_v = 9"))],
+        }
+        runs = 0
+
+        def outputs(command, options):
+            nonlocal runs
+            runs += 1
+            out = tmp_path / f"run{runs}"
+            argv = [command, *specs.get(command, ["--domain", domain]), "--out", str(out)]
+            for option, value in options.items():
+                argv += [option] if value is None else [option, value]
+            code = run(argv)
+            files = {p.name: p.read_bytes().partition(b"# spec-echo-end\n")[-1] for p in out.iterdir()}
+            return code, files
+
+        exempt = {"--domain", "--tensor", "--out", "--seed"}
+        registered = _registered_options()
+        assert registered.keys() == ACTING.keys()
+        for command, (base, acting) in ACTING.items():
+            assert set(acting) | exempt >= registered[command], command
+            default = outputs(command, base)
+            for option, value in acting.items():
+                assert outputs(command, {**base, option: value}) != default, (command, option)
+
+    @pytest.mark.parametrize(
+        "argv, report, line",
+        [
+            (["normalize", "--steps", "5", "--moser-tol", "2e-6"], "normalize_report.txt",
+             "# tolerances: moser=2.000e-06\n"),
+            (["classify", "--mode-tol", "3e-5"], "classify_report.txt", "# tolerances: mode=3.000e-05\n"),
+            (["scale-test"], "scale_report.txt", None),
+        ],
+    )
+    def test_tolerance_line_only_where_applied(self, tmp_path, argv, report, line):
+        if argv[0] == "normalize":
+            spec = ["--domain", write(tmp_path, "ball.dom", BALL_DOM)]
+        else:
+            spec = ["--tensor", write(tmp_path, "synth.tns", SYNTH_TNS)]
+        assert run([*argv, *spec, "--out", str(tmp_path)]) == 0
+        header = (tmp_path / report).read_text().partition("# spec-echo-begin")[0]
+        found = [l for l in header.splitlines(True) if l.startswith("# tolerances:")]
+        assert found == ([line] if line else [])
 
 
 class TestDeterminism:

@@ -1,7 +1,14 @@
 """Domain model: gauge construction, exhaustion, spec files."""
 
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maform import domains
 from maform.atlas import blowup_forward
@@ -9,8 +16,11 @@ from maform.domains import (
     DomainError,
     PseudoconvexityError,
     SpecParseError,
+    ambient_coords,
     make_circular_domain,
     parse_domain_spec,
+    parse_expression,
+    parse_tensor_spec,
 )
 from maform.exterior import standard_j_matrix
 from maform.symforms import AnalyticForm, to_real
@@ -190,3 +200,130 @@ N_theta = 16
             parse_domain_spec("mu.kind = dodecahedron\n")
         with pytest.raises(SpecParseError, match="expected"):
             parse_domain_spec("just some words\n")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+AMBIENT = {str(c): c for c in ambient_coords(2)}
+BASE = {"v": sp.Symbol("v")}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _spec_expressions():
+    """Every tau.expr and mode line value in the test sources and in the
+    benchmark's spec files, with the coordinates it is read in."""
+    lines = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        lines += re.findall(r"((?:tau\.expr|mode \d+ \d+ \d+) = [^\n\"]*?)(?:\\n|\"|$)", path.read_text(), re.M)
+    wl = _workloads()
+    for seed in (1, 2):
+        lines += wl.synthetic_tensor_spec(wl.synthetic_amplitudes(seed)).splitlines()
+    out = []
+    for line in lines:
+        key, eq, val = line.partition(" = ")
+        if key == "tau.expr":
+            out.append((val.strip(), AMBIENT))
+        elif key.startswith("mode "):
+            out.append((val.strip(), {str(c): c for c in sp.symbols("v v1 v2")}))
+    return out
+
+
+class TestSpecReader:
+    def test_expressions_match_sympify(self):
+        # the spec texts are trusted here, so sympify may evaluate them
+        accepted = 0
+        for text, names in _spec_expressions():
+            try:
+                got = parse_expression(text, names)
+            except SpecParseError:
+                continue  # a test of an unknown name or of code in a spec
+            assert got == sp.sympify(text, locals={**names, "conj": sp.conjugate}), text
+            accepted += 1
+        assert accepted >= 10
+
+    def test_tau_expr_without_gauge(self):
+        spec = parse_domain_spec("# no mu.kind line: tau.expr replaces the gauge\ntau.expr = x1**2\n")
+        assert spec.kind is None and spec.tau_expr == AMBIENT["x1"] ** 2
+        assert spec.at == {"tau.expr": (2, 12)}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n = 2\nN_v = 9\n", "line 2, column 8: missing required key 'mu.kind'"),
+            ("", "line 1, column 1: missing required key 'mu.kind'"),
+            ("tau.expression = x1\n", "line 1, column 1: unknown key 'tau.expression'"),
+            ("tau.expr = x1**2\n  tau.expr = y1**2\n", "line 2, column 3: duplicate key 'tau.expr'"),
+            ("mu.kind = ball\ntau.expr = x1.real\n", "line 2, column 12: 'x1.real' is not allowed"),
+            ("mu.kind = perturbed_ball\nq = 2:1, x\n", "line 2, column 5: bad value for 'q'"),
+        ],
+    )
+    def test_domain_errors(self, text, message):
+        with pytest.raises(SpecParseError) as exc:
+            parse_domain_spec(text)
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("N_v = 17\nN_v = 17\n", "line 2, column 1: duplicate key 'N_v'"),
+            ("mode 0 1 = 1\n", "line 1, column 1: expected 'mode k a b = expr'"),
+            ("mode 1 1 1 = 1\n", "line 1, column 1: mode indices out of range: 1 1 1"),
+            ("modes 0 1 1 = 1\n", "line 1, column 1: unknown key 'modes 0 1 1'"),
+            ("mode 0 1 1 = v + w\n", "line 1, column 18: unknown name 'w'"),
+        ],
+    )
+    def test_tensor_errors(self, text, message):
+        with pytest.raises(SpecParseError) as exc:
+            parse_tensor_spec(text)
+        assert message in str(exc.value)
+
+    def test_tensor_entries(self):
+        values, coords, modes = parse_tensor_spec(
+            "n = 3\nN_v = 5\nk_max = 2\nmode 2 2 1 = v1*conj(v2)\n"
+        )
+        assert values == {"n": 3, "N_v": 5, "N_r": 8, "N_theta": 16, "k_max": 2}
+        v1, v2 = coords
+        assert modes == [(2, 2, 1, v1 * sp.conjugate(v2))]
+
+    @pytest.mark.parametrize(
+        "text, col",
+        [
+            ("x1 + foo(y1)", 17),
+            ("x1 + __import__('os').getcwd()", 17),
+            ("9**9**9", 12),
+            ("x1 + * 2", 17),
+            ("sin(x1, y1)", 12),
+        ],
+    )
+    def test_expression_errors_point_into_the_text(self, text, col):
+        with pytest.raises(SpecParseError) as exc:
+            parse_expression(text, AMBIENT, 2, 12)
+        assert (exc.value.line_no, exc.value.col) == (2, col)
+
+
+KEYS = ["n", "mu.kind", "tau.expr", "a", "eps", "q", "N_v", "N_theta", "k_max", "mode 0 1 1"]
+SPEC_TEXT = st.text(alphabet="0123456789.,:+-*/() =#vxyI\n\t", max_size=40)
+SPEC_LINES = st.lists(
+    st.tuples(st.sampled_from(KEYS), SPEC_TEXT).map(" = ".join), max_size=6
+).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), SPEC_TEXT, SPEC_LINES))
+def test_readers_raise_only_spec_errors(text):
+    # any text is read or refused with a position, never with another error
+    for read in (
+        parse_domain_spec,
+        parse_tensor_spec,
+        lambda t: parse_expression(t, AMBIENT),
+        lambda t: parse_expression(t, BASE),
+    ):
+        try:
+            read(text)
+        except SpecParseError as exc:
+            assert exc.line_no >= 1 and exc.col >= 1
