@@ -219,11 +219,17 @@ def cmd_invariants(args):
 
 
 def cmd_classify(args):
+    given = [option for option in _DOMAIN_ONLY if option[2:] in vars(args)]
+    if args.tensor and given:
+        print(f"error: {given[0]} applies to --domain only, not to --tensor", file=sys.stderr)
+        return 2
     if args.tensor:
         tensor, values, raw = load_tensor_file(args.tensor)
         res = {k: values[k] for k in ("N_v", "N_r", "N_theta", "k_max")}
     else:
         spec = _moser_spec(args)
+        for option in _DOMAIN_ONLY:
+            vars(args).setdefault(option[2:], _OPTIONS[option]["default"])
         tensor, raw = _pipeline_tensor(args, spec), spec.raw
         res = _resolutions(spec, rk4_steps=args.steps, k_max=args.kmax)
     report = classify(tensor, tol_circular=args.mode_tol)
@@ -288,6 +294,10 @@ _COMMANDS = {
 }
 
 
+# classify options that only a --domain input uses; unset unless given
+_DOMAIN_ONLY = ("--steps", "--kmax")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="maform",
@@ -305,7 +315,10 @@ def build_parser():
             for spec in specs:
                 group.add_argument(spec, **_OPTIONS[spec])
         for option in ["--out", "--seed", *options.split()]:
-            p.add_argument(option, **_OPTIONS[option])
+            kwargs = _OPTIONS[option]
+            if len(specs) > 1 and option in _DOMAIN_ONLY:
+                kwargs = {**kwargs, "default": argparse.SUPPRESS}
+            p.add_argument(option, **kwargs)
     return parser
 
 

@@ -20,7 +20,7 @@ import sympy as sp
 
 from .atlas import ChartAtlas, blowup_forward
 from .exterior import standard_j_matrix
-from .symforms import AnalyticForm, Jet, real_coords, to_complex, to_real
+from .symforms import AnalyticForm, Jet, ddc_matrix, real_coords, to_complex, to_real
 
 
 class DomainError(ValueError):
@@ -111,15 +111,11 @@ class MinkowskiField:
     def base_coords(self):
         return real_coords(2 * (self.n - 1)) if self.n == 2 else ambient_coords(self.n - 1)
 
-    def m_sq_form(self, chart):
-        """Chart function m^2 as a 0-form on the base chart."""
-        return AnalyticForm.scalar(self.base_coords(), self.m_sq_charts[chart])
-
     def m(self, chart, v):
         """m at complex base points v (n = 2) or (v1, v2) pairs (n = 3)."""
         v = np.asarray(v, dtype=complex)
         pts = to_real(v.reshape(-1, self.n - 1))
-        vals = self.m_sq_form(chart).scalar_at(pts).real
+        vals = AnalyticForm.scalar(self.base_coords(), self.m_sq_charts[chart]).scalar_at(pts).real
         shape = v.shape if self.n == 2 else v.shape[:-1]
         return np.sqrt(vals).reshape(shape)
 
@@ -158,14 +154,6 @@ class ExhaustionField:
 # construction and validation
 
 
-def _ddc_matrix(mu_sq, coords, pts):
-    """The antisymmetric matrix of ddc(mu^2) at real points (N, 2n): with
-    the Hessian H of the second-order jet, A = (HJ)^T - HJ, since dc f =
-    -J^T grad f in components."""
-    HJ = Jet.of(mu_sq, coords, pts).hess @ standard_j_matrix(len(coords))
-    return HJ.swapaxes(1, 2) - HJ
-
-
 def _levi_witness(mu_sq, coords, n_samples=60, seed=7):
     """Check ddc(mu^2) > 0 at random ambient sample points off the origin;
     raises PseudoconvexityError with the offending point."""
@@ -173,7 +161,7 @@ def _levi_witness(mu_sq, coords, n_samples=60, seed=7):
     pts = rng.uniform(-1.0, 1.0, size=(n_samples, len(coords)))
     norms = np.linalg.norm(pts, axis=1)
     pts = pts[norms > 0.3]
-    AJ = _ddc_matrix(mu_sq, coords, pts) @ standard_j_matrix(len(coords))
+    AJ = ddc_matrix(Jet.of(mu_sq, coords, pts, order=2).hess) @ standard_j_matrix(len(coords))
     eigs = np.linalg.eigvalsh(0.5 * (AJ + AJ.swapaxes(1, 2)))
     worst = int(np.argmin(eigs[:, 0]))
     if eigs[worst, 0] <= 0:

@@ -196,8 +196,8 @@ def horizontal_space(mink: MinkowskiField, u):
 
 def _gauge_grad(mink: MinkowskiField, u):
     """Real gradient of mu^2 at ambient points u, shape (N, 4), from its
-    jet."""
-    return Jet.of(mink.mu_sq_ambient, ambient_coords(2), to_real(u)).grad
+    first-order jet."""
+    return Jet.of(mink.mu_sq_ambient, ambient_coords(2), to_real(u), order=1).grad
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Symbolic (exact) differential forms on a single coordinate chart.
+"""Symbolic (exact) differential forms on a single coordinate chart, and
+the numeric derivatives of sympy expressions.
 
-Coefficients are sympy expressions in the real chart coordinates and all
-derivatives are exact.  Every sympy -> numpy
-conversion in the package goes through compile_exprs: one lambdify call
-with common-subexpression elimination per list of expressions, memoized
-for the life of the process.
+Coefficients are sympy expressions in the real chart coordinates.  Every
+sympy -> numpy conversion in the package goes through compile_exprs: one
+lambdify call with common-subexpression elimination per list of
+expressions, memoized for the life of the process.  Partials of an
+expression at points, to order 3, come from its forward-mode Jet.
 
 Convention: dc = i(dbar - d) for the standard structure J_o, generalized to
 dc(alpha) = (-1)^p * Jact(d(Jact(alpha))) where Jact is the tensor action
@@ -13,6 +14,9 @@ d(dc)|z|^2 = 4 dx^dy.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import reduce
 
 import numpy as np
 import sympy as sp
@@ -56,88 +60,147 @@ def compile_exprs(coords, exprs):
     return fn
 
 
-class Jet:
-    """Second-order forward-mode jet of a real function at N points: the
-    value (N,), the gradient (N, d) and the Hessian (N, d, d), propagated
-    through + - * / and numeric powers, with numbers on either side
-    (Griewank & Walther, Evaluating Derivatives, ch. 13)."""
+def ddc_matrix(hess):
+    """The antisymmetric matrix A (..., d, d) of ddc f from the Hessian of f
+    (..., d, d): A = (HJ)^T - HJ, since dc f = -J^T grad f in components."""
+    HJ = hess @ exterior.standard_j_matrix(hess.shape[-1])
+    return np.swapaxes(HJ, -1, -2) - HJ
 
-    def __init__(self, val, grad, hess):
-        self.val, self.grad, self.hess = val, grad, hess
+
+def _scale(c, a):
+    """The point values c (N,) times the array a (N, ...), point by point."""
+    return c.reshape(c.shape + (1,) * (a.ndim - 1)) * a
+
+
+def _sym3(a, b):
+    """a_ij b_k + a_ik b_j + a_jk b_i for a (N, d, d) and b (N, d)."""
+    p = a[..., None] * b[:, None, None, :]
+    return p + p.transpose(0, 1, 3, 2) + p.transpose(0, 3, 1, 2)
+
+
+# the value and the derivatives to order 3 at s of the univariate functions
+# of the spec grammar (domains._FUNCTIONS): exp and log by hand, and those of
+# _COMPILED_UNARY from sympy's derivatives, compiled once by compile_exprs
+_UNARY = {
+    sp.exp: lambda s: [np.exp(s)] * 4,
+    sp.log: lambda s: [np.log(s), 1 / s, -1 / s**2, 2 / s**3],
+}
+_COMPILED_UNARY = (sp.sin, sp.cos, sp.tan, sp.asin, sp.acos, sp.atan,
+                   sp.sinh, sp.cosh, sp.tanh, sp.asinh, sp.acosh, sp.atanh)
+_LINEAR = {sp.conjugate: np.conj, sp.re: np.real, sp.im: np.imag}
+
+
+def _unary(func, u):
+    """The univariate function func at the jet or number u."""
+    z = sp.Symbol("z")
+    f = _UNARY.get(func) or compile_exprs((z,), [sp.diff(func(z), z, k) for k in range(4)])
+    return u._chain(f(u.parts[0])) if isinstance(u, Jet) else f(u)[0]
+
+
+class Jet:
+    """Forward-mode jet of order 1, 2 or 3 of a function at N points, whose
+    parts[k] (N,) + (d,) * k are its k-th partials, through + - * /, powers
+    and univariate functions, numbers on either side and complex values
+    allowed (Griewank & Walther, Evaluating Derivatives, ch. 13)."""
+
+    def __init__(self, parts):
+        self.parts = list(parts)
+
+    grad = property(lambda self: self.parts[1])
+    hess = property(lambda self: self.parts[2])
 
     @classmethod
-    def of(cls, expr, coords, points):
+    def of(cls, expr, coords, points, order):
         """The jet of the sympy expression expr in coords at real points
-        (N, d), by a walk of its Add/Mul/Pow/Symbol/Number tree; any other
-        node raises TypeError."""
+        (N, d), by one walk of its tree: numbers (pi, E, I) are constants, u^w
+        for w not a number is exp(w log u), conjugate, re and im act on every
+        part, and abs, arg and atan2 go through powers and log; any node not
+        named here or in _UNARY and _COMPILED_UNARY raises ValueError."""
         points = np.asarray(points, dtype=float)
         n, d = points.shape
-        zero_hess = np.broadcast_to(0.0, (n, d, d))
-        seeds = {
-            c: cls(points[:, k], np.broadcast_to(np.eye(d)[k], (n, d)), zero_hess)
-            for k, c in enumerate(coords)
-        }
+        zeros = [np.zeros((n,) + (d,) * k) for k in range(order + 1)]
+        eye = np.eye(d)
+        seeds = {c: cls([points[:, k], np.broadcast_to(eye[k], (n, d))] + zeros[2:])
+                 for k, c in enumerate(coords)}
 
         def walk(e):
+            f, args = type(e), e.args
             if e in seeds:
                 return seeds[e]
-            if e.is_Number:
-                return float(e)
+            if e.is_number:
+                return float(e) if e.is_extended_real else complex(e)
             if e.is_Add or e.is_Mul:
-                args = [walk(a) for a in e.args]
-                out = args[0]
-                for a in args[1:]:
-                    out = out + a if e.is_Add else out * a
-                return out
-            if e.is_Pow and e.exp.is_Number:
-                return walk(e.base) ** (int(e.exp) if e.exp.is_Integer else float(e.exp))
-            raise TypeError(f"no jet rule for {type(e).__name__} node {e}")
+                return reduce(operator.add if e.is_Add else operator.mul, map(walk, args))
+            if e.is_Pow and e.exp.is_number:
+                return walk(e.base) ** walk(e.exp)
+            if e.is_Pow:
+                return _unary(sp.exp, walk(e.exp) * _unary(sp.log, walk(e.base)))
+            if f in _LINEAR:
+                return walk(args[0]).map(_LINEAR[f])
+            if f is sp.Abs:  # |u| = (u conj u)^(1/2)
+                u = walk(args[0])
+                return (u * u.map(np.conj)) ** 0.5
+            if f in (sp.arg, sp.atan2):  # arg u = Im log u, atan2(y, x) = arg(x + iy)
+                u = walk(args[0]) if f is sp.arg else walk(args[1]) + 1j * walk(args[0])
+                return _unary(sp.log, u).map(np.imag)
+            if f in _UNARY or f in _COMPILED_UNARY:
+                return _unary(f, walk(args[0]))
+            raise ValueError(f"no jet rule for {f.__name__} node {e}")
 
         out = walk(sp.sympify(expr))
-        if not isinstance(out, cls):  # a constant
-            return cls(np.full(n, out), np.zeros((n, d)), np.zeros((n, d, d)))
-        return out
+        return out if isinstance(out, cls) else cls([np.full(n, out)] + zeros[1:])
+
+    def map(self, f):
+        """f(self) for a linear map f of the values."""
+        return Jet([f(p) for p in self.parts])
+
+    def _chain(self, f):
+        """g(self) by Faa di Bruno's formula, f[k] = g^(k) at the value."""
+        u = self.parts
+        out = [f[0], _scale(f[1], u[1])]
+        if len(u) > 2:
+            out.append(_scale(f[1], u[2]) + _scale(f[2], u[1][:, :, None]) * u[1][:, None, :])
+        if len(u) > 3:
+            cube = (u[1][:, :, None] * u[1][:, None, :])[..., None] * u[1][:, None, None, :]
+            out.append(_scale(f[1], u[3]) + _scale(f[2], _sym3(u[2], u[1])) + _scale(f[3], cube))
+        return Jet(out)
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
-        return Jet(self.val + other, self.grad, self.hess)
+            return Jet([a + b for a, b in zip(self.parts, other.parts)])
+        return Jet([self.parts[0] + other] + self.parts[1:])
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet(-self.val, -self.grad, -self.hess)
-
     def __sub__(self, other):
-        return self + (-other)
+        return self + other * -1
 
     def __rsub__(self, other):
-        return -self + other
+        return self * -1 + other
 
     def __mul__(self, other):
+        """Leibniz's rule, part by part."""
         if not isinstance(other, Jet):
-            return Jet(self.val * other, self.grad * other, self.hess * other)
-        cross = self.grad[:, :, None] * other.grad[:, None, :]
-        return Jet(
-            self.val * other.val,
-            self.grad * other.val[:, None] + self.val[:, None] * other.grad,
-            self.hess * other.val[:, None, None] + cross + cross.swapaxes(1, 2)
-            + self.val[:, None, None] * other.hess,
-        )
+            return self.map(lambda p: p * other)
+        (f0, f1, *f), (g0, g1, *g) = self.parts, other.parts
+        out = [f0 * g0, _scale(g0, f1) + _scale(f0, g1)]
+        if f:
+            cross = f1[:, :, None] * g1[:, None, :]
+            out.append(_scale(g0, f[0]) + cross + cross.swapaxes(1, 2) + _scale(f0, g[0]))
+        if f[1:]:
+            out.append(_scale(g0, f[1]) + _sym3(f[0], g1) + _sym3(g[0], f1) + _scale(f0, g[1]))
+        return Jet(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, p):
-        """(f^p)' = p f^(p-1) f' and (f^p)'' = p f^(p-1) f'' + p (p-1)
-        f^(p-2) f' f'^T, for a number p."""
-        v1 = p * self.val ** (p - 1)
-        v2 = p * (p - 1) * self.val ** (p - 2)
-        g = self.grad
-        return Jet(
-            self.val**p,
-            v1[:, None] * g,
-            v1[:, None, None] * self.hess + v2[:, None, None] * g[:, :, None] * g[:, None, :],
-        )
+        """f^p for a number p: the k-th derivative of s^p is the falling
+        factorial p (p-1) ... (p-k+1) times s^(p-k), zero once a factor is."""
+        c, f = 1, []
+        for k in range(len(self.parts)):
+            f.append(c * self.parts[0] ** (p - k) if c else np.zeros_like(self.parts[0]))
+            c *= p - k
+        return self._chain(f)
 
     def __truediv__(self, other):
         return self * other**-1 if isinstance(other, Jet) else self * (1.0 / other)

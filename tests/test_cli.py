@@ -137,6 +137,23 @@ class TestExitCodes:
         assert "top_degeneracy" in text
         assert "fail" in text
 
+    def test_elementary_functions_tau_expr_verifies(self, tmp_path):
+        # sqrt, exp and log in tau.expr go through the jet's chain rule
+        dom = write(
+            tmp_path, "elementary.dom",
+            "n = 2\ntau.expr = x1**2 + y1**2 + x2**2 + y2**2 + exp(x1**2 + y2**2)/4"
+            " + sqrt(1 + x2**2) + log(1 + y1**2)\nN_v = 9\n",
+        )
+        out = run_process(["verify", "--domain", dom, "--out", str(tmp_path)])
+        assert out.returncode in (0, 1) and "Traceback" not in out.stderr, out.stderr
+        rows = {
+            line.split()[0]: float(line.split()[1])
+            for line in (tmp_path / "verify_report.txt").read_text().splitlines()
+            if line.startswith(("log_potential", "power_rule"))
+        }
+        assert rows.keys() == {"log_potential", "power_rule"}
+        assert max(rows.values()) < 1e-10, rows
+
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         dom = write(tmp_path, "bad.dom", "n = 2\nmu.fancy = ball\n")
         assert run(["verify", "--domain", dom, "--out", str(tmp_path)]) == 2
@@ -359,6 +376,15 @@ class TestOptions:
         assert run(["verify", "--domain", spec, "--sample", "2", *out]) == 2  # no abbreviations
         assert run(["classify", "--domain", spec, "--tensor", spec, *out]) == 2
         assert run(["classify", *out]) == 2
+
+    @pytest.mark.parametrize("option", ["--steps", "--kmax"])
+    def test_classify_tensor_refuses_domain_options(self, tmp_path, capsys, option):
+        # a tensor spec runs no flow and carries its own k_max
+        tns = write(tmp_path, "synth.tns", SYNTH_TNS)
+        argv = ["classify", "--tensor", tns, option, "1", "--out", str(tmp_path)]
+        assert run(argv) == 2
+        assert f"{option} applies to --domain only" in capsys.readouterr().err
+        assert not (tmp_path / "classify_report.txt").exists()
 
     @pytest.mark.parametrize(
         "argv",

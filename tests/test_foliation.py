@@ -9,13 +9,7 @@ import sympy as sp
 from maform import symforms
 from maform.domains import ExhaustionField, ambient_coords, make_circular_domain
 from maform.exterior import standard_j_matrix, wedge_comps
-from maform.foliation import (
-    FoliationError,
-    ZFieldEvaluator,
-    _ambient_points,
-    _lie_derivative_flow,
-    verify_ma_identities,
-)
+from maform.foliation import FoliationError, ZFieldEvaluator, _ambient_points, verify_ma_identities
 from maform.ode import rk4_step
 from maform.symforms import AnalyticForm, compile_exprs, real_coords
 
@@ -40,7 +34,7 @@ def z_field(exh, n_samples, seed=11):
 
 def normal_basis(ev, pts, Z):
     """Basis (X, JX) of the plane ddc tau-orthogonal to Z and JZ (n = 2)."""
-    A = ev.fields(pts)[2]
+    A = ev.fields(pts)[3]
     rows = np.stack([np.einsum("ni,nij->nj", Z, A), np.einsum("ni,nij->nj", Z @ ev.J.T, A)], axis=1)
     X = np.linalg.svd(rows)[2][:, -1, :]
     return np.stack([X, X @ ev.J.T], axis=1)
@@ -55,7 +49,7 @@ class TestComputeZ:
         # (1/2) z^i d/dz^i and the flow rescales tau by e^t
         _, exh = make_circular_domain({"kind": "ball"})
         ev, pts, Z = z_field(exh, 30)
-        _, dtau, A = ev.fields(pts)
+        _, dtau, _, A, _ = ev.fields(pts)
         resid = np.einsum("ni,nij,jk->nk", Z, A, ev.J) - dtau
         assert np.max(np.abs(resid)) < 1e-12
         assert np.max(np.abs(Z - 0.5 * pts)) < 1e-12
@@ -90,7 +84,7 @@ class TestComputeZ:
         # ddc tau(Z, JZ) = dtau(Z) = tau at random nodes
         _, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
         ev, pts, Z = z_field(exh, 20)
-        tau, dtau, A = ev.fields(pts)
+        tau, dtau, _, A, _ = ev.fields(pts)
         c = np.einsum("ni,nij,nj->n", Z, A, Z @ ev.J.T)
         assert np.max(np.abs(c - tau)) < 1e-11
         d = np.sum(dtau * Z, axis=1)
@@ -100,7 +94,7 @@ class TestComputeZ:
         _, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
         ev, pts, Z = z_field(exh, 25)
         H = normal_basis(ev, pts, Z)
-        _, dt, A = ev.fields(pts)
+        _, dt, _, A, _ = ev.fields(pts)
         # defining property of the normal distribution
         for row in (Z, Z @ ev.J.T):
             pair = np.einsum("ni,nij,naj->na", row, A, H)
@@ -141,7 +135,7 @@ class TestComputeZ:
             moved, jac = rk4_step(
                 lambda _t, y: (ev(y), ev.jacobian(y)), 0.0, pts, step, M=np.eye(4),
             )
-            A = ev.fields(moved)[2]
+            A = ev.fields(moved)[3]
             Zm = ev(moved)
             JZm = Zm @ ev.J.T
             pushed = np.einsum("nij,naj->nai", jac, H)
@@ -150,6 +144,13 @@ class TestComputeZ:
                 r = max(r, float(np.max(np.abs(np.einsum("ni,nij,naj->na", row, A, pushed)))))
             resids.append(r)
         assert max(resids) < 1e-9, resids
+
+
+GATE_SPECS = {
+    "ball": {"kind": "ball"},
+    "ellipsoid": {"kind": "ellipsoid", "a": 1, "b": 4},
+    "perturbed_ball": {"kind": "perturbed_ball", "eps": 0.05},
+}
 
 
 class TestIdentitySuite:
@@ -184,10 +185,10 @@ class TestIdentitySuite:
         assert rep["all_pass"], rep
 
     def test_each_form_compiles_once(self, monkeypatch):
-        # two lambdify calls: tau, dtau and ddc tau of the Z field together,
-        # and ddc log tau with the ddc tau^k rows (none for n = 2); every
-        # wedge product is taken of their values
-        _, exh = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
+        # no lambdify call: tau, dtau, ddc tau and its partials come from
+        # one jet of tau, ddc log tau and ddc tau^k from jets of log tau and
+        # tau^k, and every wedge product is taken of their values
+        exhs = [make_circular_domain(spec)[1] for spec in GATE_SPECS.values()]
         calls = []
         lambdify = sp.lambdify
 
@@ -197,8 +198,17 @@ class TestIdentitySuite:
 
         monkeypatch.setattr(sp, "lambdify", counted)
         monkeypatch.setattr(symforms, "_COMPILED", {})
-        verify_ma_identities(exh, n_samples=2)
-        assert len(calls) == 2
+        for exh in exhs:
+            verify_ma_identities(exh, n_samples=2)
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("n_samples", [40, 1])
+    @pytest.mark.parametrize("case", list(GATE_SPECS))
+    def test_flow_invariance_at_roundoff(self, case, n_samples):
+        # L_Z ddc tau = ddc tau from exact DZ and Cartan's formula
+        _, exh = make_circular_domain(GATE_SPECS[case])
+        rep = verify_ma_identities(exh, n_samples=n_samples)
+        assert rep["flow_invariance"] <= 1e-12, rep["flow_invariance"]
 
     def test_log_potential_holds_for_any_tau(self):
         # the potential identity is an algebraic consequence for any smooth
@@ -335,9 +345,9 @@ ORACLE_CASES = {
 
 
 class TestExactOracle:
-    """The finite differences of DZ and of the Lie derivative against exact
-    derivatives, and Cartan's formula L_Z ddc tau = d(i_Z ddc tau) =
-    ddc tau, which holds wherever Z is defined."""
+    """The jet derivatives DZ and the Lie derivative of ddc tau against
+    sympy's exact partials, and Cartan's formula L_Z ddc tau = d(i_Z ddc
+    tau) = ddc tau, which holds wherever Z is defined."""
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_finite_differences_match_exact_derivatives(self, case):
@@ -345,7 +355,7 @@ class TestExactOracle:
         ev, pts, Z = z_field(exh, 20, seed=13)
         Z_exact, DZ, A, L = exact_z_jets(exh, pts)
         assert np.max(np.abs(Z - Z_exact)) < 1e-12
-        assert np.max(np.abs(A - ev.fields(pts)[2])) < 1e-12
-        assert np.max(np.abs(ev.jacobian(pts) - DZ)) < 1e-10
-        assert np.max(np.abs(_lie_derivative_flow(ev, pts) - L)) < 1e-10
+        assert np.max(np.abs(A - ev.fields(pts)[3])) < 1e-12
+        assert np.max(np.abs(ev.jacobian(pts) - DZ)) < 1e-12
+        assert np.max(np.abs(ev.flow(pts)[3] - L)) < 1e-12
         assert np.max(np.abs(L - A)) < 1e-14

@@ -1,10 +1,12 @@
 """Exterior calculus kernel: compiled evaluation, symbolic calculus, calibration."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from maform.domains import _mu_sq_expression, ambient_coords
+from maform.domains import _FUNCTIONS, _mu_sq_expression, ambient_coords
 from maform.symforms import AnalyticForm, Jet, compile_exprs, real_coords
 
 RNG = np.random.default_rng(20260825)
@@ -57,6 +59,31 @@ class TestCompileExprs:
         assert compile_exprs((x, y), [x * y]) is not first
 
 
+def _rule_cases():
+    """Expressions in (x, y) that reach every jet rule: each function of the
+    spec grammar at a real and at a complex argument inside its domain
+    (unevaluated, so sympy keeps the node), numbers, a complex
+    intermediate, powers with a non-numeric exponent, and arg and atan2,
+    which sympy writes for some of the functions."""
+    x, y = real_coords(2)
+    inner = sp.Rational(3, 10) + x * y / 5 + x**2 / 10
+    cases = {}
+    for name, func in _FUNCTIONS.items():
+        shift = 2 if name == "acosh" else 0
+        cases[f"{name}-real"] = func(inner + shift, evaluate=False)
+        cases[f"{name}-complex"] = func(inner + shift + sp.I * y**2 / 10, evaluate=False)
+    cases["numbers"] = sp.pi * x + sp.E * y**2 + sp.I * x * y + sp.sqrt(2)
+    cases["complex_product"] = (x + sp.I * y) * (x - sp.I * y)
+    cases["symbolic_exponent"] = x ** (y + 1)
+    cases["numeric_base"] = 2 ** (x * y)
+    cases["arg"] = sp.im(sp.log(x + sp.I * y))  # sympy writes arg(x + I*y)
+    cases["atan2"] = sp.atan2(x * y + 1, x - 2)
+    return (x, y), cases
+
+
+RULE_COORDS, RULE_CASES = _rule_cases()
+
+
 class TestJet:
     @pytest.mark.parametrize(
         "n, kind, params",
@@ -72,33 +99,53 @@ class TestJet:
         coords = ambient_coords(n)
         mu_sq = _mu_sq_expression(n, kind, params, coords)
         pts = sample_points(2 * n, n=40, lo=-1.5, hi=1.5)
-        jet = Jet.of(mu_sq, coords, pts)
-        grad = [sp.diff(mu_sq, c) for c in coords]
-        hess = [sp.diff(g, c) for g in grad for c in coords]
-        want = compile_exprs(coords, [mu_sq] + grad + hess)(*pts.T).real
-        d = len(coords)
-        for got, ref in (
-            (jet.val, want[0]),
-            (jet.grad, want[1:d + 1].T),
-            (jet.hess, want[d + 1:].T.reshape(-1, d, d)),
-        ):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        jet = Jet.of(mu_sq, coords, pts, order=3)
+        partials = {(): mu_sq}
+        for order in (1, 2, 3):
+            for idx in itertools.combinations_with_replacement(range(len(coords)), order):
+                partials[idx] = sp.diff(partials[idx[:-1]], coords[idx[-1]])
+        want = compile_exprs(coords, list(partials.values()))(*pts.T).real
+        for idx, ref in zip(partials, want):
+            got = jet.parts[len(idx)][(slice(None),) + idx]
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0), idx
+
+    @pytest.mark.parametrize("case", list(RULE_CASES))
+    def test_rules_match_sympy_partials(self, case):
+        expr, coords = RULE_CASES[case], RULE_COORDS
+        pts = np.array([[0.21, 0.47], [0.55, 0.13], [0.38, 0.61]])
+        jet = Jet.of(expr, coords, pts, order=3)
+        for order in range(4):
+            for idx in itertools.combinations_with_replacement(range(2), order):
+                partial = sp.diff(expr, *[coords[i] for i in idx]) if idx else expr
+                ref = np.array([complex(partial.subs(dict(zip(coords, p))).evalf()) for p in pts])
+                got = jet.parts[order][(slice(None),) + idx]
+                assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0), idx
+
+    def test_orders_truncate_the_same_jet(self):
+        coords, expr = RULE_COORDS, RULE_CASES["complex_product"] * RULE_CASES["atan-complex"]
+        pts = sample_points(2, n=7, lo=0.2, hi=0.6)
+        full = Jet.of(expr, coords, pts, order=3).parts
+        for order in (1, 2):
+            parts = Jet.of(expr, coords, pts, order=order).parts
+            assert len(parts) == order + 1
+            for got, want in zip(parts, full):
+                assert np.array_equal(got, want)
 
     def test_arithmetic_with_numbers_on_either_side(self):
         x, y = real_coords(2)
         pts = sample_points(2, n=15, lo=0.2, hi=0.9)
-        f = Jet.of(x, (x, y), pts)
-        g = Jet.of(y, (x, y), pts)
+        f = Jet.of(x, (x, y), pts, order=3)
+        g = Jet.of(y, (x, y), pts, order=3)
         got = (2 - f) / (1 + g * g) ** 3 + 3 / f - f * 0.5
         expr = (2 - x) / (1 + y * y) ** 3 + 3 / x - x / 2
-        want = Jet.of(expr, (x, y), pts)
-        for a, b in ((got.val, want.val), (got.grad, want.grad), (got.hess, want.hess)):
+        want = Jet.of(expr, (x, y), pts, order=3)
+        for a, b in zip(got.parts, want.parts):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
     def test_other_nodes_raise(self):
         coords = ambient_coords(2)
-        with pytest.raises(TypeError, match="sin"):
-            Jet.of(coords[0] ** 2 + sp.sin(coords[0]), coords, sample_points(4))
+        with pytest.raises(ValueError, match="no jet rule for f node f"):
+            Jet.of(coords[0] ** 2 + sp.Function("f")(coords[0]), coords, sample_points(4), order=2)
 
 
 class TestAnalyticCalculus:
