@@ -20,7 +20,7 @@ import sympy as sp
 
 from .atlas import ChartAtlas, blowup_forward
 from .exterior import standard_j_matrix
-from .symforms import AnalyticForm, Jet, ddc_matrix, real_coords, to_complex, to_real
+from .symforms import Jet, ddc_matrix, real_coords, to_complex, to_real
 
 
 class DomainError(ValueError):
@@ -115,9 +115,9 @@ class MinkowskiField:
         """m at complex base points v (n = 2) or (v1, v2) pairs (n = 3)."""
         v = np.asarray(v, dtype=complex)
         pts = to_real(v.reshape(-1, self.n - 1))
-        vals = AnalyticForm.scalar(self.base_coords(), self.m_sq_charts[chart]).scalar_at(pts).real
+        [m_sq] = Jet.compile(self.m_sq_charts[chart], self.base_coords(), 0)(*pts.T)
         shape = v.shape if self.n == 2 else v.shape[:-1]
-        return np.sqrt(vals).reshape(shape)
+        return np.sqrt(np.real(m_sq)).reshape(shape)
 
     def mu(self, z):
         """Gauge value at ambient points z, shape (..., n) complex."""
@@ -145,9 +145,6 @@ class ExhaustionField:
 
     n: int
     tau_ambient: object
-
-    def ambient_form(self):
-        return AnalyticForm.scalar(ambient_coords(self.n), self.tau_ambient)
 
 
 # ---------------------------------------------------------------------------

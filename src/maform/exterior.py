@@ -1,11 +1,10 @@
 """Index combinatorics of the form calculus.
 
 A p-form is stored as a mapping from strictly increasing index tuples to
-coefficients: sympy expressions for the symbolic forms, (N,) arrays of
-point values for the numeric ones.  The helpers here do the sign
-bookkeeping for wedge products, exterior derivatives and the action of
-the standard complex structure on forms, for either kind of coefficient,
-and build the matrix of that structure.
+coefficients: (N,) arrays of point values, or sympy expressions in the
+symbolic references of the tests.  The helpers here do the sign
+bookkeeping for wedge products, for either kind of coefficient, and build
+the matrix of the standard complex structure.
 """
 
 from __future__ import annotations
@@ -36,21 +35,6 @@ def wedge_comps(A, B):
             if res is not None:
                 sign, K = res
                 out[K] = out.get(K, 0) + sign * a * b
-    return out
-
-
-def jo_comps(A):
-    """Components of the tensor action of J_o on the form with components A.
-
-    J e_{2m} = e_{2m+1} and J e_{2m+1} = -e_{2m}, so alpha(J e_{i1}, ..,
-    J e_{ip}) is alpha_K for the sorted mapped axes K, with the sign of the
-    odd axes of I and the parity of the sort.
-    """
-    out = {}
-    for I, a in A.items():
-        sign, K = merge_indices(tuple(i ^ 1 for i in I), ())
-        sign *= (-1) ** sum(i % 2 for i in I)
-        out[K] = out.get(K, 0) + sign * a
     return out
 
 

@@ -10,19 +10,16 @@ fiber-linear over the base, z = zeta(1, v) -> zeta * W(v), normalizes the
 gauge, and is the input to deformation-tensor extraction.
 
 Design notes: all flow fields are evaluated from exact chart expressions.
-Sympy differentiates only the chart function m^2 (to order 3) and the
-rational reference terms, compiled once per chart by
-symforms.compile_exprs into one CSE callable; the curvature coefficient
-and the primitive, with their x and y partials, follow from those by the
-chain rule for log m^2 in numpy (_chart_fields), so no logarithm is
-differentiated symbolically and spatial discretization error enters only
-through the node sampling of results, not through the dynamics.  The
-field and its exact Jacobian come from one evaluation per RK4 stage.  The
-ambient gradient of mu^2 (horizontal planes, the lift's gauge derivative)
-comes from its forward-mode jet, symforms.Jet.  Derivative data that
-downstream consumers need at grid nodes (dW, dlambda) is propagated by
-variational Jacobians along the flow and stored exactly at the nodes, never
-re-estimated by differencing an interpolant.  Off-node values (the phase
+The curvature coefficient and the primitive, with their x and y
+partials, come from the compiled order-3 jet of log m^2 and the jets of
+the reference terms (symforms.Jet.compile, once per chart), so spatial
+discretization error enters only through the node sampling of results,
+not through the dynamics.  The field and its exact Jacobian come from
+one evaluation per RK4 stage.  The ambient gradient of mu^2 (horizontal
+planes, the lift's gauge derivative) comes from its order-1 jet.
+Derivative data that downstream consumers need at grid nodes (dW,
+dlambda) is propagated by variational Jacobians along the flow and stored
+exactly at the nodes, never re-estimated by differencing an interpolant.  Off-node values (the phase
 defect along the integration segments of the phase potential, and W for
 NormalizingMap.forward) come from one numpy not-a-knot bicubic interpolant
 through the node samples, NotAKnotBicubic.
@@ -39,7 +36,7 @@ from .atlas import ChartAtlas, R_OUTER, blowup_forward
 from .domains import MinkowskiField, ambient_coords
 from .exterior import standard_j_matrix
 from .ode import rk4_step
-from .symforms import Jet, compile_exprs, real_coords, to_real
+from .symforms import Jet, real_coords, to_real
 
 
 class MoserError(ValueError):
@@ -86,51 +83,30 @@ def _disk_integral(fn, n_r=80, n_theta=160):
     return float(np.sum(fn(V.real, V.imag) * wr[:, None]) * (2 * np.pi / n_theta))
 
 
-def _partials(expr, order):
-    """expr and its partials in the chart coordinates (x, y) up to order,
-    each order k listed as d^k/dx^k, d^k/dx^(k-1)dy, ..., d^k/dy^k."""
-    x, y = real_coords(2)
-    rows = [[expr]]
-    for _ in range(order):
-        rows.append([sp.diff(e, x) for e in rows[-1]] + [sp.diff(rows[-1][-1], y)])
-    return [e for block in rows for e in block]
-
-
-def _log_partials(u, ux, uy, uxx, uxy, uyy):
-    """First and second partials of log u from those of u, by the chain
-    rule L_i = u_i/u and L_ij = u_ij/u - L_i L_j."""
-    a, b = ux / u, uy / u
-    return a, b, uxx / u - a * a, uxy / u - a * b, uyy / u - b * b
-
-
 def _chart_fields(m_sq):
     """Compiled (w_o, w, alpha_x, alpha_y) at (x, y) arrays of a chart with
     gauge chart function m_sq, followed by the x partials and then the y
     partials of those four: shape (3, 4) + point shape.
 
     With L = log m^2 and g = L - log(1 + |v|^2), w = L_xx + L_yy and alpha =
-    dc g = (-g_y, g_x).  Sympy differentiates only m^2 (to order 3) and the
-    rational reference terms; the partials of the logarithms follow from
-    those by the chain rule, the third ones from L_ijk = u_ijk/u - (L_ij L_k
-    + L_ik L_j + L_jk L_i) - L_i L_j L_k, all rows from one callable.
+    dc g = (-g_y, g_x), all from the order-3 jet of L and the jets of the
+    reference terms log(1 + |v|^2) and w_o = 4 / (1 + |v|^2)^2.
     """
     x, y = real_coords(2)
     q = 1 + x**2 + y**2
-    rows = compile_exprs((x, y), _partials(m_sq, 3) + _partials(q, 2) + _partials(4 / q**2, 1))
+    log_m_sq = Jet.compile(sp.log(m_sq), (x, y), 3)
+    log_q = Jet.compile(sp.log(q), (x, y), 2)
+    w_o = Jet.compile(4 / q**2, (x, y), 1)
 
     def fields(xs, ys):
-        R = rows(xs, ys)
-        u = R[0]
-        L = Lx, Ly, Lxx, Lxy, Lyy = _log_partials(*R[:6])
-        gx, gy, gxx, gxy, gyy = (a - b for a, b in zip(L, _log_partials(*R[10:16])))
-        # w_x = L_xxx + L_xyy and w_y = L_xxy + L_yyy
-        s = Lx * Lx + Ly * Ly
-        wx = (R[6] + R[8]) / u - Lx * (3 * Lxx + Lyy + s) - 2 * Ly * Lxy
-        wy = (R[7] + R[9]) / u - Ly * (Lxx + 3 * Lyy + s) - 2 * Lx * Lxy
+        _, Lx, Ly, Lxx, Lxy, Lyy, Lxxx, Lxxy, Lxyy, Lyyy = log_m_sq(xs, ys)
+        _, Qx, Qy, Qxx, Qxy, Qyy = log_q(xs, ys)
+        wo, wox, woy = w_o(xs, ys)
+        gxy = Lxy - Qxy
         return np.array([
-            [R[16], Lxx + Lyy, -gy, gx],
-            [R[17], wx, -gxy, gxx],
-            [R[18], wy, -gyy, gxy],
+            [wo, Lxx + Lyy, Qy - Ly, Lx - Qx],
+            [wox, Lxxx + Lxyy, -gxy, Lxx - Qxx],
+            [woy, Lxxy + Lyyy, Qyy - Lyy, gxy],
         ])
 
     return fields
@@ -140,7 +116,7 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     """Curvature form of the gauge circle bundle on the base charts.
 
     omega = ddc log m^2 per chart, evaluated through _chart_fields from the
-    partials of m^2; positivity of the coefficient witnesses strict
+    jet of log m^2; positivity of the coefficient witnesses strict
     pseudoconvexity of the gauge, and the chart-weighted integral must
     reproduce the reference total area (the two forms differ by an exact
     form).

@@ -1,107 +1,219 @@
-"""Symbolic (exact) differential forms on a single coordinate chart, and
-the numeric derivatives of sympy expressions.
+"""Exact numeric derivatives of sympy expressions, and the packing of
+complex points into real chart coordinates.
 
-Coefficients are sympy expressions in the real chart coordinates.  Every
-sympy -> numpy conversion in the package goes through compile_exprs: one
-lambdify call with common-subexpression elimination per list of
-expressions, memoized for the life of the process.  Partials of an
-expression at points, to order 3, come from its forward-mode Jet.
+Every sympy -> numpy evaluation and every derivative in the package goes
+through Jet.compile: one walk of the expression tree emits straight-line
+numpy source for the expression and its partials up to order 3 (source
+transformation; Griewank & Walther, Evaluating Derivatives, ch. 6 and
+13), exec'd once and memoized for the life of the process.  Order 0 is
+plain evaluation.
 
-Convention: dc = i(dbar - d) for the standard structure J_o, generalized to
-dc(alpha) = (-1)^p * Jact(d(Jact(alpha))) where Jact is the tensor action
-(J alpha)(X_1..X_p) = (-1)^p alpha(J X_1, .., J X_p).  With this choice
-d(dc)|z|^2 = 4 dx^dy.
+Convention: dc = i(dbar - d) for the standard structure J_o, so on a
+function dc f = -J^T grad f in components and ddc f has the matrix
+(HJ)^T - HJ of its Hessian H (ddc_matrix); ddc |z|^2 = 4 dx^dy.
 """
 
 from __future__ import annotations
 
-import operator
-from functools import reduce
+from collections import Counter
+from functools import lru_cache, reduce
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import sympy as sp
-from sympy.printing.numpy import NumPyPrinter
 
 from . import exterior
 
-# (coords, exprs) -> compiled callable; expressions are immutable, so a hit
-# is the same function whatever caller asked first
+_Z = sp.Dummy("z")
+# the univariate functions of the spec grammar (domains._FUNCTIONS): the
+# numpy function and the first derivative, whose jet gives the rest (built
+# at first use: sympy expressions cost time to build)
+_UNARY = {
+    sp.exp: ("exp", sp.exp),
+    sp.log: ("log", lambda z: 1 / z),
+    sp.sin: ("sin", sp.cos),
+    sp.cos: ("cos", lambda z: -sp.sin(z)),
+    sp.tan: ("tan", lambda z: 1 + sp.tan(z) ** 2),
+    sp.asin: ("arcsin", lambda z: 1 / sp.sqrt(1 - z**2)),
+    sp.acos: ("arccos", lambda z: -1 / sp.sqrt(1 - z**2)),
+    sp.atan: ("arctan", lambda z: 1 / (1 + z**2)),
+    sp.sinh: ("sinh", sp.cosh),
+    sp.cosh: ("cosh", sp.sinh),
+    sp.tanh: ("tanh", lambda z: 1 - sp.tanh(z) ** 2),
+    sp.asinh: ("arcsinh", lambda z: 1 / sp.sqrt(1 + z**2)),
+    sp.acosh: ("arccosh", lambda z: 1 / (sp.sqrt(z - 1) * sp.sqrt(z + 1))),
+    sp.atanh: ("arctanh", lambda z: 1 / (1 - z**2)),
+}
+_LINEAR = {sp.conjugate: "conj", sp.re: "real", sp.im: "imag"}
+# the names emitted source reads; inf and nan stand for folded numbers
+# that overflow
+_NAMESPACE = {
+    name: getattr(np, name)
+    for name in [f for f, _ in _UNARY.values()] + list(_LINEAR.values())
+    + ["full", "broadcast", "inf", "nan"]
+}
+# (coords, expr, order) -> compiled jet; expressions are immutable, so a
+# hit is the same function whatever caller asked first
 _COMPILED = {}
 
 
-def compile_exprs(coords, exprs):
-    """Compile sympy expressions in coords into one numpy callable.
+def _indices(d, order):
+    """The sorted multi-indices of the partials of a function of d
+    variables up to order, by order and then lexicographically."""
+    return [I for k in range(order + 1) for I in combinations_with_replacement(range(d), k)]
 
-    The callable takes one array per coordinate and returns an array of
-    shape (len(exprs),) + broadcast shape of the arguments, component k
-    holding exprs[k] (constant components are broadcast too).  Each
-    (coords, exprs) pair is compiled once per process.
+
+@lru_cache(maxsize=None)
+def _leibniz(I):
+    """Leibniz's rule for d_I (f g): {(J, K): count} over the subsets of
+    the index positions of I, J taken by f and K by g."""
+    k = len(I)
+    return Counter(
+        (tuple(I[i] for i in S), tuple(I[i] for i in range(k) if i not in S))
+        for r in range(k + 1) for S in combinations(range(k), r)
+    )
+
+
+def _number(e):
+    """The Python number of a sympy number."""
+    return float(e) if e.is_extended_real else complex(e)
+
+
+def _literal(c):
+    """The source text of a Python number, an atom of any expression."""
+    text = repr(c if isinstance(c, complex) else float(c))
+    return f"({text})" if text.startswith("-") else text
+
+
+class _Walk:
+    """One walk of a jet over the multi-indices up to order in d
+    variables, its leaves seeded by seeds {symbol: jet}.
+
+    A jet is {multi-index: component}, an absent index being zero; a
+    component is a number, a name bound in the shared source lines
+    {right-hand side: name} (the same text is bound once), or a pair
+    (number, name) for their product, which is folded into the next sum.
     """
-    key = (tuple(coords), tuple(sp.sympify(e) for e in exprs))
-    fn = _COMPILED.get(key)
-    if fn is None:
-        # lambdify's own printer for modules="numpy", whose namespace is
-        # `from numpy import *` (that loads every lazily imported numpy
-        # submodule): here the functions printed by name, conjugate among
-        # them, resolve to their numpy namesakes, the rest import one by one
-        names = {f.func.__name__ for e in key[1] for f in e.atoms(sp.Function)}
-        namespace = {name: getattr(np, name) for name in names if hasattr(np, name)}
-        printer = NumPyPrinter({
-            "fully_qualified_modules": False, "inline": True, "allow_unknown_functions": True,
-            "user_functions": {name: name for name in namespace},
-        })
-        raw = sp.lambdify(key[0], list(key[1]), modules=[namespace], printer=printer, cse=True)
 
-        def fn(*args):
-            shape = np.broadcast(*args).shape
-            return np.array([np.broadcast_to(v, shape) for v in raw(*args)])
+    def __init__(self, lines, seeds, d, order):
+        self.lines, self.seeds, self.d, self.order = lines, seeds, d, order
+        self.idx = _indices(d, order)
+        self.memo = {}
 
-        _COMPILED[key] = fn
-    return fn
+    def bind(self, text):
+        if text not in self.lines:
+            self.lines[text] = f"t{len(self.lines)}"
+        return self.lines[text]
 
+    def sum(self, terms):
+        """The component of the sum of coef * product(factors) over the
+        terms (coef, factors), numbers and scaled names folded."""
+        const, parts = 0, []
+        for coef, factors in terms:
+            names = []
+            for f in factors:
+                if isinstance(f, tuple):
+                    coef, f = coef * f[0], f[1]
+                if isinstance(f, str):
+                    names.append(f)
+                else:
+                    coef *= f
+            if coef != 0 and names:
+                parts.append((coef, " * ".join(names)))
+            elif coef != 0:
+                const += coef
+        if len(parts) == 1 and const == 0 and " " not in parts[0][1]:
+            coef, name = parts[0]
+            return name if coef == 1 else (coef, name)
+        text = [name if coef == 1 else f"{_literal(coef)} * {name}" for coef, name in parts]
+        return self.bind(" + ".join(text + [_literal(const)] * (const != 0))) if parts else const
 
-def ddc_matrix(hess):
-    """The antisymmetric matrix A (..., d, d) of ddc f from the Hessian of f
-    (..., d, d): A = (HJ)^T - HJ, since dc f = -J^T grad f in components."""
-    HJ = hess @ exterior.standard_j_matrix(hess.shape[-1])
-    return np.swapaxes(HJ, -1, -2) - HJ
+    def term(self, c):
+        """The source text of a component: a name or a number."""
+        if isinstance(c, tuple):
+            return self.bind(f"{_literal(c[0])} * {c[1]}")
+        return c if isinstance(c, str) else _literal(c)
 
+    def __call__(self, e):
+        if e not in self.memo:
+            self.memo[e] = self.rule(e)
+        return self.memo[e]
 
-def _scale(c, a):
-    """The point values c (N,) times the array a (N, ...), point by point."""
-    return c.reshape(c.shape + (1,) * (a.ndim - 1)) * a
+    def rule(self, e):
+        """The jet of the node e: numbers (pi, E, I) are constants, u^w for
+        w not a number is exp(w log u), conjugate, re and im act on every
+        part, abs and arg (atan2) go through powers and log; any node not
+        named here or in _UNARY, and a number that is not finite, raises
+        ValueError."""
+        f, args = type(e), e.args
+        if e in self.seeds:
+            return self.seeds[e]
+        if e.is_number:
+            if not np.isfinite(_number(e)):
+                raise ValueError(f"non-finite number {e} in an expression")
+            return {(): _number(e)}
+        if e.is_Add:
+            return self.combine([(1, self(a)) for a in args])
+        if e.is_Mul:
+            return reduce(self.mul, map(self, args))
+        if e.is_Pow and e.exp.is_number:
+            return self.power(self(e.base), e.exp)
+        if e.is_Pow:
+            return self.unary(sp.exp, self.mul(self(e.exp), self.unary(sp.log, self(e.base))))
+        if f in _LINEAR:
+            return self.linear(_LINEAR[f], self(args[0]))
+        if f is sp.Abs:  # |u| = (u conj u)^(1/2)
+            u = self(args[0])
+            return self.power(self.mul(u, self.linear("conj", u)), sp.S.Half)
+        if f in (sp.arg, sp.atan2):  # arg u = Im log u, atan2(y, x) = arg(x + iy)
+            u = self(args[0]) if f is sp.arg else self.combine([(1, self(args[1])), (1j, self(args[0]))])
+            return self.linear("imag", self.unary(sp.log, u))
+        if f in _UNARY:
+            return self.unary(f, self(args[0]))
+        raise ValueError(f"no jet rule for {f.__name__} node {e}")
 
+    def combine(self, terms):
+        """The linear combination of the jets of terms (coef, jet)."""
+        return {I: self.sum((c, [u[I]]) for c, u in terms if I in u) for I in self.idx}
 
-def _sym3(a, b):
-    """a_ij b_k + a_ik b_j + a_jk b_i for a (N, d, d) and b (N, d)."""
-    p = a[..., None] * b[:, None, None, :]
-    return p + p.transpose(0, 1, 3, 2) + p.transpose(0, 3, 1, 2)
+    def linear(self, name, u):
+        """The numpy map name (conj, real or imag) of every part of u."""
+        return {I: self.bind(f"{name}({self.term(u[I])})") for I in self.idx if I in u}
 
+    def mul(self, u, v):
+        """Leibniz's rule."""
+        return {
+            I: self.sum((n, [u.get(J, 0), v.get(K, 0)]) for (J, K), n in _leibniz(I).items())
+            for I in self.idx
+        }
 
-# the value and the derivatives to order 3 at s of the univariate functions
-# of the spec grammar (domains._FUNCTIONS): exp and log by hand, and those of
-# _COMPILED_UNARY from sympy's derivatives, compiled once by compile_exprs
-_UNARY = {
-    sp.exp: lambda s: [np.exp(s)] * 4,
-    sp.log: lambda s: [np.log(s), 1 / s, -1 / s**2, 2 / s**3],
-}
-_COMPILED_UNARY = (sp.sin, sp.cos, sp.tan, sp.asin, sp.acos, sp.atan,
-                   sp.sinh, sp.cosh, sp.tanh, sp.asinh, sp.acosh, sp.atanh)
-_LINEAR = {sp.conjugate: np.conj, sp.re: np.real, sp.im: np.imag}
+    def chain(self, value, first, u):
+        """g(u) from the source text of its value and its first derivative
+        g'(_Z), by Faa di Bruno's formula in recursive form: d_(i, I) g(u)
+        = d_I (g'(u) d_i u), with the jet of g'(u) one order lower."""
+        out = {(): self.bind(value)}
+        if self.order:
+            dg = _Walk(self.lines, {_Z: u}, self.d, self.order - 1)(first)
+            for i, *rest in self.idx[1:]:
+                out[(i, *rest)] = self.sum(
+                    (n, [dg.get(J, 0), u.get(tuple(sorted((i,) + K)), 0)])
+                    for (J, K), n in _leibniz(tuple(rest)).items()
+                )
+        return out
 
+    def unary(self, func, u):
+        """func(u) for a function of _UNARY."""
+        name, first = _UNARY[func]
+        return self.chain(f"{name}({self.term(u.get((), 0))})", first(_Z), u)
 
-def _unary(func, u):
-    """The univariate function func at the jet or number u."""
-    z = sp.Symbol("z")
-    f = _UNARY.get(func) or compile_exprs((z,), [sp.diff(func(z), z, k) for k in range(4)])
-    return u._chain(f(u.parts[0])) if isinstance(u, Jet) else f(u)[0]
+    def power(self, u, p):
+        """u^p for a sympy number p."""
+        return self.chain(f"{self.term(u.get((), 0))} ** {_literal(_number(p))}", p * _Z ** (p - 1), u)
 
 
 class Jet:
-    """Forward-mode jet of order 1, 2 or 3 of a function at N points, whose
-    parts[k] (N,) + (d,) * k are its k-th partials, through + - * /, powers
-    and univariate functions, numbers on either side and complex values
-    allowed (Griewank & Walther, Evaluating Derivatives, ch. 13)."""
+    """The partials of an expression at N points: parts[k] (N,) + (d,) * k
+    holds its k-th partials, for k up to the order."""
 
     def __init__(self, parts):
         self.parts = list(parts)
@@ -109,104 +221,59 @@ class Jet:
     grad = property(lambda self: self.parts[1])
     hess = property(lambda self: self.parts[2])
 
+    @staticmethod
+    def compile(expr, coords, order):
+        """The numpy function of the jet of the sympy expression expr in
+        coords up to order (0 to 3), compiled once per process.
+
+        The function takes one array per coordinate, real or complex (they
+        broadcast), and returns the tuple of the partials d_I expr over the
+        sorted multi-indices I, by order and then lexicographically: for
+        (x, y) at order 2, the value, d_x, d_y, d_xx, d_xy and d_yy.  The
+        rules of _Walk.rule cover the spec grammar; any other node raises
+        ValueError.
+        """
+        key = (tuple(coords), sp.sympify(expr), order)
+        if key not in _COMPILED:
+            d = len(key[0])
+            lines = {}
+            seeds = {c: {(): f"x{k}", (k,): 1} for k, c in enumerate(key[0])}
+            walk = _Walk(lines, seeds, d, order)
+            jet = walk(key[1])
+            comps = [jet.get(I, 0) for I in walk.idx]
+            out = [walk.term(c) if isinstance(c, (str, tuple)) else f"full(shape, {_literal(c)})"
+                   for c in comps]
+            args = ", ".join(f"x{k}" for k in range(d))
+            body = [f"    {name} = {text}" for text, name in lines.items()]
+            if len(out) > sum(isinstance(c, (str, tuple)) for c in comps):
+                body.append(f"    shape = broadcast({args}).shape")
+            source = "\n".join([f"def jet({args}):", *body, f"    return ({', '.join(out)},)"])
+            namespace = dict(_NAMESPACE)
+            exec(source, namespace)
+            _COMPILED[key] = namespace["jet"]
+        return _COMPILED[key]
+
     @classmethod
     def of(cls, expr, coords, points, order):
         """The jet of the sympy expression expr in coords at real points
-        (N, d), by one walk of its tree: numbers (pi, E, I) are constants, u^w
-        for w not a number is exp(w log u), conjugate, re and im act on every
-        part, and abs, arg and atan2 go through powers and log; any node not
-        named here or in _UNARY and _COMPILED_UNARY raises ValueError."""
+        (N, d), its parts the full symmetric tensors of Jet.compile's
+        partials."""
         points = np.asarray(points, dtype=float)
         n, d = points.shape
-        zeros = [np.zeros((n,) + (d,) * k) for k in range(order + 1)]
-        eye = np.eye(d)
-        seeds = {c: cls([points[:, k], np.broadcast_to(eye[k], (n, d))] + zeros[2:])
-                 for k, c in enumerate(coords)}
+        comps = cls.compile(expr, coords, order)(*points.T)
+        dtype = np.result_type(*comps)
+        parts = [np.empty((n,) + (d,) * k, dtype) for k in range(order + 1)]
+        for I, c in zip(_indices(d, order), comps):
+            for perm in set(permutations(I)):
+                parts[len(I)][(slice(None),) + perm] = c
+        return cls(parts)
 
-        def walk(e):
-            f, args = type(e), e.args
-            if e in seeds:
-                return seeds[e]
-            if e.is_number:
-                return float(e) if e.is_extended_real else complex(e)
-            if e.is_Add or e.is_Mul:
-                return reduce(operator.add if e.is_Add else operator.mul, map(walk, args))
-            if e.is_Pow and e.exp.is_number:
-                return walk(e.base) ** walk(e.exp)
-            if e.is_Pow:
-                return _unary(sp.exp, walk(e.exp) * _unary(sp.log, walk(e.base)))
-            if f in _LINEAR:
-                return walk(args[0]).map(_LINEAR[f])
-            if f is sp.Abs:  # |u| = (u conj u)^(1/2)
-                u = walk(args[0])
-                return (u * u.map(np.conj)) ** 0.5
-            if f in (sp.arg, sp.atan2):  # arg u = Im log u, atan2(y, x) = arg(x + iy)
-                u = walk(args[0]) if f is sp.arg else walk(args[1]) + 1j * walk(args[0])
-                return _unary(sp.log, u).map(np.imag)
-            if f in _UNARY or f in _COMPILED_UNARY:
-                return _unary(f, walk(args[0]))
-            raise ValueError(f"no jet rule for {f.__name__} node {e}")
 
-        out = walk(sp.sympify(expr))
-        return out if isinstance(out, cls) else cls([np.full(n, out)] + zeros[1:])
-
-    def map(self, f):
-        """f(self) for a linear map f of the values."""
-        return Jet([f(p) for p in self.parts])
-
-    def _chain(self, f):
-        """g(self) by Faa di Bruno's formula, f[k] = g^(k) at the value."""
-        u = self.parts
-        out = [f[0], _scale(f[1], u[1])]
-        if len(u) > 2:
-            out.append(_scale(f[1], u[2]) + _scale(f[2], u[1][:, :, None]) * u[1][:, None, :])
-        if len(u) > 3:
-            cube = (u[1][:, :, None] * u[1][:, None, :])[..., None] * u[1][:, None, None, :]
-            out.append(_scale(f[1], u[3]) + _scale(f[2], _sym3(u[2], u[1])) + _scale(f[3], cube))
-        return Jet(out)
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet([a + b for a, b in zip(self.parts, other.parts)])
-        return Jet([self.parts[0] + other] + self.parts[1:])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + other * -1
-
-    def __rsub__(self, other):
-        return self * -1 + other
-
-    def __mul__(self, other):
-        """Leibniz's rule, part by part."""
-        if not isinstance(other, Jet):
-            return self.map(lambda p: p * other)
-        (f0, f1, *f), (g0, g1, *g) = self.parts, other.parts
-        out = [f0 * g0, _scale(g0, f1) + _scale(f0, g1)]
-        if f:
-            cross = f1[:, :, None] * g1[:, None, :]
-            out.append(_scale(g0, f[0]) + cross + cross.swapaxes(1, 2) + _scale(f0, g[0]))
-        if f[1:]:
-            out.append(_scale(g0, f[1]) + _sym3(f[0], g1) + _sym3(g[0], f1) + _scale(f0, g[1]))
-        return Jet(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, p):
-        """f^p for a number p: the k-th derivative of s^p is the falling
-        factorial p (p-1) ... (p-k+1) times s^(p-k), zero once a factor is."""
-        c, f = 1, []
-        for k in range(len(self.parts)):
-            f.append(c * self.parts[0] ** (p - k) if c else np.zeros_like(self.parts[0]))
-            c *= p - k
-        return self._chain(f)
-
-    def __truediv__(self, other):
-        return self * other**-1 if isinstance(other, Jet) else self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return other * self**-1
+def ddc_matrix(hess):
+    """The antisymmetric matrix A (..., d, d) of ddc f from the Hessian of f
+    (..., d, d): A = (HJ)^T - HJ, since dc f = -J^T grad f in components."""
+    HJ = hess @ exterior.standard_j_matrix(hess.shape[-1])
+    return np.swapaxes(HJ, -1, -2) - HJ
 
 
 def real_coords(dim, prefix=None):
@@ -239,114 +306,3 @@ def to_real(z):
 def to_complex(x):
     """Inverse of to_real: (..., 2n) real to (..., n) complex."""
     return x[..., 0::2] + 1j * x[..., 1::2]
-
-
-class AnalyticForm:
-    """A complex-valued p-form with sympy coefficients on one chart."""
-
-    def __init__(self, coords, degree, comps):
-        self.coords = tuple(coords)
-        self.dim = len(self.coords)
-        self.degree = degree
-        clean = {}
-        for idx, expr in comps.items():
-            idx = tuple(idx)
-            if len(idx) != degree or list(idx) != sorted(idx):
-                raise ValueError(f"bad index tuple {idx} for degree {degree}")
-            expr = sp.sympify(expr)
-            if expr != 0:
-                clean[idx] = clean.get(idx, 0) + expr
-        self.comps = clean
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def scalar(cls, coords, expr):
-        return cls(coords, 0, {(): expr})
-
-    # -- algebra ------------------------------------------------------
-    def __add__(self, other):
-        self._check(other)
-        comps = dict(self.comps)
-        for idx, e in other.comps.items():
-            comps[idx] = comps.get(idx, 0) + e
-        return AnalyticForm(self.coords, self.degree, comps)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor):
-        factor = sp.sympify(factor)
-        return AnalyticForm(
-            self.coords, self.degree, {i: factor * e for i, e in self.comps.items()}
-        )
-
-    def _check(self, other):
-        if self.coords != other.coords or self.degree != other.degree:
-            raise ValueError("mismatched forms")
-
-    # -- calculus -----------------------------------------------------
-    def d(self):
-        if self.degree >= self.dim:
-            raise ValueError("degree overflow in exterior derivative")
-        comps = {}
-        for idx, expr in self.comps.items():
-            for k, xk in enumerate(self.coords):
-                res = exterior.merge_indices((k,), idx)
-                if res is not None:
-                    sign, new = res
-                    comps[new] = comps.get(new, 0) + sign * sp.diff(expr, xk)
-        return AnalyticForm(self.coords, self.degree + 1, comps)
-
-    def jconj(self):
-        """Tensor action of J_o: (J a)(X..) = (-1)^p a(J X..).
-
-        exterior.jo_comps runs over source indices; because J_o maps basis
-        covectors to signed basis covectors and J_o^{-1} = -J_o, the
-        per-axis inverse signs exactly absorb the (-1)^p prefactor.
-        """
-        return AnalyticForm(self.coords, self.degree, exterior.jo_comps(self.comps))
-
-    def dc(self):
-        """dc = (-1)^p Jact d Jact; equals i(dbar-d) on scalars."""
-        out = self.jconj().d().jconj()
-        return out.scale((-1) ** self.degree)
-
-    def wedge(self, other):
-        if self.coords != other.coords:
-            raise ValueError("mismatched charts")
-        deg = min(self.degree + other.degree, self.dim)
-        return AnalyticForm(self.coords, deg, exterior.wedge_comps(self.comps, other.comps))
-
-    # -- evaluation ---------------------------------------------------
-    def evaluate(self, points):
-        """Evaluate all components at points, shape (N, dim) real.
-
-        Returns dict index tuple -> complex array of shape (N,).
-        Indices absent from the form are genuinely zero and omitted.
-        """
-        points = np.asarray(points, dtype=float)
-        if not self.comps:
-            return {}
-        fn = compile_exprs(self.coords, self.comps.values())
-        vals = np.asarray(fn(*points.T), dtype=complex)
-        return dict(zip(self.comps, vals))
-
-    def matrix_at(self, points):
-        """For a 2-form, the full antisymmetric coefficient matrix per point."""
-        if self.degree != 2:
-            raise ValueError("matrix_at needs a 2-form")
-        vals = self.evaluate(points)
-        n = len(points)
-        A = np.zeros((n, self.dim, self.dim), dtype=complex)
-        for (i, j), arr in vals.items():
-            A[:, i, j] = arr
-            A[:, j, i] = -arr
-        return A
-
-    def scalar_at(self, points):
-        if self.degree != 0:
-            raise ValueError("scalar_at needs a 0-form")
-        vals = self.evaluate(points)
-        if not vals:
-            return np.zeros(len(points), dtype=complex)
-        return vals[()]

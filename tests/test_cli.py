@@ -137,6 +137,19 @@ class TestExitCodes:
         assert "top_degeneracy" in text
         assert "fail" in text
 
+    def test_degenerate_exhaustion_reports_the_node(self, tmp_path):
+        # ddc tau of |z1|^2 |z2|^2 is degenerate, so Z does not exist: the
+        # rows that need Z fail and the report names the node
+        dom = write(tmp_path, "product.dom", "n = 2\ntau.expr = (x1**2 + y1**2)*(x2**2 + y2**2)\n")
+        out = run_process(["verify", "--domain", dom, "--out", str(tmp_path)])
+        assert out.returncode == 1 and "Traceback" not in out.stderr, out.stderr
+        text = (tmp_path / "verify_report.txt").read_text()
+        rows = {line.split()[0]: line.split()[-1] for line in text.splitlines()
+                if line.startswith(("contraction", "flow_invariance"))}
+        assert rows == {"contraction": "fail", "flow_invariance": "fail"}
+        assert "error: ddc tau degenerate at node 0" in text
+        assert "all_pass: fail" in text
+
     def test_elementary_functions_tau_expr_verifies(self, tmp_path):
         # sqrt, exp and log in tau.expr go through the jet's chain rule
         dom = write(
@@ -341,8 +354,9 @@ COMMAND_OPTIONS = {
 # applies a value that changes its outputs (None: a flag)
 ACTING = {
     "verify": ({"--samples": "2"}, {"--samples": "3", "--seed": "7"}),
+    # 40 steps bring every gated normalize residual under the default bound
     "normalize": (
-        {"--steps": "5"}, {"--binary": None, "--moser-tol": "1e-30", "--steps": "6"}
+        {"--steps": "40"}, {"--binary": None, "--moser-tol": "1e-30", "--steps": "41"}
     ),
     "invariants": ({"--steps": "5"}, {"--binary": None, "--steps": "6", "--kmax": "3"}),
     "classify": ({"--steps": "5"}, {"--mode-tol": "1e-3", "--steps": "6", "--kmax": "3"}),
@@ -472,13 +486,14 @@ class TestDeterminism:
 
     def test_normalize_byte_identical(self, tmp_path):
         # N_v = 9 puts nodes far enough out for the flow to hand some of
-        # them to the opposite chart and back
+        # them to the opposite chart and back; at 20 steps the endpoint
+        # residual fails the default bound, and the outputs are written
         dom = write(tmp_path, "ellipsoid.dom", ELLIPSOID_DOM.replace("N_v = 17", "N_v = 9"))
         names = ("normalize_report.txt", "map_psi.dat", "map_lambda.dat")
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
-            assert run(["normalize", "--domain", dom, "--out", str(out), "--steps", "20"]) == 0
+            assert run(["normalize", "--domain", dom, "--out", str(out), "--steps", "20"]) == 1
             outs.append([(out / name).read_bytes() for name in names])
         assert outs[0] == outs[1]
 
@@ -498,6 +513,19 @@ class TestPipelineCommands:
         assert "lambda_table: map_lambda.dat" in text
         assert "connection_mismatch" in text
         assert "all_pass: pass" in text
+
+    def test_normalize_gates_every_printed_residual(self, tmp_path):
+        # at 20 steps the ellipsoid's endpoint residual (4.0e-6) exceeds
+        # the header's moser= bound, while the two residuals gated before
+        # stay under it
+        dom = write(tmp_path, "ell.dom", "n = 2\nmu.kind = ellipsoid\na = 1\nb = 4\nN_v = 9\n")
+        assert run(["normalize", "--domain", dom, "--out", str(tmp_path), "--steps", "20"]) == 1
+        text = (tmp_path / "normalize_report.txt").read_text()
+        rows = {line.split()[0]: float(line.split()[1]) for line in text.splitlines()
+                if line.startswith(("endpoint", "gauge_normalization", "connection_mismatch "))}
+        assert rows["endpoint"] > 1e-6
+        assert rows["gauge_normalization"] <= 1e-6 and rows["connection_mismatch"] <= 1e-6
+        assert "all_pass: fail" in text
 
     def test_normalize_binary_dump(self, tmp_path):
         dom = write(tmp_path, "ball.dom", BALL_DOM)
@@ -587,12 +615,13 @@ class TestEnvironment:
         assert out.stdout.split() == ["1"]
 
     def test_compile_loads_no_numpy_test_modules(self):
-        # a star import of numpy would load numpy.testing and with it unittest
+        # a star import of numpy would load numpy.testing and with it
+        # unittest; compiled jets name only the numpy functions they call
         script = (
             "import sys\n"
-            "from maform.symforms import compile_exprs, real_coords\n"
+            "from maform.symforms import Jet, real_coords\n"
             "x, y = real_coords(2)\n"
-            "compile_exprs((x, y), [x * y])\n"
+            "Jet.compile(x * y, (x, y), 3)\n"
             "print([m for m in ('numpy.testing', 'unittest') if m in sys.modules])\n"
         )
         out = subprocess.run(

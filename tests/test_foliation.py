@@ -7,11 +7,13 @@ import pytest
 import sympy as sp
 
 from maform import symforms
+from maform.cli import main
 from maform.domains import ExhaustionField, ambient_coords, make_circular_domain
 from maform.exterior import standard_j_matrix, wedge_comps
 from maform.foliation import FoliationError, ZFieldEvaluator, _ambient_points, verify_ma_identities
 from maform.ode import rk4_step
-from maform.symforms import AnalyticForm, compile_exprs, real_coords
+from maform.symforms import real_coords
+from symbolic_forms import AnalyticForm, lambdify_rows
 
 RNG = np.random.default_rng(20260825)
 
@@ -27,7 +29,7 @@ def non_ma_exhaustion():
 
 def z_field(exh, n_samples, seed=11):
     """The evaluator of Z for exh and Z at random shell points."""
-    ev = ZFieldEvaluator(exh.ambient_form())
+    ev = ZFieldEvaluator(exh)
     pts = _ambient_points(exh.n, n_samples, seed=seed)
     return ev, pts, ev(pts)
 
@@ -110,7 +112,7 @@ class TestComputeZ:
         # Z and JZ span the kernel of ddc log tau
         _, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
         ev, pts, Z = z_field(exh, 20)
-        log_tau = AnalyticForm.scalar(ev.tau.coords, sp.log(ev.tau.comps[()]))
+        log_tau = AnalyticForm.scalar(ev.coords, sp.log(ev.tau))
         A = log_tau.dc().d().matrix_at(pts).real
         for V in (Z, Z @ ev.J.T):
             assert np.max(np.abs(np.einsum("nij,nj->ni", A, V))) < 1e-11 * np.max(np.abs(A))
@@ -184,23 +186,36 @@ class TestIdentitySuite:
         assert rep["power_rule"] < 1e-10
         assert rep["all_pass"], rep
 
-    def test_each_form_compiles_once(self, monkeypatch):
-        # no lambdify call: tau, dtau, ddc tau and its partials come from
-        # one jet of tau, ddc log tau and ddc tau^k from jets of log tau and
-        # tau^k, and every wedge product is taken of their values
-        exhs = [make_circular_domain(spec)[1] for spec in GATE_SPECS.values()]
-        calls = []
-        lambdify = sp.lambdify
+    def test_each_form_compiles_once(self, monkeypatch, tmp_path):
+        # no sympy derivative and no lambdify in any command: every
+        # derivative and every evaluation is a jet compiled by Jet.compile,
+        # once per expression and order
+        def refuse(*args, **kwargs):
+            raise AssertionError("sympy diff or lambdify called")
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return lambdify(*args, **kwargs)
-
-        monkeypatch.setattr(sp, "lambdify", counted)
+        for owner, name in ((sp, "lambdify"), (sp, "diff"), (sp.Expr, "diff")):
+            monkeypatch.setattr(owner, name, refuse)
         monkeypatch.setattr(symforms, "_COMPILED", {})
-        for exh in exhs:
-            verify_ma_identities(exh, n_samples=2)
-        assert len(calls) == 0
+        sources = []
+
+        def counted_exec(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(symforms, "exec", counted_exec, raising=False)
+        dom, tns = tmp_path / "p.dom", tmp_path / "t.tns"
+        dom.write_text("mu.kind = perturbed_ball\neps = 0.05\nN_v = 9\nN_r = 4\nN_theta = 8\n")
+        tns.write_text("N_v = 9\nk_max = 1\nmode 0 1 1 = 0.05/(1 + v*conj(v))\nmode 1 1 1 = 0.01*v\n")
+        out = str(tmp_path / "out")
+        for argv in (
+            ["verify", "--domain", str(dom), "--samples", "2"],
+            ["normalize", "--domain", str(dom), "--steps", "10"],
+            ["invariants", "--domain", str(dom), "--steps", "10", "--kmax", "2"],
+            ["classify", "--domain", str(dom), "--steps", "10", "--kmax", "2"],
+            ["scale-test", "--tensor", str(tns)],
+        ):
+            assert main(argv + ["--out", out]) == 0, argv
+        assert len(sources) == len(symforms._COMPILED) > 0
 
     @pytest.mark.parametrize("n_samples", [40, 1])
     @pytest.mark.parametrize("case", list(GATE_SPECS))
@@ -275,7 +290,7 @@ class TestNumericWedge:
         # the non-Monge-Ampere residual is order one, so both routes must
         # give the same number, not only both a small one
         exh = non_ma_exhaustion()
-        tau = exh.ambient_form()
+        tau = AnalyticForm.scalar(ambient_coords(2), exh.tau_ambient)
         dtau, ddc = tau.d(), tau.dc().d()
         cross = dtau.wedge(tau.dc())
         top_lhs = tau.wedge(ddc.wedge(ddc))
@@ -301,7 +316,7 @@ def exact_z_jets(exh, pts):
     for order in (1, 2, 3):
         for idx in itertools.combinations_with_replacement(range(d), order):
             partials[idx] = sp.diff(partials[idx[:-1]], coords[idx[-1]])
-    fn = compile_exprs(coords, list(partials.values()))
+    fn = lambdify_rows(coords, list(partials.values()))
     vals = dict(zip(partials, np.real(fn(*pts.T))))
 
     def tensor(order):

@@ -1,4 +1,4 @@
-"""Exterior calculus kernel: compiled evaluation, symbolic calculus, calibration."""
+"""The compiled jets against sympy, and the symbolic references of the tests."""
 
 import itertools
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from maform.domains import _FUNCTIONS, _mu_sq_expression, ambient_coords
-from maform.symforms import AnalyticForm, Jet, compile_exprs, real_coords
+from maform.domains import _FUNCTIONS, _mu_sq_expression, ambient_coords, parse_tensor_spec
+from maform.symforms import Jet, real_coords
+from symbolic_forms import AnalyticForm, lambdify_rows
 
 RNG = np.random.default_rng(20260825)
 
@@ -32,31 +33,40 @@ def kernel_exprs():
 
 
 class TestCompileExprs:
+    """Order-0 jets are the package's plain evaluation of expressions."""
+
     def test_matches_per_component_lambdify(self):
         (x, y, s, t), exprs = kernel_exprs()
         pts = sample_points(4, n=25)
-        got = compile_exprs((x, y, s, t), exprs)(*pts.T)
+        got = np.array([Jet.compile(e, (x, y, s, t), 0)(*pts.T)[0] for e in exprs])
         assert got.shape == (4, 25)
         for expr, row in zip(exprs, got):
             plain = sp.lambdify((x, y, s, t), expr, modules="numpy")(*pts.T)
             want = np.broadcast_to(np.asarray(plain, dtype=complex), (25,))
             assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(np.abs(want), 1e-300))
 
-    def test_bitwise_equal_to_star_import_namespace(self):
-        # compiled code calls numpy.<name> in the namespace {"numpy": numpy};
-        # lambdify's "numpy" module string star-imports numpy instead
-        coords, exprs = kernel_exprs()
-        pts = sample_points(4, n=25)
-        got = compile_exprs(coords, exprs)(*pts.T)
-        star = sp.lambdify(coords, exprs, modules="numpy", cse=True)(*pts.T)
-        for row, want in zip(got, star):
-            assert np.array_equal(row, np.broadcast_to(want, row.shape))
-
     def test_memo_returns_the_same_callable(self):
         x, y = real_coords(2)
-        first = compile_exprs((x, y), [x * y, x + y])
-        assert compile_exprs([x, y], (x * y, y + x)) is first
-        assert compile_exprs((x, y), [x * y]) is not first
+        first = Jet.compile(x * y + x, (x, y), 1)
+        assert Jet.compile(x + y * x, [x, y], 1) is first
+        assert Jet.compile(x * y + x, (x, y), 2) is not first
+        assert Jet.compile(x * y, (x, y), 1) is not first
+
+    def test_tensor_mode_coefficients_at_complex_points(self):
+        # tensor spec coefficients are order-0 jets in the complex base
+        # coordinate, evaluated at complex points as they are
+        _, (v,), modes = parse_tensor_spec(
+            "k_max = 1\n"
+            "mode 0 1 1 = 0.05/(1 + v*conj(v)) + 0.2*v**2*conj(v)\n"
+            "mode 1 1 1 = abs(v)*exp(I*v) - re(v)*im(v)**3 + 3\n"
+        )
+        pts = np.array([0.3 + 0.4j, -0.7 + 0.1j, 0.05 - 0.9j])
+        for *_, expr in modes:
+            got = Jet.compile(expr, (v,), 0)(pts)[0]
+            want = np.array([complex(expr.subs(v, p).evalf()) for p in pts])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # a constant coefficient takes the shape of the points
+        assert Jet.compile(sp.Float(0.2), (v,), 0)(pts)[0].shape == pts.shape
 
 
 def _rule_cases():
@@ -78,6 +88,7 @@ def _rule_cases():
     cases["numeric_base"] = 2 ** (x * y)
     cases["arg"] = sp.im(sp.log(x + sp.I * y))  # sympy writes arg(x + I*y)
     cases["atan2"] = sp.atan2(x * y + 1, x - 2)
+    cases["numbers_either_side"] = (2 - x) / (1 + y * y) ** 3 + 3 / x - x / 2
     return (x, y), cases
 
 
@@ -104,7 +115,7 @@ class TestJet:
         for order in (1, 2, 3):
             for idx in itertools.combinations_with_replacement(range(len(coords)), order):
                 partials[idx] = sp.diff(partials[idx[:-1]], coords[idx[-1]])
-        want = compile_exprs(coords, list(partials.values()))(*pts.T).real
+        want = lambdify_rows(coords, list(partials.values()))(*pts.T).real
         for idx, ref in zip(partials, want):
             got = jet.parts[len(idx)][(slice(None),) + idx]
             assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0), idx
@@ -131,16 +142,13 @@ class TestJet:
             for got, want in zip(parts, full):
                 assert np.array_equal(got, want)
 
-    def test_arithmetic_with_numbers_on_either_side(self):
-        x, y = real_coords(2)
-        pts = sample_points(2, n=15, lo=0.2, hi=0.9)
-        f = Jet.of(x, (x, y), pts, order=3)
-        g = Jet.of(y, (x, y), pts, order=3)
-        got = (2 - f) / (1 + g * g) ** 3 + 3 / f - f * 0.5
-        expr = (2 - x) / (1 + y * y) ** 3 + 3 / x - x / 2
-        want = Jet.of(expr, (x, y), pts, order=3)
-        for a, b in zip(got.parts, want.parts):
-            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    @pytest.mark.parametrize("number", [sp.zoo, sp.Float("1e400")])
+    def test_non_finite_numbers_raise(self, number):
+        # 1/0 in a spec is sympy's zoo and 1e400 overflows a float: neither
+        # may reach the emitted source as inf or nan
+        x, y = RULE_COORDS
+        with pytest.raises(ValueError, match="non-finite number"):
+            Jet.compile(x * y + number * x, RULE_COORDS, 0)
 
     def test_other_nodes_raise(self):
         coords = ambient_coords(2)

@@ -86,3 +86,25 @@ def test_runtime_dependencies_match_imports():
     block = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.M | re.S)
     declared = set(re.findall(r'"([\w.-]+)', block.group(1)))
     assert third_party == declared, (third_party, declared)
+
+
+def test_no_symbolic_derivative_or_lambdify():
+    # every derivative and every sympy -> numpy evaluation of the package
+    # goes through symforms.Jet.compile: no source calls or imports diff or
+    # lambdify, or imports sympy's printers
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Call):
+                func = node.func
+                names = [func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            found += [
+                f"{path.name}:{node.lineno}: {name}" for name in names
+                if name in ("diff", "lambdify") or name.startswith("sympy.printing")
+            ]
+    assert SOURCES and not found, found
