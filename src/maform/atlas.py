@@ -56,8 +56,9 @@ class ChartAtlas:
     """Chart and grid bookkeeping for the blow-up of C^n at 0.
 
     n = 2: two base charts of CP^1 (coordinates v and w = 1/v).
-    n = 3: a single affine chart of CP^2 at coarse resolution, used only by
-    the deformation-algebra verifiers.
+    n = 3: a single affine chart of CP^2 at coarse resolution (n_v <= 12),
+    the grid of the n = 3 tensor specs that classify --tensor and
+    scale-test read: their mode norms and integrability checks.
     """
 
     n: int = 2

@@ -59,16 +59,13 @@ def rotational_test(tensor, theta, tol=1e-5):
     Mode k picks up the factor e^{ik theta}, so at a non-resonant angle
     the invariance defect recovers the positive-mode norms exactly; the
     verdict therefore agrees with the circularity verdict, and that
-    agreement is asserted rather than assumed.
+    agreement is checked rather than assumed: a disagreement, as when the
+    mode norms overflow, raises CharacterizationError.
     """
     if tensor.k_max >= 1:
         _resonance_check(theta, tensor.k_max)
     rotated = rotate(tensor, theta)
-    diff = replace(
-        tensor,
-        modes={c: rotated.modes[c] - tensor.modes[c] for c in tensor.charts},
-        field_fn=None,
-    )
+    diff = replace(rotated, modes={c: rotated.modes[c] - tensor.modes[c] for c in tensor.charts})
     moved = diff.mode_norms()
     defect = 0.0
     for k in range(1, tensor.k_max + 1):
@@ -76,7 +73,11 @@ def rotational_test(tensor, theta, tol=1e-5):
         # the factor back out so the defect is angle independent
         defect += moved[k] / abs(np.exp(1j * k * theta) - 1.0)
     verdict = defect < tol
-    assert verdict == is_circular(tensor, tol)
+    if verdict != is_circular(tensor, tol):
+        raise CharacterizationError(
+            f"rotation defect {defect:.3e} at angle {theta} and circularity defect "
+            f"{circularity_defect(tensor):.3e} give different verdicts"
+        )
     return verdict
 
 

@@ -7,10 +7,12 @@ Each subcommand accepts only the options it applies (build_parser).
 
 Reports are deterministic given the options and the seed: every output
 embeds the convention line, the resolutions, the tolerance the command
-applies (normalize: --moser-tol, classify: --mode-tol; no line where
-none is), the seed, and a bit-exact echo of the input spec file.  Exit
-codes: 0 on pass, 1 on a failed check or a propagated module error, 2 on
-a spec parse error or a bad option.
+applies (normalize: --moser-tol, classify: --mode-tol, and for an n = 3
+tensor spec, classify and scale-test: the integrability bound; no line
+where none is), the seed, and a bit-exact echo of the input spec file.
+Exit codes: 0 on pass, 1 on a failed check (an integrability condition
+of a tensor spec among them) or a propagated module error, 2 on a spec
+parse error or a bad option.
 """
 
 import argparse
@@ -21,7 +23,13 @@ import numpy as np
 
 from . import CONVENTION
 from .characterization import classify, scaling_test
-from .deformation import extract, tensor_from_mode_functions
+from .deformation import (
+    INTEGRABILITY_TOL,
+    condition_symmetry,
+    extract,
+    tensor_from_mode_functions,
+    verify_mode_equations,
+)
 from .domains import (
     ExhaustionField,
     SpecParseError,
@@ -32,7 +40,6 @@ from .domains import (
 from .foliation import verify_ma_identities
 from .gridforms import dump_records
 from .moser import normalize_domain
-from .symforms import Jet
 
 
 def _fmt(x):
@@ -88,25 +95,31 @@ def load_tensor_file(path):
     with open(path) as fh:
         text = fh.read()
     values, coords, modes = parse_tensor_spec(text)
-    n = values["n"]
-
-    def call(v, coefficient):
-        v = np.asarray(v)
-        args = [v] if n == 2 else [v[..., j] for j in range(n - 1)]
-        return np.asarray(coefficient(*args)[0], dtype=complex)
-
-    fn_entries = [
-        (k, a - 1, b - 1, lambda v, c=Jet.compile(expr, coords, 0): call(v, c))
-        for k, a, b, expr in modes
-    ]
-
     atlas = ChartAtlas(
-        n=n,
+        n=values["n"],
         n_v=values["N_v"],
         fiber=FiberGrid(n_r=values["N_r"], n_theta=values["N_theta"]),
     )
-    tensor = tensor_from_mode_functions(atlas, n, fn_entries, values["k_max"])
-    return tensor, values, text
+    return tensor_from_mode_functions(atlas, coords, modes, values["k_max"]), values, text
+
+
+def _integrability(tensor):
+    """The integrability conditions of a spec tensor: (i) the symmetry of
+    ddc tau_o(phi X, Y), and (ii) the structure equation per mode, each
+    bounded by INTEGRABILITY_TOL.  Returns the header's tolerance text
+    (None at n = 2), the report lines and whether all rows pass.  Both
+    conditions are vacuous at n = 2, and the report says so."""
+    if tensor.n == 2:
+        return None, ["integrability: vacuous at n = 2"], True
+    rows = [("integrability_symmetry", "all", condition_symmetry(tensor))]
+    per_mode = verify_mode_equations(tensor)["per_mode"]
+    rows += [("structure_equation", str(k), value) for k, value in enumerate(per_mode)]
+    passed = [value <= INTEGRABILITY_TOL for *_, value in rows]
+    lines = ["# condition  mode  residual  tolerance  verdict"] + [
+        f"{name}  {mode}  {_fmt(value)}  {INTEGRABILITY_TOL:.3e}  {'pass' if ok else 'fail'}"
+        for (name, mode, value), ok in zip(rows, passed)
+    ]
+    return f"integrability={INTEGRABILITY_TOL:.3e}", lines, all(passed)
 
 
 # ---------------------------------------------------------------------------
@@ -229,27 +242,29 @@ def cmd_classify(args):
     if args.tensor:
         tensor, values, raw = load_tensor_file(args.tensor)
         res = {k: values[k] for k in ("N_v", "N_r", "N_theta", "k_max")}
+        tol, checks, integrable = _integrability(tensor)
     else:
         spec = _moser_spec(args)
         for option in _DOMAIN_ONLY:
             vars(args).setdefault(option[2:], _OPTIONS[option]["default"])
         tensor, raw = _pipeline_tensor(args, spec), spec.raw
         res = _resolutions(spec, rk4_steps=args.steps, k_max=args.kmax)
+        tol, checks, integrable = None, [], True
     report = classify(tensor, tol_circular=args.mode_tol)
-    lines = report_header(args, raw, res, f"mode={args.mode_tol:.3e}")
-    lines.extend(report.lines())
+    tolerances = " ".join(filter(None, [f"mode={args.mode_tol:.3e}", tol]))
+    lines = report_header(args, raw, res, tolerances) + checks + report.lines()
     _write_report(args, "classify_report.txt", lines)
-    return 0
+    return 0 if integrable else 1
 
 
 def cmd_scale_test(args):
     tensor, values, raw = load_tensor_file(args.tensor)
+    tol, checks, integrable = _integrability(tensor)
     report = scaling_test(tensor, args.k, iters=args.iters)
     res = {k: values[k] for k in ("N_v", "N_r", "N_theta", "k_max")}
-    lines = report_header(args, raw, res)
-    lines.extend(report.lines())
+    lines = report_header(args, raw, res, tol) + checks + report.lines()
     _write_report(args, "scale_report.txt", lines)
-    return 0 if all(report.verdicts.values()) else 1
+    return 0 if integrable and all(report.verdicts.values()) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,14 @@ _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.m
               ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
+def _finite(e):
+    """Whether every number of the sympy expression e, taken where sympy
+    has folded it (a subtree free of symbols), is a finite double."""
+    if e.is_number:
+        return bool(np.isfinite(complex(e)))
+    return all(_finite(a) for a in e.args)
+
+
 def parse_expression(text, names, line_no=1, col=1):
     """The sympy expression of the spec text text, which starts at column
     col of line line_no.
@@ -307,7 +315,9 @@ def parse_expression(text, names, line_no=1, col=1):
     hold only numbers, + - * / ** and unary minus, the coordinates in
     names ({name: symbol}), I, pi, E and calls of the elementary functions
     in _FUNCTIONS (conj is conjugate).  Anything else is a SpecParseError
-    at its column.
+    at its column, and so is a node whose numbers, as sympy folds them, are
+    not all finite doubles (1/0, 1e308*10, exp(1000)): no compiled jet can
+    hold them.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -325,6 +335,13 @@ def parse_expression(text, names, line_no=1, col=1):
         raise SpecParseError(line_no, col + offset, message)
 
     def build(node):
+        out = fold(node)
+        if not _finite(out):
+            segment = ast.get_source_segment(text, node)
+            fail(node, f"{segment!r} holds a number that is not a finite double")
+        return out
+
+    def fold(node):
         if isinstance(node, ast.Constant) and type(node.value) is int:
             return sp.Integer(node.value)
         if isinstance(node, ast.Constant) and type(node.value) is float:

@@ -1,9 +1,7 @@
 """The classical fourth-order Runge-Kutta step with its variational equation.
 
-Both flows of the package (the Moser flow, which carries the Hopf phase
-of its horizontal lift, and the flow of the Monge-Ampere field Z in the
-Lie-derivative stencil of the identity suite) advance through rk4_step
-with their variational matrices.
+The Moser flow, which carries the Hopf phase of its horizontal lift,
+advances through rk4_step with its variational matrices.
 The derivative M of the state with respect to its start value obeys the
 variational equation M' = Df(t, y) M; it is advanced through the same four
 stages (Hairer, Norsett, Wanner, Solving Ordinary Differential Equations I).

@@ -4,11 +4,13 @@ import time
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from maform.atlas import ChartAtlas
 from maform.characterization import is_circular, rotational_test, scaling_test
 from maform.cli import main as cli_main
 from maform.deformation import (
+    DeformationTensor,
     condition_symmetry,
     extract,
     extract_from_structure,
@@ -26,6 +28,8 @@ from maform.moser import FS_AREA, curvature, moser_flow, normalize_domain
 
 ATLAS = ChartAtlas(n=2, n_v=17)
 ATLAS3 = ChartAtlas(n=3, n_v=7, box=1.0)
+V = sp.Symbol("v")
+V1, V2 = sp.symbols("v1 v2")
 
 
 def report(num, ok, detail):
@@ -54,15 +58,10 @@ def perturbed_nm():
 def random_bandlimited(rng, k_max=5, scale=0.03):
     entries = []
     for k in range(k_max + 1):
-        c = rng.normal(size=3) + 1j * rng.normal(size=3)
-
-        def fn(v, c=c):
-            return scale * (c[0] + c[1] * v + c[2] * np.conj(v)) / (
-                1.0 + np.abs(v) ** 2
-            )
-
-        entries.append((k, 0, 0, fn))
-    return tensor_from_mode_functions(ATLAS, 2, entries, k_max)
+        c0, c1, c2 = (complex(c) for c in rng.normal(size=3) + 1j * rng.normal(size=3))
+        vbar = sp.conjugate(V)
+        entries.append((k, 1, 1, scale * (c0 + c1 * V + c2 * vbar) / (1 + V * vbar)))
+    return tensor_from_mode_functions(ATLAS, (V,), entries, k_max)
 
 
 def levi_pairing(v):
@@ -80,19 +79,11 @@ def levi_pairing(v):
 
 
 def tensor_with_bilinear_form(Bfn):
-    def entry(a, b):
-        def fn(v):
-            phi = np.linalg.solve(
-                np.swapaxes(levi_pairing(v), -1, -2), Bfn(v)
-            )
-            return phi[..., a, b]
-
-        return fn
-
-    return tensor_from_mode_functions(
-        ATLAS3, 3,
-        [(0, a, b, entry(a, b)) for a in range(2) for b in range(2)], 0,
-    )
+    # node samples: condition (i) needs no derivatives
+    v = np.stack([V.ravel() for V in ATLAS3.base_points3()], axis=-1)
+    phi = np.linalg.solve(np.swapaxes(levi_pairing(v), -1, -2), Bfn(v))
+    modes = {0: phi.reshape((1,) + (ATLAS3.n_v,) * 4 + (2, 2))}
+    return DeformationTensor(n=3, atlas=ATLAS3, k_max=0, modes=modes)
 
 
 def test_c01_ball_identity_suite():
@@ -206,16 +197,17 @@ def test_c08_bilinear_symmetry_and_mode_equations():
 
     c = 0.2
     entries = [
-        (0, 0, 0, lambda v: np.full(len(v), c, dtype=complex)),
-        (0, 1, 0, lambda v: 0.1 * v[:, 0] * np.conj(v[:, 0])),
-        (0, 1, 1, lambda v: 0.15 * (v[:, 0] - (c / 2) * np.conj(v[:, 0]))),
+        (0, 1, 1, sp.Float(c)),
+        (0, 2, 1, 0.1 * V1 * sp.conjugate(V1)),
+        (0, 2, 2, 0.15 * (V1 - (c / 2) * sp.conjugate(V1))),
     ]
-    t = tensor_from_mode_functions(ATLAS3, 3, entries, 0)
+    t = tensor_from_mode_functions(ATLAS3, (V1, V2), entries, 0)
     rep = verify_mode_equations(t, chart=0, zeta=0.5)
-    modes_ok = max(rep["per_mode"]) < 1e-6 and rep["consistency"] < 1e-6
-    report(8, sym_res < 1e-8 and anti_ok and modes_ok,
+    modes_ok = max(rep["per_mode"]) <= 1e-12 and rep["consistency"] <= 1e-12
+    report(8, sym_res < 1e-14 and anti_ok and modes_ok,
            f"symmetric {sym_res:.2e}, antisymmetric {anti_res:.4f} "
-           f"vs {expected:.4f}, mode consistency {rep['consistency']:.2e}")
+           f"vs {expected:.4f}, structure equation {max(rep['per_mode']):.2e}, "
+           f"mode consistency {rep['consistency']:.2e}")
 
 
 def test_c09_rotation_verdicts():
@@ -226,12 +218,9 @@ def test_c09_rotation_verdicts():
         for k in range(5):
             if i % 2 == 0 and k >= 1:
                 continue
-            c = rng.normal(size=2) + 1j * rng.normal(size=2)
-            entries.append(
-                (k, 0, 0,
-                 lambda v, c=c: 0.05 * (c[0] + c[1] * v) / (1 + np.abs(v) ** 2))
-            )
-        t = tensor_from_mode_functions(ATLAS, 2, entries, 4)
+            c0, c1 = (complex(c) for c in rng.normal(size=2) + 1j * rng.normal(size=2))
+            entries.append((k, 1, 1, 0.05 * (c0 + c1 * V) / (1 + V * sp.conjugate(V))))
+        t = tensor_from_mode_functions(ATLAS, (V,), entries, 4)
         for theta in (0.7, 1.1, 1.9, 2.5, 3.3):
             assert rotational_test(t, theta) == is_circular(t)
             checked += 1

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from maform.atlas import ChartAtlas
 from maform.characterization import (
@@ -21,6 +22,7 @@ from maform.domains import make_circular_domain
 from maform.moser import normalize_domain
 
 ATLAS = ChartAtlas(n=2, n_v=17)
+V = sp.Symbol("v")
 
 
 def random_tensor(rng, k_max=4, circular=False, scale=0.05):
@@ -28,12 +30,9 @@ def random_tensor(rng, k_max=4, circular=False, scale=0.05):
     for k in range(k_max + 1):
         if circular and k >= 1:
             continue
-        c = rng.normal(size=2) + 1j * rng.normal(size=2)
-        entries.append(
-            (k, 0, 0,
-             lambda v, c=c: scale * (c[0] + c[1] * v) / (1 + np.abs(v) ** 2))
-        )
-    return tensor_from_mode_functions(ATLAS, 2, entries, k_max)
+        c0, c1 = (complex(c) for c in rng.normal(size=2) + 1j * rng.normal(size=2))
+        entries.append((k, 1, 1, scale * (c0 + c1 * V) / (1 + V * sp.conjugate(V))))
+    return tensor_from_mode_functions(ATLAS, (V,), entries, k_max)
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +72,7 @@ class TestVerdicts:
         assert ball_defect(perturbed_tensor) > 1e-2
 
     def test_positive_mode_blocks_circularity(self):
-        t = tensor_from_mode_functions(
-            ATLAS, 2, [(1, 0, 0, lambda v: np.full(len(v), 0.1 + 0j))], 1
-        )
+        t = tensor_from_mode_functions(ATLAS, (V,), [(1, 1, 1, sp.Float(0.1))], 1)
         assert not is_circular(t)
         assert abs(circularity_defect(t) - 0.1 * ATLAS.fiber.r_max) < 1e-12
 
@@ -107,9 +104,7 @@ class TestRotation:
         assert rotational_test(t, 1.234)
 
     def test_resonant_angle_rejected(self):
-        t = tensor_from_mode_functions(
-            ATLAS, 2, [(2, 0, 0, lambda v: np.full(len(v), 0.1 + 0j))], 2
-        )
+        t = tensor_from_mode_functions(ATLAS, (V,), [(2, 1, 1, sp.Float(0.1))], 2)
         with pytest.raises(CharacterizationError, match="resonant at mode 2"):
             rotational_test(t, np.pi)
 

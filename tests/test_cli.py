@@ -3,9 +3,12 @@
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maform
 from maform.cli import build_parser, main
@@ -51,6 +54,42 @@ k_max = 3
 mode 0 1 1 = 0.05/(1 + v*conj(v))
 mode 1 1 1 = 0.02*v/(1 + v*conj(v))
 mode 3 1 1 = 0.01
+"""
+
+
+# an n = 3 tensor whose mode 0 solves the structure equation while the
+# symmetry (i) fails, and whose mode 1 fails the structure equation
+FAILING_N3_TNS = """\
+n = 3
+N_v = 7
+k_max = 1
+mode 0 1 1 = 0.2
+mode 0 2 1 = 0.1*v1*conj(v1)
+mode 1 2 2 = 0.15*v2
+"""
+
+SMALL_N2_TNS = """\
+n = 2
+N_v = 5
+k_max = 1
+mode 0 1 1 = 0.05/(1 + v*conj(v))
+mode 1 1 1 = 0.02*v
+"""
+
+# the classify report of SMALL_N2_TNS before the integrability entry was
+# added to it
+SMALL_N2_CLASSIFY_BODY = """\
+ball: fail
+circular: fail
+rotational_0.7: fail
+rotational_1.9: fail
+ball_defect: 8.181980515339e-02
+circularity_defect: 3.181980515339e-02
+tol_ball: 1.000e-08
+tol_circular: 1.000e-05
+# mode  norm
+   0  5.000000000000e-02
+   1  3.181980515339e-02
 """
 
 
@@ -185,6 +224,23 @@ class TestExitCodes:
 
     def test_unknown_command_exits_2(self):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("zoo.tns", "n = 2\nmode 0 1 1 = 1/0\n", "line 2, column 14: '1/0' holds a number"),
+            ("huge.tns", "n = 2\nmode 0 1 1 = 1e308*10*v\n", "line 2, column 14: '1e308*10' holds a number"),
+            ("zoo.dom", "n = 2\ntau.expr = 1/0 + x1\n", "line 2, column 12: '1/0' holds a number"),
+        ],
+    )
+    def test_non_finite_number_exits_2_at_its_column(self, tmp_path, capsys, name, text, message):
+        spec = write(tmp_path, name, text)
+        if name.endswith(".dom"):
+            argv = ["verify", "--domain", spec, "--samples", "1"]
+        else:
+            argv = ["classify", "--tensor", spec]
+        assert run([*argv, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_malformed_tensor_spec(self, tmp_path, capsys):
         tns = write(tmp_path, "bad.tns", "n = 2\nmode 1 = 0.1\n")
@@ -588,6 +644,113 @@ class TestPipelineCommands:
         )
         assert code == 1
         assert "ratio" in capsys.readouterr().err
+
+
+def integrability_rows(text):
+    """{(condition, mode): (residual, tolerance, verdict)} of a report."""
+    rows = [l.split() for l in text.splitlines()
+            if l.startswith(("integrability_symmetry ", "structure_equation "))]
+    return {(r[0], r[1]): (float(r[2]), r[3], r[4]) for r in rows}
+
+
+class TestIntegrability:
+    @pytest.mark.parametrize(
+        "command, report, tolerances",
+        [
+            ("classify", "classify_report.txt", "mode=1.000e-05 integrability=1.000e-12"),
+            ("scale-test", "scale_report.txt", "integrability=1.000e-12"),
+        ],
+    )
+    def test_failing_n3_tensor_exits_1_with_its_report(self, tmp_path, command, report, tolerances):
+        tns = write(tmp_path, "fail3.tns", FAILING_N3_TNS)
+        assert run([command, "--tensor", tns, "--out", str(tmp_path)]) == 1
+        text = (tmp_path / report).read_text()
+        assert f"# tolerances: {tolerances}\n" in text
+        assert "# condition  mode  residual  tolerance  verdict\n" in text
+        rows = integrability_rows(text)
+        assert rows.keys() == {
+            ("integrability_symmetry", "all"),
+            ("structure_equation", "0"),
+            ("structure_equation", "1"),
+        }
+        symmetry, _, verdict = rows["integrability_symmetry", "all"]
+        assert abs(symmetry - 0.1711) < 1e-4 and verdict == "fail"
+        # mode 0 solves the structure equation: exact brackets leave roundoff
+        assert rows["structure_equation", "0"][0] <= 1e-12
+        assert rows["structure_equation", "0"][1:] == ("1.000e-12", "pass")
+        residual, _, verdict = rows["structure_equation", "1"]
+        assert residual > 1e-3 and verdict == "fail"
+
+    @pytest.mark.parametrize("command", ["classify", "scale-test"])
+    def test_zero_n3_tensor_exits_0(self, tmp_path, command):
+        tns = write(tmp_path, "zero3.tns", "n = 3\nN_v = 5\nk_max = 1\n")
+        assert run([command, "--tensor", tns, "--out", str(tmp_path)]) == 0
+        report = "classify_report.txt" if command == "classify" else "scale_report.txt"
+        rows = integrability_rows((tmp_path / report).read_text())
+        assert len(rows) == 3
+        assert all(value == 0.0 and verdict == "pass" for value, _, verdict in rows.values())
+
+    def test_n2_report_adds_only_the_vacuous_entry(self, tmp_path):
+        tns = write(tmp_path, "small2.tns", SMALL_N2_TNS)
+        assert run(["classify", "--tensor", tns, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "classify_report.txt").read_text()
+        head, _, body = text.partition("# spec-echo-end\n")
+        assert "# tolerances: mode=1.000e-05\n" in head
+        assert body == "integrability: vacuous at n = 2\n" + SMALL_N2_CLASSIFY_BODY
+
+    def test_coefficient_not_finite_at_a_node_exits_1(self, tmp_path, capsys):
+        # conj(v)/v has modulus 1 off the origin and is 0/0 at the node
+        # v = 0: the tensor is refused there, not classified as the ball
+        tns = write(tmp_path, "nan.tns", "n = 2\nN_v = 5\nk_max = 1\nmode 1 1 1 = conj(v)/v\n")
+        assert run(["classify", "--tensor", tns, "--out", str(tmp_path)]) == 1
+        assert "mode 1 1 1 is not finite on chart 0 at node (2, 2)" in capsys.readouterr().err
+
+    def test_scale_test_n2_states_vacuous(self, tmp_path):
+        tns = write(tmp_path, "synth.tns", SYNTH_TNS)
+        assert run(["scale-test", "--tensor", tns, "--out", str(tmp_path)]) == 0
+        body = (tmp_path / "scale_report.txt").read_text().partition("# spec-echo-end\n")[2]
+        assert body.startswith("integrability: vacuous at n = 2\nscaling_limit_is_mode0: ")
+
+
+# pieces of random tensor specs: coordinates of either dimension, huge and
+# tiny numbers, and zero divisors
+_ATOMS = st.sampled_from(
+    ["v", "v1", "v2", "conj(v1)", "conj(v)", "0", "0.0", "2", "I", "1e308", "1e-300", "(v1 - v1)"]
+)
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "**"]), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        st.tuples(st.sampled_from(["exp", "log", "sqrt", "abs"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+    ),
+    max_leaves=4,
+)
+_MODE_LINES = st.lists(
+    st.tuples(
+        st.integers(-1, 3), st.integers(0, 3), st.integers(0, 3), _EXPRESSIONS
+    ).map(lambda t: f"mode {t[0]} {t[1]} {t[2]} = {t[3]}"),
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]), st.integers(4, 5), st.integers(0, 2), _MODE_LINES,
+    st.sampled_from(["classify", "scale-test"]),
+)
+def test_random_tensor_specs_exit_0_1_or_2(n, n_v, k_max, mode_lines, command):
+    # any small tensor spec ends in an exit code, never in a traceback
+    text = "\n".join([f"n = {n}", f"N_v = {n_v}", "N_theta = 8", f"k_max = {k_max}", *mode_lines])
+    with tempfile.TemporaryDirectory() as out:
+        spec = os.path.join(out, "random.tns")
+        with open(spec, "w") as fh:
+            fh.write(text + "\n")
+        with np.errstate(all="ignore"):
+            assert main([command, "--tensor", spec, "--out", out]) in (0, 1, 2)
 
 
 class TestEnvironment:

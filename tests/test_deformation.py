@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from maform.atlas import ChartAtlas
 from maform.cli import load_tensor_file
 from maform.deformation import (
     DeformationError,
+    DeformationTensor,
     condition_symmetry,
     contract,
     extract,
@@ -25,12 +27,15 @@ from maform.deformation import (
     tensor_from_mode_functions,
     verify_mode_equations,
 )
+from maform.deformation import _bracket, _jets, _times
 from maform.domains import make_circular_domain
 from maform.exterior import standard_j_matrix
 from maform.moser import normalize_domain
 
 ATLAS = ChartAtlas(n=2, n_v=17)
 ATLAS3 = ChartAtlas(n=3, n_v=7, box=1.0)
+V = sp.Symbol("v")
+V1, V2 = sp.symbols("v1 v2")
 
 
 @pytest.fixture(scope="module")
@@ -90,15 +95,10 @@ def random_bandlimited(rng, k_max=5, scale=0.03):
     """Random n = 2 tensor with polynomial mode coefficients."""
     entries = []
     for k in range(k_max + 1):
-        c = rng.normal(size=3) + 1j * rng.normal(size=3)
-
-        def fn(v, c=c):
-            return scale * (c[0] + c[1] * v + c[2] * np.conj(v)) / (
-                1.0 + np.abs(v) ** 2
-            )
-
-        entries.append((k, 0, 0, fn))
-    return tensor_from_mode_functions(ATLAS, 2, entries, k_max)
+        c0, c1, c2 = (complex(c) for c in rng.normal(size=3) + 1j * rng.normal(size=3))
+        vbar = sp.conjugate(V)
+        entries.append((k, 1, 1, scale * (c0 + c1 * V + c2 * vbar) / (1 + V * vbar)))
+    return tensor_from_mode_functions(ATLAS, (V,), entries, k_max)
 
 
 def mc_exact_tensor(c=0.2, w_scale=0.15, g_scale=0.1):
@@ -110,12 +110,11 @@ def mc_exact_tensor(c=0.2, w_scale=0.15, g_scale=0.1):
     so the equation holds exactly while [phi(X), phi(Y)] does not vanish.
     """
     entries = [
-        (0, 0, 0, lambda v: np.full(len(v), c, dtype=complex)),
-        (0, 1, 0, lambda v: g_scale * v[:, 0] * np.conj(v[:, 0])),
-        (0, 1, 1,
-         lambda v: w_scale * (v[:, 0] - (c / 2) * np.conj(v[:, 0]))),
+        (0, 1, 1, sp.Float(c)),
+        (0, 2, 1, g_scale * V1 * sp.conjugate(V1)),
+        (0, 2, 2, w_scale * (V1 - (c / 2) * sp.conjugate(V1))),
     ]
-    return tensor_from_mode_functions(ATLAS3, 3, entries, 0)
+    return tensor_from_mode_functions(ATLAS3, (V1, V2), entries, 0)
 
 
 def levi_pairing(v):
@@ -135,30 +134,13 @@ def levi_pairing(v):
 
 
 def tensor_with_bilinear_form(Bfn):
-    """n = 3 mode-0 tensor whose associated bilinear form is Bfn(v)."""
-
-    def entry(a, b):
-        def fn(v):
-            M = levi_pairing(v)
-            B = Bfn(v)
-            # B = phi^T M, so phi solves M^T phi = B
-            phi = np.linalg.solve(np.swapaxes(M, -1, -2), B)
-            return phi[..., a, b]
-
-        return fn
-
-    return tensor_from_mode_functions(
-        ATLAS3, 3, [(0, a, b, entry(a, b)) for a in range(2) for b in range(2)], 0
-    )
-
-
-RNG = np.random.default_rng(20260825)
-
-
-def sample_points3(npts, seed=0, lim=0.55):
-    rng = np.random.default_rng(seed)
-    vr = rng.uniform(-lim, lim, size=(npts, 4))
-    return np.stack([vr[:, 0] + 1j * vr[:, 1], vr[:, 2] + 1j * vr[:, 3]], -1)
+    """n = 3 mode-0 tensor whose associated bilinear form is Bfn(v), from
+    node samples: condition (i) needs no derivatives."""
+    v = np.stack([V.ravel() for V in ATLAS3.base_points3()], axis=-1)
+    # B = phi^T M, so phi solves M^T phi = B
+    phi = np.linalg.solve(np.swapaxes(levi_pairing(v), -1, -2), Bfn(v))
+    modes = {0: phi.reshape((1,) + (ATLAS3.n_v,) * 4 + (2, 2))}
+    return DeformationTensor(n=3, atlas=ATLAS3, k_max=0, modes=modes)
 
 
 class TestExtraction:
@@ -223,18 +205,9 @@ class TestExtraction:
             assert np.max(np.abs(sf2.J[0] - sf.J[0])) < 1e-8
 
     def test_degenerate_graph_rejected(self):
-        big = tensor_from_mode_functions(
-            ATLAS, 2, [(0, 0, 0, lambda v: np.full(len(v), 1.2 + 0j))], 0
-        )
+        big = tensor_from_mode_functions(ATLAS, (V,), [(0, 1, 1, sp.Float(1.2))], 0)
         with pytest.raises(DeformationError, match="not transverse"):
             reconstruct(big)
-
-    def test_synthetic_tensors_are_chart_zero_only(self):
-        with pytest.raises(DeformationError, match="chart 0"):
-            tensor_from_mode_functions(
-                ATLAS, 2, [(0, 0, 0, lambda v: np.zeros(len(v)))], 0,
-                chart_list=(1,),
-            )
 
 
 def reference_mode_norms(tensor):
@@ -276,13 +249,11 @@ class TestModeNorms:
         rng = np.random.default_rng(9)
         entries = []
         for k in range(3):
-            for a in range(2):
-                for b in range(2):
-                    c = 0.05 * (rng.normal(size=3) + 1j * rng.normal(size=3))
-                    entries.append(
-                        (k, a, b, lambda v, c=c: c[0] + c[1] * v[:, 0] + c[2] * np.conj(v[:, 1]))
-                    )
-        t = tensor_from_mode_functions(ATLAS3, 3, entries, 2)
+            for a in (1, 2):
+                for b in (1, 2):
+                    c = [complex(x) for x in 0.05 * (rng.normal(size=3) + 1j * rng.normal(size=3))]
+                    entries.append((k, a, b, c[0] + c[1] * V1 + c[2] * sp.conjugate(V2)))
+        t = tensor_from_mode_functions(ATLAS3, (V1, V2), entries, 2)
         want = reference_mode_norms(t)
         assert np.max(np.abs(t.mode_norms() - want) / want) < 1e-13
 
@@ -299,44 +270,18 @@ class TestFourierModes:
         t = random_bandlimited(rng, k_max=5)
         out = fourier_modes_from_components(ATLAS, series_components(t), 5)
         assert np.max(np.abs(out.modes[0] - t.modes[0])) < 1e-12
-        assert out.diagnostics["tail"] < 1e-12
-        assert out.diagnostics["cross_radius"] < 1e-12
 
     def test_single_mode_synthetic(self):
-        t = tensor_from_mode_functions(
-            ATLAS, 2, [(2, 0, 0, lambda v: np.full(len(v), 0.25 + 0j))], 5
-        )
+        t = tensor_from_mode_functions(ATLAS, (V,), [(2, 1, 1, sp.Float(0.25))], 5)
         out = fourier_modes_from_components(ATLAS, series_components(t), 5)
         assert abs(np.max(np.abs(out.modes[0][2])) - 0.25) < 1e-12
         for k in (0, 1, 3, 4, 5):
             assert np.max(np.abs(out.modes[0][k])) < 1e-12
 
-    def test_negative_frequency_reported(self):
-        # a conjugate-fiber dependence is not a power series in the fiber
-        # coordinate and must show up as negative-frequency energy
-        zetas = ATLAS.fiber.zetas
-        comp = np.broadcast_to(
-            np.conj(zetas)[None, None, :, :, None, None],
-            (ATLAS.n_v, ATLAS.n_v) + zetas.shape + (1, 1),
-        )
-        t = fourier_modes_from_components(ATLAS, {0: comp.copy()}, 3)
-        assert t.diagnostics["negative_energy"] > 0.05
-
     def test_mode_cutoff_needs_enough_angles(self):
         comp = np.zeros((ATLAS.n_v, ATLAS.n_v, 8, 16, 1, 1), dtype=complex)
         with pytest.raises(DeformationError, match="fiber angles"):
             fourier_modes_from_components(ATLAS, {0: comp}, 12)
-
-    def test_cross_radius_flags_radial_dependence(self):
-        # inject |zeta| dependence: the ring coefficients no longer scale
-        # like r^k, so the cross-radius residual is order one
-        zetas = ATLAS.fiber.zetas
-        comp = np.broadcast_to(
-            (np.abs(zetas) * zetas)[None, None, :, :, None, None],
-            (ATLAS.n_v, ATLAS.n_v) + zetas.shape + (1, 1),
-        )
-        t = fourier_modes_from_components(ATLAS, {0: comp.copy()}, 3)
-        assert t.diagnostics["cross_radius"] > 0.05
 
 
 class TestGroupActions:
@@ -350,9 +295,7 @@ class TestGroupActions:
             assert np.max(np.abs(r.modes[0][k] - expected)) < 1e-14
 
     def test_rotate_fixes_mode_zero_tensor(self):
-        t = tensor_from_mode_functions(
-            ATLAS, 2, [(0, 0, 0, lambda v: 0.1 * np.conj(v))], 0
-        )
+        t = tensor_from_mode_functions(ATLAS, (V,), [(0, 1, 1, 0.1 * sp.conjugate(V))], 0)
         r = rotate(t, 2.1)
         assert np.max(np.abs(r.modes[0] - t.modes[0])) < 1e-15
 
@@ -384,18 +327,14 @@ class TestGroupActions:
             assert np.max(np.abs(it.modes[0][k])) <= bound + 1e-18
 
     def test_contract_ratio_domain(self):
-        t = tensor_from_mode_functions(
-            ATLAS, 2, [(1, 0, 0, lambda v: np.full(len(v), 0.1 + 0j))], 1
-        )
+        t = tensor_from_mode_functions(ATLAS, (V,), [(1, 1, 1, sp.Float(0.1))], 1)
         with pytest.raises(DeformationError, match="ratio"):
             contract(t, 1.5)
 
 
 class TestStructureField:
     def test_zero_tensor_gives_standard_structure(self):
-        t = tensor_from_mode_functions(
-            ATLAS, 2, [(0, 0, 0, lambda v: np.zeros(len(v), complex))], 0
-        )
+        t = tensor_from_mode_functions(ATLAS, (V,), [], 0)
         sf = reconstruct(t)
         Jo = standard_j_matrix(4)
         assert np.max(np.abs(sf.J[0] - Jo)) < 1e-12
@@ -424,7 +363,7 @@ class TestConditionSymmetry:
             return B
 
         t = tensor_with_bilinear_form(Bfn)
-        assert condition_symmetry(t, 0, 0.5) < 1e-8
+        assert condition_symmetry(t, 0, 0.5) < 1e-14
 
     def test_antisymmetric_part_measured_exactly(self):
         a0 = 0.04
@@ -450,30 +389,44 @@ class TestConditionSymmetry:
         assert condition_symmetry(t, 0, 0.5) == 0.0
 
 
+def five_point_bracket(U, W, z, h=1e-3):
+    """[U, W] of rep vector fields U, W (numpy functions of ambient points
+    (N, n)) by the five-point stencil along each real coordinate: an
+    independent reference for the exact brackets."""
+    D = {}
+    for F in (U, W):
+        cols = []
+        for d in range(2 * z.shape[-1]):
+            step = np.zeros(z.shape[-1], complex)
+            step[d // 2] = h if d % 2 == 0 else 1j * h
+            near, far = F(z + step) - F(z - step), F(z + 2 * step) - F(z - 2 * step)
+            cols.append((8 * near - far) / (12 * h))
+        D[F] = np.stack(cols, axis=-1)
+    return np.einsum("pid,pd->pi", D[W], U(z)) - np.einsum("pid,pd->pi", D[U], W(z))
+
+
 class TestMaurerCartan:
     def test_exact_solution_passes(self):
         t = mc_exact_tensor()
         assert np.sum(t.mode_norms()) < 1.0
-        mc = maurer_cartan_residual(t, 0, 0.5, v_samples=sample_points3(40))
-        assert mc["residual"] < 1e-6
-        assert mc["antihol_leak"] < 1e-6
+        mc = maurer_cartan_residual(t, 0, 0.5)
+        assert mc["residual"] < 1e-12
+        assert mc["antihol_leak"] < 1e-12
 
     def test_quadratic_term_is_nonzero(self):
         # the same tensor with the bracket term dropped misses the
         # equation by the size of [phi(X), phi(Y)]
         t = mc_exact_tensor()
-        mc = maurer_cartan_residual(
-            t, 0, 0.5, bracket_pairs=[], v_samples=sample_points3(40)
-        )
+        mc = maurer_cartan_residual(t, 0, 0.5, bracket_pairs=[])
         assert mc["residual"] > 1e-3
 
     def test_generic_tensor_fails(self):
         entries = [
-            (0, 0, 0, lambda v: 0.2 * np.conj(v[:, 0])),
-            (0, 1, 1, lambda v: 0.2 * np.conj(v[:, 1]) * v[:, 0]),
+            (0, 1, 1, 0.2 * sp.conjugate(V1)),
+            (0, 2, 2, 0.2 * sp.conjugate(V2) * V1),
         ]
-        t = tensor_from_mode_functions(ATLAS3, 3, entries, 0)
-        mc = maurer_cartan_residual(t, 0, 0.5, v_samples=sample_points3(40))
+        t = tensor_from_mode_functions(ATLAS3, (V1, V2), entries, 0)
+        mc = maurer_cartan_residual(t, 0, 0.5)
         assert mc["residual"] > 1e-3
 
     def test_n2_vacuous(self):
@@ -482,13 +435,51 @@ class TestMaurerCartan:
         mc = maurer_cartan_residual(t)
         assert mc["residual"] == 0.0
 
+    def test_brackets_match_central_differences(self):
+        # [ebar_1, phi(ebar_2)] and [phi(ebar_1), phi(ebar_2)] of the exact
+        # solution from the jets, against the stencil of the same fields
+        # built from frame_vectors and the coefficients in numpy
+        c, g, w = 0.2, 0.1, 0.15
+        t = mc_exact_tensor(c, w, g)
+        E, C, _ = _jets(ATLAS3, 0, t.spec, 0, 0.5)
+        jet_image = [hol_rep(_times(C[0, 0, a], E[0]) + _times(C[0, 1, a], E[1])) for a in (0, 1)]
+
+        def ebar1(z):
+            return antihol_rep(np.conj(frame_vectors(3, 0, z)[:, 0]))
+
+        def image(a):
+            def field(z):
+                v1 = z[:, 1] / z[:, 0]
+                e = frame_vectors(3, 0, z)
+                if a == 0:
+                    img = c * e[:, 0] + (g * v1 * np.conj(v1))[:, None] * e[:, 1]
+                else:
+                    img = (w * (v1 - c / 2 * np.conj(v1)))[:, None] * e[:, 1]
+                return hol_rep(img)
+
+            return field
+
+        v = np.stack([V.ravel() for V in ATLAS3.base_points3()], axis=-1)
+        z = np.concatenate([np.full((len(v), 1), 0.5 + 0j), 0.5 * v], axis=-1)
+        X1 = antihol_rep(np.conj(E[0]))
+        for got, want in [
+            (_bracket(X1, jet_image[1]), five_point_bracket(ebar1, image(1), z)),
+            (_bracket(jet_image[0], jet_image[1]), five_point_bracket(image(0), image(1), z)),
+        ]:
+            assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+    def test_node_samples_have_no_structure_equation(self):
+        t = tensor_with_bilinear_form(lambda v: np.zeros(v.shape[:-1] + (2, 2), complex))
+        with pytest.raises(DeformationError, match="mode expressions"):
+            maurer_cartan_residual(t)
+
 
 class TestModeEquations:
     def test_verified_tensor_per_mode(self):
         t = mc_exact_tensor()
         rep = verify_mode_equations(t, chart=0, zeta=0.5)
-        assert all(r < 1e-6 for r in rep["per_mode"]), rep["per_mode"]
-        assert rep["consistency"] < 1e-6
+        assert all(r < 1e-12 for r in rep["per_mode"]), rep["per_mode"]
+        assert rep["consistency"] < 1e-12
 
     def test_consistency_for_generic_multimode(self):
         # the graded residual fields must reassemble the full-tensor
@@ -496,13 +487,12 @@ class TestModeEquations:
         rng = np.random.default_rng(27)
         c = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
         entries = [
-            (k, a, b, lambda v, k=k, a=a, b=b:
-             0.1 * (c[k, a, b] + 0.2 * np.conj(v[:, a])))
+            (k, a + 1, b + 1, 0.1 * (complex(c[k, a, b]) + 0.2 * sp.conjugate((V1, V2)[a])))
             for k in range(2) for a in range(2) for b in range(2)
         ]
-        t = tensor_from_mode_functions(ATLAS3, 3, entries, 1)
+        t = tensor_from_mode_functions(ATLAS3, (V1, V2), entries, 1)
         rep = verify_mode_equations(t, chart=0, zeta=0.5)
-        assert rep["consistency"] < 1e-6
+        assert rep["consistency"] < 1e-12
         assert max(rep["per_mode"]) > 1e-3
 
     def test_n2_all_zero(self):

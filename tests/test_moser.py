@@ -157,16 +157,21 @@ class TestMoserFlow:
         assert r[1] < r[0]
 
     def test_flow_is_fourth_order(self):
-        # the ellipsoid is linearly equivalent to the ball, so its W moves
-        # with the step count by RK4 truncation alone: each halving divides
-        # the change by about 16, and a wrong third partial or variational
-        # coupling shows as a ratio near 2 or 4
+        # the ellipsoid is linearly equivalent to the ball, so its W and its
+        # mode-0 norm move with the step count by RK4 truncation alone: each
+        # halving divides the change by about 16, and a wrong third partial
+        # or variational coupling shows as a ratio near 2 or 4
         mink, _ = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
         atlas = ChartAtlas(n=2, n_v=9)
-        W = [normalize_domain(mink, atlas=atlas, n_steps=n).W for n in (25, 50, 100, 200)]
-        changes = [max(np.max(np.abs(a[c] - b[c])) for c in (0, 1)) for a, b in zip(W, W[1:])]
-        for coarse, fine in zip(changes, changes[1:]):
-            assert 12 <= coarse / fine <= 20, changes
+        maps = [normalize_domain(mink, atlas=atlas, n_steps=n) for n in (25, 50, 100, 200)]
+        W = [nm.W for nm in maps]
+        norms = [extract(nm).mode_norms()[0] for nm in maps]
+        for changes in (
+            [max(np.max(np.abs(a[c] - b[c])) for c in (0, 1)) for a, b in zip(W, W[1:])],
+            [abs(a - b) for a, b in zip(norms, norms[1:])],
+        ):
+            for coarse, fine in zip(changes, changes[1:]):
+                assert 12 <= coarse / fine <= 20, changes
 
     def test_lifted_field_jacobian_matches_central_differences(self):
         # the exact Df that the field returns with its slope, entry by

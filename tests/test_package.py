@@ -108,3 +108,16 @@ def test_no_symbolic_derivative_or_lambdify():
                 if name in ("diff", "lambdify") or name.startswith("sympy.printing")
             ]
     assert SOURCES and not found, found
+
+
+def test_no_finite_difference_step():
+    # every derivative of the package is exact (symforms.Jet): no function
+    # or lambda of the sources takes a finite-difference step named h
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if "h" in {arg.arg for arg in args}:
+                    found.append(f"{path.name}:{node.lineno}: {getattr(node, 'name', 'lambda')}")
+    assert SOURCES and not found, found
