@@ -105,15 +105,18 @@ def load_tensor_file(path):
 
 def _integrability(tensor):
     """The integrability conditions of a spec tensor: (i) the symmetry of
-    ddc tau_o(phi X, Y), and (ii) the structure equation per mode, each
+    ddc tau_o(phi X, Y) and (ii) the structure equation, per mode, each
     bounded by INTEGRABILITY_TOL.  Returns the header's tolerance text
     (None at n = 2), the report lines and whether all rows pass.  Both
     conditions are vacuous at n = 2, and the report says so."""
     if tensor.n == 2:
         return None, ["integrability: vacuous at n = 2"], True
-    rows = [("integrability_symmetry", "all", condition_symmetry(tensor))]
-    per_mode = verify_mode_equations(tensor)["per_mode"]
-    rows += [("structure_equation", str(k), value) for k, value in enumerate(per_mode)]
+    rows = []
+    for name, per_mode in (
+        ("integrability_symmetry", condition_symmetry(tensor)),
+        ("structure_equation", verify_mode_equations(tensor)["per_mode"]),
+    ):
+        rows += [(name, str(k), value) for k, value in enumerate(per_mode)]
     passed = [value <= INTEGRABILITY_TOL for *_, value in rows]
     lines = ["# condition  mode  residual  tolerance  verdict"] + [
         f"{name}  {mode}  {_fmt(value)}  {INTEGRABILITY_TOL:.3e}  {'pass' if ok else 'fail'}"

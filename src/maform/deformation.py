@@ -42,11 +42,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .atlas import ChartAtlas
 from .domains import ambient_coords
-from .symforms import Jet, to_real
+from .symforms import Jet, call, subs, to_real
 
 __all__ = [
     "DeformationError",
@@ -231,9 +230,9 @@ class DeformationTensor:
         r = self.atlas.fiber.radii[-1] if self.n == 2 else 1.0
         out = np.zeros(self.k_max + 1)
         for chart in self.charts:
-            ops = _operator_norms(self, chart)
-            for k in range(self.k_max + 1):
-                out[k] = max(out[k], float(np.max(ops[k])) * r**k)
+            # np.max and np.maximum keep a NaN node, so no verdict passes on it
+            ops = np.array([np.max(op) for op in _operator_norms(self, chart)])
+            out = np.maximum(out, ops * r ** np.arange(self.k_max + 1))
         return out
 
 
@@ -452,11 +451,12 @@ def _series(mode_stack, atlas):
 def tensor_from_mode_functions(atlas, coords, entries, k_max):
     """The tensor of a synthetic-tensor spec (domains.parse_tensor_spec).
 
-    Each entry (k, a, b, expr) adds the coefficient expr, a sympy
-    expression in the base coordinates coords (v for n = 2, v1, v2 for
-    n = 3), to mode k at row a and column b, both counted from 1; the
-    coefficients are compiled as order-0 jets and evaluated at the nodes;
-    a coefficient that is not finite at a node raises DeformationError.
+    Each entry (k, a, b, expr) adds the coefficient expr, an expression
+    (symforms.Expr) or a number in the base coordinates coords (v for
+    n = 2, v1, v2 for n = 3), to mode k at row a and column b, both
+    counted from 1; the coefficients are compiled as order-0 jets and
+    evaluated at the nodes; a coefficient that is not finite at a node
+    raises DeformationError.
     Synthetic tensors are single-chart: the frame-transition phase is
     singular at the opposite chart's origin, so only extracted tensors
     carry both charts.
@@ -519,18 +519,22 @@ def _remap_modes(tensor, factors):
 INTEGRABILITY_TOL = 1e-12
 
 
-def condition_symmetry(tensor, chart=0, zeta=0.5):
-    """Residual of (i): symmetry of ddc tau_o(phi(X), Y) on the
-    anti-holomorphic horizontal frame, from the node samples."""
+def condition_symmetry(tensor, chart=0):
+    """Residuals of (i), one per mode: the symmetry of ddc tau_o(phi(X),
+    Y) on the anti-holomorphic horizontal frame, from the node samples.
+
+    (i) must hold at every fiber value zeta, and phi = sum_k zeta^k phi_k
+    with the form of phi_k scaling by |zeta|^2 zeta^k, so it holds for
+    each mode on its own: mode k is checked at zeta = 1.
+    """
     n = tensor.n
-    z = _ambient_of(n, chart, _chart_points(tensor.atlas, chart), zeta)
+    z = _ambient_of(n, chart, _chart_points(tensor.atlas, chart), 1.0)
     e = frame_vectors(n, chart, z)
     modes = tensor.modes[chart].reshape(tensor.k_max + 1, len(z), n - 1, n - 1)
-    phi = np.einsum("k,kpab->pab", zeta ** np.arange(tensor.k_max + 1), modes)
     A = reference_form_matrix(n)
-    img = np.einsum("pba,pbi->pai", phi, e)
-    B = np.einsum("pai,ij,pbj->pab", hol_rep(img), A, antihol_rep(np.conj(e)))
-    return float(np.max(np.abs(B - np.swapaxes(B, -1, -2))))
+    img = np.einsum("kpba,pbi->kpai", modes, e)
+    B = np.einsum("kpai,ij,pbj->kpab", hol_rep(img), A, antihol_rep(np.conj(e)))
+    return np.max(np.abs(B - np.swapaxes(B, -1, -2)), axis=(1, 2, 3))
 
 
 @lru_cache(maxsize=1)
@@ -547,7 +551,7 @@ def _jets(atlas, k_max, spec, chart, zeta):
     """
     n = atlas.n
     coords = ambient_coords(n)
-    Z = [x + sp.I * y for x, y in zip(coords[0::2], coords[1::2])]
+    Z = [x + 1j * y for x, y in zip(coords[0::2], coords[1::2])]
     axes = chart_axes(n, chart)
     z = _ambient_of(n, chart, _chart_points(atlas, chart), zeta)
     x = to_real(z).T
@@ -557,14 +561,14 @@ def _jets(atlas, k_max, spec, chart, zeta):
 
     nsq = sum(c**2 for c in coords)
     E = np.array([
-        [jet(Z[chart] * (int(i == j) - sp.conjugate(Z[j]) * Z[i] / nsq)) for i in range(n)]
+        [jet(Z[chart] * (int(i == j) - call("conj", Z[j]) * Z[i] / nsq)) for i in range(n)]
         for j in axes
     ])
     base, entries = spec
     v = {c: Z[j] / Z[chart] for c, j in zip(base, axes)}
     C = np.zeros((k_max + 1, n - 1, n - 1, 1 + 2 * n, len(z)), dtype=complex)
     for k, a, b, expr in entries:
-        C[k, a - 1, b - 1] += jet((Z[chart] ** k * expr).subs(v))
+        C[k, a - 1, b - 1] += jet(subs(Z[chart] ** k * expr, v))
     return np.moveaxis(E, 1, -1), C, np.linalg.inv(_graph_basis(n, chart, z)[1])
 
 

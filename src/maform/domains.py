@@ -3,24 +3,24 @@
 A complete circular domain is described by its degree-1 homogeneous gauge mu
 on C^n.  On the blow-up charts the gauge is carried by the chart functions
 m(v) = mu((1, v)) (and its permutations), and the exhaustion is tau = mu^2.
-All closed-form domains keep exact sympy expressions, mu^2 in the ambient
-real coordinates and m^2 in the chart coordinates, so downstream identity
-checks can run at symbolic accuracy.
+All closed-form domains keep their expressions (symforms.Expr), mu^2 in
+the ambient real coordinates and m^2 in the chart coordinates, so that
+downstream identity checks differentiate them exactly.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import sympy as sp
 
 from .atlas import ChartAtlas, blowup_forward
 from .exterior import standard_j_matrix
-from .symforms import Jet, ddc_matrix, real_coords, to_complex, to_real
+from .symforms import Expr, Jet, call, ddc_matrix, num, real_coords, subs, sym, symbols, to_complex, to_real
 
 
 class DomainError(ValueError):
@@ -41,17 +41,14 @@ class PseudoconvexityError(DomainError):
 
 def ambient_coords(n):
     """Real coordinates of C^n: (x1, y1, ..., xn, yn)."""
-    names = " ".join(f"x{i+1} y{i+1}" for i in range(n))
-    return sp.symbols(names, real=True)
-
-
-def _complex_coords(coords):
-    return [coords[2 * i] + sp.I * coords[2 * i + 1] for i in range(len(coords) // 2)]
+    return symbols(" ".join(f"x{i+1} y{i+1}" for i in range(n)))
 
 
 def _mu_sq_expression(n, kind, params, coords):
-    """Exact mu^2 as a sympy expression in the ambient real coordinates."""
-    zc = _complex_coords(coords)
+    """mu^2 as an expression in the ambient real coordinates, built in real
+    arithmetic.  The perturbed ball's Re(z1 conj z2)^d is the binomial
+    expansion of (a + ib)^d, a = x1 x2 + y1 y2 and b = y1 x2 - x1 y2, so
+    its chart functions stay real polynomials in the chart coordinates."""
     r2 = sum(c**2 for c in coords)
     if kind == "ball":
         return r2
@@ -63,19 +60,21 @@ def _mu_sq_expression(n, kind, params, coords):
         if len(coeffs) != n or any(c <= 0 for c in coeffs):
             raise DomainError(f"ellipsoid needs {n} positive coefficients")
         return sum(
-            sp.nsimplify(c) * (coords[2 * i] ** 2 + coords[2 * i + 1] ** 2)
+            float(c) * (coords[2 * i] ** 2 + coords[2 * i + 1] ** 2)
             for i, c in enumerate(coeffs)
         )
     if kind == "perturbed_ball":
         if n != 2:
             raise DomainError("perturbed_ball is defined for n = 2")
-        eps = sp.nsimplify(params.get("eps", 0.05))
-        qcoeffs = params.get("q", {2: 1.0})
-        w = sp.expand(zc[0] * sp.conjugate(zc[1]))
+        x1, y1, x2, y2 = coords
+        a, b = x1 * x2 + y1 * y2, y1 * x2 - x1 * y2
         q = sum(
-            sp.nsimplify(c) * sp.re(sp.expand(w**d)) / r2**d for d, c in qcoeffs.items()
+            float(c) * sum(
+                math.comb(d, j) * (-1) ** (j // 2) * a ** (d - j) * b**j for j in range(0, d + 1, 2)
+            ) / r2**d
+            for d, c in params.get("q", {2: 1.0}).items()
         )
-        return r2 * (1 + eps * q) ** 2
+        return r2 * (1 + float(params.get("eps", 0.05)) * q) ** 2
     raise DomainError(f"unknown domain kind {kind!r}")
 
 
@@ -86,7 +85,7 @@ def _chart_inclusion(n, chart, v_coords):
     k = 0
     for i in range(n):
         if i == chart:
-            vals.extend([sp.Integer(1), sp.Integer(0)])
+            vals.extend([num(1), num(0)])
         else:
             vals.extend([v_coords[2 * k], v_coords[2 * k + 1]])
             k += 1
@@ -97,8 +96,8 @@ def _chart_inclusion(n, chart, v_coords):
 class MinkowskiField:
     """Degree-1 homogeneous gauge of a complete circular domain.
 
-    mu_sq_ambient is the exact (sympy) mu^2 in the ambient real
-    coordinates; m_sq_charts maps chart id to the exact chart expression
+    mu_sq_ambient is mu^2, an expression (symforms.Expr) in the ambient
+    real coordinates; m_sq_charts maps chart id to the chart expression
     m(v)^2 in the real base coordinates.
     """
 
@@ -185,7 +184,7 @@ def make_circular_domain(mu_spec, atlas=None):
     m_sq = {}
     for chart in range(n) if n == 3 else (0, 1):
         vals = _chart_inclusion(n, chart, base)
-        m_sq[chart] = mu_sq.subs(dict(zip(coords, vals)), simultaneous=True)
+        m_sq[chart] = subs(mu_sq, dict(zip(coords, vals)))
     mink = MinkowskiField(
         n=n, kind=kind, params=spec, mu_sq_ambient=mu_sq, m_sq_charts=m_sq
     )
@@ -287,37 +286,37 @@ def parse_spec_value(item, cast):
     return out
 
 
-_FUNCTIONS = dict(abs=sp.Abs, conj=sp.conjugate, **{
-    name: getattr(sp, name)
-    for name in "sqrt exp log sin cos tan asin acos atan sinh cosh tanh asinh acosh atanh "
-    "Abs conjugate re im".split()
-})
-_CONSTANTS = {"I": sp.I, "pi": sp.pi, "E": sp.E}
-# an exact rational power is computed in full: bound its size
-_MAX_POWER_BITS = 10**6
+# the function names of the spec grammar and the node kinds they build
+# (symforms.CALLS); sqrt builds a power
+_FUNCTIONS = dict(
+    {name: name for name in "exp log sin cos tan asin acos atan sinh cosh tanh asinh acosh atanh "
+     "abs conj re im".split()},
+    Abs="abs", conjugate="conj", sqrt="sqrt",
+)
+_CONSTANTS = {"I": 1j, "pi": math.pi, "E": math.e}
 _OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
               ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
-def _finite(e):
-    """Whether every number of the sympy expression e, taken where sympy
-    has folded it (a subtree free of symbols), is a finite double."""
-    if e.is_number:
-        return bool(np.isfinite(complex(e)))
-    return all(_finite(a) for a in e.args)
+def _call(name, *args):
+    if name != "sqrt":
+        return call(_FUNCTIONS[name], *args)
+    if len(args) != 1:
+        raise TypeError(f"sqrt takes 1 argument(s), got {len(args)}")
+    return args[0] ** 0.5
 
 
 def parse_expression(text, names, line_no=1, col=1):
-    """The sympy expression of the spec text text, which starts at column
-    col of line line_no.
+    """The expression (symforms.Expr) of the spec text text, which starts
+    at column col of line line_no.
 
     The text is parsed by ast and nothing in it is evaluated: the tree may
     hold only numbers, + - * / ** and unary minus, the coordinates in
     names ({name: symbol}), I, pi, E and calls of the elementary functions
     in _FUNCTIONS (conj is conjugate).  Anything else is a SpecParseError
-    at its column, and so is a node whose numbers, as sympy folds them, are
-    not all finite doubles (1/0, 1e308*10, exp(1000)): no compiled jet can
-    hold them.
+    at its column, and so is a node whose numbers, as they fold in double
+    precision, are not all finite (1/0, 1e308*10, 9**9**9, exp(1000)): no
+    compiled jet can hold them.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -334,32 +333,32 @@ def parse_expression(text, names, line_no=1, col=1):
         offset = len(text.encode()[: node.col_offset].decode(errors="ignore"))
         raise SpecParseError(line_no, col + offset, message)
 
-    def build(node):
-        out = fold(node)
-        if not _finite(out):
+    def apply(node, fn, *args):
+        # numbers fold where their operands meet: one that is not finite
+        # is refused at the node that made it
+        try:
+            out = fn(*args)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            out = num(math.nan)
+        if not all(np.isfinite(a.args[0]) for a in (out,) + out.args
+                   if isinstance(a, Expr) and a.kind == "num"):
             segment = ast.get_source_segment(text, node)
             fail(node, f"{segment!r} holds a number that is not a finite double")
         return out
 
-    def fold(node):
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            return sp.Integer(node.value)
-        if isinstance(node, ast.Constant) and type(node.value) is float:
-            return sp.Float(ast.get_source_segment(text, node))  # all digits given
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return apply(node, num, node.value)
         if isinstance(node, ast.Name):
             if node.id in names:
                 return names[node.id]
             if node.id in _CONSTANTS:
-                return _CONSTANTS[node.id]
+                return num(_CONSTANTS[node.id])
             fail(node, f"unknown name {node.id!r}")
         if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
-            left, right = build(node.left), build(node.right)
-            if isinstance(node.op, ast.Pow) and left.is_Rational and right.is_Rational:
-                if abs(right) * max(abs(left.p), left.q).bit_length() > _MAX_POWER_BITS:
-                    fail(node, "exact power too large")
-            return _OPERATORS[type(node.op)](left, right)
+            return apply(node, _OPERATORS[type(node.op)], build(node.left), build(node.right))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return -build(node.operand)
+            return apply(node, operator.neg, build(node.operand))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id not in _FUNCTIONS:
                 fail(node.func, f"unknown name {node.func.id!r}")
@@ -367,8 +366,8 @@ def parse_expression(text, names, line_no=1, col=1):
                 fail(node.keywords[0], "keyword arguments are not allowed")
             args = [build(arg) for arg in node.args]
             try:
-                return _FUNCTIONS[node.func.id](*args)
-            except (TypeError, ValueError) as exc:
+                return apply(node, _call, node.func.id, *args)
+            except TypeError as exc:
                 fail(node, f"bad call of {node.func.id}: {exc}")
         fail(node, f"{ast.get_source_segment(text, node)!r} is not allowed in an expression")
 
@@ -451,7 +450,7 @@ def parse_domain_spec(text):
         params["q"] = take("q", {2: 1.0}, _q_list)
     elif kind not in ("ball", None):
         raise values["mu.kind"].error(f"unknown mu.kind {kind!r}")
-    coords = {str(c): c for c in ambient_coords(n)}
+    coords = {c.args[0]: c for c in ambient_coords(n)}
     tau = values.get("tau.expr")
     return DomainSpec(
         n=n,
@@ -485,8 +484,8 @@ def parse_tensor_spec(text):
         for key, default in _TENSOR_DEFAULTS.items()
     }
     n = values["n"]
-    coords = [sp.Symbol("v")] if n == 2 else [sp.Symbol(f"v{i+1}") for i in range(n - 1)]
-    names = {str(c): c for c in coords}
+    coords = [sym("v")] if n == 2 else [sym(f"v{i+1}") for i in range(n - 1)]
+    names = {c.args[0]: c for c in coords}
     modes = []
     for item in entries:
         try:  # a wrong count of indices fails the unpacking

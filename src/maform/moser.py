@@ -19,24 +19,23 @@ one evaluation per RK4 stage.  The ambient gradient of mu^2 (horizontal
 planes, the lift's gauge derivative) comes from its order-1 jet.
 Derivative data that downstream consumers need at grid nodes (dW,
 dlambda) is propagated by variational Jacobians along the flow and stored
-exactly at the nodes, never re-estimated by differencing an interpolant.  Off-node values (the phase
-defect along the integration segments of the phase potential, and W for
-NormalizingMap.forward) come from one numpy not-a-knot bicubic interpolant
+exactly at the nodes, never re-estimated by differencing an interpolant.
+Off-node values of the phase defect, along the integration segments of
+the phase potential, come from one numpy not-a-knot bicubic interpolant
 through the node samples, NotAKnotBicubic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
-from .atlas import ChartAtlas, R_OUTER, blowup_forward
+from .atlas import ChartAtlas, R_OUTER
 from .domains import MinkowskiField, ambient_coords
 from .exterior import standard_j_matrix
 from .ode import rk4_step
-from .symforms import Jet, real_coords, to_real
+from .symforms import Jet, call, real_coords, to_real
 
 
 class MoserError(ValueError):
@@ -94,8 +93,8 @@ def _chart_fields(m_sq):
     """
     x, y = real_coords(2)
     q = 1 + x**2 + y**2
-    log_m_sq = Jet.compile(sp.log(m_sq), (x, y), 3)
-    log_q = Jet.compile(sp.log(q), (x, y), 2)
+    log_m_sq = Jet.compile(call("log", m_sq), (x, y), 3)
+    log_q = Jet.compile(call("log", q), (x, y), 2)
     w_o = Jet.compile(4 / q**2, (x, y), 1)
 
     def fields(xs, ys):
@@ -497,10 +496,7 @@ class NormalizingMap:
     """Fiber-linear normalizing diffeomorphism z = zeta p(v) -> zeta W(v).
 
     W and its base derivatives are stored exactly at the grid nodes
-    (flow-accurate); off-node queries interpolate W with the not-a-knot
-    bicubic through the node values, and re-impose the gauge normalization
-    at evaluation time so the normalization contract holds to machine
-    precision everywhere.
+    (flow-accurate), with the phase potential lam and its differential.
     """
 
     mink: MinkowskiField
@@ -511,33 +507,6 @@ class NormalizingMap:
     lam: dict  # chart -> real (n_v, n_v)
     dlam: dict  # chart -> real (n_v, n_v, 2), exact node samples
     residuals: dict
-    _interpolants: dict = field(default_factory=dict, compare=False)
-
-    def direction(self, chart, v):
-        """W interpolated at base points v of a chart, shape v.shape + (2,)."""
-        if chart not in self._interpolants:
-            self._interpolants[chart] = NotAKnotBicubic(self.atlas.xs, self.W[chart])
-        v = np.asarray(v, dtype=complex)
-        return self._interpolants[chart](v.real, v.imag)
-
-    def fiber_vector(self, chart, v):
-        """The normalized fiber direction W(v) with mu(W) = m_o(v) exact."""
-        v = np.asarray(v, dtype=complex)
-        raw = self.direction(chart, v)
-        mu = self.mink.mu(raw.reshape(-1, 2)).reshape(v.shape)
-        m_o = np.sqrt(1.0 + np.abs(v) ** 2)
-        return raw * (m_o / mu)[..., None]
-
-    def forward(self, z):
-        """Map ambient points of the reference side, shape (..., 2)."""
-        z = np.asarray(z, dtype=complex)
-        flat = z.reshape(-1, 2)
-        chart, v, zeta = blowup_forward(flat)
-        out = np.empty_like(flat)
-        for c in np.unique(chart):
-            sel = chart == c
-            out[sel] = zeta[sel, None] * self.fiber_vector(int(c), v[sel, 0])
-        return out.reshape(z.shape)
 
 
 def assemble(flow: MoserFlowResult) -> NormalizingMap:

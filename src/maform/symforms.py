@@ -1,12 +1,14 @@
-"""Exact numeric derivatives of sympy expressions, and the packing of
+"""Expression nodes, their exact numeric derivatives, and the packing of
 complex points into real chart coordinates.
 
-Every sympy -> numpy evaluation and every derivative in the package goes
-through Jet.compile: one walk of the expression tree emits straight-line
-numpy source for the expression and its partials up to order 3 (source
-transformation; Griewank & Walther, Evaluating Derivatives, ch. 6 and
-13), exec'd once and memoized for the life of the process.  Order 0 is
-plain evaluation.
+Expr is the package's one expression type: the spec reader, the gauges
+and every derived expression build it, with Python's operators and the
+functions of CALLS.  Every evaluation and every derivative in the
+package goes through Jet.compile: one walk of the expression tree emits
+straight-line numpy source for the expression and its partials up to
+order 3 (source transformation; Griewank & Walther, Evaluating
+Derivatives, ch. 6 and 13), exec'd once and memoized for the life of the
+process.  Order 0 is plain evaluation.
 
 Convention: dc = i(dbar - d) for the standard structure J_o, so on a
 function dc f = -J^T grad f in components and ddc f has the matrix
@@ -15,36 +17,251 @@ function dc f = -J^T grad f in components and ddc f has the matrix
 
 from __future__ import annotations
 
+import cmath
+import math
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
-import sympy as sp
 
 from . import exterior
 
-_Z = sp.Dummy("z")
+
+class Expr:
+    """An immutable expression node.
+
+    kind is "sym" (args: the name), "num" (args: a float, or a complex
+    with a nonzero imaginary part), "add" and "mul" (two or more
+    operands, flattened, their numbers folded into one leading number,
+    and the equal terms of a sum collected),
+    "pow" (base, exponent) or a function of CALLS (its arguments).  Nodes
+    are hash-consed: structurally equal nodes are one object, so equality
+    is identity and a node keys a dict by its structure.  Build them with
+    the operators, sym, num and call, never directly.
+    """
+
+    __slots__ = ("kind", "args")
+
+    def __add__(self, other):
+        return add(self, other)
+
+    def __radd__(self, other):
+        return add(other, self)
+
+    def __sub__(self, other):
+        return add(self, mul(-1.0, other))
+
+    def __rsub__(self, other):
+        return add(other, mul(-1.0, self))
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    def __rmul__(self, other):
+        return mul(other, self)
+
+    def __truediv__(self, other):
+        return mul(self, power(other, -1.0))
+
+    def __rtruediv__(self, other):
+        return mul(other, power(self, -1.0))
+
+    def __pow__(self, other):
+        return power(self, other)
+
+    def __rpow__(self, other):
+        return power(other, self)
+
+    def __neg__(self):
+        return mul(-1.0, self)
+
+    def __reduce__(self):  # a copy or an unpickled node is the one node of its structure
+        return _node, (self.kind, self.args)
+
+    def __repr__(self):
+        if self.kind in ("sym", "num"):
+            return str(self.args[0])
+        if self.kind in ("add", "mul"):
+            return "(" + (" + " if self.kind == "add" else "*").join(map(repr, self.args)) + ")"
+        if self.kind == "pow":
+            return f"{self.args[0]!r}**{self.args[1]!r}"
+        return f"{self.kind}({', '.join(map(repr, self.args))})"
+
+
+# (kind, args) -> the one node of that structure
+_NODES = {}
+
+
+def _node(kind, args):
+    key = (kind, args)
+    if key not in _NODES:
+        node = object.__new__(Expr)
+        node.kind, node.args = key
+        _NODES[key] = node
+    return _NODES[key]
+
+
+def sym(name):
+    """The symbol node name."""
+    return _node("sym", (name,))
+
+
+def symbols(names):
+    """The symbol nodes of the space-separated names."""
+    return tuple(map(sym, names.split()))
+
+
+def num(value):
+    """The number node of a Python number (an int converts to float, and
+    OverflowError if it does not fit)."""
+    value = complex(value)
+    return _node("num", (value.real if value.imag == 0 else value,))
+
+
+def as_node(x):
+    """x if it is a node, else the number node of x."""
+    return x if isinstance(x, Expr) else num(x)
+
+
+def add(*terms):
+    """The sum node, flattened, its numbers folded into one and its terms
+    c * w with equal w collected (x - x is 0)."""
+    const, coefs = 0.0, {}
+    for t in map(as_node, terms):
+        for a in t.args if t.kind == "add" else (t,):
+            if a.kind == "num":
+                const += a.args[0]
+                continue
+            c, w = 1.0, a
+            if a.kind == "mul" and a.args[0].kind == "num":
+                c, w = a.args[0].args[0], mul(*a.args[1:])
+            coefs[w] = coefs.get(w, 0.0) + c
+    args = [mul(c, w) for w, c in coefs.items() if c != 0]
+    if const != 0 or not args:  # x + 0 is x
+        args.insert(0, num(const))
+    return args[0] if len(args) == 1 else _node("add", tuple(args))
+
+
+def mul(*factors):
+    """The product node, flattened, its numbers folded into one."""
+    coef, args = 1.0, []
+    for f in map(as_node, factors):
+        for a in f.args if f.kind == "mul" else (f,):
+            if a.kind == "num":
+                coef *= a.args[0]
+            else:
+                args.append(a)
+    if coef == 0 or not args:  # 0 * x is 0
+        return num(coef)
+    if coef != 1:  # 1 * x is x
+        args.insert(0, num(coef))
+    return args[0] if len(args) == 1 else _node("mul", tuple(args))
+
+
+def power(base, exp):
+    """The node base ** exp.  A number exponent folds u^0 = 1 and u^1 = u,
+    and an integer one (u^p)^r = u^(p r) and (c w)^r = c^r w^r for a
+    number c, as they hold for every complex u and w."""
+    base, exp = as_node(base), as_node(exp)
+    if exp.kind == "num":
+        p = exp.args[0]
+        if base.kind == "num":
+            return num(base.args[0] ** p)
+        if p == 0 or p == 1:
+            return base if p == 1 else num(1.0)
+        if isinstance(p, float) and p.is_integer():
+            if base.kind == "pow":
+                return power(base.args[0], mul(base.args[1], p))
+            if base.kind == "mul" and base.args[0].kind == "num":
+                return mul(power(base.args[0], p), power(mul(*base.args[1:]), p))
+    return _node("pow", (base, exp))
+
+
 # the univariate functions of the spec grammar (domains._FUNCTIONS): the
-# numpy function and the first derivative, whose jet gives the rest (built
-# at first use: sympy expressions cost time to build)
+# numpy function and the first derivative, whose jet gives the rest; a
+# number folds by math, or by cmath off the real domain (math, cmath and
+# the spec share the names)
 _UNARY = {
-    sp.exp: ("exp", sp.exp),
-    sp.log: ("log", lambda z: 1 / z),
-    sp.sin: ("sin", sp.cos),
-    sp.cos: ("cos", lambda z: -sp.sin(z)),
-    sp.tan: ("tan", lambda z: 1 + sp.tan(z) ** 2),
-    sp.asin: ("arcsin", lambda z: 1 / sp.sqrt(1 - z**2)),
-    sp.acos: ("arccos", lambda z: -1 / sp.sqrt(1 - z**2)),
-    sp.atan: ("arctan", lambda z: 1 / (1 + z**2)),
-    sp.sinh: ("sinh", sp.cosh),
-    sp.cosh: ("cosh", sp.sinh),
-    sp.tanh: ("tanh", lambda z: 1 - sp.tanh(z) ** 2),
-    sp.asinh: ("arcsinh", lambda z: 1 / sp.sqrt(1 + z**2)),
-    sp.acosh: ("arccosh", lambda z: 1 / (sp.sqrt(z - 1) * sp.sqrt(z + 1))),
-    sp.atanh: ("arctanh", lambda z: 1 / (1 - z**2)),
+    "exp": ("exp", lambda z: call("exp", z)),
+    "log": ("log", lambda z: 1 / z),
+    "sin": ("sin", lambda z: call("cos", z)),
+    "cos": ("cos", lambda z: -call("sin", z)),
+    "tan": ("tan", lambda z: 1 + call("tan", z) ** 2),
+    "asin": ("arcsin", lambda z: (1 - z**2) ** -0.5),
+    "acos": ("arccos", lambda z: -((1 - z**2) ** -0.5)),
+    "atan": ("arctan", lambda z: 1 / (1 + z**2)),
+    "sinh": ("sinh", lambda z: call("cosh", z)),
+    "cosh": ("cosh", lambda z: call("sinh", z)),
+    "tanh": ("tanh", lambda z: 1 - call("tanh", z) ** 2),
+    "asinh": ("arcsinh", lambda z: (1 + z**2) ** -0.5),
+    "acosh": ("arccosh", lambda z: (z - 1) ** -0.5 * (z + 1) ** -0.5),
+    "atanh": ("arctanh", lambda z: 1 / (1 - z**2)),
 }
-_LINEAR = {sp.conjugate: "conj", sp.re: "real", sp.im: "imag"}
+_LINEAR = {"conj": "conj", "re": "real", "im": "imag"}
+# the other functions of a node: arg u = Im log u, and atan2(y, x) =
+# arg(x + iy), with their number folds
+_OTHER = {
+    "conj": lambda x: x.conjugate(),
+    "re": lambda x: x.real,
+    "im": lambda x: x.imag,
+    "abs": abs,
+    "arg": cmath.phase,
+    "atan2": lambda y, x: cmath.phase(x + 1j * y),
+}
+# every function name of a node, with its number of arguments
+CALLS = {**dict.fromkeys(_UNARY, 1), **dict.fromkeys(_OTHER, 1), "atan2": 2}
+
+
+def _fold(name, *values):
+    if name in _OTHER:
+        return _OTHER[name](*values)
+    if isinstance(values[0], float):
+        try:
+            return getattr(math, name)(values[0])
+        except ValueError:  # outside the real domain: the principal value
+            pass
+    return getattr(cmath, name)(values[0])
+
+
+def call(name, *args):
+    """The node of the function name of CALLS at args, folded to a number
+    when every argument is one (ValueError, ZeroDivisionError or
+    OverflowError where the value is not a finite number).  An unknown
+    name raises ValueError and a wrong count of arguments TypeError."""
+    if name not in CALLS:
+        raise ValueError(f"unknown function {name!r}")
+    if len(args) != CALLS[name]:
+        raise TypeError(f"{name} takes {CALLS[name]} argument(s), got {len(args)}")
+    args = tuple(map(as_node, args))
+    if all(a.kind == "num" for a in args):
+        return num(_fold(name, *(a.args[0] for a in args)))
+    return _node(name, args)
+
+
+_BUILD = {"add": add, "mul": mul, "pow": power}
+
+
+def subs(expr, mapping):
+    """expr with the nodes of mapping {node: value} replaced at once and
+    the tree rebuilt bottom up, so that numbers fold; a subtree shared in
+    the tree is rebuilt once."""
+    memo = {key: as_node(value) for key, value in mapping.items()}
+
+    def walk(e):
+        if e not in memo:
+            if e.kind in ("sym", "num"):
+                memo[e] = e
+            else:
+                args = [walk(a) for a in e.args]
+                memo[e] = _BUILD[e.kind](*args) if e.kind in _BUILD else call(e.kind, *args)
+        return memo[e]
+
+    return walk(as_node(expr))
+
+
+# the stand-in argument of the first derivatives of _UNARY
+_Z = sym("_z")
 # the names emitted source reads; inf and nan stand for folded numbers
 # that overflow
 _NAMESPACE = {
@@ -52,8 +269,8 @@ _NAMESPACE = {
     for name in [f for f, _ in _UNARY.values()] + list(_LINEAR.values())
     + ["full", "broadcast", "inf", "nan"]
 }
-# (coords, expr, order) -> compiled jet; expressions are immutable, so a
-# hit is the same function whatever caller asked first
+# (coords, expr, order) -> compiled jet; nodes are immutable, so a hit is
+# the same function whatever caller asked first
 _COMPILED = {}
 
 
@@ -72,11 +289,6 @@ def _leibniz(I):
         (tuple(I[i] for i in S), tuple(I[i] for i in range(k) if i not in S))
         for r in range(k + 1) for S in combinations(range(k), r)
     )
-
-
-def _number(e):
-    """The Python number of a sympy number."""
-    return float(e) if e.is_extended_real else complex(e)
 
 
 def _literal(c):
@@ -140,45 +352,50 @@ class _Walk:
         return self.memo[e]
 
     def rule(self, e):
-        """The jet of the node e: numbers (pi, E, I) are constants, u^w for
-        w not a number is exp(w log u), conjugate, re and im act on every
-        part, abs and arg (atan2) go through powers and log; any node not
-        named here or in _UNARY, and a number that is not finite, raises
-        ValueError."""
-        f, args = type(e), e.args
+        """The jet of the node e: numbers are constants, u^w for w not a
+        number is exp(w log u), conj, re and im act on every part, abs and
+        arg (atan2) go through powers and log, and the functions of _UNARY
+        through their first derivatives; a symbol that is not a seed, and
+        a number that is not finite, raises ValueError."""
+        kind, args = e.kind, e.args
         if e in self.seeds:
             return self.seeds[e]
-        if e.is_number:
-            if not np.isfinite(_number(e)):
+        if kind == "num":
+            if not np.isfinite(args[0]):
                 raise ValueError(f"non-finite number {e} in an expression")
-            return {(): _number(e)}
-        if e.is_Add:
+            return {(): args[0]}
+        if kind == "sym":
+            raise ValueError(f"symbol {e} is not a coordinate of the jet")
+        if kind == "add":
             return self.combine([(1, self(a)) for a in args])
-        if e.is_Mul:
+        if kind == "mul":
             return reduce(self.mul, map(self, args))
-        if e.is_Pow and e.exp.is_number:
-            return self.power(self(e.base), e.exp)
-        if e.is_Pow:
-            return self.unary(sp.exp, self.mul(self(e.exp), self.unary(sp.log, self(e.base))))
-        if f in _LINEAR:
-            return self.linear(_LINEAR[f], self(args[0]))
-        if f is sp.Abs:  # |u| = (u conj u)^(1/2)
+        if kind == "pow" and args[1].kind == "num":
+            return self.power(self(args[0]), args[1].args[0])
+        if kind == "pow":
+            return self.unary("exp", self.mul(self(args[1]), self.unary("log", self(args[0]))))
+        if kind in _LINEAR:
+            return self.linear(kind, self(args[0]))
+        if kind == "abs":  # |u| = (u conj u)^(1/2)
             u = self(args[0])
-            return self.power(self.mul(u, self.linear("conj", u)), sp.S.Half)
-        if f in (sp.arg, sp.atan2):  # arg u = Im log u, atan2(y, x) = arg(x + iy)
-            u = self(args[0]) if f is sp.arg else self.combine([(1, self(args[1])), (1j, self(args[0]))])
-            return self.linear("imag", self.unary(sp.log, u))
-        if f in _UNARY:
-            return self.unary(f, self(args[0]))
-        raise ValueError(f"no jet rule for {f.__name__} node {e}")
+            return self.power(self.mul(u, self.linear("conj", u)), 0.5)
+        if kind in ("arg", "atan2"):  # arg u = Im log u, atan2(y, x) = arg(x + iy)
+            u = self(args[0]) if kind == "arg" else self.combine([(1, self(args[1])), (1j, self(args[0]))])
+            return self.linear("im", self.unary("log", u))
+        return self.unary(kind, self(args[0]))
 
     def combine(self, terms):
         """The linear combination of the jets of terms (coef, jet)."""
         return {I: self.sum((c, [u[I]]) for c, u in terms if I in u) for I in self.idx}
 
-    def linear(self, name, u):
-        """The numpy map name (conj, real or imag) of every part of u."""
-        return {I: self.bind(f"{name}({self.term(u[I])})") for I in self.idx if I in u}
+    def linear(self, kind, u):
+        """The linear map kind (conj, re or im) of every part of u, numbers
+        folded."""
+        return {
+            I: self.bind(f"{_LINEAR[kind]}({self.term(c)})") if isinstance(c, (str, tuple))
+            else _OTHER[kind](c)
+            for I, c in u.items()
+        }
 
     def mul(self, u, v):
         """Leibniz's rule."""
@@ -201,14 +418,14 @@ class _Walk:
                 )
         return out
 
-    def unary(self, func, u):
-        """func(u) for a function of _UNARY."""
-        name, first = _UNARY[func]
-        return self.chain(f"{name}({self.term(u.get((), 0))})", first(_Z), u)
+    def unary(self, name, u):
+        """name(u) for a function of _UNARY."""
+        func, first = _UNARY[name]
+        return self.chain(f"{func}({self.term(u.get((), 0))})", first(_Z), u)
 
     def power(self, u, p):
-        """u^p for a sympy number p."""
-        return self.chain(f"{self.term(u.get((), 0))} ** {_literal(_number(p))}", p * _Z ** (p - 1), u)
+        """u^p for a number p."""
+        return self.chain(f"{self.term(u.get((), 0))} ** {_literal(p)}", p * _Z ** (p - 1), u)
 
 
 class Jet:
@@ -223,17 +440,18 @@ class Jet:
 
     @staticmethod
     def compile(expr, coords, order):
-        """The numpy function of the jet of the sympy expression expr in
-        coords up to order (0 to 3), compiled once per process.
+        """The numpy function of the jet of the expression expr (an Expr or
+        a number) in the symbols coords up to order (0 to 3), compiled once
+        per process.
 
         The function takes one array per coordinate, real or complex (they
         broadcast), and returns the tuple of the partials d_I expr over the
         sorted multi-indices I, by order and then lexicographically: for
         (x, y) at order 2, the value, d_x, d_y, d_xx, d_xy and d_yy.  The
-        rules of _Walk.rule cover the spec grammar; any other node raises
-        ValueError.
+        rules of _Walk.rule cover every node; a symbol not in coords, or a
+        number that is not finite, raises ValueError.
         """
-        key = (tuple(coords), sp.sympify(expr), order)
+        key = (tuple(coords), as_node(expr), order)
         if key not in _COMPILED:
             d = len(key[0])
             lines = {}
@@ -255,7 +473,7 @@ class Jet:
 
     @classmethod
     def of(cls, expr, coords, points, order):
-        """The jet of the sympy expression expr in coords at real points
+        """The jet of the expression expr in coords at real points
         (N, d), its parts the full symmetric tensors of Jet.compile's
         partials."""
         points = np.asarray(points, dtype=float)
@@ -283,14 +501,11 @@ def real_coords(dim, prefix=None):
     v = x + iy is the base affine coordinate, zeta = s + it the fiber one.
     """
     if prefix is not None:
-        return sp.symbols(" ".join(f"{prefix}{i}" for i in range(dim)), real=True)
-    if dim == 2:
-        return sp.symbols("x y", real=True)
-    if dim == 4:
-        return sp.symbols("x y s t", real=True)
-    if dim == 6:
-        return sp.symbols("x1 y1 x2 y2 s t", real=True)
-    raise ValueError(f"no standard coordinate set for dim {dim}")
+        return symbols(" ".join(f"{prefix}{i}" for i in range(dim)))
+    names = {2: "x y", 4: "x y s t", 6: "x1 y1 x2 y2 s t"}
+    if dim not in names:
+        raise ValueError(f"no standard coordinate set for dim {dim}")
+    return symbols(names[dim])
 
 
 def to_real(z):

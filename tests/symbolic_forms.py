@@ -1,10 +1,12 @@
-"""Symbolic references for the tests: exact differential forms on one chart
-and plain sympy lambdify evaluation.
+"""Symbolic references for the tests: exact differential forms on one chart,
+plain sympy lambdify evaluation, and the converters between sympy trees
+and the package's expression nodes.
 
 The package computes every derivative numerically from compiled jets
-(maform.symforms.Jet); the forms here differentiate with sympy and
-evaluate through sympy's own lambdify, so that they share no code with
-the jets they check.  Convention: dc = i(dbar - d), generalized to
+(maform.symforms.Jet) of its own nodes (maform.symforms.Expr); the forms
+here differentiate sympy trees with sympy and evaluate them through
+sympy's own lambdify, so that they share no code with the jets they
+check.  Convention: dc = i(dbar - d), generalized to
 dc(alpha) = (-1)^p * Jact(d(Jact(alpha))) where Jact is the tensor action
 (J alpha)(X_1..X_p) = (-1)^p alpha(J X_1, .., J X_p); d(dc)|z|^2 = 4 dx^dy.
 """
@@ -12,7 +14,53 @@ dc(alpha) = (-1)^p * Jact(d(Jact(alpha))) where Jact is the tensor action
 import numpy as np
 import sympy as sp
 
+from maform import symforms
 from maform.exterior import merge_indices, wedge_comps
+
+# node kind <-> sympy function
+SYMPY_FUNCTIONS = {
+    **{name: getattr(sp, name) for name in symforms._UNARY},
+    "conj": sp.conjugate, "re": sp.re, "im": sp.im, "abs": sp.Abs, "arg": sp.arg, "atan2": sp.atan2,
+}
+_NODE_KINDS = {f: name for name, f in SYMPY_FUNCTIONS.items()}
+
+
+def to_sympy(e, real=True):
+    """The sympy tree of a node (or a number), node for node (unevaluated);
+    its symbols are real, or complex with real=False."""
+    e = symforms.as_node(e)
+    if e.kind == "sym":
+        return sp.Symbol(e.args[0], real=True) if real else sp.Symbol(e.args[0])
+    if e.kind == "num":
+        return sp.sympify(e.args[0])
+    args = [to_sympy(a, real) for a in e.args]
+    func = {"add": sp.Add, "mul": sp.Mul, "pow": sp.Pow}.get(e.kind) or SYMPY_FUNCTIONS[e.kind]
+    return func(*args, evaluate=False)
+
+
+def from_sympy(e):
+    """The node of a sympy tree: numbers fold to Python numbers, symbols
+    keep their names."""
+    e = sp.sympify(e)
+    if e.is_Symbol:
+        return symforms.sym(e.name)
+    if e.is_number:
+        return symforms.num(complex(e))
+    args = [from_sympy(a) for a in e.args]
+    if e.is_Add:
+        return symforms.add(*args)
+    if e.is_Mul:
+        return symforms.mul(*args)
+    if e.is_Pow:
+        return symforms.power(*args)
+    if type(e) not in _NODE_KINDS:
+        raise ValueError(f"no node for the sympy function {type(e).__name__}")
+    return symforms.call(_NODE_KINDS[type(e)], *args)
+
+
+def sympy_coords(coords, real=True):
+    """The sympy symbols of symbol nodes."""
+    return tuple(to_sympy(c, real) for c in coords)
 
 
 def lambdify_rows(coords, exprs):

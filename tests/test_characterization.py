@@ -4,7 +4,6 @@ import time
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from maform.atlas import ChartAtlas
 from maform.characterization import (
@@ -20,9 +19,10 @@ from maform.characterization import (
 from maform.deformation import extract, tensor_from_mode_functions
 from maform.domains import make_circular_domain
 from maform.moser import normalize_domain
+from maform.symforms import call, sym
 
 ATLAS = ChartAtlas(n=2, n_v=17)
-V = sp.Symbol("v")
+V = sym("v")
 
 
 def random_tensor(rng, k_max=4, circular=False, scale=0.05):
@@ -31,7 +31,7 @@ def random_tensor(rng, k_max=4, circular=False, scale=0.05):
         if circular and k >= 1:
             continue
         c0, c1 = (complex(c) for c in rng.normal(size=2) + 1j * rng.normal(size=2))
-        entries.append((k, 1, 1, scale * (c0 + c1 * V) / (1 + V * sp.conjugate(V))))
+        entries.append((k, 1, 1, scale * (c0 + c1 * V) / (1 + V * call("conj", V))))
     return tensor_from_mode_functions(ATLAS, (V,), entries, k_max)
 
 
@@ -72,7 +72,7 @@ class TestVerdicts:
         assert ball_defect(perturbed_tensor) > 1e-2
 
     def test_positive_mode_blocks_circularity(self):
-        t = tensor_from_mode_functions(ATLAS, (V,), [(1, 1, 1, sp.Float(0.1))], 1)
+        t = tensor_from_mode_functions(ATLAS, (V,), [(1, 1, 1, 0.1)], 1)
         assert not is_circular(t)
         assert abs(circularity_defect(t) - 0.1 * ATLAS.fiber.r_max) < 1e-12
 
@@ -104,7 +104,7 @@ class TestRotation:
         assert rotational_test(t, 1.234)
 
     def test_resonant_angle_rejected(self):
-        t = tensor_from_mode_functions(ATLAS, (V,), [(2, 1, 1, sp.Float(0.1))], 2)
+        t = tensor_from_mode_functions(ATLAS, (V,), [(2, 1, 1, 0.1)], 2)
         with pytest.raises(CharacterizationError, match="resonant at mode 2"):
             rotational_test(t, np.pi)
 

@@ -669,12 +669,14 @@ class TestIntegrability:
         assert "# condition  mode  residual  tolerance  verdict\n" in text
         rows = integrability_rows(text)
         assert rows.keys() == {
-            ("integrability_symmetry", "all"),
+            ("integrability_symmetry", "0"),
+            ("integrability_symmetry", "1"),
             ("structure_equation", "0"),
             ("structure_equation", "1"),
         }
-        symmetry, _, verdict = rows["integrability_symmetry", "all"]
-        assert abs(symmetry - 0.1711) < 1e-4 and verdict == "fail"
+        for mode, want in (("0", 0.6696), ("1", 0.2286)):
+            symmetry, _, verdict = rows["integrability_symmetry", mode]
+            assert abs(symmetry - want) < 1e-4 and verdict == "fail"
         # mode 0 solves the structure equation: exact brackets leave roundoff
         assert rows["structure_equation", "0"][0] <= 1e-12
         assert rows["structure_equation", "0"][1:] == ("1.000e-12", "pass")
@@ -687,8 +689,18 @@ class TestIntegrability:
         assert run([command, "--tensor", tns, "--out", str(tmp_path)]) == 0
         report = "classify_report.txt" if command == "classify" else "scale_report.txt"
         rows = integrability_rows((tmp_path / report).read_text())
-        assert len(rows) == 3
+        assert len(rows) == 4
         assert all(value == 0.0 and verdict == "pass" for value, _, verdict in rows.values())
+
+    def test_symmetry_is_checked_per_mode(self, tmp_path):
+        # phi = 0.2 - 0.4 zeta is symmetric at zeta = 0.5 only: (i) must
+        # hold at every zeta, so each mode is checked on its own
+        tns = write(tmp_path, "cancel.tns", "n = 3\nN_v = 5\nk_max = 1\nmode 0 1 1 = 0.2\nmode 1 1 1 = -0.4\n")
+        assert run(["classify", "--tensor", tns, "--out", str(tmp_path)]) == 1
+        rows = integrability_rows((tmp_path / "classify_report.txt").read_text())
+        for mode in ("0", "1"):
+            symmetry, _, verdict = rows["integrability_symmetry", mode]
+            assert symmetry > 1e-2 and verdict == "fail"
 
     def test_n2_report_adds_only_the_vacuous_entry(self, tmp_path):
         tns = write(tmp_path, "small2.tns", SMALL_N2_TNS)

@@ -5,9 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from maform.atlas import ChartAtlas
+from maform.characterization import classify
 from maform.cli import load_tensor_file
 from maform.deformation import (
     DeformationError,
@@ -31,11 +31,12 @@ from maform.deformation import _bracket, _jets, _times
 from maform.domains import make_circular_domain
 from maform.exterior import standard_j_matrix
 from maform.moser import normalize_domain
+from maform.symforms import call, sym, symbols
 
 ATLAS = ChartAtlas(n=2, n_v=17)
 ATLAS3 = ChartAtlas(n=3, n_v=7, box=1.0)
-V = sp.Symbol("v")
-V1, V2 = sp.symbols("v1 v2")
+V = sym("v")
+V1, V2 = symbols("v1 v2")
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +97,7 @@ def random_bandlimited(rng, k_max=5, scale=0.03):
     entries = []
     for k in range(k_max + 1):
         c0, c1, c2 = (complex(c) for c in rng.normal(size=3) + 1j * rng.normal(size=3))
-        vbar = sp.conjugate(V)
+        vbar = call("conj", V)
         entries.append((k, 1, 1, scale * (c0 + c1 * V + c2 * vbar) / (1 + V * vbar)))
     return tensor_from_mode_functions(ATLAS, (V,), entries, k_max)
 
@@ -110,9 +111,9 @@ def mc_exact_tensor(c=0.2, w_scale=0.15, g_scale=0.1):
     so the equation holds exactly while [phi(X), phi(Y)] does not vanish.
     """
     entries = [
-        (0, 1, 1, sp.Float(c)),
-        (0, 2, 1, g_scale * V1 * sp.conjugate(V1)),
-        (0, 2, 2, w_scale * (V1 - (c / 2) * sp.conjugate(V1))),
+        (0, 1, 1, c),
+        (0, 2, 1, g_scale * V1 * call("conj", V1)),
+        (0, 2, 2, w_scale * (V1 - (c / 2) * call("conj", V1))),
     ]
     return tensor_from_mode_functions(ATLAS3, (V1, V2), entries, 0)
 
@@ -205,7 +206,7 @@ class TestExtraction:
             assert np.max(np.abs(sf2.J[0] - sf.J[0])) < 1e-8
 
     def test_degenerate_graph_rejected(self):
-        big = tensor_from_mode_functions(ATLAS, (V,), [(0, 1, 1, sp.Float(1.2))], 0)
+        big = tensor_from_mode_functions(ATLAS, (V,), [(0, 1, 1, 1.2)], 0)
         with pytest.raises(DeformationError, match="not transverse"):
             reconstruct(big)
 
@@ -252,10 +253,24 @@ class TestModeNorms:
             for a in (1, 2):
                 for b in (1, 2):
                     c = [complex(x) for x in 0.05 * (rng.normal(size=3) + 1j * rng.normal(size=3))]
-                    entries.append((k, a, b, c[0] + c[1] * V1 + c[2] * sp.conjugate(V2)))
+                    entries.append((k, a, b, c[0] + c[1] * V1 + c[2] * call("conj", V2)))
         t = tensor_from_mode_functions(ATLAS3, (V1, V2), entries, 2)
         want = reference_mode_norms(t)
         assert np.max(np.abs(t.mode_norms() - want) / want) < 1e-13
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_nan_node_fails_every_verdict_that_reads_its_mode(self, k):
+        # one NaN node of mode k reads as a NaN norm, not as norm 0, so
+        # the ball verdict fails, and with k > 0 the circularity and the
+        # rotation verdicts fail too
+        modes = np.zeros((2, ATLAS.n_v, ATLAS.n_v, 1, 1), dtype=complex)
+        modes[k, 3, 5] = np.nan
+        t = DeformationTensor(n=2, atlas=ATLAS, k_max=1, modes={0: modes, 1: np.zeros_like(modes)})
+        norms = t.mode_norms()
+        assert np.isnan(norms[k]) and norms[1 - k] == 0.0
+        verdicts = classify(t).verdicts
+        assert not verdicts["ball"]
+        assert verdicts["circular"] == verdicts["rotational_0.7"] == verdicts["rotational_1.9"] == (k == 0)
 
 
 def series_components(tensor):
@@ -272,7 +287,7 @@ class TestFourierModes:
         assert np.max(np.abs(out.modes[0] - t.modes[0])) < 1e-12
 
     def test_single_mode_synthetic(self):
-        t = tensor_from_mode_functions(ATLAS, (V,), [(2, 1, 1, sp.Float(0.25))], 5)
+        t = tensor_from_mode_functions(ATLAS, (V,), [(2, 1, 1, 0.25)], 5)
         out = fourier_modes_from_components(ATLAS, series_components(t), 5)
         assert abs(np.max(np.abs(out.modes[0][2])) - 0.25) < 1e-12
         for k in (0, 1, 3, 4, 5):
@@ -295,7 +310,7 @@ class TestGroupActions:
             assert np.max(np.abs(r.modes[0][k] - expected)) < 1e-14
 
     def test_rotate_fixes_mode_zero_tensor(self):
-        t = tensor_from_mode_functions(ATLAS, (V,), [(0, 1, 1, 0.1 * sp.conjugate(V))], 0)
+        t = tensor_from_mode_functions(ATLAS, (V,), [(0, 1, 1, 0.1 * call("conj", V))], 0)
         r = rotate(t, 2.1)
         assert np.max(np.abs(r.modes[0] - t.modes[0])) < 1e-15
 
@@ -327,7 +342,7 @@ class TestGroupActions:
             assert np.max(np.abs(it.modes[0][k])) <= bound + 1e-18
 
     def test_contract_ratio_domain(self):
-        t = tensor_from_mode_functions(ATLAS, (V,), [(1, 1, 1, sp.Float(0.1))], 1)
+        t = tensor_from_mode_functions(ATLAS, (V,), [(1, 1, 1, 0.1)], 1)
         with pytest.raises(DeformationError, match="ratio"):
             contract(t, 1.5)
 
@@ -363,7 +378,7 @@ class TestConditionSymmetry:
             return B
 
         t = tensor_with_bilinear_form(Bfn)
-        assert condition_symmetry(t, 0, 0.5) < 1e-14
+        assert np.max(condition_symmetry(t)) < 1e-14
 
     def test_antisymmetric_part_measured_exactly(self):
         a0 = 0.04
@@ -377,16 +392,23 @@ class TestConditionSymmetry:
             return B
 
         t = tensor_with_bilinear_form(Bfn)
-        res = condition_symmetry(t, 0, 0.5)
-        # the frame carries one fiber factor per slot, so the form at
-        # zeta = 0.5 is the unit-fiber form scaled by 1/4
-        expected = 2 * a0 * 0.25
+        [res] = condition_symmetry(t)
+        # mode k is checked on the unit fiber, zeta = 1
+        expected = 2 * a0
         assert abs(res - expected) < 0.05 * expected
+
+    def test_each_mode_on_its_own(self):
+        # phi = 0.2 - 0.4 zeta has a symmetric sum at zeta = 0.5, but (i)
+        # holds at every zeta only if it holds for each mode
+        t = tensor_from_mode_functions(ATLAS3, (V1, V2), [(0, 1, 1, 0.2), (1, 1, 1, -0.4)], 1)
+        res = condition_symmetry(t)
+        assert res.shape == (2,) and res[0] > 1e-2
+        assert abs(res[1] - 2 * res[0]) <= 1e-14
 
     def test_n2_is_vacuous(self):
         rng = np.random.default_rng(23)
         t = random_bandlimited(rng, k_max=2)
-        assert condition_symmetry(t, 0, 0.5) == 0.0
+        assert np.array_equal(condition_symmetry(t), np.zeros(3))
 
 
 def five_point_bracket(U, W, z, h=1e-3):
@@ -422,8 +444,8 @@ class TestMaurerCartan:
 
     def test_generic_tensor_fails(self):
         entries = [
-            (0, 1, 1, 0.2 * sp.conjugate(V1)),
-            (0, 2, 2, 0.2 * sp.conjugate(V2) * V1),
+            (0, 1, 1, 0.2 * call("conj", V1)),
+            (0, 2, 2, 0.2 * call("conj", V2) * V1),
         ]
         t = tensor_from_mode_functions(ATLAS3, (V1, V2), entries, 0)
         mc = maurer_cartan_residual(t, 0, 0.5)
@@ -487,7 +509,7 @@ class TestModeEquations:
         rng = np.random.default_rng(27)
         c = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
         entries = [
-            (k, a + 1, b + 1, 0.1 * (complex(c[k, a, b]) + 0.2 * sp.conjugate((V1, V2)[a])))
+            (k, a + 1, b + 1, 0.1 * (complex(c[k, a, b]) + 0.2 * call("conj", (V1, V2)[a])))
             for k in range(2) for a in range(2) for b in range(2)
         ]
         t = tensor_from_mode_functions(ATLAS3, (V1, V2), entries, 1)

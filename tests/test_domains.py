@@ -23,8 +23,8 @@ from maform.domains import (
     parse_tensor_spec,
 )
 from maform.exterior import standard_j_matrix
-from maform.symforms import Jet, ddc_matrix, to_real
-from symbolic_forms import AnalyticForm
+from maform.symforms import Jet, ddc_matrix, sym, symbols, to_real
+from symbolic_forms import AnalyticForm, lambdify_rows, sympy_coords, to_sympy
 
 RNG = np.random.default_rng(20260825)
 
@@ -67,7 +67,8 @@ class TestMakeCircularDomain:
     def test_exhaustion_matches_gauge_squared(self):
         mink, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
         z = RNG.normal(size=(20, 2)) + 1j * RNG.normal(size=(20, 2))
-        tau = AnalyticForm.scalar(ambient_coords(2), exh.tau_ambient).scalar_at(to_real(z)).real
+        coords = sympy_coords(ambient_coords(2))
+        tau = AnalyticForm.scalar(coords, to_sympy(exh.tau_ambient)).scalar_at(to_real(z)).real
         assert np.max(np.abs(tau - mink.mu(z) ** 2)) < 1e-10
 
     def test_pseudoconvexity_eps_scan(self):
@@ -100,7 +101,8 @@ class TestMakeCircularDomain:
         coords = domains.ambient_coords(2)
         pts = RNG.uniform(-1.0, 1.0, size=(50, 4))
         got = ddc_matrix(Jet.of(mink.mu_sq_ambient, coords, pts, order=2).hess)
-        want = AnalyticForm.scalar(coords, mink.mu_sq_ambient).dc().d().matrix_at(pts).real
+        form = AnalyticForm.scalar(sympy_coords(coords), to_sympy(mink.mu_sq_ambient))
+        want = form.dc().d().matrix_at(pts).real
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_witness_eigenvalue_matches_symbolic_ddc(self):
@@ -112,7 +114,8 @@ class TestMakeCircularDomain:
         mu_sq = domains._mu_sq_expression(2, "perturbed_ball", {"eps": 0.8}, coords)
         pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(60, 4))
         pts = pts[np.linalg.norm(pts, axis=1) > 0.3]
-        AJ = AnalyticForm.scalar(coords, mu_sq).dc().d().matrix_at(pts).real @ standard_j_matrix(4)
+        form = AnalyticForm.scalar(sympy_coords(coords), to_sympy(mu_sq))
+        AJ = form.dc().d().matrix_at(pts).real @ standard_j_matrix(4)
         eigs = np.linalg.eigvalsh(0.5 * (AJ + AJ.swapaxes(1, 2)))
         assert abs(err.value.eigenvalue - eigs.min()) <= 1e-13 * np.max(np.abs(eigs))
 
@@ -204,8 +207,9 @@ N_theta = 16
 
 
 ROOT = Path(__file__).resolve().parents[1]
-AMBIENT = {str(c): c for c in ambient_coords(2)}
-BASE = {"v": sp.Symbol("v")}
+AMBIENT = dict(zip(["x1", "y1", "x2", "y2"], ambient_coords(2)))
+BASE = {"v": sym("v")}
+BASES = dict(zip(["v", "v1", "v2"], symbols("v v1 v2")))
 
 
 def _workloads():
@@ -230,26 +234,51 @@ def _spec_expressions():
         if key == "tau.expr":
             out.append((val.strip(), AMBIENT))
         elif key.startswith("mode "):
-            out.append((val.strip(), {str(c): c for c in sp.symbols("v v1 v2")}))
+            out.append((val.strip(), BASES))
     return out
+
+
+def _sympify_rows(text, names):
+    """The numpy function of a spec text as sympy's own parser reads it,
+    in the coordinates of names (real for the ambient ones, complex for
+    the base ones); the texts are trusted here, so sympify may evaluate
+    them."""
+    real = names is AMBIENT
+    coords = sympy_coords(names.values(), real=real)
+    local = {**dict(zip(names, coords)), "conj": sp.conjugate}
+    return lambdify_rows(coords, [sp.sympify(text, locals=local)])
+
+
+def _sample_points(names, n=7, seed=3):
+    """Points of the names, as one array per name: real for the ambient
+    coordinates, complex off the axes for the base ones."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.2, 0.8, size=(len(names), n))
+    return pts if names is AMBIENT else pts * np.exp(1j * rng.uniform(0.3, 1.2, size=pts.shape))
 
 
 class TestSpecReader:
     def test_expressions_match_sympify(self):
-        # the spec texts are trusted here, so sympify may evaluate them
+        # the expression read from a spec text has the value sympy's own
+        # parser gives the text, at sample points
         accepted = 0
         for text, names in _spec_expressions():
             try:
                 got = parse_expression(text, names)
             except SpecParseError:
                 continue  # a test of an unknown name or of code in a spec
-            assert got == sp.sympify(text, locals={**names, "conj": sp.conjugate}), text
+            pts = _sample_points(names)
+            value = Jet.compile(got, list(names.values()), 0)(*pts)[0]
+            want = _sympify_rows(text, names)(*pts)[0]
+            assert np.max(np.abs(value - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0), text
             accepted += 1
         assert accepted >= 10
 
     def test_tau_expr_without_gauge(self):
         spec = parse_domain_spec("# no mu.kind line: tau.expr replaces the gauge\ntau.expr = x1**2\n")
-        assert spec.kind is None and spec.tau_expr == AMBIENT["x1"] ** 2
+        pts = _sample_points(AMBIENT)
+        value = Jet.compile(spec.tau_expr, list(AMBIENT.values()), 0)(*pts)[0]
+        assert spec.kind is None and np.max(np.abs(value - pts[0] ** 2)) <= 1e-12
         assert spec.at == {"tau.expr": (2, 12)}
 
     @pytest.mark.parametrize(
@@ -288,8 +317,12 @@ class TestSpecReader:
             "n = 3\nN_v = 5\nk_max = 2\nmode 2 2 1 = v1*conj(v2)\n"
         )
         assert values == {"n": 3, "N_v": 5, "N_r": 8, "N_theta": 16, "k_max": 2}
-        v1, v2 = coords
-        assert modes == [(2, 2, 1, v1 * sp.conjugate(v2))]
+        assert coords == [BASES["v1"], BASES["v2"]]
+        [(k, a, b, expr)] = modes
+        pts = _sample_points(BASES)[1:]
+        value = Jet.compile(expr, coords, 0)(*pts)[0]
+        assert (k, a, b) == (2, 2, 1)
+        assert np.max(np.abs(value - pts[0] * np.conj(pts[1]))) <= 1e-12
 
     @pytest.mark.parametrize(
         "text, col",
@@ -297,6 +330,9 @@ class TestSpecReader:
             ("x1 + foo(y1)", 17),
             ("x1 + __import__('os').getcwd()", 17),
             ("9**9**9", 12),
+            ("x1 * exp(1000)", 17),
+            ("x1 + 1e308*10*y1", 17),
+            ("x1 + 1/(y1 - y1)", 17),
             ("x1 + * 2", 17),
             ("sin(x1, y1)", 12),
         ],

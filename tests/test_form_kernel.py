@@ -1,14 +1,23 @@
-"""The compiled jets against sympy, and the symbolic references of the tests."""
+"""The expression nodes and their compiled jets against sympy, and the
+symbolic references of the tests."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from maform.domains import _FUNCTIONS, _mu_sq_expression, ambient_coords, parse_tensor_spec
-from maform.symforms import Jet, real_coords
-from symbolic_forms import AnalyticForm, lambdify_rows
+from maform.symforms import Jet, call, num, real_coords, subs, sym
+from symbolic_forms import (
+    SYMPY_FUNCTIONS,
+    AnalyticForm,
+    from_sympy,
+    lambdify_rows,
+    sympy_coords,
+    to_sympy,
+)
 
 RNG = np.random.default_rng(20260825)
 
@@ -23,7 +32,7 @@ def max_abs(form, points):
 
 
 def kernel_exprs():
-    x, y, s, t = real_coords(4)
+    x, y, s, t = sympy_coords(real_coords(4))
     return (x, y, s, t), [
         sp.exp(x * t) * sp.sin(y + s) / (1 + x**2 + y**2),
         sp.log(1 + s**2 + t**2) + sp.I * x * y,
@@ -38,7 +47,8 @@ class TestCompileExprs:
     def test_matches_per_component_lambdify(self):
         (x, y, s, t), exprs = kernel_exprs()
         pts = sample_points(4, n=25)
-        got = np.array([Jet.compile(e, (x, y, s, t), 0)(*pts.T)[0] for e in exprs])
+        coords = real_coords(4)
+        got = np.array([Jet.compile(from_sympy(e), coords, 0)(*pts.T)[0] for e in exprs])
         assert got.shape == (4, 25)
         for expr, row in zip(exprs, got):
             plain = sp.lambdify((x, y, s, t), expr, modules="numpy")(*pts.T)
@@ -46,9 +56,12 @@ class TestCompileExprs:
             assert np.all(np.abs(row - want) <= 1e-12 * np.maximum(np.abs(want), 1e-300))
 
     def test_memo_returns_the_same_callable(self):
+        # nodes are hash-consed: a tree built again is the same node and
+        # finds the same callable
         x, y = real_coords(2)
         first = Jet.compile(x * y + x, (x, y), 1)
-        assert Jet.compile(x + y * x, [x, y], 1) is first
+        assert x * y + x is x * y + x
+        assert Jet.compile(x * y + x, [x, y], 1) is first
         assert Jet.compile(x * y + x, (x, y), 2) is not first
         assert Jet.compile(x * y, (x, y), 1) is not first
 
@@ -63,10 +76,38 @@ class TestCompileExprs:
         pts = np.array([0.3 + 0.4j, -0.7 + 0.1j, 0.05 - 0.9j])
         for *_, expr in modes:
             got = Jet.compile(expr, (v,), 0)(pts)[0]
-            want = np.array([complex(expr.subs(v, p).evalf()) for p in pts])
+            ref = to_sympy(expr, real=False)
+            want = np.array([complex(ref.subs(sp.Symbol("v"), p).evalf()) for p in pts])
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # a constant coefficient takes the shape of the points
-        assert Jet.compile(sp.Float(0.2), (v,), 0)(pts)[0].shape == pts.shape
+        assert Jet.compile(0.2, (v,), 0)(pts)[0].shape == pts.shape
+
+
+class TestNodes:
+    """Nodes fold numbers at construction and substitute by rebuilding."""
+
+    def test_numbers_fold(self):
+        x, y = real_coords(2)
+        assert x + 0 is x and 1 * x is x and x**1 is x
+        assert 0 * x is num(0) and x**0 is num(1)
+        assert num(2) * 3 + 1 is num(7) and call("exp", 0) is num(1)
+        assert num(1j) * 1j is num(-1)  # a complex number with no imaginary part is real
+        assert (2 * x) ** 2 is 4 * x**2 and (x**3) ** -1 is x**-3
+        assert x + y + 2 is num(2) + (x + y) and (x + y + 2).args == (num(2), x, y)
+        assert x - x is num(0) and x + y + x is 2 * x + y and x * y - 0.5 * x * y is 0.5 * x * y
+
+    def test_subs_rebuilds_and_folds(self):
+        x, y = real_coords(2)
+        shared = x**2 + y**2
+        expr = shared * call("sin", shared) / (1 + shared)
+        out = subs(expr, {x: 0.5, y: num(0)})
+        assert out is num(0.25 * math.sin(0.25) * 1.25**-1)
+        assert subs(expr, {x: y, y: x}) is (y**2 + x**2) * call("sin", y**2 + x**2) / (1 + y**2 + x**2)
+
+    def test_sympy_round_trip(self):
+        for expr in RULE_CASES.values():
+            node = from_sympy(expr)
+            assert from_sympy(to_sympy(node)) is node
 
 
 def _rule_cases():
@@ -75,10 +116,11 @@ def _rule_cases():
     (unevaluated, so sympy keeps the node), numbers, a complex
     intermediate, powers with a non-numeric exponent, and arg and atan2,
     which sympy writes for some of the functions."""
-    x, y = real_coords(2)
+    x, y = sympy_coords(real_coords(2))
     inner = sp.Rational(3, 10) + x * y / 5 + x**2 / 10
     cases = {}
-    for name, func in _FUNCTIONS.items():
+    for name, kind in _FUNCTIONS.items():
+        func = sp.sqrt if kind == "sqrt" else SYMPY_FUNCTIONS[kind]
         shift = 2 if name == "acosh" else 0
         cases[f"{name}-real"] = func(inner + shift, evaluate=False)
         cases[f"{name}-complex"] = func(inner + shift + sp.I * y**2 / 10, evaluate=False)
@@ -107,11 +149,12 @@ class TestJet:
         ],
     )
     def test_gauge_derivatives_match_sympy_diff(self, n, kind, params):
-        coords = ambient_coords(n)
-        mu_sq = _mu_sq_expression(n, kind, params, coords)
+        nodes = ambient_coords(n)
+        mu_sq = _mu_sq_expression(n, kind, params, nodes)
         pts = sample_points(2 * n, n=40, lo=-1.5, hi=1.5)
-        jet = Jet.of(mu_sq, coords, pts, order=3)
-        partials = {(): mu_sq}
+        jet = Jet.of(mu_sq, nodes, pts, order=3)
+        coords = sympy_coords(nodes)
+        partials = {(): to_sympy(mu_sq)}
         for order in (1, 2, 3):
             for idx in itertools.combinations_with_replacement(range(len(coords)), order):
                 partials[idx] = sp.diff(partials[idx[:-1]], coords[idx[-1]])
@@ -124,7 +167,7 @@ class TestJet:
     def test_rules_match_sympy_partials(self, case):
         expr, coords = RULE_CASES[case], RULE_COORDS
         pts = np.array([[0.21, 0.47], [0.55, 0.13], [0.38, 0.61]])
-        jet = Jet.of(expr, coords, pts, order=3)
+        jet = Jet.of(from_sympy(expr), real_coords(2), pts, order=3)
         for order in range(4):
             for idx in itertools.combinations_with_replacement(range(2), order):
                 partial = sp.diff(expr, *[coords[i] for i in idx]) if idx else expr
@@ -133,7 +176,8 @@ class TestJet:
                 assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0), idx
 
     def test_orders_truncate_the_same_jet(self):
-        coords, expr = RULE_COORDS, RULE_CASES["complex_product"] * RULE_CASES["atan-complex"]
+        coords = real_coords(2)
+        expr = from_sympy(RULE_CASES["complex_product"] * RULE_CASES["atan-complex"])
         pts = sample_points(2, n=7, lo=0.2, hi=0.6)
         full = Jet.of(expr, coords, pts, order=3).parts
         for order in (1, 2):
@@ -142,36 +186,40 @@ class TestJet:
             for got, want in zip(parts, full):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("number", [sp.zoo, sp.Float("1e400")])
+    @pytest.mark.parametrize("number", [num(math.inf), num(complex(1, math.inf)), num(math.nan)])
     def test_non_finite_numbers_raise(self, number):
-        # 1/0 in a spec is sympy's zoo and 1e400 overflows a float: neither
-        # may reach the emitted source as inf or nan
-        x, y = RULE_COORDS
+        # the spec reader refuses them, but a node built in code may hold
+        # one: it must not reach the emitted source as inf or nan
+        x, y = real_coords(2)
         with pytest.raises(ValueError, match="non-finite number"):
-            Jet.compile(x * y + number * x, RULE_COORDS, 0)
+            Jet.compile(x * y + number * x, (x, y), 0)
 
     def test_other_nodes_raise(self):
         coords = ambient_coords(2)
-        with pytest.raises(ValueError, match="no jet rule for f node f"):
-            Jet.of(coords[0] ** 2 + sp.Function("f")(coords[0]), coords, sample_points(4), order=2)
+        with pytest.raises(ValueError, match="unknown function 'f'"):
+            call("f", coords[0])
+        with pytest.raises(TypeError, match="atan2 takes 2"):
+            call("atan2", coords[0])
+        with pytest.raises(ValueError, match="symbol w is not a coordinate"):
+            Jet.of(coords[0] ** 2 + sym("w"), coords, sample_points(4), order=2)
 
 
 class TestAnalyticCalculus:
     def test_d_of_modulus_squared(self):
-        x, y = real_coords(2)
+        x, y = sympy_coords(real_coords(2))
         f = AnalyticForm.scalar((x, y), x**2 + y**2)
         df = f.d()
         assert sp.simplify(df.comps[(0,)] - 2 * x) == 0
         assert sp.simplify(df.comps[(1,)] - 2 * y) == 0
 
     def test_d_of_rotational_one_form(self):
-        x, y = real_coords(2)
+        x, y = sympy_coords(real_coords(2))
         a = AnalyticForm((x, y), 1, {(0,): -y, (1,): x})
         da = a.d()
         assert sp.simplify(da.comps[(0, 1)] - 2) == 0
 
     def test_d_squared_is_zero_symbolically(self):
-        x, y, s, t = real_coords(4)
+        x, y, s, t = sympy_coords(real_coords(4))
         f = AnalyticForm.scalar((x, y, s, t), sp.exp(x * t) * sp.sin(y + s))
         dd = f.d().d()
         pts = sample_points(4)
@@ -179,7 +227,7 @@ class TestAnalyticCalculus:
 
     def test_dc_calibration_ddc_mod_sq_is_4_dxdy(self):
         # the fixed convention: ddc |z|^2 = 4 dx^dy
-        x, y = real_coords(2)
+        x, y = sympy_coords(real_coords(2))
         f = AnalyticForm.scalar((x, y), x**2 + y**2)
         dcf = f.dc()
         assert sp.simplify(dcf.comps[(0,)] + 2 * y) == 0
@@ -188,7 +236,7 @@ class TestAnalyticCalculus:
         assert sp.simplify(ddc.comps[(0, 1)] - 4) == 0
 
     def test_ddc_log_mod_sq_harmonic(self):
-        x, y = real_coords(2)
+        x, y = sympy_coords(real_coords(2))
         f = AnalyticForm.scalar((x, y), sp.log(x**2 + y**2))
         ddc = f.dc().d()
         pts = sample_points(2, lo=0.1, hi=0.9)
@@ -197,7 +245,7 @@ class TestAnalyticCalculus:
     def test_ddc_tau_o_positive_hermitian(self):
         # tau_o = |zeta|^2 (1+|v|^2) on the ball chart; Hermitian positivity
         # cross-checked against the independent complex-Hessian oracle.
-        x, y, s, t = real_coords(4)
+        x, y, s, t = sympy_coords(real_coords(4))
         tau = AnalyticForm.scalar((x, y, s, t), (s**2 + t**2) * (1 + x**2 + y**2))
         ddc = tau.dc().d()
         pts = sample_points(4, lo=0.15, hi=0.9)
@@ -227,7 +275,7 @@ class TestAnalyticCalculus:
             assert np.min(np.linalg.eigvalsh(0.5 * (Hn + Hn.conj().T))) > 0
 
     def test_wedge_unit_and_interior(self):
-        x, y = real_coords(2)
+        x, y = sympy_coords(real_coords(2))
         one = AnalyticForm.scalar((x, y), 1)
         dxdy = AnalyticForm((x, y), 2, {(0, 1): 1})
         assert one.wedge(dxdy).comps == {(0, 1): sp.Integer(1)}
@@ -236,7 +284,7 @@ class TestAnalyticCalculus:
         assert over.degree == 2 and over.comps == {}
 
     def test_degree_overflow_and_mismatch_errors(self):
-        x, y = real_coords(2)
+        x, y = sympy_coords(real_coords(2))
         dxdy = AnalyticForm((x, y), 2, {(0, 1): x * y})
         with pytest.raises(ValueError, match="overflow"):
             dxdy.d()
@@ -244,7 +292,7 @@ class TestAnalyticCalculus:
             dxdy + AnalyticForm.scalar((x, y), 1)
 
     def test_wedge_anticommutes(self):
-        x, y, s, t = real_coords(4)
+        x, y, s, t = sympy_coords(real_coords(4))
         a = AnalyticForm((x, y, s, t), 1, {(0,): x * t, (2,): y})
         b = AnalyticForm((x, y, s, t), 1, {(1,): s, (3,): x})
         ab = a.wedge(b)
@@ -253,7 +301,7 @@ class TestAnalyticCalculus:
         assert max_abs(ab + ba, pts) < 1e-14
 
     def test_leibniz_symbolic(self):
-        x, y, s, t = real_coords(4)
+        x, y, s, t = sympy_coords(real_coords(4))
         a = AnalyticForm((x, y, s, t), 1, {(0,): x * y, (3,): s})
         b = AnalyticForm((x, y, s, t), 1, {(1,): t * x, (2,): y * y})
         lhs = a.wedge(b).d()

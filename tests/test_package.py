@@ -1,7 +1,9 @@
 """Static checks over the package sources."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -121,3 +123,56 @@ def test_no_finite_difference_step():
                 if "h" in {arg.arg for arg in args}:
                     found.append(f"{path.name}:{node.lineno}: {getattr(node, 'name', 'lambda')}")
     assert SOURCES and not found, found
+
+
+def test_no_module_imports_sympy():
+    # expressions are the package's own nodes (symforms.Expr): sympy is a
+    # test dependency only, the independent reference of the tests
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] == "sympy"]
+    assert SOURCES and not found, found
+
+
+def test_commands_do_not_import_sympy(tmp_path):
+    # all five commands, on the ball, the perturbed ball, a tau.expr spec
+    # and an n = 3 tensor, in one fresh process that never loads sympy
+    specs = {
+        "ball.dom": "mu.kind = ball\nN_v = 9\nN_r = 4\nN_theta = 8\n",
+        "perturbed.dom": "mu.kind = perturbed_ball\neps = 0.05\nN_v = 9\nN_r = 4\nN_theta = 8\n",
+        "tau.dom": "tau.expr = x1**2 + y1**2 + x2**2 + y2**2 + exp(-x1**2)/10\n",
+        "n3.tns": "n = 3\nN_v = 5\nk_max = 1\nmode 0 1 1 = 0.1*conj(v1)\nmode 1 2 2 = 0.05*v2\n",
+    }
+    for name, text in specs.items():
+        (tmp_path / name).write_text(text)
+    commands = [
+        ["verify", "--domain", "ball.dom", "--samples", "2"],
+        ["verify", "--domain", "tau.dom", "--samples", "2"],
+        ["normalize", "--domain", "perturbed.dom", "--steps", "5", "--moser-tol", "1"],
+        ["invariants", "--domain", "ball.dom", "--steps", "5", "--kmax", "1"],
+        ["classify", "--domain", "perturbed.dom", "--steps", "5", "--kmax", "1"],
+        ["classify", "--tensor", "n3.tns"],
+        ["scale-test", "--tensor", "n3.tns"],
+    ]
+    script = (
+        "import sys\n"
+        "from maform.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    print('exit', main(argv + ['--out', 'out']))\n"
+        "print('sympy loaded:', 'sympy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True,
+        text=True, check=True, timeout=300,
+    )
+    codes = [line.split()[1] for line in out.stdout.splitlines() if line.startswith("exit ")]
+    assert len(codes) == len(commands) and set(codes) <= {"0", "1"}, out.stdout
+    assert out.stdout.splitlines()[-1] == "sympy loaded: False", out.stdout
