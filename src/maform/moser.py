@@ -12,11 +12,13 @@ gauge, and is the input to deformation-tensor extraction.
 Design notes: all flow fields are evaluated from exact chart expressions.
 The curvature coefficient and the primitive, with their x and y
 partials, come from the compiled order-3 jet of log m^2 and the jets of
-the reference terms (symforms.Jet.compile, once per chart), so spatial
-discretization error enters only through the node sampling of results,
-not through the dynamics.  The field and its exact Jacobian come from
-one evaluation per RK4 stage.  The ambient gradient of mu^2 (horizontal
-planes, the lift's gauge derivative) comes from its order-1 jet.
+the reference terms (symforms.Jet.compile, once per distinct chart
+expression), so spatial discretization error enters only through the
+node sampling of results, not through the dynamics.  The nodes of all
+charts advance as one batched flow, and each RK4 stage makes one call per
+distinct chart field, giving the field and its exact Jacobian.  The
+ambient gradient of mu^2 (horizontal planes, the lift's gauge
+derivative) comes from its order-1 jet.
 Derivative data that downstream consumers need at grid nodes (dW,
 dlambda) is propagated by variational Jacobians along the flow and stored
 exactly at the nodes, never re-estimated by differencing an interpolant.
@@ -28,6 +30,7 @@ through the node samples, NotAKnotBicubic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -53,11 +56,11 @@ FS_AREA = 4.0 * np.pi  # integral of the reference form under the convention
 class ConnectionData:
     """Curvature 2-form data of a gauge on the base CP^1.
 
-    fields: chart -> compiled callable of _chart_fields, giving at (x, y)
-    arrays the coefficients w_o and w of the reference form and of the
-    curvature form omega = w dx^dy, the components (alpha_x, alpha_y) of
-    the primitive with omega - omega_o = d(alpha), and the x and y partials
-    of all four.
+    fields: chart -> compiled callable of _chart_fields, one object for
+    charts with the same m^2, giving at (x, y) arrays the coefficients w_o
+    and w of the reference form and of the curvature form omega = w dx^dy,
+    the components (alpha_x, alpha_y) of the primitive with omega - omega_o
+    = d(alpha), and the x and y partials of all four.
     """
 
     mink: MinkowskiField
@@ -82,6 +85,7 @@ def _disk_integral(fn, n_r=80, n_theta=160):
     return float(np.sum(fn(V.real, V.imag) * wr[:, None]) * (2 * np.pi / n_theta))
 
 
+@cache
 def _chart_fields(m_sq):
     """Compiled (w_o, w, alpha_x, alpha_y) at (x, y) arrays of a chart with
     gauge chart function m_sq, followed by the x partials and then the y
@@ -89,7 +93,8 @@ def _chart_fields(m_sq):
 
     With L = log m^2 and g = L - log(1 + |v|^2), w = L_xx + L_yy and alpha =
     dc g = (-g_y, g_x), all from the order-3 jet of L and the jets of the
-    reference terms log(1 + |v|^2) and w_o = 4 / (1 + |v|^2)^2.
+    reference terms log(1 + |v|^2) and w_o = 4 / (1 + |v|^2)^2.  Memoized
+    on the hash-consed node, so charts with the same m^2 share one callable.
     """
     x, y = real_coords(2)
     q = 1 + x**2 + y**2
@@ -111,6 +116,11 @@ def _chart_fields(m_sq):
     return fields
 
 
+def _charts_by_field(fields):
+    """Each distinct callable of a chart -> field dict, with its charts."""
+    return {fn: [c for c in fields if fields[c] is fn] for fn in fields.values()}
+
+
 def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     """Curvature form of the gauge circle bundle on the base charts.
 
@@ -125,10 +135,9 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     if atlas is None:
         atlas = ChartAtlas(n=2, n_v=33)
     fns = {c: _chart_fields(mink.m_sq_charts[c]) for c in atlas.charts}
-    min_coeff = np.inf
-    for c in atlas.charts:
-        V = atlas.base_points(c)
-        min_coeff = min(min_coeff, float(np.min(fns[c](V.real, V.imag)[0, 1])))
+    shared = _charts_by_field(fns)
+    V = atlas.base_points(0)  # every chart has the same node grid
+    min_coeff = min(float(np.min(fn(V.real, V.imag)[0, 1])) for fn in shared)
     if min_coeff <= 0:
         raise MoserError(
             f"curvature coefficient not positive (min {min_coeff:.3e}): "
@@ -138,7 +147,8 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     # boundary circles are identified), and the integrand is analytic, so
     # the high-order disk rule resolves the total to machine precision
     total = sum(
-        _disk_integral(lambda xs, ys, fn=fns[c]: fn(xs, ys)[0, 1]) for c in atlas.charts
+        len(charts) * _disk_integral(lambda xs, ys, fn=fn: fn(xs, ys)[0, 1])
+        for fn, charts in shared.items()
     )
     conn = ConnectionData(
         mink=mink,
@@ -190,29 +200,34 @@ class MoserFieldEvaluator:
     def __init__(self, conn: ConnectionData):
         self.conn = conn
 
-    def __call__(self, t, chart, v):
-        """X and its partials X_x, X_y at base points v of one chart, as a
-        complex array of shape (3,) + v.shape."""
-        F = self.conn.fields[chart](v.real, v.imag)
-        w = (1.0 - t) * F[:, 0] + t * F[:, 1]
-        if np.min(w[0]) <= 0:
-            bad = int(np.argmin(w[0]))
-            raise MoserError(
-                f"interpolated form degenerates at t={t:.3f}, chart {chart}, "
-                f"v={v.ravel()[bad]:.4f}"
-            )
-        X = (-F[0, 3] + 1j * F[0, 2]) / w[0]
-        # quotient rule on (-alpha_y + i alpha_x) / w_t
-        dX = (-F[1:, 3] + 1j * F[1:, 2] - X * w[1:]) / w[0]
-        return np.concatenate([X[None], dX])
+    def groups(self, chart_of):
+        """(chart, flat indices) per distinct chart field: the points whose
+        label in chart_of is a chart with the field of the named chart."""
+        groups = [(cs[0], np.flatnonzero(np.isin(chart_of, cs)))
+                  for cs in _charts_by_field(self.conn.fields).values()]
+        return [(c, idx) for c, idx in groups if len(idx)]
 
-    def velocity(self, t, v, chart_of):
-        """(X, X_x, X_y) for a batch with per-point chart labels."""
-        out = np.empty((3,) + v.shape, dtype=complex)
-        for c in np.unique(chart_of):
-            sel = chart_of == c
-            out[:, sel] = self(t, int(c), v[sel])
-        return out
+    def velocity(self, t, v, chart_of, groups):
+        """X and its partials X_x, X_y at base points v of any shape, each
+        in its chart of chart_of, as a complex array of shape (3,) +
+        v.shape, from one field call per group of groups(chart_of).  A
+        degenerate w_t names the point's own chart and its index in v: in
+        moser_flow, its start node (start chart, j, k)."""
+        flat = v.ravel()
+        out = np.empty((3, v.size), dtype=complex)
+        for chart, idx in groups:
+            F = self.conn.fields[chart](flat[idx].real, flat[idx].imag)
+            w = (1.0 - t) * F[:, 0] + t * F[:, 1]
+            if np.min(w[0]) <= 0:
+                bad = np.unravel_index(idx[np.argmin(w[0])], v.shape)
+                raise MoserError(
+                    f"interpolated form degenerates at t={t:.3f}, chart {chart_of[bad]}, "
+                    f"start node {tuple(map(int, bad))}, v={v[bad]:.4f}"
+                )
+            out[0, idx] = X = (-F[0, 3] + 1j * F[0, 2]) / w[0]
+            # quotient rule on (-alpha_y + i alpha_x) / w_t
+            out[1:, idx] = (-F[1:, 3] + 1j * F[1:, 2] - X * w[1:]) / w[0]
+        return out.reshape((3,) + v.shape)
 
 
 @dataclass(frozen=True)
@@ -230,25 +245,25 @@ class MoserFlowResult:
     endpoint_residual: float
 
 
-def _lifted_field(fn, chart_of):
+def _lifted_field(fn, chart_of, groups):
     """Base velocity X and the Hopf phase rate theta' = -Im(X conj v) /
-    (1 + |v|^2) of the horizontal lift, on real states (x, y, theta), with
-    their exact 3x3 spatial derivative; the field does not depend on
-    theta."""
+    (1 + |v|^2) of the horizontal lift, on real states (..., 3) of (x, y,
+    theta) in the charts chart_of, with their exact 3x3 spatial
+    derivative; the field does not depend on theta."""
 
     def f(t, y):
-        v = y[:, 0] + 1j * y[:, 1]
-        X, Xx, Xy = fn.velocity(t, v, chart_of)
+        v = y[..., 0] + 1j * y[..., 1]
+        X, Xx, Xy = fn.velocity(t, v, chart_of, groups)
         q = 1.0 + np.abs(v) ** 2
         dtheta = -np.imag(X * np.conj(v)) / q
         D = np.zeros(y.shape + (3,))
         # d v / dx = 1 and d v / dy = i, so d conj(v) is 1 and -i
         for k, (Xk, dv_bar) in enumerate(((Xx, 1.0), (Xy, -1j))):
-            D[:, 0, k] = Xk.real
-            D[:, 1, k] = Xk.imag
+            D[..., 0, k] = Xk.real
+            D[..., 1, k] = Xk.imag
             dg = np.imag(Xk * np.conj(v) + X * dv_bar)
-            D[:, 2, k] = (-dg - dtheta * 2.0 * y[:, k]) / q
-        return np.stack([X.real, X.imag, dtheta], axis=1), D
+            D[..., 2, k] = (-dg - dtheta * 2.0 * y[..., k]) / q
+        return np.stack([X.real, X.imag, dtheta], axis=-1), D
 
     return f
 
@@ -293,44 +308,43 @@ def moser_flow(conn: ConnectionData, n_steps=200):
 
     Fixed-step RK4 on node trajectories of the state (x, y, theta), theta
     the Hopf phase of the lift to the unit sphere, with the variational 3x2
-    Jacobian propagated alongside; trajectories that wander far from the
-    chart are handed to the opposite chart and converted back for storage.
-    The endpoint contract (the pullback of the target form equals the
-    reference form) is measured at every node.
+    Jacobian propagated alongside, the nodes of all charts as one state of
+    shape (charts, n_v, n_v, 3).  Trajectories that wander far from their
+    chart are handed to the opposite chart (a regrouping by chart field)
+    and converted back for storage.  The endpoint contract (the pullback of
+    the target form equals the reference form) is measured at every node.
     """
     at = conn.atlas
     fn = MoserFieldEvaluator(conn)
-    endpoints, phases, jacobians = {}, {}, {}
+    V0 = np.stack([at.base_points(c) for c in at.charts])
+    start = np.broadcast_to(np.array(at.charts)[:, None, None], V0.shape)
+    chart_of = start.copy()
+    y = np.stack([V0.real, V0.imag, np.zeros(V0.shape)], axis=-1)
+    M = np.tile(np.eye(3, 2), V0.shape + (1, 1))
+    f = _lifted_field(fn, chart_of, fn.groups(chart_of))
     dt = 1.0 / n_steps
-    for chart in at.charts:
-        V0 = at.base_points(chart).ravel()
-        y = np.stack([V0.real, V0.imag, np.zeros(len(V0))], axis=1)
-        chart_of = np.full(len(V0), chart)
-        M = np.tile(np.eye(3, 2), (len(V0), 1, 1))
-        f = _lifted_field(fn, chart_of)
-        for i in range(n_steps):
-            y, M = rk4_step(f, i * dt, y, dt, M=M)
-            # hand far wanderers to the opposite chart (avoids infinity)
-            far = np.hypot(y[:, 0], y[:, 1]) > 3.0
-            if np.any(far):
-                y[far], M[far] = _hand_off(at, y[far], M[far])
-                chart_of[far] = 1 - chart_of[far]
-        # represent endpoints in the start chart
-        flipped = chart_of != chart
-        if np.any(flipped):
-            y[flipped], M[flipped] = _hand_off(at, y[flipped], M[flipped])
-        endpoints[chart] = (y[:, 0] + 1j * y[:, 1]).reshape(at.n_v, at.n_v)
-        phases[chart] = y[:, 2].reshape(at.n_v, at.n_v)
-        jacobians[chart] = M.reshape(at.n_v, at.n_v, 3, 2)
+    for i in range(n_steps):
+        y, M = rk4_step(f, i * dt, y, dt, M=M)
+        # hand far wanderers to the opposite chart (avoids infinity)
+        far = np.hypot(y[..., 0], y[..., 1]) > 3.0
+        if np.any(far):
+            y[far], M[far] = _hand_off(at, y[far], M[far])
+            chart_of[far] = 1 - chart_of[far]
+            f = _lifted_field(fn, chart_of, fn.groups(chart_of))
+    # represent endpoints in the start chart
+    flipped = chart_of != start
+    if np.any(flipped):
+        y[flipped], M[flipped] = _hand_off(at, y[flipped], M[flipped])
+    endpoints = {c: y[c, ..., 0] + 1j * y[c, ..., 1] for c in at.charts}
+    phases = {c: y[c, ..., 2] for c in at.charts}
+    jacobians = {c: M[c] for c in at.charts}
 
     resid = 0.0
-    for chart in at.charts:
-        fields = conn.fields[chart]
-        V0 = at.base_points(chart)
-        keep = np.abs(V0) <= R_OUTER
-        E = endpoints[chart]
-        pulled = fields(E.real, E.imag)[0, 1] * np.linalg.det(jacobians[chart][..., :2, :])
-        resid = max(resid, float(np.max(np.abs(pulled - fields(V0.real, V0.imag)[0, 0])[keep])))
+    for c in at.charts:
+        fields, E, V = conn.fields[c], endpoints[c], V0[c]
+        pulled = fields(E.real, E.imag)[0, 1] * np.linalg.det(jacobians[c][..., :2, :])
+        ref = fields(V.real, V.imag)[0, 0]
+        resid = max(resid, float(np.max(np.abs(pulled - ref)[np.abs(V) <= R_OUTER])))
     return MoserFlowResult(
         conn=conn,
         n_steps=n_steps,

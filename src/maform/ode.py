@@ -9,22 +9,21 @@ stages (Hairer, Norsett, Wanner, Solving Ordinary Differential Equations I).
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def rk4_step(f, t, y, dt, M):
     """One RK4 step of y' = f(t, y) from t to t + dt, with the variational
     matrices M of shape (..., d, k).
 
     f(t, y) returns the slope and its spatial derivative Df of shape
-    (..., d, d) from one call; M is advanced along the same stage points
-    and (y_new, M_new) is returned.
+    (..., d, d) from one call; M is advanced along the same stage points,
+    its stage slope the matrix product Df @ (M + s N) over the leading
+    point axes, shape (..., d, k), and (y_new, M_new) is returned.
     """
 
     def stage(s, k, N):
         # slope and variational slope at t + s, y + s k, M + s N
         slope, D = f(t + s, y + s * k)
-        return slope, np.einsum("...ij,...jk->...ik", D, M + s * N)
+        return slope, D @ (M + s * N)
 
     half = dt / 2
     k1, N1 = stage(0.0, 0.0, 0.0)

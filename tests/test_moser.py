@@ -1,5 +1,7 @@
 """Curvature data, base flow with its horizontal lift, and map assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from maform.moser import (
     moser_flow,
     normalize_domain,
 )
+from maform.ode import rk4_step
 from maform.symforms import call, num, real_coords
 from symbolic_forms import AnalyticForm, lambdify_rows, sympy_coords, to_sympy
 
@@ -41,6 +44,52 @@ def forward(nm, z):
         scale = np.sqrt(1.0 + np.abs(vs) ** 2) / nm.mink.mu(raw)
         out[sel] = (zeta[sel] * scale)[:, None] * raw
     return out.reshape(z.shape)
+
+
+def per_chart_flow(conn, n_steps):
+    """The flow as one integration per start chart, its points grouped by
+    chart label at every step: the reference for the batched moser_flow.
+    Returns the endpoints, phases and jacobians per chart and the number
+    of hand-offs."""
+    at, fn = conn.atlas, MoserFieldEvaluator(conn)
+    endpoints, phases, jacobians, handed = {}, {}, {}, 0
+    dt = 1.0 / n_steps
+    for chart in at.charts:
+        V0 = at.base_points(chart).ravel()
+        y = np.stack([V0.real, V0.imag, np.zeros(len(V0))], axis=1)
+        chart_of = np.full(len(V0), chart)
+        M = np.tile(np.eye(3, 2), (len(V0), 1, 1))
+        for i in range(n_steps):
+            groups = [(int(c), np.flatnonzero(chart_of == c)) for c in np.unique(chart_of)]
+            y, M = rk4_step(_lifted_field(fn, chart_of, groups), i * dt, y, dt, M=M)
+            far = np.hypot(y[:, 0], y[:, 1]) > 3.0
+            handed += int(np.count_nonzero(far))
+            if np.any(far):
+                y[far], M[far] = _hand_off(at, y[far], M[far])
+                chart_of[far] = 1 - chart_of[far]
+        flipped = chart_of != chart
+        if np.any(flipped):
+            y[flipped], M[flipped] = _hand_off(at, y[flipped], M[flipped])
+        endpoints[chart] = (y[:, 0] + 1j * y[:, 1]).reshape(at.n_v, at.n_v)
+        phases[chart] = y[:, 2].reshape(at.n_v, at.n_v)
+        jacobians[chart] = M.reshape(at.n_v, at.n_v, 3, 2)
+    return endpoints, phases, jacobians, handed
+
+
+def spied(conn):
+    """conn with every distinct chart field wrapped once (so sharing is
+    kept), and the list that records one entry per field call."""
+    calls = []
+
+    def spy(fn):
+        def counted(xs, ys):
+            calls.append(np.shape(xs))
+            return fn(xs, ys)
+
+        return counted
+
+    wrapped = {fn: spy(fn) for fn in conn.fields.values()}
+    return replace(conn, fields={c: wrapped[fn] for c, fn in conn.fields.items()}), calls
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +245,8 @@ class TestMoserFlow:
             y = np.column_stack(
                 [*rng.uniform(-2.5, 2.5, (2, n)), rng.uniform(-np.pi, np.pi, n)]
             )
-            f = _lifted_field(fn, np.full(n, chart))
+            chart_of = np.full(n, chart)
+            f = _lifted_field(fn, chart_of, fn.groups(chart_of))
             for t in (0.0, 0.37, 1.0):
                 _, D = f(t, y)
                 for k, coord in enumerate(("x", "y", "theta")):
@@ -210,6 +260,67 @@ class TestMoserFlow:
                             f"d({row})/d{coord}, chart {chart}, t = {t}: "
                             f"{err:.2e} against scale {scale:.2e}"
                         )
+
+    @pytest.mark.parametrize(
+        "spec, hands_off",
+        [({"kind": "ellipsoid", "a": 1, "b": 4}, True), ({"kind": "perturbed_ball", "eps": 0.05}, False)],
+    )
+    def test_batched_flow_matches_per_chart_flow(self, spec, hands_off):
+        # one state for all charts, one call per distinct chart field, and
+        # the regrouping after hand-offs (24 on the ellipsoid) must not
+        # change the per-chart integration
+        mink, _ = make_circular_domain(spec)
+        conn = curvature(mink, ATLAS)
+        flow = moser_flow(conn, n_steps=50)
+        *ref, handed = per_chart_flow(conn, 50)
+        assert (handed > 0) == hands_off, handed
+        for got, want in zip((flow.endpoints, flow.phases, flow.jacobians), ref):
+            for c in ATLAS.charts:
+                assert got[c].shape == want[c].shape
+                assert np.max(np.abs(got[c] - want[c])) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "spec, shared, stage_calls",
+        [
+            ({"kind": "ball"}, True, 200),
+            ({"kind": "perturbed_ball", "eps": 0.05}, True, 200),
+            ({"kind": "ellipsoid", "a": 1, "b": 4}, False, 400),
+        ],
+    )
+    def test_one_field_call_per_distinct_field_and_stage(self, spec, shared, stage_calls):
+        # charts with the same m^2 expression share one compiled field, and
+        # each of the 4 x 50 stages calls each distinct field once; the
+        # endpoint residual adds two calls per chart
+        mink, _ = make_circular_domain(spec)
+        conn = curvature(mink, ATLAS)
+        assert (conn.fields[0] is conn.fields[1]) == shared
+        doctored, calls = spied(conn)
+        moser_flow(doctored, n_steps=50)
+        assert len(calls) == stage_calls + 2 * len(ATLAS.charts)
+
+    def test_degenerate_form_names_the_points_chart_and_start_node(self):
+        # w_t <= 0 at one chart-1 point names chart 1 and the point's start
+        # node (start chart, j, k), also when the charts share one field
+        # call whose group is named by chart 0
+        mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
+        conn = curvature(mink, ATLAS)
+        good = conn.fields[0]
+        P = ATLAS.base_points(1)[3, 5]
+
+        def bad(xs, ys):
+            F = good(xs, ys)
+            F[:, :2, (xs == P.real) & (ys == P.imag)] = -1.0
+            return F
+
+        with pytest.raises(MoserError, match=r"t=0\.000, chart 1, start node \(1, 3, 5\)"):
+            moser_flow(replace(conn, fields={0: good, 1: bad}), n_steps=10)
+        fn = MoserFieldEvaluator(replace(conn, fields={0: bad, 1: bad}))
+        v = np.array([[0.1, 0.2j, 0.3], [0.1, P, 0.3]])
+        chart_of = np.array([[0, 0, 0], [1, 1, 1]])
+        groups = fn.groups(chart_of)
+        assert [c for c, _ in groups] == [0]
+        with pytest.raises(MoserError, match=r"t=0\.500, chart 1, start node \(1, 1\)"):
+            fn.velocity(0.5, v, chart_of, groups)
 
     def test_perturbed_ball_anchor(self):
         # at the benchmark's resolution the pulled-back target form equals
