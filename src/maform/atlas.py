@@ -94,17 +94,6 @@ class ChartAtlas:
         X1, Y1, X2, Y2 = np.meshgrid(self.xs, self.xs, self.xs, self.xs, indexing="ij")
         return X1 + 1j * Y1, X2 + 1j * Y2
 
-    def transition_jacobian(self, v):
-        """Real 2x2 Jacobian of v -> 1/v at each point of v (complex array)."""
-        dw = -1.0 / v**2  # holomorphic derivative
-        a, b = dw.real, dw.imag
-        Jc = np.empty(v.shape + (2, 2))
-        Jc[..., 0, 0] = a
-        Jc[..., 0, 1] = -b
-        Jc[..., 1, 0] = b
-        Jc[..., 1, 1] = a
-        return Jc
-
 
 def blowup_forward(z):
     """Map points of C^n \\ {0} to (chart, v, zeta).

@@ -34,8 +34,7 @@ def dump_records(records, path, binary=False):
             arr = np.asarray(arr, dtype=complex)
             shape = " ".join(str(s) for s in arr.shape)
             fh.write(f"chart {int(chart)} shape {shape}\n")
-            for val in arr.ravel():
-                fh.write(f"{val.real:.17e} {val.imag:.17e}\n")
+            fh.write("%.17e %.17e\n" * arr.size % tuple(np.ravel(arr).view(float).tolist()))
 
 
 def load_records(path, binary=False):

@@ -15,8 +15,9 @@ partials, come from the compiled order-3 jet of log m^2 and the jets of
 the reference terms (symforms.Jet.compile, once per distinct chart
 expression), so spatial discretization error enters only through the
 node sampling of results, not through the dynamics.  The nodes of all
-charts advance as one batched flow, and each RK4 stage makes one call per
-distinct chart field, giving the field and its exact Jacobian.  The
+charts advance as one batched flow on real planes, and each RK4 stage
+makes one call per distinct chart field, giving the field and its exact
+Jacobian.  The
 ambient gradient of mu^2 (horizontal planes, the lift's gauge
 derivative) comes from its order-1 jet.
 Derivative data that downstream consumers need at grid nodes (dW,
@@ -168,15 +169,14 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
 def horizontal_space(mink: MinkowskiField, u):
     """Real basis of ker d(mu~) /\\ ker(d(mu~) o J) at ambient points u.
 
-    Returns (N, 2, 4) real vectors spanning the J-invariant plane.
+    Returns (N, 2, 4) real vectors spanning the J-invariant plane: with g
+    the gradient of mu^2, k1 = (-g2, g3, g0, -g1) / |g| is orthogonal to g
+    and to gJ = (g1, -g0, g3, -g2), and k2 = J k1.
     """
-    grad = _gauge_grad(mink, u)
-    J = standard_j_matrix(4)
-    rows = np.stack([grad, grad @ J], axis=1)  # d(mu^2), d(mu^2) o J
-    _, _, Vt = np.linalg.svd(rows)
-    k1 = Vt[:, -1, :]
-    k2 = k1 @ J.T
-    return np.stack([k1, k2], axis=1)
+    g = _gauge_grad(mink, u)
+    k1 = np.stack([-g[:, 2], g[:, 3], g[:, 0], -g[:, 1]], axis=1)
+    k1 /= np.linalg.norm(g, axis=1)[:, None]
+    return np.stack([k1, k1 @ standard_j_matrix(4).T], axis=1)
 
 
 def _gauge_grad(mink: MinkowskiField, u):
@@ -187,47 +187,6 @@ def _gauge_grad(mink: MinkowskiField, u):
 
 # ---------------------------------------------------------------------------
 # Moser flow on the base
-
-
-class MoserFieldEvaluator:
-    """The time-dependent base vector field of the interpolation method.
-
-    With omega_t = (1-t) omega_o + t omega and the exact primitive alpha
-    of omega - omega_o, the field X_t solves i_{X_t} omega_t = -alpha,
-    which in a chart is X = (-alpha_y + i alpha_x) / w_t.
-    """
-
-    def __init__(self, conn: ConnectionData):
-        self.conn = conn
-
-    def groups(self, chart_of):
-        """(chart, flat indices) per distinct chart field: the points whose
-        label in chart_of is a chart with the field of the named chart."""
-        groups = [(cs[0], np.flatnonzero(np.isin(chart_of, cs)))
-                  for cs in _charts_by_field(self.conn.fields).values()]
-        return [(c, idx) for c, idx in groups if len(idx)]
-
-    def velocity(self, t, v, chart_of, groups):
-        """X and its partials X_x, X_y at base points v of any shape, each
-        in its chart of chart_of, as a complex array of shape (3,) +
-        v.shape, from one field call per group of groups(chart_of).  A
-        degenerate w_t names the point's own chart and its index in v: in
-        moser_flow, its start node (start chart, j, k)."""
-        flat = v.ravel()
-        out = np.empty((3, v.size), dtype=complex)
-        for chart, idx in groups:
-            F = self.conn.fields[chart](flat[idx].real, flat[idx].imag)
-            w = (1.0 - t) * F[:, 0] + t * F[:, 1]
-            if np.min(w[0]) <= 0:
-                bad = np.unravel_index(idx[np.argmin(w[0])], v.shape)
-                raise MoserError(
-                    f"interpolated form degenerates at t={t:.3f}, chart {chart_of[bad]}, "
-                    f"start node {tuple(map(int, bad))}, v={v[bad]:.4f}"
-                )
-            out[0, idx] = X = (-F[0, 3] + 1j * F[0, 2]) / w[0]
-            # quotient rule on (-alpha_y + i alpha_x) / w_t
-            out[1:, idx] = (-F[1:, 3] + 1j * F[1:, 2] - X * w[1:]) / w[0]
-        return out.reshape((3,) + v.shape)
 
 
 @dataclass(frozen=True)
@@ -245,39 +204,66 @@ class MoserFlowResult:
     endpoint_residual: float
 
 
-def _lifted_field(fn, chart_of, groups):
-    """Base velocity X and the Hopf phase rate theta' = -Im(X conj v) /
-    (1 + |v|^2) of the horizontal lift, on real states (..., 3) of (x, y,
-    theta) in the charts chart_of, with their exact 3x3 spatial
-    derivative; the field does not depend on theta."""
+def _lifted_field(fields, chart_of, node_shape):
+    """The base field X_t and the Hopf phase rate theta' = (Re X y - Im X
+    x) / (1 + |v|^2) of the horizontal lift, as f(t, state, M) for rk4_step
+    on real planes: the state of shape (3, P) holds (x, y, theta) of P points
+    in the charts chart_of, and M of shape (3, k, P) their derivatives.
 
-    def f(t, y):
-        v = y[..., 0] + 1j * y[..., 1]
-        X, Xx, Xy = fn.velocity(t, v, chart_of, groups)
-        q = 1.0 + np.abs(v) ** 2
-        dtheta = -np.imag(X * np.conj(v)) / q
-        D = np.zeros(y.shape + (3,))
-        # d v / dx = 1 and d v / dy = i, so d conj(v) is 1 and -i
-        for k, (Xk, dv_bar) in enumerate(((Xx, 1.0), (Xy, -1j))):
-            D[..., 0, k] = Xk.real
-            D[..., 1, k] = Xk.imag
-            dg = np.imag(Xk * np.conj(v) + X * dv_bar)
-            D[..., 2, k] = (-dg - dtheta * 2.0 * y[..., k]) / q
-        return np.stack([X.real, X.imag, dtheta], axis=-1), D
+    With omega_t = (1-t) omega_o + t omega and the exact primitive alpha of
+    omega - omega_o, X_t solves i_{X_t} omega_t = -alpha, which in a chart
+    is X = (-alpha_y + i alpha_x) / w_t.  Each stage calls each distinct
+    chart field once.  The field does not depend on theta, so the
+    variational slope is Df[:, :2] @ M[:2], formed as plane products.  A
+    degenerate w_t names the point's chart and its index in node_shape: in
+    moser_flow, its start node (start chart, j, k).
+    """
+    groups = [(fn, np.flatnonzero(np.isin(chart_of, cs)))
+              for fn, cs in _charts_by_field(fields).items()]
+    groups = [(fn, idx) for fn, idx in groups if len(idx)]
+
+    def f(t, state, M):
+        x, y = state[0], state[1]
+        if len(groups) == 1:
+            F = groups[0][0](x, y)
+        else:
+            F = np.empty((3, 4, len(x)))
+            for fn, idx in groups:
+                F[..., idx] = fn(x[idx], y[idx])
+        w = (1.0 - t) * F[:, 0] + t * F[:, 1]  # w_t and its x and y partials
+        if np.min(w[0]) <= 0:
+            p = np.argmin(w[0])
+            raise MoserError(
+                f"interpolated form degenerates at t={t:.3f}, chart {chart_of[p]}, "
+                f"start node {tuple(map(int, np.unravel_index(p, node_shape)))}, "
+                f"v={complex(x[p], y[p]):.4f}"
+            )
+        a = -F[0, 3] / w[0]  # Re X
+        b = F[0, 2] / w[0]  # Im X
+        # x and y partials, rows of (2, P), by the quotient rule
+        da = (-F[1:, 3] - a * w[1:]) / w[0]
+        db = (F[1:, 2] - b * w[1:]) / w[0]
+        q = 1.0 + x * x + y * y
+        rate = (a * y - b * x) / q
+        drate = (da * y - db * x + np.array([-b, a]) - 2.0 * rate * state[:2]) / q
+        D = np.array([da, db, drate])  # Df[row, coordinate]
+        return np.array([a, b, rate]), D[:, 0, None] * M[0] + D[:, 1, None] * M[1]
 
     return f
 
 
-def _hand_off(atlas, y, M):
-    """The same sphere points in the opposite chart: v -> 1/v and
-    theta -> theta + arg v, with the start derivatives M carried along."""
-    v = y[:, 0] + 1j * y[:, 1]
+def _hand_off(state, M):
+    """The same sphere points in the opposite chart: v -> 1/v and theta ->
+    theta + arg v, on planes (x, y, theta) of shape (3, P) and M of shape
+    (3, 2, P), with the start derivatives carried by d(1/v) = -dv / v^2
+    and d(arg v) = (x dy - y dx) / |v|^2."""
+    x, y = state[0], state[1]
+    v = x + 1j * y
     w = 1.0 / v
-    d_arg = np.stack([-v.imag, v.real], axis=1) / (np.abs(v) ** 2)[:, None]
-    M_new = np.empty_like(M)
-    M_new[:, :2] = np.einsum("nij,njk->nik", atlas.transition_jacobian(v), M[:, :2])
-    M_new[:, 2] = M[:, 2] + np.einsum("ni,nik->nk", d_arg, M[:, :2])
-    return np.stack([w.real, w.imag, y[:, 2] + np.angle(v)], axis=1), M_new
+    dv = -1.0 / v**2 * (M[0] + 1j * M[1])
+    d_arg = (x * M[1] - y * M[0]) / (x * x + y * y)
+    return (np.array([w.real, w.imag, state[2] + np.angle(v)]),
+            np.array([dv.real, dv.imag, M[2] + d_arg]))
 
 
 def _sphere_point(chart, v, theta, M):
@@ -309,34 +295,36 @@ def moser_flow(conn: ConnectionData, n_steps=200):
     Fixed-step RK4 on node trajectories of the state (x, y, theta), theta
     the Hopf phase of the lift to the unit sphere, with the variational 3x2
     Jacobian propagated alongside, the nodes of all charts as one state of
-    shape (charts, n_v, n_v, 3).  Trajectories that wander far from their
-    chart are handed to the opposite chart (a regrouping by chart field)
-    and converted back for storage.  The endpoint contract (the pullback of
-    the target form equals the reference form) is measured at every node.
+    real planes.  Trajectories that wander far from their chart are handed
+    to the opposite chart (a regrouping by chart field) and converted back
+    for storage.  The endpoint contract (the pullback of the target form
+    equals the reference form) is measured at every node.
     """
     at = conn.atlas
-    fn = MoserFieldEvaluator(conn)
     V0 = np.stack([at.base_points(c) for c in at.charts])
-    start = np.broadcast_to(np.array(at.charts)[:, None, None], V0.shape)
+    start = np.repeat(at.charts, V0[0].size)
     chart_of = start.copy()
-    y = np.stack([V0.real, V0.imag, np.zeros(V0.shape)], axis=-1)
-    M = np.tile(np.eye(3, 2), V0.shape + (1, 1))
-    f = _lifted_field(fn, chart_of, fn.groups(chart_of))
+    y = np.array([V0.real.ravel(), V0.imag.ravel(), np.zeros(V0.size)])
+    M = np.zeros((3, 2, V0.size))
+    M[0, 0] = M[1, 1] = 1.0
+    f = _lifted_field(conn.fields, chart_of, V0.shape)
     dt = 1.0 / n_steps
     for i in range(n_steps):
-        y, M = rk4_step(f, i * dt, y, dt, M=M)
+        y, M = rk4_step(f, i * dt, y, dt, M)
         # hand far wanderers to the opposite chart (avoids infinity)
-        far = np.hypot(y[..., 0], y[..., 1]) > 3.0
+        far = np.hypot(y[0], y[1]) > 3.0
         if np.any(far):
-            y[far], M[far] = _hand_off(at, y[far], M[far])
+            y[:, far], M[..., far] = _hand_off(y[:, far], M[..., far])
             chart_of[far] = 1 - chart_of[far]
-            f = _lifted_field(fn, chart_of, fn.groups(chart_of))
+            f = _lifted_field(conn.fields, chart_of, V0.shape)
     # represent endpoints in the start chart
     flipped = chart_of != start
     if np.any(flipped):
-        y[flipped], M[flipped] = _hand_off(at, y[flipped], M[flipped])
-    endpoints = {c: y[c, ..., 0] + 1j * y[c, ..., 1] for c in at.charts}
-    phases = {c: y[c, ..., 2] for c in at.charts}
+        y[:, flipped], M[..., flipped] = _hand_off(y[:, flipped], M[..., flipped])
+    y = y.reshape((3,) + V0.shape)
+    M = np.moveaxis(M.reshape((3, 2) + V0.shape), (0, 1), (-2, -1))
+    endpoints = {c: y[0, c] + 1j * y[1, c] for c in at.charts}
+    phases = {c: y[2, c] for c in at.charts}
     jacobians = {c: M[c] for c in at.charts}
 
     resid = 0.0
@@ -478,7 +466,7 @@ def circulation_residual(atlas, nu_chart, side=0.3, n_loops=16, seed=5):
     return float(np.max(np.abs(np.sum(sides, axis=1)))) / side**2
 
 
-def phase_correction(mink, atlas, nu):
+def phase_correction(atlas, nu):
     """Integrate the phase defect into a potential on both charts.
 
     lambda is gauged to vanish at the chart-0 origin and integrated along
@@ -562,7 +550,7 @@ def assemble(flow: MoserFlowResult) -> NormalizingMap:
         for c in at.charts
     }
     closedness = max(circulation_residual(at, nu[c]) for c in at.charts)
-    lam, path_mismatch = phase_correction(mink, at, nu)
+    lam, path_mismatch = phase_correction(at, nu)
     dlam = {c: -nu[c] for c in at.charts}
 
     W, dWx, dWy = {}, {}, {}

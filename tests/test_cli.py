@@ -137,6 +137,23 @@ class TestDumpFormat:
             assert c1 == c2
             assert np.array_equal(a1, a2)
 
+    def test_text_bytes_match_a_write_per_value(self, tmp_path):
+        # the text of a record is the per-value formatting, signed zeros
+        # and non-finite values included
+        arr = np.array([
+            [complex(0.1, -0.0), complex(-0.0, np.inf)],
+            [complex(np.nan, -np.inf), complex(-1e-300, 3e300)],
+        ])
+        recs = [(0, arr), (1, arr.T[::-1]), (2, np.zeros((0, 3), complex)), (3, np.array(2.5))]
+        path = tmp_path / "dump"
+        dump_records(recs, str(path))
+        ref = ""
+        for chart, a in recs:
+            ref += f"chart {chart} shape {' '.join(str(n) for n in a.shape)}\n"
+            for val in np.ravel(a).astype(complex):
+                ref += f"{val.real:.17e} {val.imag:.17e}\n"
+        assert path.read_bytes() == ref.encode()
+
     def test_binary_is_little_endian_pairs(self, tmp_path):
         arr = np.array([[1.5 - 2.5j]])
         path = str(tmp_path / "dump.bin")

@@ -135,7 +135,7 @@ class TestComputeZ:
         resids = []
         for step in (2e-2, 1e-2):
             moved, jac = rk4_step(
-                lambda _t, y: (ev(y), ev.jacobian(y)), 0.0, pts, step, M=np.eye(4),
+                lambda _t, y, M: (ev(y), ev.jacobian(y) @ M), 0.0, pts, step, M=np.eye(4),
             )
             A = ev.fields(moved)[3]
             Zm = ev(moved)

@@ -8,21 +8,22 @@ import pytest
 from maform.atlas import ChartAtlas, blowup_forward
 from maform.deformation import extract
 from maform.domains import MinkowskiField, make_circular_domain
+from maform.exterior import standard_j_matrix
 from maform.moser import (
     FS_AREA,
     MoserError,
-    MoserFieldEvaluator,
     NotAKnotBicubic,
+    _gauge_grad,
     _hand_off,
     _lifted_field,
     _sphere_point,
     circulation_residual,
     curvature,
+    horizontal_space,
     measure_connection_mismatch,
     moser_flow,
     normalize_domain,
 )
-from maform.ode import rk4_step
 from maform.symforms import call, num, real_coords
 from symbolic_forms import AnalyticForm, lambdify_rows, sympy_coords, to_sympy
 
@@ -46,12 +47,74 @@ def forward(nm, z):
     return out.reshape(z.shape)
 
 
+def reference_lifted_field(conn, chart_of):
+    """The lifted field on the interleaved layout: states (P, 3) of (x, y,
+    theta), X and its partials as complex arrays from one field call per
+    chart label, and the full 3x3 derivative with its zero theta column."""
+
+    def f(t, y):
+        v = y[:, 0] + 1j * y[:, 1]
+        X = np.empty((3, len(v)), dtype=complex)
+        for c in np.unique(chart_of):
+            sel = chart_of == c
+            F = conn.fields[c](v[sel].real, v[sel].imag)
+            w = (1.0 - t) * F[:, 0] + t * F[:, 1]
+            X[0, sel] = X0 = (-F[0, 3] + 1j * F[0, 2]) / w[0]
+            X[1:, sel] = (-F[1:, 3] + 1j * F[1:, 2] - X0 * w[1:]) / w[0]
+        q = 1.0 + np.abs(v) ** 2
+        dtheta = -np.imag(X[0] * np.conj(v)) / q
+        D = np.zeros(y.shape + (3,))
+        # d v / dx = 1 and d v / dy = i, so d conj(v) is 1 and -i
+        for k, dv_bar in enumerate((1.0, -1j)):
+            D[:, 0, k] = X[1 + k].real
+            D[:, 1, k] = X[1 + k].imag
+            dg = np.imag(X[1 + k] * np.conj(v) + X[0] * dv_bar)
+            D[:, 2, k] = (-dg - dtheta * 2.0 * y[:, k]) / q
+        return np.stack([X[0].real, X[0].imag, dtheta], axis=-1), D
+
+    return f
+
+
+def reference_rk4_step(f, t, y, dt, M):
+    """RK4 on y with the variational matrices M (P, 3, 2), each stage's
+    variational slope the matrix product Df @ (M + s N)."""
+
+    def stage(s, k, N):
+        slope, D = f(t + s, y + s * k)
+        return slope, D @ (M + s * N)
+
+    half = dt / 2
+    k1, N1 = stage(0.0, 0.0, 0.0)
+    k2, N2 = stage(half, k1, N1)
+    k3, N3 = stage(half, k2, N2)
+    k4, N4 = stage(dt, k3, N3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4), M + dt / 6 * (N1 + 2 * N2 + 2 * N3 + N4)
+
+
+def reference_hand_off(y, M):
+    """v -> 1/v and theta -> theta + arg v on the interleaved layout, M
+    carried by the real 2x2 Jacobian of v -> 1/v and the gradient of arg v."""
+    v = y[:, 0] + 1j * y[:, 1]
+    dw = -1.0 / v**2
+    J = np.empty(v.shape + (2, 2))
+    J[:, 0, 0] = J[:, 1, 1] = dw.real
+    J[:, 1, 0] = dw.imag
+    J[:, 0, 1] = -dw.imag
+    d_arg = np.stack([-v.imag, v.real], axis=1) / (np.abs(v) ** 2)[:, None]
+    M_new = np.empty_like(M)
+    M_new[:, :2] = J @ M[:, :2]
+    M_new[:, 2] = M[:, 2] + np.einsum("ni,nik->nk", d_arg, M[:, :2])
+    w = 1.0 / v
+    return np.stack([w.real, w.imag, y[:, 2] + np.angle(v)], axis=1), M_new
+
+
 def per_chart_flow(conn, n_steps):
-    """The flow as one integration per start chart, its points grouped by
-    chart label at every step: the reference for the batched moser_flow.
-    Returns the endpoints, phases and jacobians per chart and the number
-    of hand-offs."""
-    at, fn = conn.atlas, MoserFieldEvaluator(conn)
+    """The flow as one integration per start chart on the interleaved
+    layout, with the complex field and the 3x3 matrix product, its points
+    grouped by chart label at every step: the reference for the batched
+    moser_flow on real planes.  Returns the endpoints, phases and
+    jacobians per chart and the number of hand-offs."""
+    at = conn.atlas
     endpoints, phases, jacobians, handed = {}, {}, {}, 0
     dt = 1.0 / n_steps
     for chart in at.charts:
@@ -60,16 +123,15 @@ def per_chart_flow(conn, n_steps):
         chart_of = np.full(len(V0), chart)
         M = np.tile(np.eye(3, 2), (len(V0), 1, 1))
         for i in range(n_steps):
-            groups = [(int(c), np.flatnonzero(chart_of == c)) for c in np.unique(chart_of)]
-            y, M = rk4_step(_lifted_field(fn, chart_of, groups), i * dt, y, dt, M=M)
+            y, M = reference_rk4_step(reference_lifted_field(conn, chart_of), i * dt, y, dt, M)
             far = np.hypot(y[:, 0], y[:, 1]) > 3.0
             handed += int(np.count_nonzero(far))
             if np.any(far):
-                y[far], M[far] = _hand_off(at, y[far], M[far])
+                y[far], M[far] = reference_hand_off(y[far], M[far])
                 chart_of[far] = 1 - chart_of[far]
         flipped = chart_of != chart
         if np.any(flipped):
-            y[flipped], M[flipped] = _hand_off(at, y[flipped], M[flipped])
+            y[flipped], M[flipped] = reference_hand_off(y[flipped], M[flipped])
         endpoints[chart] = (y[:, 0] + 1j * y[:, 1]).reshape(at.n_v, at.n_v)
         phases[chart] = y[:, 2].reshape(at.n_v, at.n_v)
         jacobians[chart] = M.reshape(at.n_v, at.n_v, 3, 2)
@@ -233,29 +295,29 @@ class TestMoserFlow:
             assert abs(fine[0] - (coarse[0] - fine[0]) / 15) <= 0.05 * estimate, (coarse[0], fine[0])
 
     def test_lifted_field_jacobian_matches_central_differences(self):
-        # the exact Df that the field returns with its slope, entry by
-        # entry against central differences of the slope; the theta row is
-        # the Hopf phase rate, whose partials enter the phase correction
+        # the exact Df, the variational slope at M = I, entry by entry
+        # against central differences of the slope; the theta row is the
+        # Hopf phase rate, whose partials enter the phase correction
         mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
-        fn = MoserFieldEvaluator(curvature(mink, ATLAS))
+        conn = curvature(mink, ATLAS)
         rng = np.random.default_rng(29)
         n, h = 200, 1e-5
+        eye = np.broadcast_to(np.eye(3)[..., None], (3, 3, n))
         rows = ("Re X", "Im X", "theta'")
         for chart in (0, 1):
-            y = np.column_stack(
+            y = np.stack(
                 [*rng.uniform(-2.5, 2.5, (2, n)), rng.uniform(-np.pi, np.pi, n)]
             )
-            chart_of = np.full(n, chart)
-            f = _lifted_field(fn, chart_of, fn.groups(chart_of))
+            f = _lifted_field(conn.fields, np.full(n, chart), (n,))
             for t in (0.0, 0.37, 1.0):
-                _, D = f(t, y)
+                _, D = f(t, y, eye)
                 for k, coord in enumerate(("x", "y", "theta")):
-                    e = np.zeros(3)
+                    e = np.zeros((3, 1))
                     e[k] = h
-                    fd = (f(t, y + e)[0] - f(t, y - e)[0]) / (2 * h)
+                    fd = (f(t, y + e, eye)[0] - f(t, y - e, eye)[0]) / (2 * h)
                     for r, row in enumerate(rows):
-                        scale = np.max(np.abs(D[:, r, :2]))
-                        err = np.max(np.abs(D[:, r, k] - fd[:, r]))
+                        scale = np.max(np.abs(D[r, :2]))
+                        err = np.max(np.abs(D[r, k] - fd[r]))
                         assert err <= 1e-6 * scale, (
                             f"d({row})/d{coord}, chart {chart}, t = {t}: "
                             f"{err:.2e} against scale {scale:.2e}"
@@ -279,6 +341,16 @@ class TestMoserFlow:
                 assert got[c].shape == want[c].shape
                 assert np.max(np.abs(got[c] - want[c])) <= 1e-14
 
+    @pytest.mark.parametrize("spec", [{"kind": "ball"}, {"kind": "perturbed_ball", "eps": 0.05}])
+    def test_charts_with_one_field_and_grid_flow_alike(self, spec):
+        # the same m^2 and the same node grid on both charts: the batched
+        # state treats every point alike, so the two charts' results agree
+        # to the bit
+        mink, _ = make_circular_domain(spec)
+        flow = moser_flow(curvature(mink, ATLAS), n_steps=50)
+        for got in (flow.endpoints, flow.phases, flow.jacobians):
+            assert np.array_equal(got[0], got[1])
+
     @pytest.mark.parametrize(
         "spec, shared, stage_calls",
         [
@@ -301,7 +373,7 @@ class TestMoserFlow:
     def test_degenerate_form_names_the_points_chart_and_start_node(self):
         # w_t <= 0 at one chart-1 point names chart 1 and the point's start
         # node (start chart, j, k), also when the charts share one field
-        # call whose group is named by chart 0
+        # call
         mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
         conn = curvature(mink, ATLAS)
         good = conn.fields[0]
@@ -314,13 +386,12 @@ class TestMoserFlow:
 
         with pytest.raises(MoserError, match=r"t=0\.000, chart 1, start node \(1, 3, 5\)"):
             moser_flow(replace(conn, fields={0: good, 1: bad}), n_steps=10)
-        fn = MoserFieldEvaluator(replace(conn, fields={0: bad, 1: bad}))
-        v = np.array([[0.1, 0.2j, 0.3], [0.1, P, 0.3]])
-        chart_of = np.array([[0, 0, 0], [1, 1, 1]])
-        groups = fn.groups(chart_of)
-        assert [c for c, _ in groups] == [0]
+        shared, calls = spied(replace(conn, fields={0: bad, 1: bad}))
+        v = np.array([0.1, 0.2j, 0.3, 0.1, P, 0.3])
+        f = _lifted_field(shared.fields, np.array([0, 0, 0, 1, 1, 1]), (2, 3))
         with pytest.raises(MoserError, match=r"t=0\.500, chart 1, start node \(1, 1\)"):
-            fn.velocity(0.5, v, chart_of, groups)
+            f(0.5, np.stack([v.real, v.imag, np.zeros(6)]), np.zeros((3, 2, 6)))
+        assert len(calls) == 1
 
     def test_perturbed_ball_anchor(self):
         # at the benchmark's resolution the pulled-back target form equals
@@ -386,10 +457,10 @@ class TestHorizontalLift:
         v = rng.uniform(2.0, 5.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
         y = np.stack([v.real, v.imag, rng.uniform(-np.pi, np.pi, n)], axis=1)
         M = rng.normal(size=(n, 3, 2))
+        y2, M2 = _hand_off(y.T, np.moveaxis(M, 0, -1))
         for c in (0, 1):
-            y2, M2 = _hand_off(ATLAS, y, M)
             before = _sphere_point(c, v, y[:, 2], M)
-            after = _sphere_point(1 - c, y2[:, 0] + 1j * y2[:, 1], y2[:, 2], M2)
+            after = _sphere_point(1 - c, y2[0] + 1j * y2[1], y2[2], np.moveaxis(M2, -1, 0))
             for a, b in zip(before, after):
                 assert np.max(np.abs(a - b)) < 1e-13
 
@@ -418,6 +489,25 @@ class TestInterpolant:
 
 
 class TestPhaseCorrection:
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "ellipsoid", "a": 1, "b": 4}, {"kind": "perturbed_ball", "eps": 0.05}],
+    )
+    def test_horizontal_space_is_the_complex_line_of_the_gauge(self, spec):
+        # K is orthonormal and J-invariant, and d(mu^2) and d(mu^2) o J
+        # annihilate it
+        mink, _ = make_circular_domain(spec)
+        rng = np.random.default_rng(17)
+        u = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
+        K = horizontal_space(mink, u)
+        J = standard_j_matrix(4)
+        assert np.max(np.abs(K @ np.swapaxes(K, 1, 2) - np.eye(2))) < 1e-15
+        assert np.array_equal(K @ J.T, np.stack([K[:, 1], -K[:, 0]], axis=1))
+        g = _gauge_grad(mink, u)
+        g_scale = np.linalg.norm(g, axis=1)[:, None]
+        for row in (g, g @ J):
+            assert np.max(np.abs(np.einsum("ni,nai->na", row, K)) / g_scale) < 1e-15
+
     def test_circle_symmetric_gauges_have_no_defect(self, ellipsoid_map):
         _, nm = ellipsoid_map
         # for a circle-symmetric gauge the raw connection already matches

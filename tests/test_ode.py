@@ -8,8 +8,8 @@ from maform.ode import rk4_step
 A = np.array([[-0.3, 1.0], [-1.2, 0.1]])
 
 
-def linear_with_jacobian(_t, y):
-    return np.einsum("ij,...j->...i", A, y), A
+def linear_with_jacobian(_t, y, M):
+    return A @ y, A @ M
 
 
 def integrate(y0, n_steps, M=np.eye(2)):
@@ -40,8 +40,8 @@ def test_fourth_order_convergence():
 def test_stage_times_integrate_cubics_exactly():
     # RK4 is exact for y' = p(t) with p of degree 3 only if the stages sit
     # at t, t + dt/2 (twice) and t + dt; the slope does not depend on y,
-    # so Df = 0
+    # so the variational slope Df M = 0
     y, M = np.zeros(1), np.zeros((1, 1))
     for i in range(4):
-        y, M = rk4_step(lambda t, _y: (4 * t**3 + 1.0, np.zeros((1, 1))), 0.25 * i, y, 0.25, M=M)
+        y, M = rk4_step(lambda t, _y, _M: (4 * t**3 + 1.0, np.zeros((1, 1))), 0.25 * i, y, 0.25, M=M)
     assert abs(y[0] - 2.0) < 1e-15
