@@ -13,6 +13,7 @@ from __future__ import annotations
 import ast
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -125,10 +126,12 @@ class MinkowskiField:
         zz = z[None, :] if single else z.reshape(-1, self.n)
         chart, v, zeta = blowup_forward(zz)
         out = np.empty(len(zz))
-        for c in np.unique(chart):
+        for c in range(self.n):
             sel = chart == c
+            if not np.any(sel):
+                continue
             vv = v[sel, 0] if self.n == 2 else v[sel]
-            out[sel] = np.abs(zeta[sel]) * self.m(int(c), vv)
+            out[sel] = np.abs(zeta[sel]) * self.m(c, vv)
         if single:
             return float(out[0])
         return out.reshape(z.shape[:-1])
@@ -150,11 +153,16 @@ class ExhaustionField:
 # construction and validation
 
 
+def uniform_samples(seed, n, d, lo=-1.0, hi=1.0):
+    """n points, shape (n, d), uniform on [lo, hi]^d from random.Random(seed)."""
+    rng = random.Random(seed)
+    return np.array([rng.uniform(lo, hi) for _ in range(n * d)]).reshape(n, d)
+
+
 def _levi_witness(mu_sq, coords, n_samples=60, seed=7):
     """Check ddc(mu^2) > 0 at random ambient sample points off the origin;
     raises PseudoconvexityError with the offending point."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.0, 1.0, size=(n_samples, len(coords)))
+    pts = uniform_samples(seed, n_samples, len(coords))
     norms = np.linalg.norm(pts, axis=1)
     pts = pts[norms > 0.3]
     AJ = ddc_matrix(Jet.of(mu_sq, coords, pts, order=2).hess) @ standard_j_matrix(len(coords))

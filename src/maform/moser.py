@@ -11,15 +11,15 @@ gauge, and is the input to deformation-tensor extraction.
 
 Design notes: all flow fields are evaluated from exact chart expressions.
 The curvature coefficient and the primitive, with their x and y
-partials, come from the compiled order-3 jet of log m^2 and the jets of
-the reference terms (symforms.Jet.compile, once per distinct chart
-expression), so spatial discretization error enters only through the
-node sampling of results, not through the dynamics.  The nodes of all
-charts advance as one batched flow on real planes, and each RK4 stage
-makes one call per distinct chart field, giving the field and its exact
-Jacobian.  The
-ambient gradient of mu^2 (horizontal planes, the lift's gauge
-derivative) comes from its order-1 jet.
+partials, come from the compiled order-3 jet of log m^2 (symforms.Jet.compile,
+once per distinct chart expression) and the closed forms of the reference
+terms, so spatial discretization error enters only through the node
+sampling of results, not through the dynamics.  The curvature check reads
+the coefficient alone, from the order-2 jet.  The nodes of all charts
+advance as one batched flow on real planes, and each RK4 stage makes one
+call per distinct chart field, giving the field and its exact Jacobian as
+12 planes.  The ambient gradient of mu^2 (horizontal planes, the lift's
+gauge derivative) comes from its order-1 jet.
 Derivative data that downstream consumers need at grid nodes (dW,
 dlambda) is propagated by variational Jacobians along the flow and stored
 exactly at the nodes, never re-estimated by differencing an interpolant.
@@ -36,7 +36,7 @@ from functools import cache
 import numpy as np
 
 from .atlas import ChartAtlas, R_OUTER
-from .domains import MinkowskiField, ambient_coords
+from .domains import MinkowskiField, ambient_coords, uniform_samples
 from .exterior import standard_j_matrix
 from .ode import rk4_step
 from .symforms import Jet, call, real_coords, to_real
@@ -58,10 +58,10 @@ class ConnectionData:
     """Curvature 2-form data of a gauge on the base CP^1.
 
     fields: chart -> compiled callable of _chart_fields, one object for
-    charts with the same m^2, giving at (x, y) arrays the coefficients w_o
-    and w of the reference form and of the curvature form omega = w dx^dy,
-    the components (alpha_x, alpha_y) of the primitive with omega - omega_o
-    = d(alpha), and the x and y partials of all four.
+    charts with the same m^2, giving at (x, y) arrays the 12 planes of the
+    coefficients w_o and w of the reference form and of the curvature form
+    omega = w dx^dy, the components (alpha_x, alpha_y) of the primitive
+    with omega - omega_o = d(alpha), and the x and y partials of all four.
     """
 
     mink: MinkowskiField
@@ -71,6 +71,18 @@ class ConnectionData:
     min_coefficient: float
 
 
+@cache
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    the eigenvalues of the Jacobi matrix of the Legendre recurrence and
+    twice the squared first components of its eigenvectors (Golub and
+    Welsch, Math. Comp. 23, 1969)."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 def _disk_integral(fn, n_r=80, n_theta=160):
     """Integral of a smooth density over the unit disk.
 
@@ -78,7 +90,7 @@ def _disk_integral(fn, n_r=80, n_theta=160):
     accurate for periodic integrands), so analytic integrands converge to
     machine precision well before the node counts used here.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    nodes, weights = _gauss_legendre(n_r)
     rs = 0.5 * (nodes + 1.0)
     wr = 0.5 * weights * rs
     th = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
@@ -89,30 +101,27 @@ def _disk_integral(fn, n_r=80, n_theta=160):
 @cache
 def _chart_fields(m_sq):
     """Compiled (w_o, w, alpha_x, alpha_y) at (x, y) arrays of a chart with
-    gauge chart function m_sq, followed by the x partials and then the y
-    partials of those four: shape (3, 4) + point shape.
+    gauge chart function m_sq, then their x and then their y partials: a
+    tuple of 12 planes of the point shape, in the row-major order of (3, 4).
 
-    With L = log m^2 and g = L - log(1 + |v|^2), w = L_xx + L_yy and alpha =
-    dc g = (-g_y, g_x), all from the order-3 jet of L and the jets of the
-    reference terms log(1 + |v|^2) and w_o = 4 / (1 + |v|^2)^2.  Memoized
-    on the hash-consed node, so charts with the same m^2 share one callable.
+    With L = log m^2 and g = L - log q, q = 1 + |v|^2, w = L_xx + L_yy and
+    alpha = dc g = (-g_y, g_x), from the order-3 jet of L.  The reference
+    terms are closed forms in r = 1/q: w_o = 4 r^2, dw_o = -16 r^3 (x, y),
+    and log q has the partials 2 x r, 2 y r, 2 r - 4 x^2 r^2, -4 x y r^2 and
+    2 r - 4 y^2 r^2.  Memoized on the hash-consed node, so charts with the
+    same m^2 share one callable.
     """
-    x, y = real_coords(2)
-    q = 1 + x**2 + y**2
-    log_m_sq = Jet.compile(call("log", m_sq), (x, y), 3)
-    log_q = Jet.compile(call("log", q), (x, y), 2)
-    w_o = Jet.compile(4 / q**2, (x, y), 1)
+    log_m_sq = Jet.compile(call("log", m_sq), real_coords(2), 3)
 
     def fields(xs, ys):
         _, Lx, Ly, Lxx, Lxy, Lyy, Lxxx, Lxxy, Lxyy, Lyyy = log_m_sq(xs, ys)
-        _, Qx, Qy, Qxx, Qxy, Qyy = log_q(xs, ys)
-        wo, wox, woy = w_o(xs, ys)
-        gxy = Lxy - Qxy
-        return np.array([
-            [wo, Lxx + Lyy, Qy - Ly, Lx - Qx],
-            [wox, Lxxx + Lxyy, -gxy, Lxx - Qxx],
-            [woy, Lxxy + Lyyy, Qyy - Lyy, gxy],
-        ])
+        r = 1.0 / (1.0 + xs * xs + ys * ys)
+        Qx, Qy = 2.0 * r * xs, 2.0 * r * ys  # the x and y partials of log q
+        wo = 4.0 * r * r
+        gxy = Lxy + Qx * Qy
+        return (wo, Lxx + Lyy, Qy - Ly, Lx - Qx,
+                -2.0 * wo * Qx, Lxxx + Lxyy, -gxy, Lxx - 2.0 * r + Qx * Qx,
+                -2.0 * wo * Qy, Lxxy + Lyyy, 2.0 * r - Qy * Qy - Lyy, gxy)
 
     return fields
 
@@ -125,20 +134,25 @@ def _charts_by_field(fields):
 def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     """Curvature form of the gauge circle bundle on the base charts.
 
-    omega = ddc log m^2 per chart, evaluated through _chart_fields from the
-    jet of log m^2; positivity of the coefficient witnesses strict
-    pseudoconvexity of the gauge, and the chart-weighted integral must
-    reproduce the reference total area (the two forms differ by an exact
-    form).
+    omega = ddc log m^2 per chart, its coefficient w = L_xx + L_yy from the
+    order-2 jet of L = log m^2; positivity of the coefficient witnesses
+    strict pseudoconvexity of the gauge, and the chart-weighted integral
+    must reproduce the reference total area (the two forms differ by an
+    exact form).  The flow's fields come from _chart_fields.
     """
     if mink.n != 2:
         raise MoserError("curvature data is implemented for n = 2")
     if atlas is None:
         atlas = ChartAtlas(n=2, n_v=33)
-    fns = {c: _chart_fields(mink.m_sq_charts[c]) for c in atlas.charts}
-    shared = _charts_by_field(fns)
+    m_sq = [mink.m_sq_charts[c] for c in atlas.charts]
+    shared = {Jet.compile(call("log", m), real_coords(2), 2): m_sq.count(m) for m in m_sq}
+
+    def w(jet, xs, ys):
+        _, _, _, Lxx, _, Lyy = jet(xs, ys)
+        return Lxx + Lyy
+
     V = atlas.base_points(0)  # every chart has the same node grid
-    min_coeff = min(float(np.min(fn(V.real, V.imag)[0, 1])) for fn in shared)
+    min_coeff = min(float(np.min(w(jet, V.real, V.imag))) for jet in shared)
     if min_coeff <= 0:
         raise MoserError(
             f"curvature coefficient not positive (min {min_coeff:.3e}): "
@@ -148,13 +162,13 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     # boundary circles are identified), and the integrand is analytic, so
     # the high-order disk rule resolves the total to machine precision
     total = sum(
-        len(charts) * _disk_integral(lambda xs, ys, fn=fn: fn(xs, ys)[0, 1])
-        for fn, charts in shared.items()
+        count * _disk_integral(lambda xs, ys, jet=jet: w(jet, xs, ys))
+        for jet, count in shared.items()
     )
     conn = ConnectionData(
         mink=mink,
         atlas=atlas,
-        fields=fns,
+        fields={c: _chart_fields(mink.m_sq_charts[c]) for c in atlas.charts},
         integral=total,
         min_coefficient=min_coeff,
     )
@@ -213,10 +227,10 @@ def _lifted_field(fields, chart_of, node_shape):
     With omega_t = (1-t) omega_o + t omega and the exact primitive alpha of
     omega - omega_o, X_t solves i_{X_t} omega_t = -alpha, which in a chart
     is X = (-alpha_y + i alpha_x) / w_t.  Each stage calls each distinct
-    chart field once.  The field does not depend on theta, so the
-    variational slope is Df[:, :2] @ M[:2], formed as plane products.  A
-    degenerate w_t names the point's chart and its index in node_shape: in
-    moser_flow, its start node (start chart, j, k).
+    chart field once and reads its 12 planes.  The field does not depend on
+    theta, so the variational slope is Df[:, :2] @ M[:2], formed as plane
+    products.  A degenerate w_t names the point's chart and its index in
+    node_shape: in moser_flow, its start node (start chart, j, k).
     """
     groups = [(fn, np.flatnonzero(np.isin(chart_of, cs)))
               for fn, cs in _charts_by_field(fields).items()]
@@ -227,10 +241,11 @@ def _lifted_field(fields, chart_of, node_shape):
         if len(groups) == 1:
             F = groups[0][0](x, y)
         else:
-            F = np.empty((3, 4, len(x)))
+            F = [np.empty(len(x)) for _ in range(12)]
             for fn, idx in groups:
-                F[..., idx] = fn(x[idx], y[idx])
-        w = (1.0 - t) * F[:, 0] + t * F[:, 1]  # w_t and its x and y partials
+                for plane, part in zip(F, fn(x[idx], y[idx])):
+                    plane[idx] = part
+        w = [(1.0 - t) * F[k] + t * F[k + 1] for k in (0, 4, 8)]  # w_t and its partials
         if np.min(w[0]) <= 0:
             p = np.argmin(w[0])
             raise MoserError(
@@ -238,11 +253,12 @@ def _lifted_field(fields, chart_of, node_shape):
                 f"start node {tuple(map(int, np.unravel_index(p, node_shape)))}, "
                 f"v={complex(x[p], y[p]):.4f}"
             )
-        a = -F[0, 3] / w[0]  # Re X
-        b = F[0, 2] / w[0]  # Im X
+        a = -F[3] / w[0]  # Re X
+        b = F[2] / w[0]  # Im X
         # x and y partials, rows of (2, P), by the quotient rule
-        da = (-F[1:, 3] - a * w[1:]) / w[0]
-        db = (F[1:, 2] - b * w[1:]) / w[0]
+        dw = np.array(w[1:])
+        da = (-np.array([F[7], F[11]]) - a * dw) / w[0]
+        db = (np.array([F[6], F[10]]) - b * dw) / w[0]
         q = 1.0 + x * x + y * y
         rate = (a * y - b * x) / q
         drate = (da * y - db * x + np.array([-b, a]) - 2.0 * rate * state[:2]) / q
@@ -330,8 +346,8 @@ def moser_flow(conn: ConnectionData, n_steps=200):
     resid = 0.0
     for c in at.charts:
         fields, E, V = conn.fields[c], endpoints[c], V0[c]
-        pulled = fields(E.real, E.imag)[0, 1] * np.linalg.det(jacobians[c][..., :2, :])
-        ref = fields(V.real, V.imag)[0, 0]
+        pulled = fields(E.real, E.imag)[1] * np.linalg.det(jacobians[c][..., :2, :])
+        ref = fields(V.real, V.imag)[0]
         resid = max(resid, float(np.max(np.abs(pulled - ref)[np.abs(V) <= R_OUTER])))
     return MoserFlowResult(
         conn=conn,
@@ -445,7 +461,7 @@ class NotAKnotBicubic:
 def _segment_integral(nu, starts, ends, n_quad=24):
     """Line integrals of the interpolated 1-form nu along the straight
     segments from starts to ends, all quadrature nodes in one evaluation."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = _gauss_legendre(n_quad)
     delta = np.asarray(ends, dtype=complex) - starts
     p = starts + np.multiply.outer(0.5 * (nodes + 1.0), delta)
     vals = nu(p.real, p.imag)
@@ -455,8 +471,7 @@ def _segment_integral(nu, starts, ends, n_quad=24):
 def circulation_residual(atlas, nu_chart, side=0.3, n_loops=16, seed=5):
     """Closedness probe: circulations of the interpolated 1-form around
     square loops, normalized by the loop area."""
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(-0.7, 0.7, size=(n_loops, 2))
+    centers = uniform_samples(seed, n_loops, 2, -0.7, 0.7)
     corners = (centers[:, 0] + 1j * centers[:, 1])[:, None] + side / 2 * np.array(
         [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]
     )

@@ -846,3 +846,29 @@ class TestEnvironment:
         )
         assert out.stdout.splitlines()[-1] == "[]", out.stdout
         assert [line for line in out.stdout.splitlines() if line.isdigit()] == ["0"] * 5
+
+    def test_moser_commands_load_no_lazy_numpy_submodules(self, tmp_path):
+        # numpy loads numpy.ma, numpy.random and numpy.polynomial on first
+        # use only; the Moser commands need none of them (verify keeps
+        # numpy.random for its --seed samples)
+        ball = write(tmp_path, "ball.dom", BALL_DOM)
+        ell = write(tmp_path, "ellipsoid.dom", ELLIPSOID_DOM)
+        commands = [
+            ["normalize", "--domain", ball, "--steps", "5"],
+            ["invariants", "--domain", ell, "--steps", "5"],
+            ["classify", "--domain", ell, "--steps", "5"],
+        ]
+        script = (
+            "import sys\n"
+            "from maform.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            f"    print(main(argv + ['--out', {str(tmp_path)!r}]))\n"
+            "lazy = ('numpy.ma', 'numpy.random', 'numpy.polynomial')\n"
+            "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in lazy))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=package_env(), capture_output=True,
+            text=True, check=True, timeout=300,
+        )
+        assert out.stdout.splitlines()[-1] == "[]", out.stdout
+        assert [line for line in out.stdout.splitlines() if line.isdigit()] == ["0"] * 3

@@ -112,7 +112,7 @@ class TestMakeCircularDomain:
             make_circular_domain({"kind": "perturbed_ball", "eps": 0.8})
         coords = domains.ambient_coords(2)
         mu_sq = domains._mu_sq_expression(2, "perturbed_ball", {"eps": 0.8}, coords)
-        pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(60, 4))
+        pts = domains.uniform_samples(7, 60, 4)
         pts = pts[np.linalg.norm(pts, axis=1) > 0.3]
         form = AnalyticForm.scalar(sympy_coords(coords), to_sympy(mu_sq))
         AJ = form.dc().d().matrix_at(pts).real @ standard_j_matrix(4)

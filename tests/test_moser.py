@@ -14,6 +14,7 @@ from maform.moser import (
     MoserError,
     NotAKnotBicubic,
     _gauge_grad,
+    _gauss_legendre,
     _hand_off,
     _lifted_field,
     _sphere_point,
@@ -57,7 +58,7 @@ def reference_lifted_field(conn, chart_of):
         X = np.empty((3, len(v)), dtype=complex)
         for c in np.unique(chart_of):
             sel = chart_of == c
-            F = conn.fields[c](v[sel].real, v[sel].imag)
+            F = np.reshape(conn.fields[c](v[sel].real, v[sel].imag), (3, 4, -1))
             w = (1.0 - t) * F[:, 0] + t * F[:, 1]
             X[0, sel] = X0 = (-F[0, 3] + 1j * F[0, 2]) / w[0]
             X[1:, sel] = (-F[1:, 3] + 1j * F[1:, 2] - X0 * w[1:]) / w[0]
@@ -180,6 +181,17 @@ def perturbed_map():
     return mink, normalize_domain(mink, atlas=ATLAS, n_steps=100)
 
 
+@pytest.mark.parametrize("n", [24, 80])
+def test_gauss_legendre_matches_numpy(n):
+    # the Golub-Welsch rule against numpy's leggauss, and exact on
+    # x^(2n - 2), the highest even power an n-point rule integrates exactly
+    nodes, weights = _gauss_legendre(n)
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(nodes - want_nodes)) <= 1e-14
+    assert np.max(np.abs(weights - want_weights)) <= 1e-14
+    assert abs(weights @ nodes ** (2 * n - 2) - 2.0 / (2 * n - 1)) <= 1e-14
+
+
 class TestCurvature:
     def test_ball_coefficient_is_reference(self):
         # the ball's curvature is the reference form 4/(1 + |v|^2)^2; the
@@ -190,8 +202,8 @@ class TestCurvature:
         r = 2.5 * np.sqrt(rng.uniform(0, 1, 400))
         random_points = r * np.exp(2j * np.pi * rng.uniform(0, 1, 400))
         for c in (0, 1):
-            for v in (ATLAS.base_points(c), random_points):
-                w = conn.fields[c](v.real, v.imag)[0, 1]
+            for v in (ATLAS.base_points(c).ravel(), random_points):
+                w = np.reshape(conn.fields[c](v.real, v.imag), (3, 4, -1))[0, 1]
                 ref = 4 / (1 + np.abs(v) ** 2) ** 2
                 assert np.max(np.abs(w - ref)) <= 1e-15 * np.max(ref)
 
@@ -219,8 +231,8 @@ class TestCurvature:
             exprs = [4 / (1 + x**2 + y**2) ** 2, w] + [alpha.comps.get((k,), 0) for k in (0, 1)]
             rows = lambdify_rows((x, y), exprs + [sp.diff(e, u) for u in (x, y) for e in exprs])
             v = 2.5 * np.sqrt(rng.uniform(0, 1, 300)) * np.exp(2j * np.pi * rng.uniform(0, 1, 300))
-            want = rows(v.real, v.imag)
-            got = conn.fields[c](v.real, v.imag).reshape(12, -1)
+            want = np.reshape(rows(v.real, v.imag), (3, 4, -1))
+            got = np.reshape(conn.fields[c](v.real, v.imag), (3, 4, -1))
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_total_curvature_matches_reference_area(self):
@@ -380,9 +392,9 @@ class TestMoserFlow:
         P = ATLAS.base_points(1)[3, 5]
 
         def bad(xs, ys):
-            F = good(xs, ys)
+            F = np.reshape(good(xs, ys), (3, 4, -1))
             F[:, :2, (xs == P.real) & (ys == P.imag)] = -1.0
-            return F
+            return tuple(F.reshape(12, -1))
 
         with pytest.raises(MoserError, match=r"t=0\.000, chart 1, start node \(1, 3, 5\)"):
             moser_flow(replace(conn, fields={0: good, 1: bad}), n_steps=10)
