@@ -15,8 +15,8 @@ def dump_records(records, path, binary=False):
 
     records is a sequence of (chart_id, array); each record stores the
     chart id, the grid shape, and the row-major complex values as pairs
-    of doubles: decimal text in text mode, little-endian IEEE-754 in
-    binary mode.
+    of doubles: decimal text in text mode (one repeated line for a record
+    of +0.0 doubles only), little-endian IEEE-754 in binary mode.
     """
     import struct
 
@@ -34,7 +34,11 @@ def dump_records(records, path, binary=False):
             arr = np.asarray(arr, dtype=complex)
             shape = " ".join(str(s) for s in arr.shape)
             fh.write(f"chart {int(chart)} shape {shape}\n")
-            fh.write("%.17e %.17e\n" * arr.size % tuple(np.ravel(arr).view(float).tolist()))
+            values = np.ravel(arr).view(float)
+            if not values.any() and not np.signbit(values).any():
+                fh.write("0.00000000000000000e+00 0.00000000000000000e+00\n" * arr.size)
+            else:
+                fh.write("%.17e %.17e\n" * arr.size % tuple(values.tolist()))
 
 
 def load_records(path, binary=False):
@@ -63,7 +67,7 @@ def load_records(path, binary=False):
         vals = np.empty(n_items, dtype=complex)
         for j in range(n_items):
             re, im = lines[i + 1 + j].split()
-            vals[j] = float(re) + 1j * float(im)
+            vals[j] = complex(float(re), float(im))
         records.append((chart, vals.reshape(shape)))
         i += 1 + n_items
     return records

@@ -47,6 +47,7 @@ class MoserError(ValueError):
 
 
 FS_AREA = 4.0 * np.pi  # integral of the reference form under the convention
+_BLOCK = 2048  # points per block of a NotAKnotBicubic call
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +89,17 @@ def _disk_integral(fn, n_r=80, n_theta=160):
 
     Gauss-Legendre in radius and a trapezoid rule in angle (spectrally
     accurate for periodic integrands), so analytic integrands converge to
-    machine precision well before the node counts used here.
+    machine precision well before the node counts used here.  fn runs on
+    blocks of 10 radii, so its temporaries do not grow with n_r.
     """
     nodes, weights = _gauss_legendre(n_r)
     rs = 0.5 * (nodes + 1.0)
     wr = 0.5 * weights * rs
     th = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     V = rs[:, None] * np.exp(1j * th)[None, :]
-    return float(np.sum(fn(V.real, V.imag) * wr[:, None]) * (2 * np.pi / n_theta))
+    total = sum(np.sum(fn(V[s:s + 10].real, V[s:s + 10].imag) * wr[s:s + 10, None])
+                for s in range(0, n_r, 10))
+    return float(total * (2 * np.pi / n_theta))
 
 
 @cache
@@ -450,11 +454,18 @@ class NotAKnotBicubic:
 
     def __call__(self, x, y):
         """Values at the points (x, y) of one shape, shape x.shape +
-        F.shape[2:]."""
-        i, wx = self._cell(np.ravel(x))
-        j, wy = self._cell(np.ravel(y))
-        w = (wx[:, None, :, None] * wy[None, :, None, :]).reshape(16, 1, -1).T
-        out = np.matmul(w, self.cells[i * (self.n - 1) + j])
+        F.shape[2:] and the dtype of F, in blocks of _BLOCK points.  The
+        weights' point axis is their fast one, so matmul runs its one
+        non-BLAS loop on every block and a value does not depend on its call."""
+        xs, ys = np.ravel(x), np.ravel(y)
+        out = np.empty((len(xs), self.cells.shape[-1]), dtype=self.cells.dtype)
+        w = np.empty((2, 2, 2, 2, _BLOCK))
+        for s in range(0, len(xs), _BLOCK):
+            i, wx = self._cell(xs[s:s + _BLOCK])
+            j, wy = self._cell(ys[s:s + _BLOCK])
+            np.multiply(wx[:, None, :, None], wy[None, :, None, :], out=w[..., :len(i)])
+            wt = w.reshape(16, 1, _BLOCK)[..., :len(i)].T
+            out[s:s + _BLOCK] = np.matmul(wt, self.cells[i * (self.n - 1) + j])[:, 0]
         return out.reshape(np.shape(x) + self.value_shape)
 
 

@@ -122,6 +122,16 @@ def run_process(argv):
     )
 
 
+def per_value_text(records):
+    """The text dump of records written one %.17e value at a time."""
+    ref = ""
+    for chart, a in records:
+        ref += f"chart {chart} shape {' '.join(str(n) for n in a.shape)}\n"
+        for val in np.ravel(a).astype(complex):
+            ref += f"{val.real:.17e} {val.imag:.17e}\n"
+    return ref.encode()
+
+
 class TestDumpFormat:
     @pytest.mark.parametrize("binary", [False, True])
     def test_round_trip(self, tmp_path, binary):
@@ -147,12 +157,23 @@ class TestDumpFormat:
         recs = [(0, arr), (1, arr.T[::-1]), (2, np.zeros((0, 3), complex)), (3, np.array(2.5))]
         path = tmp_path / "dump"
         dump_records(recs, str(path))
-        ref = ""
-        for chart, a in recs:
-            ref += f"chart {chart} shape {' '.join(str(n) for n in a.shape)}\n"
-            for val in np.ravel(a).astype(complex):
-                ref += f"{val.real:.17e} {val.imag:.17e}\n"
-        assert path.read_bytes() == ref.encode()
+        assert path.read_bytes() == per_value_text(recs)
+
+    def test_zero_records_match_a_write_per_value(self, tmp_path):
+        # a record of +0.0 doubles only is written as one repeated line; a
+        # -0.0 or a subnormal keeps the per-value formatting; each reads back
+        recs = [
+            (0, np.zeros((3, 2), complex)),
+            (1, np.array([0j, complex(0.0, -0.0), complex(-0.0, 0.0)])),
+            (2, np.array([[0j, 5e-324 + 0j], [0j, 0j]])),
+        ]
+        path = tmp_path / "dump"
+        dump_records(recs, str(path))
+        assert path.read_bytes() == per_value_text(recs)
+        for (c1, a1), (c2, a2) in zip(recs, load_records(str(path))):
+            assert c1 == c2 and a1.shape == a2.shape
+            assert np.array_equal(a1, a2)
+            assert np.array_equal(np.signbit(a1.view(float)), np.signbit(a2.view(float)))
 
     def test_binary_is_little_endian_pairs(self, tmp_path):
         arr = np.array([[1.5 - 2.5j]])

@@ -1,5 +1,6 @@
 """Curvature data, base flow with its horizontal lift, and map assembly."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from maform.domains import MinkowskiField, make_circular_domain
 from maform.exterior import standard_j_matrix
 from maform.moser import (
     FS_AREA,
+    _BLOCK,
     MoserError,
     NotAKnotBicubic,
     _gauge_grad,
@@ -181,6 +183,18 @@ def perturbed_map():
     return mink, normalize_domain(mink, atlas=ATLAS, n_steps=100)
 
 
+def traced_peak(fn):
+    """Peak bytes allocated while fn runs, above those live when it starts,
+    under tracemalloc (numpy reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("n", [24, 80])
 def test_gauss_legendre_matches_numpy(n):
     # the Golub-Welsch rule against numpy's leggauss, and exact on
@@ -242,6 +256,13 @@ class TestCurvature:
             mink, _ = make_circular_domain(spec)
             conn = curvature(mink, ATLAS)
             assert abs(conn.integral - FS_AREA) < 1e-6, spec
+
+    def test_disk_rule_working_set_is_bounded(self):
+        # the 80 x 160 disk rule runs in blocks of radii, so one curvature
+        # call at N_v = 17 stays below 2 MB (compiled jets warm)
+        mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
+        curvature(mink, ATLAS)
+        assert traced_peak(lambda: curvature(mink, ATLAS)) < 2e6
 
     def test_positive_coefficient_required(self):
         # a gauge whose log fails to be strictly subharmonic on a chart
@@ -498,6 +519,31 @@ class TestInterpolant:
                 ref = RectBivariateSpline(xs, xs, part(F[..., k])).ev(px, py)
                 assert np.max(np.abs(part(got[:, k]) - ref)) <= 1e-13 * scale
         assert np.max(np.abs(got[: n_v * n_v] - F.reshape(-1, 2))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("value", ["real", "complex", "scalar"])
+    def test_blocks_give_the_values_of_single_points(self, value):
+        # points on both sides of two block edges, and a last block of one
+        # point, get exactly the values of one call per point
+        rng = np.random.default_rng(11)
+        xs = ChartAtlas(n=2, n_v=9).xs
+        F = rng.standard_normal((9, 9) if value == "scalar" else (9, 9, 2))
+        if value == "complex":
+            F = F + 1j * rng.standard_normal(F.shape)
+        spline = NotAKnotBicubic(xs, F)
+        px, py = rng.uniform(-1.3, 1.3, (2, 2 * _BLOCK + 1))
+        got = spline(px, py)
+        assert got.dtype == F.dtype and got.shape == px.shape + F.shape[2:]
+        single = np.array([spline(px[k:k + 1], py[k:k + 1])[0] for k in range(len(px))])
+        assert np.array_equal(got, single)
+
+    def test_call_working_set_is_bounded(self):
+        # the 26,136 quadrature points of the chart-0 potential at N_v = 33,
+        # passed as the segment rule passes them, stay below 2 MB
+        atlas = ChartAtlas(n=2, n_v=33)
+        spline = NotAKnotBicubic(atlas.xs, np.random.default_rng(12).standard_normal((33, 33, 2)))
+        p = np.multiply.outer(0.5 * (_gauss_legendre(24)[0] + 1.0), atlas.base_points(0))
+        assert p.size == 26136
+        assert traced_peak(lambda: spline(p.real, p.imag)) < 2e6
 
 
 class TestPhaseCorrection:
