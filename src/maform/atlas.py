@@ -3,21 +3,30 @@
 The base CP^{n-1} is covered by stereographic-style affine charts; for
 n = 2 two charts with transition v -> 1/v, each a square grid of half-width
 1.25 so the charts overlap.  The fiber carries a polar grid in zeta with
-N_theta a power of two so the angular DFT used by the deformation module
-is exact on band-limited data.
+N_theta a power of two, so that an angular DFT on it is exact on
+band-limited data; the outer radius is where mode norms are read.
+
+Both records are named tuples that check their fields when built: they
+compare and hash by value, so an atlas can key a cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 R_OUTER = 1.25
 
 
-@dataclass(frozen=True)
-class FiberGrid:
+class _FiberFields(NamedTuple):
+    n_r: int = 8
+    n_theta: int = 16
+    r_max: float = 0.9
+    r_min: float = 0.1125
+
+
+class FiberGrid(_FiberFields):
     """Polar grid in the fiber coordinate zeta.
 
     The inner radius is a fixed fraction of r_max (not 1/n_r) so that grid
@@ -25,34 +34,31 @@ class FiberGrid:
     r_min is always excluded from nodewise computations.
     """
 
-    n_r: int = 8
-    n_theta: int = 16
-    r_max: float = 0.9
-    r_min: float = 0.1125
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_theta & (self.n_theta - 1):
             raise ValueError("N_theta must be a power of two")
         if self.n_r < 2:
             raise ValueError("need at least two fiber radii")
         if not 0 < self.r_min < self.r_max:
             raise ValueError("need 0 < r_min < r_max")
+        return self
 
     @property
     def radii(self):
         return np.linspace(self.r_min, self.r_max, self.n_r)
 
-    @property
-    def thetas(self):
-        return 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
 
-    @property
-    def zetas(self):
-        return self.radii[:, None] * np.exp(1j * self.thetas[None, :])
+class _AtlasFields(NamedTuple):
+    n: int = 2
+    n_v: int = 33
+    box: float = R_OUTER
+    fiber: FiberGrid = FiberGrid()
 
 
-@dataclass(frozen=True)
-class ChartAtlas:
+class ChartAtlas(_AtlasFields):
     """Chart and grid bookkeeping for the blow-up of C^n at 0.
 
     n = 2: two base charts of CP^1 (coordinates v and w = 1/v).
@@ -61,16 +67,15 @@ class ChartAtlas:
     scale-test read: their mode norms and integrability checks.
     """
 
-    n: int = 2
-    n_v: int = 33
-    box: float = R_OUTER
-    fiber: FiberGrid = field(default_factory=FiberGrid)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n not in (2, 3):
             raise ValueError("complex dimension must be 2 or 3")
         if self.n == 3 and self.n_v > 12:
             raise ValueError("n = 3 atlases are restricted to coarse grids")
+        return self
 
     @property
     def charts(self):

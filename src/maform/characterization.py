@@ -4,7 +4,7 @@ Circularity and ball verdicts from fiber-mode norms, the rotational
 invariance test, and the scaling iteration with per-mode decay-rate fits.
 """
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def rotational_test(tensor, theta, tol=1e-5):
     if tensor.k_max >= 1:
         _resonance_check(theta, tensor.k_max)
     rotated = rotate(tensor, theta)
-    diff = replace(rotated, modes={c: rotated.modes[c] - tensor.modes[c] for c in tensor.charts})
+    diff = rotated._replace(modes={c: rotated.modes[c] - tensor.modes[c] for c in tensor.charts})
     moved = diff.mode_norms()
     defect = 0.0
     for k in range(1, tensor.k_max + 1):
@@ -85,17 +85,16 @@ def rotational_test(tensor, theta, tol=1e-5):
 # scaling test
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Flat verdict block plus per-mode and per-iteration tables."""
 
-    verdicts: dict = field(default_factory=dict)
-    values: dict = field(default_factory=dict)
+    verdicts: dict
+    values: dict
+    tolerances: dict
     mode_norms: np.ndarray = None
-    trace: list = field(default_factory=list)
+    trace: list = ()
     slopes: np.ndarray = None
     expected_slopes: np.ndarray = None
-    tolerances: dict = field(default_factory=dict)
 
     def lines(self):
         out = []

@@ -13,6 +13,11 @@ where none is), the seed, and a bit-exact echo of the input spec file.
 Exit codes: 0 on pass, 1 on a failed check (an integrability condition
 of a tensor spec among them) or a propagated module error, 2 on a spec
 parse error or a bad option.
+
+Each command imports the pipeline modules it runs at its top, before its
+first pipeline call (make_circular_domain or tensor_from_mode_functions,
+which stay names of this module), so a process loads only the code its
+command runs, and all of it before the pipeline starts.
 """
 
 import argparse
@@ -22,14 +27,7 @@ import sys
 import numpy as np
 
 from . import CONVENTION
-from .characterization import classify, scaling_test
-from .deformation import (
-    INTEGRABILITY_TOL,
-    condition_symmetry,
-    extract,
-    tensor_from_mode_functions,
-    verify_mode_equations,
-)
+from .deformation import extract, tensor_from_mode_functions
 from .domains import (
     ExhaustionField,
     SpecParseError,
@@ -37,9 +35,6 @@ from .domains import (
     parse_domain_spec,
     parse_tensor_spec,
 )
-from .foliation import verify_ma_identities
-from .gridforms import dump_records
-from .moser import normalize_domain
 
 
 def _fmt(x):
@@ -111,6 +106,8 @@ def _integrability(tensor):
     conditions are vacuous at n = 2, and the report says so."""
     if tensor.n == 2:
         return None, ["integrability: vacuous at n = 2"], True
+    from .integrability import INTEGRABILITY_TOL, condition_symmetry, verify_mode_equations
+
     rows = []
     for name, per_mode in (
         ("integrability_symmetry", condition_symmetry(tensor)),
@@ -147,6 +144,8 @@ def _moser_spec(args):
 
 def _pipeline_tensor(args, spec):
     """Full pipeline: gauge -> normalizing map -> deformation tensor."""
+    from .moser import normalize_domain
+
     mink, _ = make_circular_domain(spec.mu_spec())
     nm = normalize_domain(mink, atlas=spec.atlas(), n_steps=args.steps)
     return extract(nm, k_max=args.kmax)
@@ -157,6 +156,8 @@ def _resolutions(spec, **extra):
 
 
 def cmd_verify(args):
+    from .foliation import verify_ma_identities
+
     spec = load_domain_file(args.domain)
     if spec.tau_expr is None:
         _, exh = make_circular_domain(spec.mu_spec())
@@ -179,6 +180,9 @@ def cmd_verify(args):
 
 
 def cmd_normalize(args):
+    from .gridforms import dump_records
+    from .moser import normalize_domain
+
     spec = _moser_spec(args)
     mink, _ = make_circular_domain(spec.mu_spec())
     nm = normalize_domain(mink, atlas=spec.atlas(), n_steps=args.steps)
@@ -213,6 +217,8 @@ def cmd_normalize(args):
 
 
 def cmd_invariants(args):
+    from .gridforms import dump_records
+
     spec = _moser_spec(args)
     tensor = _pipeline_tensor(args, spec)
 
@@ -238,6 +244,8 @@ def cmd_invariants(args):
 
 
 def cmd_classify(args):
+    from .characterization import classify
+
     given = [option for option in _DOMAIN_ONLY if option[2:] in vars(args)]
     if args.tensor and given:
         print(f"error: {given[0]} applies to --domain only, not to --tensor", file=sys.stderr)
@@ -261,6 +269,8 @@ def cmd_classify(args):
 
 
 def cmd_scale_test(args):
+    from .characterization import scaling_test
+
     tensor, values, raw = load_tensor_file(args.tensor)
     tol, checks, integrable = _integrability(tensor)
     report = scaling_test(tensor, args.k, iters=args.iters)

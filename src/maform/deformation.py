@@ -6,9 +6,10 @@ tensor phi mapping reference anti-holomorphic horizontal vectors to
 holomorphic ones, through the graph relation: the J-anti-holomorphic
 horizontal space is {w + phi(w)}.  A tensor is the stack of its
 fiber-Fourier modes phi = sum_k phi_k(v) zeta^k over the base nodes.  This
-module extracts phi from a normalizing map or a structure field, verifies
-the integrability conditions with exact Lie brackets, reconstructs J from
-phi (n = 2), and implements the rotation and contraction actions on modes.
+module extracts phi from a normalizing map, builds the tensor of a
+synthetic-tensor spec, and implements the rotation and contraction
+actions on modes; the integrability conditions of an n = 3 tensor are in
+the integrability module.
 
 Extraction (n = 2) is closed-form 2 x 2 complex algebra.  In the
 coordinates p d/dz + q d/dzbar the (0,1) space of J is {(p, q):
@@ -19,49 +20,33 @@ p' = -A^-1 B q', and since e is orthogonal to z, phi = <p', e> / <q', ebar>.
 For a fiber-linear normalizing map A depends on v alone, Bbar A^-1 B
 carries the factor |zeta / zetabar| = 1 and ebar scales by zetabar, so phi
 does not depend on zeta: extract solves once per base node, at zeta = 1,
-and the tensor is mode 0 only.  A general structure field is not
-fiber-invariant, and extract_from_structure solves at every fiber node.
+and the tensor is mode 0 only.
 
 Conventions: the reference exhaustion is |z|^2; the frame e_a over a
 chart is the horizontal projection of the coordinate lift, extended
 along fibers equivariantly, e_a = zeta * (eps_{j_a} - (conj(z^{j_a}) /
 |z|^2) z).  Components are stored in the frame ebar^b (x) e_a.
-
-Integrability (n = 3; both conditions are vacuous at n = 2): (i) the
-symmetry of ddc tau_o(phi X, Y) reads the node samples, and (ii) the
-structure equation (Kodaira, Complex Manifolds and Deformation of Complex
-Structures, ch. 5) takes its brackets [U, V]^i = U^d d_d V^i - V^d d_d U^i
-from order-1 jets (symforms.Jet) of the frame fields and of the spec's
-mode coefficients in the real ambient coordinates, so no derivative is
-approximated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .atlas import ChartAtlas
-from .domains import ambient_coords
-from .symforms import Jet, call, subs, to_real
+from .symforms import Jet
 
 __all__ = [
     "DeformationError",
     "DeformationTensor",
-    "StructureField",
     "chart_axes",
     "frame_vectors",
     "extract",
-    "extract_from_structure",
-    "fourier_modes_from_components",
-    "reconstruct",
     "rotate",
     "contract",
-    "verify_mode_equations",
     "tensor_from_mode_functions",
-    "INTEGRABILITY_TOL",
 ]
 
 
@@ -124,18 +109,6 @@ def frame_vectors(n, chart, z):
     return e
 
 
-def _graph_basis(n, chart, z):
-    """Columns [ebar_a, zbar, e_a, zhol] of the complexified splitting."""
-    e = frame_vectors(n, chart, z)
-    cols = np.empty(z.shape[:-1] + (2 * n, 2 * n), dtype=complex)
-    for a in range(n - 1):
-        cols[..., :, a] = antihol_rep(np.conj(e[..., a, :]))
-        cols[..., :, n + a] = hol_rep(e[..., a, :])
-    cols[..., :, n - 1] = antihol_rep(np.conj(z))
-    cols[..., :, 2 * n - 1] = hol_rep(z)
-    return e, cols
-
-
 def _require_nonzero(x, chart, what):
     """Raise DeformationError at the first node where |x| < 1e-10 or x is
     not finite, so that no nan or inf reaches the modes."""
@@ -181,40 +154,25 @@ def _graph_from_blocks(chart, z, A, B):
     return phi[..., None, None], float(np.max(leak / np.sum(np.abs(z) ** 2, axis=0)))
 
 
-def _structure_from_graph(n, chart, z, phi):
-    """J matrices whose (0,1) space is the graph of phi plus the disc part."""
-    e = frame_vectors(n, chart, z)
-    S = np.empty(z.shape[:-1] + (2 * n, n), dtype=complex)
-    for a in range(n - 1):
-        u = antihol_rep(np.conj(e[..., a, :]))
-        for b in range(n - 1):
-            u = u + phi[..., b, a][..., None] * hol_rep(e[..., b, :])
-        S[..., :, a] = u
-    S[..., :, n - 1] = antihol_rep(np.conj(z))
-    C = np.concatenate([S, np.conj(S)], axis=-1)
-    D = np.concatenate([np.full(n, -1j), np.full(n, 1j)])
-    J = np.real(C * D @ np.linalg.inv(C))
-    return J
-
-
 # ---------------------------------------------------------------------------
 # tensors
 
 
-@dataclass
-class DeformationTensor:
+class DeformationTensor(NamedTuple):
     """Deformation tensor modes on the base grid of one or two charts.
 
     modes[chart] has shape (k_max+1, n_v, ..., n-1, n-1) over base nodes.
-    spec, for a tensor built from a spec (tensor_from_mode_functions), is
-    its (coords, entries); the structure equation differentiates them.
+    diagnostics defaults to an empty read-only mapping, so no tensor writes
+    into another's.  spec, for a tensor built from a spec
+    (tensor_from_mode_functions), is its (coords, entries); the structure
+    equation differentiates them.
     """
 
     n: int
     atlas: ChartAtlas
     k_max: int
     modes: dict
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = MappingProxyType({})
     spec: tuple = None
 
     @property
@@ -358,92 +316,6 @@ def extract(nm, k_max=None):
     )
 
 
-@dataclass
-class StructureField:
-    """Almost complex structure samples on the blow-up grid (n = 2)."""
-
-    atlas: ChartAtlas
-    J: dict  # chart -> (n_v, n_v, n_r, n_theta, 4, 4)
-
-
-def reconstruct(tensor: DeformationTensor) -> StructureField:
-    """Complex structure whose anti-holomorphic horizontal space is the
-    graph of the tensor, standard along the radial discs, sampled on the
-    full blow-up grid (n = 2)."""
-    if tensor.n != 2:
-        raise DeformationError(
-            f"structure reconstruction is implemented for n = 2 only, got n = {tensor.n}"
-        )
-    norms = tensor.mode_norms()
-    if np.sum(norms) >= 1.0:
-        raise DeformationError(
-            f"tensor operator norm {np.sum(norms):.3f} >= 1: the graph is "
-            "not transverse and no structure exists"
-        )
-    at = tensor.atlas
-    J = {}
-    for chart in tensor.charts:
-        z = _ambient_of(2, chart, at.base_points(chart)[:, :, None, None], at.fiber.zetas)
-        J[chart] = _structure_from_graph(2, chart, z, _series(tensor.modes[chart], at))
-    return StructureField(atlas=at, J=J)
-
-
-def extract_from_structure(sf: StructureField, k_max=None) -> DeformationTensor:
-    """Solve the graph relation at every node of a structure field.
-
-    J acts on complex tangent vectors as h -> Jc h + Ja hbar, with Jc and
-    Ja the halves (Jx -+ i Jy)/2 of its x and y columns as complex rows,
-    so its (0,1) space is {(p, q): (Jc + i) p + Ja q = 0}: the blocks
-    A = Jc + i and B = Ja of the closed form that extract uses.  A general
-    J is not fiber-invariant, so the solve runs on the full fiber grid and
-    the modes come from fourier_modes_from_components.
-    """
-    at = sf.atlas
-    components, leaks = {}, []
-    for chart in sorted(sf.J):
-        J = np.moveaxis(sf.J[chart], (-2, -1), (0, 1))
-        rows = J[0::2] + 1j * J[1::2]
-        Jx, Jy = rows[:, 0::2], rows[:, 1::2]
-        A = (Jx - 1j * Jy) / 2
-        A[[0, 1], [0, 1]] += 1j
-        z = _ambient_of(2, chart, at.base_points(chart)[:, :, None, None], at.fiber.zetas)
-        components[chart], leak = _graph_from_blocks(chart, z, A, (Jx + 1j * Jy) / 2)
-        leaks.append(leak)
-    tensor = fourier_modes_from_components(at, components, k_max)
-    tensor.diagnostics["disc_leak"] = max(leaks)
-    return tensor
-
-
-# ---------------------------------------------------------------------------
-# fiber-Fourier analysis
-
-
-def fourier_modes_from_components(atlas, components, k_max):
-    """Angular DFT of component arrays into radius-independent modes.
-
-    Mode k at a base node is the ring-k DFT coefficient divided by r^k,
-    averaged over the fiber radii.
-    """
-    k_max = _mode_cutoff(atlas, k_max)
-    radii = atlas.fiber.radii
-    modes = {}
-    for chart, comp in components.items():
-        # (n_theta, n_v, n_v, n_r, 1, 1): ring k holds mode k times r^k
-        ring = np.moveaxis(np.fft.fft(comp, axis=3) / atlas.fiber.n_theta, 3, 0)
-        modes[chart] = np.array(
-            [np.mean(ring[k] / radii[:, None, None] ** k, axis=2) for k in range(k_max + 1)]
-        )
-    return DeformationTensor(n=2, atlas=atlas, k_max=k_max, modes=modes)
-
-
-def _series(mode_stack, atlas):
-    """Synthesize component arrays from a mode stack."""
-    zetas = atlas.fiber.zetas
-    k_max = mode_stack.shape[0] - 1
-    powers = zetas[..., None] ** np.arange(k_max + 1)  # (nr, ntheta, k)
-    return np.einsum("rtk,kxyab->xyrtab", powers, mode_stack)
-
-
 # ---------------------------------------------------------------------------
 # synthetic tensors
 
@@ -507,179 +379,3 @@ def _remap_modes(tensor, factors):
         n=tensor.n, atlas=tensor.atlas, k_max=tensor.k_max, modes=modes,
         diagnostics=dict(tensor.diagnostics),
     )
-
-
-# ---------------------------------------------------------------------------
-# integrability verifiers
-
-# bound on the residuals of (i) and (ii): on integrable n = 3 tensors with
-# coefficients up to 2, at N_v = 7 and 12 and chart boxes 1 and 1.25, (i)
-# measures at most 4.4e-15 and (ii) 3.6e-16, all roundoff; the bound
-# leaves two orders of headroom above the larger
-INTEGRABILITY_TOL = 1e-12
-
-
-def condition_symmetry(tensor, chart=0):
-    """Residuals of (i), one per mode: the symmetry of ddc tau_o(phi(X),
-    Y) on the anti-holomorphic horizontal frame, from the node samples.
-
-    (i) must hold at every fiber value zeta, and phi = sum_k zeta^k phi_k
-    with the form of phi_k scaling by |zeta|^2 zeta^k, so it holds for
-    each mode on its own: mode k is checked at zeta = 1.
-    """
-    n = tensor.n
-    z = _ambient_of(n, chart, _chart_points(tensor.atlas, chart), 1.0)
-    e = frame_vectors(n, chart, z)
-    modes = tensor.modes[chart].reshape(tensor.k_max + 1, len(z), n - 1, n - 1)
-    A = reference_form_matrix(n)
-    img = np.einsum("kpba,pbi->kpai", modes, e)
-    B = np.einsum("kpai,ij,pbj->kpab", hol_rep(img), A, antihol_rep(np.conj(e)))
-    return np.max(np.abs(B - np.swapaxes(B, -1, -2)), axis=(1, 2, 3))
-
-
-@lru_cache(maxsize=1)
-def _jets(atlas, k_max, spec, chart, zeta):
-    """Order-1 jets at the chart nodes, lifted to the fiber value zeta, in
-    the 2n real ambient coordinates: part 0 is the value and part 1 + d
-    the partial along coordinate d.
-
-    Returns (E, C, Q): the frame vectors E (n-1, 1+2n, N, n), the
-    coefficients C (k_max+1, n-1, n-1, 1+2n, N) of zeta^k phi_k, with v =
-    z_axes / zeta substituted into the spec's entries, and Q (N, 2n, 2n),
-    which takes rep vectors to their coefficients over [ebar_a, zbar, e_a,
-    zhol].  Cached, since verify_mode_equations reads them repeatedly.
-    """
-    n = atlas.n
-    coords = ambient_coords(n)
-    Z = [x + 1j * y for x, y in zip(coords[0::2], coords[1::2])]
-    axes = chart_axes(n, chart)
-    z = _ambient_of(n, chart, _chart_points(atlas, chart), zeta)
-    x = to_real(z).T
-
-    def jet(expr):
-        return np.array(Jet.compile(expr, coords, 1)(*x), dtype=complex)
-
-    nsq = sum(c**2 for c in coords)
-    E = np.array([
-        [jet(Z[chart] * (int(i == j) - call("conj", Z[j]) * Z[i] / nsq)) for i in range(n)]
-        for j in axes
-    ])
-    base, entries = spec
-    v = {c: Z[j] / Z[chart] for c, j in zip(base, axes)}
-    C = np.zeros((k_max + 1, n - 1, n - 1, 1 + 2 * n, len(z)), dtype=complex)
-    for k, a, b, expr in entries:
-        C[k, a - 1, b - 1] += jet(subs(Z[chart] ** k * expr, v))
-    return np.moveaxis(E, 1, -1), C, np.linalg.inv(_graph_basis(n, chart, z)[1])
-
-
-def _times(f, g):
-    """Jet of the product of a scalar jet f (1+d, N) and a vector jet g
-    (1+d, N, m): Leibniz's rule on every partial."""
-    f = f[..., None]
-    return np.concatenate([f[:1] * g[:1], f[:1] * g[1:] + f[1:] * g[:1]])
-
-
-def _bracket(U, V):
-    """Lie bracket [U, V]^i = U^d d_d V^i - V^d d_d U^i of the jets (1+2n,
-    N, 2n) of rep vector fields; rep components are taken along the real
-    coordinates, so they are also the directional weights."""
-    return np.einsum("pd,dpi->pi", U[0], V[1:]) - np.einsum("pd,dpi->pi", V[0], U[1:])
-
-
-def maurer_cartan_residual(tensor, chart=0, zeta=0.5, dbar_mode=None, bracket_pairs=None):
-    """Residual arrays of the structure equation at the chart nodes.
-
-    dbar_mode selects the fiber mode entering the derivative term (None
-    for the full tensor); bracket_pairs lists the (i, j) mode pairs of
-    the quadratic term (None entries meaning the full tensor).  Returns a
-    dict with per-point residual magnitudes ("field"), the sup norm
-    ("residual"), and the anti-holomorphic leak of the bracket, the
-    measured counterpart of the structural containment assumption.
-    """
-    n = tensor.n
-    if n < 3:
-        return {"residual": 0.0, "antihol_leak": 0.0, "field": 0.0}
-    if tensor.spec is None:
-        raise DeformationError("the structure equation needs the mode expressions of a spec tensor")
-    if bracket_pairs is None:
-        bracket_pairs = [(None, None)]
-    E, C, Q = _jets(tensor.atlas, tensor.k_max, tensor.spec, chart, zeta)
-    images = {}
-
-    def coef(k):
-        # coefficient jets of mode k (None: the full tensor)
-        return C.sum(axis=0) if k is None else C[k]
-
-    def image(k, a):
-        # jet of phi(ebar_a) for mode k
-        if (k, a) not in images:
-            images[k, a] = hol_rep(sum(_times(coef(k)[b, a], E[b]) for b in range(n - 1)))
-        return images[k, a]
-
-    def split(vec):
-        # the ebar and e coefficients of rep vectors (N, 2n)
-        c = np.einsum("pij,pj->pi", Q, vec)
-        return c[:, : n - 1], c[:, n : 2 * n - 1]
-
-    X = [antihol_rep(np.conj(e)) for e in E]
-    phi_sel = coef(dbar_mode)[:, :, 0]
-    worst = 0.0
-    leak = 0.0
-    fields = []
-    for a in range(n - 1):
-        for b in range(a + 1, n - 1):
-            leak1, c1 = split(_bracket(X[a], image(dbar_mode, b)))  # [X, phi(Y)]
-            leak2, c2 = split(_bracket(X[b], image(dbar_mode, a)))  # [Y, phi(X)]
-            cXY = split(_bracket(X[a], X[b]))[0]
-            total = c1 - c2 - np.einsum("abp,pb->pa", phi_sel, cXY)
-            leak = max(leak, float(np.max(np.abs(leak1))), float(np.max(np.abs(leak2))))
-            for ki, kj in bracket_pairs:
-                Bij = _bracket(image(ki, a), image(kj, b))
-                Bji = _bracket(image(ki, b), image(kj, a))
-                total = total + 0.5 * split(0.5 * (Bij - Bji))[1]
-            fields.append(total)
-            worst = max(worst, float(np.max(np.abs(total))))
-    return {
-        "residual": worst,
-        "antihol_leak": leak,
-        "field": np.concatenate([f[..., None] for f in fields], axis=-1),
-    }
-
-
-def verify_mode_equations(tensor: DeformationTensor, k_max=None, chart=0, zeta=0.5):
-    """Per-mode residuals of the graded structure equations.
-
-    Mode k couples its own derivative term with the quadratic terms of
-    all mode splittings i + j = k; the per-mode residual fields must sum
-    to the full-tensor residual, which is returned as a consistency gap.
-    """
-    if k_max is None:
-        k_max = tensor.k_max
-    out = {"per_mode": [], "consistency": 0.0}
-    if tensor.n < 3:
-        out["per_mode"] = [0.0] * (k_max + 1)
-        return out
-    full = maurer_cartan_residual(tensor, chart, zeta)
-    acc = None
-    for k in range(k_max + 1):
-        pairs = [(i, k - i) for i in range(k + 1)]
-        res = maurer_cartan_residual(tensor, chart, zeta, dbar_mode=k, bracket_pairs=pairs)
-        out["per_mode"].append(res["residual"])
-        acc = res["field"] if acc is None else acc + res["field"]
-    # the graded residuals must reassemble the ungraded one
-    tail_pairs = [
-        (i, j)
-        for i in range(tensor.k_max + 1)
-        for j in range(tensor.k_max + 1)
-        if i + j > k_max
-    ]
-    if tail_pairs:
-        # bracket content of the splittings beyond k_max, isolated by
-        # subtracting a run with an empty pair list
-        extra = maurer_cartan_residual(
-            tensor, chart, zeta, dbar_mode=None, bracket_pairs=tail_pairs
-        )
-        base = maurer_cartan_residual(tensor, chart, zeta, dbar_mode=None, bracket_pairs=[])
-        acc = acc + (extra["field"] - base["field"])
-    out["consistency"] = float(np.max(np.abs(acc - full["field"])))
-    return out

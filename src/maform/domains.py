@@ -14,12 +14,11 @@ import ast
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .atlas import ChartAtlas, blowup_forward
+from .atlas import ChartAtlas, FiberGrid, blowup_forward
 from .exterior import standard_j_matrix
 from .symforms import Expr, Jet, call, ddc_matrix, num, real_coords, subs, sym, symbols, to_complex, to_real
 
@@ -93,8 +92,7 @@ def _chart_inclusion(n, chart, v_coords):
     return vals
 
 
-@dataclass(frozen=True)
-class MinkowskiField:
+class MinkowskiField(NamedTuple):
     """Degree-1 homogeneous gauge of a complete circular domain.
 
     mu_sq_ambient is mu^2, an expression (symforms.Expr) in the ambient
@@ -137,8 +135,7 @@ class MinkowskiField:
         return out.reshape(z.shape[:-1])
 
 
-@dataclass(frozen=True)
-class ExhaustionField:
+class ExhaustionField(NamedTuple):
     """Parabolic exhaustion of C^n given by its ambient expression.
 
     For circular domains tau(z) = mu(z)^2; a tau.expr spec line supplies
@@ -385,8 +382,7 @@ def parse_expression(text, names, line_no=1, col=1):
         raise SpecParseError(line_no, col, "expression nested too deeply")
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(NamedTuple):
     """Parsed text description of a domain, with the raw text preserved so
     reports can echo it bit-exactly.  kind is None when a tau.expr line
     gives the exhaustion tau_expr; at maps each key given to the (line,
@@ -399,15 +395,13 @@ class DomainSpec:
     n_r: int
     n_theta: int
     raw: str
-    tau_expr: object = None
-    at: dict = field(default_factory=dict)
+    tau_expr: object
+    at: dict
 
     def mu_spec(self):
         return {"n": self.n, "kind": self.kind, **self.params}
 
     def atlas(self):
-        from .atlas import FiberGrid
-
         return ChartAtlas(
             n=self.n,
             n_v=self.n_v,

@@ -53,10 +53,6 @@ class ZFieldEvaluator:
         tau, dtau, hess, third = (np.real(p) for p in jet.parts)
         return tau, dtau, hess, ddc_matrix(hess), ddc_matrix(third)
 
-    def __call__(self, pts):
-        """Z (N, dim) at real points (N, dim)."""
-        return self.flow(pts)[0]
-
     def flow(self, pts):
         """Z, DZ (DZ[:, i, k] = d_k Z_i), A and the Lie derivative L of ddc
         tau along Z at pts: M d_k Z = d_k dtau - (d_k M) Z, and by Cartan's
@@ -74,10 +70,6 @@ class ZFieldEvaluator:
         DZ = np.linalg.solve(M, hess - np.einsum("nkij,nj->nik", dM, Z))
         L = np.einsum("nk,nkij->nij", Z, dA) + np.swapaxes(DZ, 1, 2) @ A + A @ DZ
         return Z, DZ, A, L
-
-    def jacobian(self, pts):
-        """The exact spatial derivative DZ (N, dim, dim) at pts (flow)."""
-        return self.flow(pts)[1]
 
 
 def _ambient_points(n, n_samples, seed=11, lo=0.35, hi=1.0):

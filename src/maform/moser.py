@@ -30,8 +30,8 @@ through the node samples, NotAKnotBicubic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,15 +47,14 @@ class MoserError(ValueError):
 
 
 FS_AREA = 4.0 * np.pi  # integral of the reference form under the convention
-_BLOCK = 2048  # points per block of a NotAKnotBicubic call
+_BLOCK = 2048  # points per block of a NotAKnotBicubic call and of the segment rule
 
 
 # ---------------------------------------------------------------------------
 # curvature of the gauge circle bundle
 
 
-@dataclass(frozen=True)
-class ConnectionData:
+class ConnectionData(NamedTuple):
     """Curvature 2-form data of a gauge on the base CP^1.
 
     fields: chart -> compiled callable of _chart_fields, one object for
@@ -207,8 +206,7 @@ def _gauge_grad(mink: MinkowskiField, u):
 # Moser flow on the base
 
 
-@dataclass(frozen=True)
-class MoserFlowResult:
+class MoserFlowResult(NamedTuple):
     """Endpoint samples of the flow, per start chart: the base end positions
     (represented in the same chart), the Hopf phases theta of the lifted
     sphere points, and the real 3x2 derivatives of (x, y, theta) with
@@ -317,12 +315,17 @@ def moser_flow(conn: ConnectionData, n_steps=200):
     Jacobian propagated alongside, the nodes of all charts as one state of
     real planes.  Trajectories that wander far from their chart are handed
     to the opposite chart (a regrouping by chart field) and converted back
-    for storage.  The endpoint contract (the pullback of the target form
-    equals the reference form) is measured at every node.
+    for storage.  Charts with one field callable start from one node grid
+    and flow alike to the bit, so only the first chart of each field flows
+    and the others get copies of its results.  The endpoint contract (the
+    pullback of the target form equals the reference form) is measured at
+    every node.
     """
     at = conn.atlas
-    V0 = np.stack([at.base_points(c) for c in at.charts])
-    start = np.repeat(at.charts, V0[0].size)
+    lead = {fn: charts[0] for fn, charts in _charts_by_field(conn.fields).items()}
+    flown = sorted(lead.values())
+    V0 = np.stack([at.base_points(c) for c in flown])
+    start = np.repeat(flown, V0[0].size)
     chart_of = start.copy()
     y = np.array([V0.real.ravel(), V0.imag.ravel(), np.zeros(V0.size)])
     M = np.zeros((3, 2, V0.size))
@@ -341,15 +344,16 @@ def moser_flow(conn: ConnectionData, n_steps=200):
     flipped = chart_of != start
     if np.any(flipped):
         y[:, flipped], M[..., flipped] = _hand_off(y[:, flipped], M[..., flipped])
-    y = y.reshape((3,) + V0.shape)
-    M = np.moveaxis(M.reshape((3, 2) + V0.shape), (0, 1), (-2, -1))
+    rows = [flown.index(lead[conn.fields[c]]) for c in at.charts]
+    y = y.reshape((3,) + V0.shape)[:, rows]
+    M = np.moveaxis(M.reshape((3, 2) + V0.shape)[:, :, rows], (0, 1), (-2, -1))
     endpoints = {c: y[0, c] + 1j * y[1, c] for c in at.charts}
     phases = {c: y[2, c] for c in at.charts}
     jacobians = {c: M[c] for c in at.charts}
 
     resid = 0.0
     for c in at.charts:
-        fields, E, V = conn.fields[c], endpoints[c], V0[c]
+        fields, E, V = conn.fields[c], endpoints[c], at.base_points(c)
         pulled = fields(E.real, E.imag)[1] * np.linalg.det(jacobians[c][..., :2, :])
         ref = fields(V.real, V.imag)[0]
         resid = max(resid, float(np.max(np.abs(pulled - ref)[np.abs(V) <= R_OUTER])))
@@ -470,13 +474,23 @@ class NotAKnotBicubic:
 
 
 def _segment_integral(nu, starts, ends, n_quad=24):
-    """Line integrals of the interpolated 1-form nu along the straight
-    segments from starts to ends, all quadrature nodes in one evaluation."""
+    """Line integrals of the interpolated real 1-form nu along the straight
+    segments from starts to ends, broadcast together.  The segments run in
+    blocks of a multiple of 16 of them, about _BLOCK quadrature nodes, so
+    the working set does not grow with the segment count, and the vector
+    kernel of the weighted sum sees each segment in the lane it has in one
+    call on all of them, which keeps the integrals' bits."""
     nodes, weights = _gauss_legendre(n_quad)
-    delta = np.asarray(ends, dtype=complex) - starts
-    p = starts + np.multiply.outer(0.5 * (nodes + 1.0), delta)
-    vals = nu(p.real, p.imag)
-    return np.tensordot(0.5 * weights, vals[..., 0] * delta.real + vals[..., 1] * delta.imag, axes=1)
+    starts, delta = np.broadcast_arrays(starts, np.asarray(ends, dtype=complex) - starts)
+    out = np.empty(delta.shape)
+    starts, delta, flat = starts.ravel(), delta.ravel(), out.reshape(-1)
+    step = _BLOCK // n_quad // 16 * 16
+    for s in range(0, len(delta), step):
+        d = delta[s:s + step]
+        p = starts[s:s + step] + np.multiply.outer(0.5 * (nodes + 1.0), d)
+        vals = nu(p.real, p.imag)
+        flat[s:s + step] = np.tensordot(0.5 * weights, vals[..., 0] * d.real + vals[..., 1] * d.imag, axes=1)
+    return out
 
 
 def circulation_residual(atlas, nu_chart, side=0.3, n_loops=16, seed=5):
@@ -519,8 +533,7 @@ def phase_correction(atlas, nu):
 # assembly
 
 
-@dataclass(frozen=True)
-class NormalizingMap:
+class NormalizingMap(NamedTuple):
     """Fiber-linear normalizing diffeomorphism z = zeta p(v) -> zeta W(v).
 
     W and its base derivatives are stored exactly at the grid nodes

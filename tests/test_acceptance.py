@@ -10,21 +10,19 @@ from maform.characterization import is_circular, rotational_test, scaling_test
 from maform.cli import main as cli_main
 from maform.deformation import (
     DeformationTensor,
-    condition_symmetry,
     extract,
-    extract_from_structure,
     frame_vectors,
     hol_rep,
     antihol_rep,
-    reconstruct,
     reference_form_matrix,
     tensor_from_mode_functions,
-    verify_mode_equations,
 )
 from maform.domains import make_circular_domain
 from maform.foliation import verify_ma_identities
+from maform.integrability import condition_symmetry, verify_mode_equations
 from maform.moser import FS_AREA, curvature, moser_flow, normalize_domain
 from maform.symforms import call, sym, symbols
+from structure_reference import extract_from_structure, reconstruct
 from test_moser import forward
 
 ATLAS = ChartAtlas(n=2, n_v=17)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maform
+from maform import cli
 from maform.cli import build_parser, main
 from maform.gridforms import dump_records, load_records
 
@@ -893,3 +894,100 @@ class TestEnvironment:
         )
         assert out.stdout.splitlines()[-1] == "[]", out.stdout
         assert [line for line in out.stdout.splitlines() if line.isdigit()] == ["0"] * 3
+
+    # command -> (its arguments on the spec files of _command_inputs, the
+    # watched modules it loads, and the maform modules it loads after its
+    # first pipeline call)
+    LOADS = {
+        "verify": (["verify", "--domain", "ball.dom", "--samples", "1"], ["maform.foliation"], []),
+        "normalize": (
+            ["normalize", "--domain", "ball.dom", "--steps", "5"],
+            ["maform.gridforms", "maform.moser"], [],
+        ),
+        "invariants": (
+            ["invariants", "--domain", "ball.dom", "--steps", "5"],
+            ["maform.gridforms", "maform.moser"], [],
+        ),
+        "classify-domain": (
+            ["classify", "--domain", "ball.dom", "--steps", "5"],
+            ["maform.characterization", "maform.moser"], [],
+        ),
+        "classify-tensor": (["classify", "--tensor", "n2.tns"], ["maform.characterization"], []),
+        "scale-test": (["scale-test", "--tensor", "n2.tns"], ["maform.characterization"], []),
+        "classify-n3": (
+            ["classify", "--tensor", "n3.tns"],
+            ["maform.characterization", "maform.integrability"], ["maform.integrability"],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(LOADS))
+    def test_command_loads_only_the_modules_it_runs(self, tmp_path, command):
+        # a fresh process per command: verify and scale-test load no
+        # maform.moser, the Moser commands no maform.foliation, no n = 2
+        # command the integrability module, and none dataclasses; every
+        # maform module an n = 2 command runs is loaded before its first
+        # pipeline call, where the benchmark stamps the end of set-up
+        argv, loads, late = self.LOADS[command]
+        write(tmp_path, "ball.dom", BALL_DOM)
+        write(tmp_path, "n2.tns", SMALL_N2_TNS)
+        write(tmp_path, "n3.tns", FAILING_N3_TNS)
+        watched = [
+            "dataclasses", "maform.characterization", "maform.foliation", "maform.gridforms",
+            "maform.integrability", "maform.moser",
+        ]
+        script = (
+            "import sys\n"
+            "from maform import cli\n"
+            "at_first_call = []\n"
+            "for name in ('make_circular_domain', 'tensor_from_mode_functions'):\n"
+            "    def first(*args, _fn=getattr(cli, name), **kwargs):\n"
+            "        at_first_call.append(set(sys.modules))\n"
+            "        return _fn(*args, **kwargs)\n"
+            "    setattr(cli, name, first)\n"
+            f"print(cli.main({argv!r} + ['--out', 'out']))\n"
+            f"print(sorted(m for m in {watched!r} if m in sys.modules))\n"
+            "print(sorted(m for m in set(sys.modules) - at_first_call[0] if m.startswith('maform')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=package_env(),
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        code, loaded, after = out.stdout.splitlines()[-3:]
+        assert code in ("0", "1"), out.stdout
+        assert loaded == repr(loads), out.stdout
+        assert after == repr(late), out.stdout
+
+
+class FirstPipelineCall(Exception):
+    """Raised by a stub of a command's first pipeline call: not a
+    ValueError, so main lets it through."""
+
+
+class TestSetupStamp:
+    # the benchmark ends set-up at the first call of make_circular_domain
+    # or tensor_from_mode_functions, names it replaces on maform.cli after
+    # import; every command must make its first pipeline call through one
+    @pytest.mark.parametrize(
+        "argv, entry",
+        [
+            (["verify", "--domain", "ball.dom"], "make_circular_domain"),
+            (["normalize", "--domain", "ball.dom"], "make_circular_domain"),
+            (["invariants", "--domain", "ball.dom"], "make_circular_domain"),
+            (["classify", "--domain", "ball.dom"], "make_circular_domain"),
+            (["classify", "--tensor", "synth.tns"], "tensor_from_mode_functions"),
+            (["scale-test", "--tensor", "synth.tns"], "tensor_from_mode_functions"),
+        ],
+        ids=["verify", "normalize", "invariants", "classify-domain", "classify-tensor", "scale-test"],
+    )
+    def test_first_pipeline_call_is_a_stamped_name(self, tmp_path, monkeypatch, argv, entry):
+        write(tmp_path, "ball.dom", BALL_DOM)
+        write(tmp_path, "synth.tns", SYNTH_TNS)
+        for name in ("make_circular_domain", "tensor_from_mode_functions"):
+            def stub(*args, _name=name, **kwargs):
+                raise FirstPipelineCall(_name)
+
+            monkeypatch.setattr(cli, name, stub)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FirstPipelineCall) as hit:
+            main(argv + ["--out", "out"])
+        assert hit.value.args == (entry,)

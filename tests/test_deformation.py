@@ -1,6 +1,5 @@
 """Deformation tensors: extraction, modes, verifiers, and group actions."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -12,26 +11,33 @@ from maform.cli import load_tensor_file
 from maform.deformation import (
     DeformationError,
     DeformationTensor,
-    condition_symmetry,
     contract,
     extract,
-    extract_from_structure,
-    fourier_modes_from_components,
     frame_vectors,
     hol_rep,
     antihol_rep,
-    maurer_cartan_residual,
-    reconstruct,
     reference_form_matrix,
     rotate,
     tensor_from_mode_functions,
+)
+from maform.integrability import (
+    _bracket,
+    _jets,
+    _times,
+    condition_symmetry,
+    maurer_cartan_residual,
     verify_mode_equations,
 )
-from maform.deformation import _bracket, _jets, _times
 from maform.domains import make_circular_domain
 from maform.exterior import standard_j_matrix
 from maform.moser import normalize_domain
 from maform.symforms import call, sym, symbols
+from structure_reference import (
+    extract_from_structure,
+    fiber_zetas,
+    fourier_modes_from_components,
+    reconstruct,
+)
 
 ATLAS = ChartAtlas(n=2, n_v=17)
 ATLAS3 = ChartAtlas(n=3, n_v=7, box=1.0)
@@ -70,7 +76,7 @@ def four_by_four_graph(nm, chart):
     projection (1 + iJ)/2 of ebar, and a 4 x 4 solve for its coefficients
     over the splitting [ebar, zbar, e, z]."""
     V = ATLAS.base_points(chart)[:, :, None, None]
-    zeta = ATLAS.fiber.zetas
+    zeta = fiber_zetas(ATLAS.fiber)
     z = np.empty(np.broadcast(V, zeta).shape + (2,), dtype=complex)
     z[..., chart], z[..., 1 - chart] = zeta, zeta * V
     W, Wx, Wy = (a[chart][:, :, None, None, :] for a in (nm.W, nm.dWx, nm.dWy))
@@ -181,7 +187,7 @@ class TestExtraction:
             per_chart[1] = per_chart[1].copy()
             per_chart[1][3, 5] = value
         with pytest.raises(DeformationError, match=r"chart 1 at node \(3, 5\): \|det A\|"):
-            extract(dataclasses.replace(perturbed_nm, **arrays))
+            extract(perturbed_nm._replace(**arrays))
 
     def test_mode_cutoff_needs_enough_angles(self, perturbed_nm):
         with pytest.raises(DeformationError, match="k_max 8 needs at least 18 fiber angles"):
@@ -275,7 +281,7 @@ class TestModeNorms:
 
 def series_components(tensor):
     """Component arrays sum_k phi_k zeta^k of a tensor on the fiber grid."""
-    powers = ATLAS.fiber.zetas[..., None] ** np.arange(tensor.k_max + 1)
+    powers = fiber_zetas(ATLAS.fiber)[..., None] ** np.arange(tensor.k_max + 1)
     return {c: np.einsum("rtk,kxyab->xyrtab", powers, m) for c, m in tensor.modes.items()}
 
 

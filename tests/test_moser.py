@@ -1,7 +1,6 @@
 """Curvature data, base flow with its horizontal lift, and map assembly."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from maform.moser import (
     _gauss_legendre,
     _hand_off,
     _lifted_field,
+    _segment_integral,
     _sphere_point,
     circulation_residual,
     curvature,
@@ -154,7 +154,7 @@ def spied(conn):
         return counted
 
     wrapped = {fn: spy(fn) for fn in conn.fields.values()}
-    return replace(conn, fields={c: wrapped[fn] for c, fn in conn.fields.items()}), calls
+    return conn._replace(fields={c: wrapped[fn] for c, fn in conn.fields.items()}), calls
 
 
 @pytest.fixture(scope="module")
@@ -376,13 +376,32 @@ class TestMoserFlow:
 
     @pytest.mark.parametrize("spec", [{"kind": "ball"}, {"kind": "perturbed_ball", "eps": 0.05}])
     def test_charts_with_one_field_and_grid_flow_alike(self, spec):
-        # the same m^2 and the same node grid on both charts: the batched
-        # state treats every point alike, so the two charts' results agree
-        # to the bit
+        # the same m^2 and the same node grid on both charts: the two
+        # charts' results agree to the bit (the flow of each trajectory is
+        # shared; test_shared_field_flows_each_trajectory_once checks it
+        # against two separate flows)
         mink, _ = make_circular_domain(spec)
         flow = moser_flow(curvature(mink, ATLAS), n_steps=50)
         for got in (flow.endpoints, flow.phases, flow.jacobians):
             assert np.array_equal(got[0], got[1])
+
+    @pytest.mark.parametrize("spec", [{"kind": "ball"}, {"kind": "perturbed_ball", "eps": 0.05}])
+    def test_shared_field_flows_each_trajectory_once(self, spec):
+        # charts that share one field flow the first chart's nodes only: the
+        # results equal to the bit those of the two-chart flow, whose charts
+        # call separate copies of the field, and every stage's field call
+        # sees the nodes of one chart
+        mink, _ = make_circular_domain(spec)
+        conn = curvature(mink, ATLAS)
+        fn = conn.fields[0]
+        apart = conn._replace(fields={c: lambda xs, ys: fn(xs, ys) for c in ATLAS.charts})
+        once, calls = spied(conn)
+        got, want = moser_flow(once, n_steps=50), moser_flow(apart, n_steps=50)
+        for name in ("endpoints", "phases", "jacobians"):
+            for c in ATLAS.charts:
+                assert np.array_equal(getattr(got, name)[c], getattr(want, name)[c])
+        assert got.endpoint_residual == want.endpoint_residual
+        assert calls[:200] == [(ATLAS.n_v**2,)] * 200
 
     @pytest.mark.parametrize(
         "spec, shared, stage_calls",
@@ -418,8 +437,8 @@ class TestMoserFlow:
             return tuple(F.reshape(12, -1))
 
         with pytest.raises(MoserError, match=r"t=0\.000, chart 1, start node \(1, 3, 5\)"):
-            moser_flow(replace(conn, fields={0: good, 1: bad}), n_steps=10)
-        shared, calls = spied(replace(conn, fields={0: bad, 1: bad}))
+            moser_flow(conn._replace(fields={0: good, 1: bad}), n_steps=10)
+        shared, calls = spied(conn._replace(fields={0: bad, 1: bad}))
         v = np.array([0.1, 0.2j, 0.3, 0.1, P, 0.3])
         f = _lifted_field(shared.fields, np.array([0, 0, 0, 1, 1, 1]), (2, 3))
         with pytest.raises(MoserError, match=r"t=0\.500, chart 1, start node \(1, 1\)"):
@@ -595,6 +614,24 @@ class TestPhaseCorrection:
                 mink, ATLAS, c, nm.W[c], nm.dWx[c], nm.dWy[c]
             )
             assert np.max(np.abs(nu)) < 1e-6
+
+
+    @pytest.mark.parametrize("n_v", [33, 65])
+    def test_segment_integral_working_set_is_bounded(self, n_v):
+        # the chart-0 potential's segments, from the origin to every node,
+        # run in blocks: the peak stays below 1.5 MB at either N_v (one
+        # evaluation of all of them peaked at 2.26 MB and 5.9 MB), and the
+        # integrals keep the bits of that one evaluation
+        atlas = ChartAtlas(n=2, n_v=n_v)
+        spline = NotAKnotBicubic(atlas.xs, np.random.default_rng(5).standard_normal((n_v, n_v, 2)))
+        V = atlas.base_points(0)
+        got = _segment_integral(spline, 0j, V)
+        assert traced_peak(lambda: _segment_integral(spline, 0j, V)) < 1.5e6
+        nodes, weights = _gauss_legendre(24)
+        p = np.multiply.outer(0.5 * (nodes + 1.0), V)
+        vals = spline(p.real, p.imag)
+        want = np.tensordot(0.5 * weights, vals[..., 0] * V.real + vals[..., 1] * V.imag, axes=1)
+        assert np.array_equal(got, want)
 
 
 class TestNormalizingMap:
