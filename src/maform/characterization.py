@@ -135,27 +135,24 @@ def scaling_test(tensor, k, iters=20, slope_tol=1e-6):
     base = tensor.mode_norms()
     trace = [base]
     it = tensor
-    for _ in range(iters):
-        it = contract(it, k)
+    for i in range(iters):
+        # the first contraction makes the iterate, the others overwrite it
+        it = contract(it, k, out=it if i else None)
         trace.append(it.mode_norms())
     arr = np.stack(trace)  # (iters+1, k_max+1)
     slopes = np.zeros(tensor.k_max + 1)
     expected = np.arange(tensor.k_max + 1) * np.log(k)
     idx = np.arange(iters + 1)
     for j in range(tensor.k_max + 1):
-        col = arr[:, j]
-        if base[j] <= 0:
-            slopes[j] = expected[j]  # empty mode: decay rate is unobservable
-            continue
-        logs = np.log(col)
-        slopes[j] = np.polyfit(idx, logs, 1)[0]
+        # an empty mode's decay rate is unobservable
+        slopes[j] = np.polyfit(idx, np.log(arr[:, j]), 1)[0] if base[j] > 0 else expected[j]
     slope_err = float(np.max(np.abs(slopes - expected)))
     mode0_drift = max(
         float(np.max(np.abs(it.modes[c][0] - tensor.modes[c][0])))
         for c in tensor.charts
     )
     tail = float(np.sum(arr[-1, 1:]))
-    report = ClassificationReport(
+    return ClassificationReport(
         verdicts={
             "scaling_rates": slope_err < slope_tol,
             "scaling_limit_is_mode0": mode0_drift == 0.0 and tail < 1e-6,
@@ -171,7 +168,6 @@ def scaling_test(tensor, k, iters=20, slope_tol=1e-6):
         expected_slopes=expected,
         tolerances={"slope": slope_tol},
     )
-    return report
 
 
 def classify(tensor, tol_circular=1e-5, tol_ball=1e-8, angles=(0.7, 1.9)):

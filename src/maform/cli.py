@@ -284,12 +284,23 @@ def cmd_scale_test(args):
 # entry point
 
 
-def _positive(text):
-    """argparse type of a tolerance: a float greater than zero."""
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def _checked(cast, ok, what):
+    """argparse type: the text cast, refused where ok is false; a text that
+    does not cast reads 'invalid int value' or 'invalid float value'."""
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
+# the argparse types of a tolerance, a count and the mode cutoff
+_positive = _checked(float, lambda v: v > 0, "positive")
+_count = _checked(int, lambda v: v >= 1, "at least 1")
+_index = _checked(int, lambda v: v >= 0, "at least 0")
 
 
 # every option, with its one default
@@ -298,14 +309,14 @@ _OPTIONS = {
     "--tensor": dict(help="synthetic-tensor spec file"),
     "--out": dict(default=".", help="output directory"),
     "--seed": dict(type=int, default=13, help="sample seed of verify; the others echo it"),
-    "--samples": dict(type=int, default=40, help="identity sample points"),
+    "--samples": dict(type=_count, default=40, help="identity sample points"),
     "--binary": dict(action="store_true", help="binary dumps"),
     "--moser-tol": dict(type=_positive, default=1e-6, help="normalization residual bound"),
     "--mode-tol": dict(type=_positive, default=1e-5, help="circularity bound on positive modes"),
-    "--steps": dict(type=int, default=200, help="RK4 steps"),
-    "--kmax": dict(type=int, default=7, help="fiber mode cutoff"),
+    "--steps": dict(type=_count, default=200, help="RK4 steps"),
+    "--kmax": dict(type=_index, default=7, help="fiber mode cutoff"),
     "--k": dict(type=float, default=0.5, help="contraction ratio"),
-    "--iters": dict(type=int, default=20, help="contraction iterations"),
+    "--iters": dict(type=_count, default=20, help="contraction iterations"),
 }
 
 # command -> (function, help, its spec file options, its other options)

@@ -231,35 +231,26 @@ def _levi_roots(tensor, chart):
     key = (n, tensor.atlas.n_v, tensor.atlas.box, chart)
     if key not in _LEVI_ROOTS:
         z = _ambient_of(n, chart, _chart_points(tensor.atlas, chart), 1.0)
-        e = frame_vectors(n, chart, z)
-        A = reference_form_matrix(n)
-        Pg = np.empty(z.shape[:-1] + (n - 1, n - 1), dtype=complex)
-        Qg = np.empty_like(Pg)
-        for a in range(n - 1):
-            for b in range(n - 1):
-                ea = hol_rep(e[..., a, :])
-                eb_bar = antihol_rep(np.conj(e[..., b, :]))
-                Pg[..., a, b] = np.einsum("...i,ij,...j->...", ea, A, eb_bar) / (2j)
-                Qg[..., a, b] = np.einsum(
-                    "...i,ij,...j->...", antihol_rep(np.conj(e[..., a, :])), A,
-                    hol_rep(e[..., b, :])
-                ) / (-2j)
+        e, A = frame_vectors(n, chart, z), reference_form_matrix(n)
+        Pg = np.einsum("...ai,ij,...bj->...ab", hol_rep(e), A, antihol_rep(np.conj(e))) / (2j)
+        Qg = np.einsum("...ai,ij,...bj->...ab", antihol_rep(np.conj(e)), A, hol_rep(e)) / (-2j)
         _LEVI_ROOTS[key] = (_mat_sqrt(Qg), np.linalg.inv(_mat_sqrt(Pg)))
     return _LEVI_ROOTS[key]
 
 
 def _operator_norms(tensor, chart):
-    """Per-mode operator norms w.r.t. the reference Levi metric at nodes."""
-    Qhalf, Pinvh = _levi_roots(tensor, chart)
+    """Per-mode operator norms w.r.t. the reference Levi metric at nodes,
+    one mode at a time.
+
+    At n = 2 both Gram matrices are the scalar |e|^2 = 1/(1 + |v|^2), so
+    Q^(1/2) phi_k P^(-1/2) = phi_k and the norm of mode k is |phi_k|.
+    """
     m = tensor.n - 1
-    out = []
-    for M in tensor.modes[chart].reshape(tensor.k_max + 1, -1, m, m):
-        if m == 1:
-            # 1x1 matrices: the operator norm is the modulus
-            out.append(np.abs(Qhalf[:, 0, 0] * M[:, 0, 0] * Pinvh[:, 0, 0]))
-        else:
-            out.append(np.linalg.norm(Qhalf @ M @ Pinvh, ord=2, axis=(-2, -1)))
-    return out
+    modes = tensor.modes[chart].reshape(tensor.k_max + 1, -1, m, m)
+    if m == 1:
+        return (np.abs(M[:, 0, 0]) for M in modes)
+    Qhalf, Pinvh = _levi_roots(tensor, chart)
+    return (np.linalg.norm(Qhalf @ M @ Pinvh, ord=2, axis=(-2, -1)) for M in modes)
 
 
 def _mat_sqrt(H):
@@ -335,18 +326,18 @@ def tensor_from_mode_functions(atlas, coords, entries, k_max):
     """
     n, coords, entries = atlas.n, tuple(coords), tuple(entries)
     v = _chart_points(atlas, 0)
-    stack = np.zeros((k_max + 1, n - 1, n - 1, len(v)), dtype=complex)
+    stack = np.zeros((k_max + 1, len(v), n - 1, n - 1), dtype=complex)
     with np.errstate(all="ignore"):  # a value that is not finite is refused below
         for k, a, b, expr in entries:
-            stack[k, a - 1, b - 1] += Jet.compile(expr, coords, 0)(*v.reshape(len(v), -1).T)[0]
+            stack[k, :, a - 1, b - 1] += Jet.compile(expr, coords, 0)(*v.reshape(len(v), -1).T)[0]
     grid = (atlas.n_v,) * (2 * n - 2)
     if not np.all(np.isfinite(stack)):
-        k, a, b, p = np.argwhere(~np.isfinite(stack))[0]
+        k, p, a, b = np.argwhere(~np.isfinite(stack))[0]
         node = tuple(int(i) for i in np.unravel_index(p, grid))
         raise DeformationError(
             f"mode {k} {a + 1} {b + 1} is not finite on chart 0 at node {node}, v = {v[p]}"
         )
-    modes = {0: np.moveaxis(stack, -1, 1).reshape((k_max + 1,) + grid + (n - 1, n - 1))}
+    modes = {0: stack.reshape((k_max + 1,) + grid + (n - 1, n - 1))}
     return DeformationTensor(n=n, atlas=atlas, k_max=k_max, modes=modes, spec=(coords, entries))
 
 
@@ -360,22 +351,23 @@ def rotate(tensor: DeformationTensor, theta) -> DeformationTensor:
     return _remap_modes(tensor, phases)
 
 
-def contract(tensor: DeformationTensor, k) -> DeformationTensor:
-    """Evaluate the tensor at ([v], k zeta): mode j scales by k^j."""
+def contract(tensor: DeformationTensor, k, out=None) -> DeformationTensor:
+    """Evaluate the tensor at ([v], k zeta): mode j scales by k^j.  The
+    modes are written over those of out when it is given (out=tensor
+    contracts in place) and into new arrays otherwise."""
     if not (0 < k <= 1):
         raise DeformationError("contraction ratio must lie in (0, 1]")
     factors = np.asarray(k, dtype=float) ** np.arange(tensor.k_max + 1)
-    return _remap_modes(tensor, factors)
+    return _remap_modes(tensor, factors, out)
 
 
-def _remap_modes(tensor, factors):
-    """The tensor with mode k scaled by factors[k], on node samples alone."""
+def _remap_modes(tensor, factors, out=None):
+    """The tensor with mode k scaled by factors[k], on node samples alone,
+    written over the modes of out when it is given."""
     factors = np.asarray(factors)
-    modes = {
-        c: m * factors.reshape((-1,) + (1,) * (m.ndim - 1))
-        for c, m in tensor.modes.items()
-    }
-    return DeformationTensor(
-        n=tensor.n, atlas=tensor.atlas, k_max=tensor.k_max, modes=modes,
-        diagnostics=dict(tensor.diagnostics),
-    )
+    if out is None:
+        out = tensor._replace(modes={}, diagnostics=dict(tensor.diagnostics), spec=None)
+    for c, m in tensor.modes.items():
+        f = factors.reshape((-1,) + (1,) * (m.ndim - 1))
+        out.modes[c] = np.multiply(m, f, out=out.modes.get(c))
+    return out

@@ -269,13 +269,15 @@ def read_spec(text, keys, entry=None):
     return values, entries
 
 
-# integer keys: the values the pipeline can run on, and what a bad one lacks
+# keys with a range: the values the pipeline can run on, and what a bad one lacks
 _SPEC_RANGES = {
     "n": (lambda v: v in (2, 3), "must be 2 or 3"),
     "N_v": (lambda v: v >= 4, "must be at least 4, the nodes per axis a cubic interpolant needs"),
     "N_r": (lambda v: v >= 2, "must be at least 2 fiber radii"),
     "N_theta": (lambda v: v >= 2 and not v & (v - 1), "must be a power of two, at least 2"),
     "k_max": (lambda v: v >= 0, "must be non-negative"),
+    "q": (lambda q: len(dict(q)) == len(q) and all(d >= 0 and math.isfinite(c) for d, c in q),
+          "must pair distinct degrees of at least 0 with finite coefficients"),
 }
 
 
@@ -413,12 +415,8 @@ _DOMAIN_KEYS = {"n", "mu.kind", "tau.expr", "a", "b", "eps", "q", "N_v", "N_r", 
 
 
 def _q_list(text):
-    """A perturbed_ball q list 'degree:coeff, ...' as {degree: coeff}."""
-    out = {}
-    for item in text.split(","):
-        d, _, c = item.partition(":")
-        out[int(d.strip())] = float(c.strip())
-    return out
+    """A perturbed_ball q list 'degree:coeff, ...' as (degree, coeff) pairs."""
+    return [(int(d), float(c)) for d, _, c in (pair.partition(":") for pair in text.split(","))]
 
 
 def parse_domain_spec(text):
@@ -449,7 +447,7 @@ def parse_domain_spec(text):
         params["b"] = take("b", 4.0, float)
     elif kind == "perturbed_ball":
         params["eps"] = take("eps", 0.05, float)
-        params["q"] = take("q", {2: 1.0}, _q_list)
+        params["q"] = dict(take("q", [(2, 1.0)], _q_list))
     elif kind not in ("ball", None):
         raise values["mu.kind"].error(f"unknown mu.kind {kind!r}")
     coords = {c.args[0]: c for c in ambient_coords(n)}

@@ -14,6 +14,7 @@ formula.  No finite difference is taken.
 
 from __future__ import annotations
 
+import random
 from functools import reduce
 from itertools import combinations
 
@@ -73,12 +74,13 @@ class ZFieldEvaluator:
 
 
 def _ambient_points(n, n_samples, seed=11, lo=0.35, hi=1.0):
-    """Random sample points in the spherical shell lo <= |z| <= hi."""
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(n_samples, 2 * n))
+    """Random sample points in the spherical shell lo <= |z| <= hi: Gaussian
+    directions, then uniform radii, from random.Random(seed)."""
+    rng = random.Random(seed)
+    raw = np.array([[rng.gauss(0.0, 1.0) for _ in range(2 * n)] for _ in range(n_samples)])
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    radii = rng.uniform(lo, hi, size=(n_samples, 1))
-    return raw * radii
+    radii = np.array([rng.uniform(lo, hi) for _ in range(n_samples)])
+    return raw * radii[:, None]
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,31 @@ class TestOptions:
         assert run([*argv, "--domain", spec, "--out", str(tmp_path)]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, option, low",
+        [
+            (["scale-test", "--iters", "0"], "--iters", 1),
+            (["scale-test", "--iters", "-3"], "--iters", 1),
+            (["invariants", "--steps", "0"], "--steps", 1),
+            (["classify", "--kmax", "-1"], "--kmax", 0),
+            (["normalize", "--steps", "-2"], "--steps", 1),
+            (["verify", "--samples", "0"], "--samples", 1),
+        ],
+        ids=[
+            "iters-0", "iters-negative", "steps-0", "kmax-negative", "steps-negative", "samples-0"
+        ],
+    )
+    def test_count_out_of_range_exits_2(self, tmp_path, capsys, argv, option, low):
+        # argparse refuses the count before any work, naming the option
+        if argv[0] == "scale-test":
+            spec = ["--tensor", write(tmp_path, "synth.tns", SYNTH_TNS)]
+        else:
+            spec = ["--domain", write(tmp_path, "ball.dom", BALL_DOM)]
+        assert run([*argv, *spec, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: must be at least {low}, got {argv[2]}" in err
+        assert list(tmp_path.glob("*_report.txt")) == []
+
     def test_every_option_acts(self, tmp_path):
         # no option is accepted and then ignored: each changes a report
         # body, a dump or the exit code (--out and, but on verify, --seed
@@ -869,16 +894,19 @@ class TestEnvironment:
         assert out.stdout.splitlines()[-1] == "[]", out.stdout
         assert [line for line in out.stdout.splitlines() if line.isdigit()] == ["0"] * 5
 
-    def test_moser_commands_load_no_lazy_numpy_submodules(self, tmp_path):
+    def test_commands_load_no_lazy_numpy_submodules(self, tmp_path):
         # numpy loads numpy.ma, numpy.random and numpy.polynomial on first
-        # use only; the Moser commands need none of them (verify keeps
-        # numpy.random for its --seed samples)
+        # use only; no command needs any of them
         ball = write(tmp_path, "ball.dom", BALL_DOM)
         ell = write(tmp_path, "ellipsoid.dom", ELLIPSOID_DOM)
+        tns = write(tmp_path, "synth.tns", SYNTH_TNS)
         commands = [
             ["normalize", "--domain", ball, "--steps", "5"],
             ["invariants", "--domain", ell, "--steps", "5"],
             ["classify", "--domain", ell, "--steps", "5"],
+            ["classify", "--tensor", tns],
+            ["verify", "--domain", ball, "--samples", "1"],
+            ["scale-test", "--tensor", tns],
         ]
         script = (
             "import sys\n"
@@ -893,7 +921,7 @@ class TestEnvironment:
             text=True, check=True, timeout=300,
         )
         assert out.stdout.splitlines()[-1] == "[]", out.stdout
-        assert [line for line in out.stdout.splitlines() if line.isdigit()] == ["0"] * 3
+        assert [line for line in out.stdout.splitlines() if line.isdigit()] == ["0"] * 6
 
     # command -> (its arguments on the spec files of _command_inputs, the
     # watched modules it loads, and the maform modules it loads after its

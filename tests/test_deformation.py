@@ -5,12 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from maform import deformation
 from maform.atlas import ChartAtlas
-from maform.characterization import classify
+from maform.characterization import classify, scaling_test
 from maform.cli import load_tensor_file
 from maform.deformation import (
     DeformationError,
     DeformationTensor,
+    _levi_roots,
+    _operator_norms,
     contract,
     extract,
     frame_vectors,
@@ -57,6 +60,18 @@ def ellipsoid_tensor():
     mink, _ = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
     nm = normalize_domain(mink, atlas=ATLAS, n_steps=100)
     return extract(nm)
+
+
+@pytest.fixture(scope="module")
+def synthetic_129():
+    """The n = 2 synthetic tensor of the scale-test benchmark's kind, at
+    N_v = 129 with k_max = 7."""
+    vbar = call("conj", V)
+    entries = [
+        (0, 1, 1, 0.05 / (1 + V * vbar)), (1, 1, 1, 0.02 * V / (1 + V * vbar)),
+        (3, 1, 1, 0.01 * V**2), (7, 1, 1, 0.003 * vbar),
+    ]
+    return tensor_from_mode_functions(ChartAtlas(n=2, n_v=129), (V,), entries, 7)
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +278,25 @@ class TestModeNorms:
         t = tensor_from_mode_functions(ATLAS3, (V1, V2), entries, 2)
         want = reference_mode_norms(t)
         assert np.max(np.abs(t.mode_norms() - want) / want) < 1e-13
+
+    @pytest.mark.parametrize("name", ["synthetic_129", "ellipsoid_tensor", "perturbed_tensor"])
+    def test_n2_norm_is_the_modulus_of_the_mode(self, request, name):
+        # at n = 2 both Levi Gram matrices are the scalar |e|^2, so the
+        # norm of mode k is max |phi_k| r^k; the Gram route of the n = 3
+        # norms (_levi_roots) agrees to roundoff
+        t = request.getfixturevalue(name)
+        weights = t.atlas.fiber.radii[-1] ** np.arange(t.k_max + 1)
+        modulus = np.zeros(t.k_max + 1)
+        gram = np.zeros(t.k_max + 1)
+        for c in t.charts:
+            modes = t.modes[c].reshape(t.k_max + 1, -1)
+            Qhalf, Pinvh = _levi_roots(t, c)
+            modulus = np.maximum(modulus, np.max(np.abs(modes), axis=1) * weights)
+            levi = np.abs(Qhalf[:, 0, 0] * modes * Pinvh[:, 0, 0])
+            gram = np.maximum(gram, np.max(levi, axis=1) * weights)
+        got = t.mode_norms()
+        assert np.array_equal(got, modulus)
+        assert np.all(np.abs(got - gram) <= 1e-15 * gram)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_nan_node_fails_every_verdict_that_reads_its_mode(self, k):
@@ -561,3 +595,23 @@ class TestAllocation:
         )
         load_tensor_file(str(spec))  # compile the coefficients outside the trace
         assert traced_peak(load_tensor_file, str(spec)) < 9e6
+
+    def test_n2_norms_build_no_gram_matrices(self, synthetic_129, monkeypatch):
+        # the Levi Gram matrices of a new geometry measured 6.5 MB at
+        # N_v = 129, and a list of every mode's node norms 1.3 MB; the
+        # moduli of one mode at a time measure 0.27 MB
+        monkeypatch.setattr(deformation, "_LEVI_ROOTS", {})
+        peak = traced_peak(lambda: [np.max(op) for op in _operator_norms(synthetic_129, 0)])
+        assert peak < 1e6
+
+    def test_scaling_test_holds_one_iterate(self, synthetic_129):
+        # one (8, 129, 129, 1, 1) complex mode stack is 2.1 MB: the
+        # iteration measures 2.5 MB beside its input; a new tensor per
+        # contraction, made while the last one lives, measured 4.4 MB
+        assert traced_peak(scaling_test, synthetic_129, 0.5) < 3e6
+        # the iterate contracted in place keeps the bits of a new tensor per step
+        report = scaling_test(synthetic_129, 0.5, iters=4)
+        it = synthetic_129
+        for row in report.trace:
+            assert np.array_equal(row, it.mode_norms())
+            it = contract(it, 0.5)

@@ -290,6 +290,9 @@ class TestSpecReader:
             ("tau.expr = x1**2\n  tau.expr = y1**2\n", "line 2, column 3: duplicate key 'tau.expr'"),
             ("mu.kind = ball\ntau.expr = x1.real\n", "line 2, column 12: 'x1.real' is not allowed"),
             ("mu.kind = perturbed_ball\nq = 2:1, x\n", "line 2, column 5: bad value for 'q'"),
+            ("mu.kind = perturbed_ball\nq = -1:1\n", "line 2, column 5: q must pair distinct"),
+            ("mu.kind = perturbed_ball\nq = 2:1, 2:3\n", "line 2, column 5: q must pair distinct"),
+            ("mu.kind = perturbed_ball\nq =  2:nan\n", "line 2, column 6: q must pair distinct"),
         ],
     )
     def test_domain_errors(self, text, message):
