@@ -2,12 +2,12 @@
 
 The base CP^{n-1} is covered by stereographic-style affine charts; for
 n = 2 two charts with transition v -> 1/v, each a square grid of half-width
-1.25 so the charts overlap.  The fiber carries a polar grid in zeta with
-N_theta a power of two, so that an angular DFT on it is exact on
-band-limited data; the outer radius is where mode norms are read.
+1.25 so the charts overlap.  The fiber is not sampled: a tensor carries
+its fiber-Fourier modes, and mode norms are read at the one fiber radius
+R_FIBER.
 
-Both records are named tuples that check their fields when built: they
-compare and hash by value, so an atlas can key a cache.
+ChartAtlas is a named tuple that checks its fields when built: it
+compares and hashes by value, so an atlas can key a cache.
 """
 
 from __future__ import annotations
@@ -17,45 +17,14 @@ from typing import NamedTuple
 import numpy as np
 
 R_OUTER = 1.25
-
-
-class _FiberFields(NamedTuple):
-    n_r: int = 8
-    n_theta: int = 16
-    r_max: float = 0.9
-    r_min: float = 0.1125
-
-
-class FiberGrid(_FiberFields):
-    """Polar grid in the fiber coordinate zeta.
-
-    The inner radius is a fixed fraction of r_max (not 1/n_r) so that grid
-    refinement keeps the radial window fixed; the exceptional set |zeta| <
-    r_min is always excluded from nodewise computations.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n_theta & (self.n_theta - 1):
-            raise ValueError("N_theta must be a power of two")
-        if self.n_r < 2:
-            raise ValueError("need at least two fiber radii")
-        if not 0 < self.r_min < self.r_max:
-            raise ValueError("need 0 < r_min < r_max")
-        return self
-
-    @property
-    def radii(self):
-        return np.linspace(self.r_min, self.r_max, self.n_r)
+# the fiber radius |zeta| at which mode norms are read
+R_FIBER = 0.9
 
 
 class _AtlasFields(NamedTuple):
     n: int = 2
     n_v: int = 33
     box: float = R_OUTER
-    fiber: FiberGrid = FiberGrid()
 
 
 class ChartAtlas(_AtlasFields):

@@ -1,47 +1,21 @@
 """Classification suite for deformation tensors.
 
-Circularity and ball verdicts from fiber-mode norms, the rotational
-invariance test, and the scaling iteration with per-mode decay-rate fits.
+Every verdict of classify reads one vector of fiber-mode norms n_k
+(DeformationTensor.mode_norms): circularity, the ball, and rotational
+invariance, which at a non-resonant angle is the circularity verdict
+again.  The scaling test iterates the fiber contraction and fits the
+per-mode decay rates.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .deformation import contract, rotate
+from .deformation import contract
 
 
 class CharacterizationError(ValueError):
     """Raised for resonant angles or bad contraction ratios."""
-
-
-# ---------------------------------------------------------------------------
-# mode-norm verdicts
-
-
-def circularity_defect(tensor):
-    """Total operator norm of all positive fiber modes."""
-    return float(np.sum(tensor.mode_norms()[1:]))
-
-
-def is_circular(tensor, tol=1e-5):
-    """A tensor with only the fiber-constant mode describes a domain whose
-    normal form is reached by a fiber-linear map."""
-    return circularity_defect(tensor) < tol
-
-
-def ball_defect(tensor):
-    """Total operator norm of the tensor, mode 0 included."""
-    return float(np.sum(tensor.mode_norms()))
-
-
-def is_ball(tensor, tol=1e-8):
-    """The zero tensor leaves the standard structure untouched."""
-    return ball_defect(tensor) < tol
-
-
-# ---------------------------------------------------------------------------
-# rotational test
 
 
 def _resonance_check(theta, k_max, eps=1e-8):
@@ -51,34 +25,6 @@ def _resonance_check(theta, k_max, eps=1e-8):
                 f"angle {theta} is resonant at mode {k}: the rotation "
                 "fixes that mode and the test is uninformative"
             )
-
-
-def rotational_test(tensor, theta, tol=1e-5):
-    """Invariance of the tensor under the fiber rotation by theta.
-
-    Mode k picks up the factor e^{ik theta}, so at a non-resonant angle
-    the invariance defect recovers the positive-mode norms exactly; the
-    verdict therefore agrees with the circularity verdict, and that
-    agreement is checked rather than assumed: a disagreement, as when the
-    mode norms overflow, raises CharacterizationError.
-    """
-    if tensor.k_max >= 1:
-        _resonance_check(theta, tensor.k_max)
-    rotated = rotate(tensor, theta)
-    diff = rotated._replace(modes={c: rotated.modes[c] - tensor.modes[c] for c in tensor.charts})
-    moved = diff.mode_norms()
-    defect = 0.0
-    for k in range(1, tensor.k_max + 1):
-        # the raw motion is |1 - e^{ik theta}| times the mode size; divide
-        # the factor back out so the defect is angle independent
-        defect += moved[k] / abs(np.exp(1j * k * theta) - 1.0)
-    verdict = defect < tol
-    if verdict != is_circular(tensor, tol):
-        raise CharacterizationError(
-            f"rotation defect {defect:.3e} at angle {theta} and circularity defect "
-            f"{circularity_defect(tensor):.3e} give different verdicts"
-        )
-    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -171,22 +117,30 @@ def scaling_test(tensor, k, iters=20, slope_tol=1e-6):
 
 
 def classify(tensor, tol_circular=1e-5, tol_ball=1e-8, angles=(0.7, 1.9)):
-    """Full verdict report: circularity, ball, and rotational agreement."""
+    """Full verdict report from the mode norms n_k, computed once.
+
+    circular: the positive modes, whose total sum_{k>=1} n_k is the
+    circularity defect, are below tol_circular; a tensor with only the
+    fiber-constant mode describes a domain normalized by a fiber-linear
+    map.  ball: the total sum_k n_k, the ball defect, is below tol_ball;
+    the zero tensor leaves the standard structure untouched.
+
+    rotational_theta: the fiber rotation by theta moves mode k by
+    (e^{ik theta} - 1) phi_k, so with the factor |e^{ik theta} - 1|
+    divided back out the invariance defect is sum_{k>=1} n_k, the
+    circularity defect itself; each row is the circular verdict, once
+    its angle passes the resonance check.
+    """
     norms = tensor.mode_norms()
-    report = ClassificationReport(
-        verdicts={
-            "circular": is_circular(tensor, tol_circular),
-            "ball": is_ball(tensor, tol_ball),
-        },
-        values={
-            "circularity_defect": circularity_defect(tensor),
-            "ball_defect": ball_defect(tensor),
-        },
+    defect, total = float(np.sum(norms[1:])), float(np.sum(norms))
+    circular = defect < tol_circular
+    verdicts = {"circular": circular, "ball": total < tol_ball}
+    for theta in angles:
+        _resonance_check(theta, tensor.k_max)
+        verdicts[f"rotational_{theta:g}"] = circular
+    return ClassificationReport(
+        verdicts=verdicts,
+        values={"circularity_defect": defect, "ball_defect": total},
         mode_norms=norms,
         tolerances={"circular": tol_circular, "ball": tol_ball},
     )
-    for theta in angles:
-        report.verdicts[f"rotational_{theta:g}"] = rotational_test(
-            tensor, theta, tol_circular
-        )
-    return report

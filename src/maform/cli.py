@@ -85,16 +85,12 @@ def load_domain_file(path):
 def load_tensor_file(path):
     """Build the tensor of a synthetic-tensor spec file
     (domains.parse_tensor_spec); returns (tensor, values, text)."""
-    from .atlas import ChartAtlas, FiberGrid
+    from .atlas import ChartAtlas
 
     with open(path) as fh:
         text = fh.read()
     values, coords, modes = parse_tensor_spec(text)
-    atlas = ChartAtlas(
-        n=values["n"],
-        n_v=values["N_v"],
-        fiber=FiberGrid(n_r=values["N_r"], n_theta=values["N_theta"]),
-    )
+    atlas = ChartAtlas(n=values["n"], n_v=values["N_v"])
     return tensor_from_mode_functions(atlas, coords, modes, values["k_max"]), values, text
 
 
@@ -152,7 +148,7 @@ def _pipeline_tensor(args, spec):
 
 
 def _resolutions(spec, **extra):
-    return {"N_v": spec.n_v, "N_r": spec.n_r, "N_theta": spec.n_theta, **extra}
+    return {"N_v": spec.n_v, **extra}
 
 
 def cmd_verify(args):
@@ -252,7 +248,7 @@ def cmd_classify(args):
         return 2
     if args.tensor:
         tensor, values, raw = load_tensor_file(args.tensor)
-        res = {k: values[k] for k in ("N_v", "N_r", "N_theta", "k_max")}
+        res = {k: values[k] for k in ("N_v", "k_max")}
         tol, checks, integrable = _integrability(tensor)
     else:
         spec = _moser_spec(args)
@@ -274,7 +270,7 @@ def cmd_scale_test(args):
     tensor, values, raw = load_tensor_file(args.tensor)
     tol, checks, integrable = _integrability(tensor)
     report = scaling_test(tensor, args.k, iters=args.iters)
-    res = {k: values[k] for k in ("N_v", "N_r", "N_theta", "k_max")}
+    res = {k: values[k] for k in ("N_v", "k_max")}
     lines = report_header(args, raw, res, tol) + checks + report.lines()
     _write_report(args, "scale_report.txt", lines)
     return 0 if integrable and all(report.verdicts.values()) else 1

@@ -5,10 +5,11 @@ radial discs and preserves the horizontal distribution is encoded by a
 tensor phi mapping reference anti-holomorphic horizontal vectors to
 holomorphic ones, through the graph relation: the J-anti-holomorphic
 horizontal space is {w + phi(w)}.  A tensor is the stack of its
-fiber-Fourier modes phi = sum_k phi_k(v) zeta^k over the base nodes.  This
-module extracts phi from a normalizing map, builds the tensor of a
-synthetic-tensor spec, and implements the rotation and contraction
-actions on modes; the integrability conditions of an n = 3 tensor are in
+fiber-Fourier modes phi = sum_k phi_k(v) zeta^k over the base nodes; the
+fiber itself is never sampled.  This module extracts phi from a
+normalizing map, builds the tensor of a synthetic-tensor spec, measures
+the modes at the fiber radius R_FIBER and implements the contraction
+action on modes; the integrability conditions of an n = 3 tensor are in
 the integrability module.
 
 Extraction (n = 2) is closed-form 2 x 2 complex algebra.  In the
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atlas import ChartAtlas
+from .atlas import R_FIBER, ChartAtlas
 from .symforms import Jet
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "chart_axes",
     "frame_vectors",
     "extract",
-    "rotate",
     "contract",
     "tensor_from_mode_functions",
 ]
@@ -182,10 +182,10 @@ class DeformationTensor(NamedTuple):
     def mode_norms(self):
         """Reference-metric operator norm of each mode, sup over nodes.
 
-        The norm of phi_k zeta^k is evaluated at the outer fiber radius,
-        where the fiber factor is largest on the grid.
+        The norm of phi_k zeta^k is evaluated at |zeta| = R_FIBER (n = 2)
+        and on the unit fiber (n = 3).
         """
-        r = self.atlas.fiber.radii[-1] if self.n == 2 else 1.0
+        r = R_FIBER if self.n == 2 else 1.0
         out = np.zeros(self.k_max + 1)
         for chart in self.charts:
             # np.max and np.maximum keep a NaN node, so no verdict passes on it
@@ -264,19 +264,7 @@ def _mat_sqrt(H):
 # extraction
 
 
-def _mode_cutoff(atlas, k_max):
-    """k_max, by default the highest mode the fiber angles resolve."""
-    n_theta = atlas.fiber.n_theta
-    if k_max is None:
-        return n_theta // 2 - 1
-    if n_theta < 2 * (k_max + 1):
-        raise DeformationError(
-            f"k_max {k_max} needs at least {2 * (k_max + 1)} fiber angles"
-        )
-    return k_max
-
-
-def extract(nm, k_max=None):
+def extract(nm, k_max=7):
     """Deformation tensor of the structure pulled back by a fiber-linear
     normalizing map z = zeta p(v) -> zeta W(v) (n = 2).
 
@@ -288,7 +276,6 @@ def extract(nm, k_max=None):
     1..k_max are zero.
     """
     at = nm.atlas
-    k_max = _mode_cutoff(at, k_max)
     modes, leaks = {}, []
     for chart in at.charts:
         V = at.base_points(chart)
@@ -342,13 +329,7 @@ def tensor_from_mode_functions(atlas, coords, entries, k_max):
 
 
 # ---------------------------------------------------------------------------
-# group actions
-
-
-def rotate(tensor: DeformationTensor, theta) -> DeformationTensor:
-    """Fiber-rotation pullback: mode j picks up the factor e^{ij theta}."""
-    phases = np.exp(1j * np.arange(tensor.k_max + 1) * theta)
-    return _remap_modes(tensor, phases)
+# contraction
 
 
 def contract(tensor: DeformationTensor, k, out=None) -> DeformationTensor:
@@ -358,13 +339,6 @@ def contract(tensor: DeformationTensor, k, out=None) -> DeformationTensor:
     if not (0 < k <= 1):
         raise DeformationError("contraction ratio must lie in (0, 1]")
     factors = np.asarray(k, dtype=float) ** np.arange(tensor.k_max + 1)
-    return _remap_modes(tensor, factors, out)
-
-
-def _remap_modes(tensor, factors, out=None):
-    """The tensor with mode k scaled by factors[k], on node samples alone,
-    written over the modes of out when it is given."""
-    factors = np.asarray(factors)
     if out is None:
         out = tensor._replace(modes={}, diagnostics=dict(tensor.diagnostics), spec=None)
     for c, m in tensor.modes.items():

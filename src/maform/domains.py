@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atlas import ChartAtlas, FiberGrid, blowup_forward
+from .atlas import ChartAtlas, blowup_forward
 from .exterior import standard_j_matrix
 from .symforms import Expr, Jet, call, ddc_matrix, num, real_coords, subs, sym, symbols, to_complex, to_real
 
@@ -394,8 +394,6 @@ class DomainSpec(NamedTuple):
     kind: str
     params: dict
     n_v: int
-    n_r: int
-    n_theta: int
     raw: str
     tau_expr: object
     at: dict
@@ -404,14 +402,19 @@ class DomainSpec(NamedTuple):
         return {"n": self.n, "kind": self.kind, **self.params}
 
     def atlas(self):
-        return ChartAtlas(
-            n=self.n,
-            n_v=self.n_v,
-            fiber=FiberGrid(n_r=self.n_r, n_theta=self.n_theta),
-        )
+        return ChartAtlas(n=self.n, n_v=self.n_v)
 
 
-_DOMAIN_KEYS = {"n", "mu.kind", "tau.expr", "a", "b", "eps", "q", "N_v", "N_r", "N_theta"}
+# fiber-grid sizes: range-checked when given and read by nothing, since
+# the fiber is not sampled
+_FIBER_KEYS = ("N_r", "N_theta")
+_DOMAIN_KEYS = {"n", "mu.kind", "tau.expr", "a", "b", "eps", "q", "N_v", *_FIBER_KEYS}
+
+
+def _check_fiber_keys(values):
+    for key in _FIBER_KEYS:
+        if key in values:
+            parse_spec_value(values[key], int)
 
 
 def _q_list(text):
@@ -423,7 +426,8 @@ def parse_domain_spec(text):
     """Parse a 'key = value' domain spec (read_spec).
 
     Keys: n, mu.kind in {ball, ellipsoid, perturbed_ball}, a, b, eps, q
-    (comma list of degree:coeff), N_v, N_r, N_theta, and tau.expr, an
+    (comma list of degree:coeff), N_v, N_r, N_theta (_FIBER_KEYS: checked,
+    then ignored), and tau.expr, an
     exhaustion in the ambient coordinates x1, y1, ..., xn, yn
     (parse_expression) that replaces the gauge.  mu.kind is required
     unless tau.expr is given.  Errors carry line and column positions; an
@@ -452,25 +456,26 @@ def parse_domain_spec(text):
         raise values["mu.kind"].error(f"unknown mu.kind {kind!r}")
     coords = {c.args[0]: c for c in ambient_coords(n)}
     tau = values.get("tau.expr")
+    n_v = take("N_v", 33, int)
+    _check_fiber_keys(values)
     return DomainSpec(
         n=n,
         kind=kind,
         params=params,
-        n_v=take("N_v", 33, int),
-        n_r=take("N_r", 8, int),
-        n_theta=take("N_theta", 16, int),
+        n_v=n_v,
         raw=text,
         tau_expr=None if tau is None else parse_expression(tau.text, coords, tau.line_no, tau.col),
         at={key: (item.line_no, item.col) for key, item in values.items()},
     )
 
 
-_TENSOR_DEFAULTS = {"n": 2, "N_v": 17, "N_r": 8, "N_theta": 16, "k_max": 0}
+_TENSOR_DEFAULTS = {"n": 2, "N_v": 17, "k_max": 0}
 
 
 def parse_tensor_spec(text):
     """Parse a synthetic-tensor spec (read_spec): the integer keys of
-    _TENSOR_DEFAULTS, checked like those of a domain spec, and entries
+    _TENSOR_DEFAULTS and _FIBER_KEYS, checked like those of a domain spec
+    (the fiber keys are then ignored), and entries
     'mode k a b = expr' with 0 <= k <= k_max, a, b in 1..n-1 and expr a
     coefficient (parse_expression) in the base coordinate v (v1, v2 for
     n = 3).
@@ -478,11 +483,12 @@ def parse_tensor_spec(text):
     Returns (values, coords, modes): the integer values, the coordinate
     symbols and a list of (k, a, b, expr).
     """
-    items, entries = read_spec(text, set(_TENSOR_DEFAULTS), entry="mode")
+    items, entries = read_spec(text, {*_TENSOR_DEFAULTS, *_FIBER_KEYS}, entry="mode")
     values = {
         key: parse_spec_value(items[key], int) if key in items else default
         for key, default in _TENSOR_DEFAULTS.items()
     }
+    _check_fiber_keys(items)
     n = values["n"]
     coords = [sym("v")] if n == 2 else [sym(f"v{i+1}") for i in range(n - 1)]
     names = {c.args[0]: c for c in coords}

@@ -6,42 +6,49 @@ along the radial discs (reconstruct); extract_from_structure solves the
 graph relation back at every fiber node with the closed form that
 deformation.extract uses, and fourier_modes_from_components takes the
 angular DFT of the components into radius-independent modes.  A general J
-is not fiber-invariant, so the round trip runs on the full fiber grid of
-the atlas (fiber_zetas), where extract needs only zeta = 1.
+is not fiber-invariant, so the round trip runs on a polar fiber grid of
+its own (fiber_zetas: N_R radii up to R_FIBER, N_THETA angles, a power of
+two so that the DFT is exact on band-limited data), where extract needs
+only zeta = 1.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from maform.atlas import R_FIBER
 from maform.deformation import (
     DeformationError,
     DeformationTensor,
     _ambient_of,
     _graph_from_blocks,
-    _mode_cutoff,
     antihol_rep,
     frame_vectors,
     hol_rep,
 )
+
+# the fiber grid of the round trip; the inner radius keeps clear of the
+# exceptional set zeta = 0
+N_R, N_THETA = 8, 16
+RADII = np.linspace(0.1125, R_FIBER, N_R)
 
 
 class StructureField(NamedTuple):
     """Almost complex structure samples on the blow-up grid (n = 2)."""
 
     atlas: object
-    J: dict  # chart -> (n_v, n_v, n_r, n_theta, 4, 4)
+    J: dict  # chart -> (n_v, n_v, N_R, N_THETA, 4, 4)
 
 
-def fiber_zetas(fiber):
-    """The fiber nodes zeta of a FiberGrid, shape (n_r, n_theta)."""
-    thetas = 2.0 * np.pi * np.arange(fiber.n_theta) / fiber.n_theta
-    return fiber.radii[:, None] * np.exp(1j * thetas[None, :])
+def fiber_zetas():
+    """The fiber nodes zeta of the round trip, shape (N_R, N_THETA)."""
+    thetas = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
+    return RADII[:, None] * np.exp(1j * thetas[None, :])
 
 
 def _grid_points(atlas, chart):
     """Ambient points of every base and fiber node of a chart."""
-    return _ambient_of(2, chart, atlas.base_points(chart)[:, :, None, None], fiber_zetas(atlas.fiber))
+    return _ambient_of(2, chart, atlas.base_points(chart)[:, :, None, None], fiber_zetas())
 
 
 def _structure_from_graph(n, chart, z, phi):
@@ -59,10 +66,10 @@ def _structure_from_graph(n, chart, z, phi):
     return np.real(C * D @ np.linalg.inv(C))
 
 
-def _series(mode_stack, atlas):
+def _series(mode_stack):
     """Component arrays on the fiber grid synthesized from a mode stack."""
     k_max = mode_stack.shape[0] - 1
-    powers = fiber_zetas(atlas.fiber)[..., None] ** np.arange(k_max + 1)  # (nr, ntheta, k)
+    powers = fiber_zetas()[..., None] ** np.arange(k_max + 1)  # (N_R, N_THETA, k)
     return np.einsum("rtk,kxyab->xyrtab", powers, mode_stack)
 
 
@@ -82,13 +89,13 @@ def reconstruct(tensor):
         )
     at = tensor.atlas
     J = {
-        chart: _structure_from_graph(2, chart, _grid_points(at, chart), _series(tensor.modes[chart], at))
+        chart: _structure_from_graph(2, chart, _grid_points(at, chart), _series(tensor.modes[chart]))
         for chart in tensor.charts
     }
     return StructureField(atlas=at, J=J)
 
 
-def extract_from_structure(sf, k_max=None):
+def extract_from_structure(sf, k_max):
     """Solve the graph relation at every node of a structure field.
 
     J acts on complex tangent vectors as h -> Jc h + Ja hbar, with Jc and
@@ -116,13 +123,13 @@ def fourier_modes_from_components(atlas, components, k_max):
     Mode k at a base node is the ring-k DFT coefficient divided by r^k,
     averaged over the fiber radii.
     """
-    k_max = _mode_cutoff(atlas, k_max)
-    radii = atlas.fiber.radii
+    if N_THETA < 2 * (k_max + 1):
+        raise DeformationError(f"k_max {k_max} needs at least {2 * (k_max + 1)} fiber angles")
     modes = {}
     for chart, comp in components.items():
-        # (n_theta, n_v, n_v, n_r, 1, 1): ring k holds mode k times r^k
-        ring = np.moveaxis(np.fft.fft(comp, axis=3) / atlas.fiber.n_theta, 3, 0)
+        # (N_THETA, n_v, n_v, N_R, 1, 1): ring k holds mode k times r^k
+        ring = np.moveaxis(np.fft.fft(comp, axis=3) / N_THETA, 3, 0)
         modes[chart] = np.array(
-            [np.mean(ring[k] / radii[:, None, None] ** k, axis=2) for k in range(k_max + 1)]
+            [np.mean(ring[k] / RADII[:, None, None] ** k, axis=2) for k in range(k_max + 1)]
         )
     return DeformationTensor(n=2, atlas=atlas, k_max=k_max, modes=modes)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maform.atlas import ChartAtlas
-from maform.characterization import is_circular, rotational_test, scaling_test
+from maform.characterization import classify, scaling_test
 from maform.cli import main as cli_main
 from maform.deformation import (
     DeformationTensor,
@@ -23,6 +23,7 @@ from maform.integrability import condition_symmetry, verify_mode_equations
 from maform.moser import FS_AREA, curvature, moser_flow, normalize_domain
 from maform.symforms import call, sym, symbols
 from structure_reference import extract_from_structure, reconstruct
+from test_characterization import rotation_defect
 from test_moser import forward
 
 ATLAS = ChartAtlas(n=2, n_v=17)
@@ -220,10 +221,14 @@ def test_c09_rotation_verdicts():
             c0, c1 = (complex(c) for c in rng.normal(size=2) + 1j * rng.normal(size=2))
             entries.append((k, 1, 1, 0.05 * (c0 + c1 * V) / (1 + V * call("conj", V))))
         t = tensor_from_mode_functions(ATLAS, (V,), entries, 4)
-        for theta in (0.7, 1.1, 1.9, 2.5, 3.3):
-            assert rotational_test(t, theta) == is_circular(t)
+        angles = (0.7, 1.1, 1.9, 2.5, 3.3)
+        rep = classify(t, angles=angles)
+        defect = rep.values["circularity_defect"]
+        for theta in angles:
+            assert abs(rotation_defect(t, theta) - defect) <= 1e-12 * defect
+            assert rep.verdicts[f"rotational_{theta:g}"] == rep.verdicts["circular"]
             checked += 1
-    report(9, checked == 100, f"{checked} verdict agreements")
+    report(9, checked == 100, f"{checked} rotation defects equal to the circularity defect")
 
 
 def test_c10_contraction_decay():

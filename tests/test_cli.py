@@ -424,7 +424,9 @@ class TestReportHeader:
         text = (tmp_path / "verify_report.txt").read_text()
         assert "# convention: dc = i(dbar - d)" in text
         assert "ddc|z|^2 = 4 dx^dy" in text
-        assert "# resolutions: N_v=9 N_r=8 N_theta=16" in text
+        # N_r and N_theta are range-checked and read by nothing, so the
+        # resolutions leave them out
+        assert "# resolutions: N_v=9\n" in text
         # the verify rows print each tolerance they apply; the header
         # prints only a tolerance that the command applies
         assert "# tolerances:" not in text
@@ -674,6 +676,30 @@ class TestPipelineCommands:
                 assert float(norm) < 1e-6
         recs = load_records(str(tmp_path / "tensor_modes.dat"))
         assert len(recs) == 16  # two charts, eight modes each
+
+    def test_invariants_kmax_is_not_bounded_by_n_theta(self, tmp_path):
+        # N_theta = 16 once bounded the cutoff by 2(k_max + 1) <= N_theta;
+        # the modes are not read from fiber angles, so --kmax 8 runs
+        dom = write(tmp_path, "ball.dom", BALL_DOM)
+        argv = ["invariants", "--domain", dom, "--out", str(tmp_path), "--steps", "20", "--kmax", "8"]
+        assert run(argv) == 0
+        text = (tmp_path / "invariants_report.txt").read_text()
+        rows = [l.split() for l in text.splitlines() if l[:4].strip().isdigit()]
+        assert [int(k) for k, _ in rows] == list(range(9))
+        assert all(float(norm) == 0.0 for _, norm in rows[1:])
+
+    def test_defect_at_the_tolerance_gives_one_verdict(self, tmp_path):
+        # the circularity defect of mode 1 = 1e-5 v is 1e-5 |1.25 + 1.25i|
+        # 0.9 at the corner node, and the tolerance sits on it to the last
+        # bit; a rotation defect measured on rotated modes once read below
+        # it, and the disagreement exited 1
+        tns = write(tmp_path, "t.tns", "n = 2\nN_v = 9\nk_max = 1\nmode 1 1 1 = 1e-05*v\n")
+        argv = ["classify", "--tensor", tns, "--mode-tol", "1.590990257669732e-05"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        text = (tmp_path / "classify_report.txt").read_text()
+        assert "circularity_defect: 1.590990257670e-05" in text
+        for key in ("circular", "rotational_0.7", "rotational_1.9"):
+            assert f"\n{key}: fail\n" in text
 
     def test_classify_synthetic_verdicts(self, tmp_path):
         tns = write(tmp_path, "synth.tns", SYNTH_TNS)

@@ -1,4 +1,4 @@
-"""Deformation tensors: extraction, modes, verifiers, and group actions."""
+"""Deformation tensors: extraction, modes, verifiers, and the contraction action."""
 
 import tracemalloc
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from maform import deformation
-from maform.atlas import ChartAtlas
+from maform.atlas import R_FIBER, ChartAtlas
 from maform.characterization import classify, scaling_test
 from maform.cli import load_tensor_file
 from maform.deformation import (
@@ -20,7 +20,6 @@ from maform.deformation import (
     hol_rep,
     antihol_rep,
     reference_form_matrix,
-    rotate,
     tensor_from_mode_functions,
 )
 from maform.integrability import (
@@ -91,7 +90,7 @@ def four_by_four_graph(nm, chart):
     projection (1 + iJ)/2 of ebar, and a 4 x 4 solve for its coefficients
     over the splitting [ebar, zbar, e, z]."""
     V = ATLAS.base_points(chart)[:, :, None, None]
-    zeta = fiber_zetas(ATLAS.fiber)
+    zeta = fiber_zetas()
     z = np.empty(np.broadcast(V, zeta).shape + (2,), dtype=complex)
     z[..., chart], z[..., 1 - chart] = zeta, zeta * V
     W, Wx, Wy = (a[chart][:, :, None, None, :] for a in (nm.W, nm.dWx, nm.dWy))
@@ -204,10 +203,6 @@ class TestExtraction:
         with pytest.raises(DeformationError, match=r"chart 1 at node \(3, 5\): \|det A\|"):
             extract(perturbed_nm._replace(**arrays))
 
-    def test_mode_cutoff_needs_enough_angles(self, perturbed_nm):
-        with pytest.raises(DeformationError, match="k_max 8 needs at least 18 fiber angles"):
-            extract(perturbed_nm, k_max=8)
-
     def test_round_trip_through_structure(self):
         rng = np.random.default_rng(3)
         t = random_bandlimited(rng)
@@ -251,7 +246,7 @@ def reference_mode_norms(tensor):
         for G in (Q, P):
             w, U = np.linalg.eigh(G)
             roots.append((U * np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(U, -1, -2)))
-        r = at.fiber.radii[-1] if n == 2 else 1.0
+        r = R_FIBER if n == 2 else 1.0
         for k in range(tensor.k_max + 1):
             M = tensor.modes[chart][k].reshape(-1, n - 1, n - 1)
             ops = np.linalg.norm(
@@ -285,7 +280,7 @@ class TestModeNorms:
         # norm of mode k is max |phi_k| r^k; the Gram route of the n = 3
         # norms (_levi_roots) agrees to roundoff
         t = request.getfixturevalue(name)
-        weights = t.atlas.fiber.radii[-1] ** np.arange(t.k_max + 1)
+        weights = R_FIBER ** np.arange(t.k_max + 1)
         modulus = np.zeros(t.k_max + 1)
         gram = np.zeros(t.k_max + 1)
         for c in t.charts:
@@ -315,7 +310,7 @@ class TestModeNorms:
 
 def series_components(tensor):
     """Component arrays sum_k phi_k zeta^k of a tensor on the fiber grid."""
-    powers = fiber_zetas(ATLAS.fiber)[..., None] ** np.arange(tensor.k_max + 1)
+    powers = fiber_zetas()[..., None] ** np.arange(tensor.k_max + 1)
     return {c: np.einsum("rtk,kxyab->xyrtab", powers, m) for c, m in tensor.modes.items()}
 
 
@@ -340,29 +335,6 @@ class TestFourierModes:
 
 
 class TestGroupActions:
-    def test_rotate_mode_factors(self):
-        rng = np.random.default_rng(7)
-        t = random_bandlimited(rng, k_max=4)
-        theta = 0.93
-        r = rotate(t, theta)
-        for k in range(5):
-            expected = np.exp(1j * k * theta) * t.modes[0][k]
-            assert np.max(np.abs(r.modes[0][k] - expected)) < 1e-14
-
-    def test_rotate_fixes_mode_zero_tensor(self):
-        t = tensor_from_mode_functions(ATLAS, (V,), [(0, 1, 1, 0.1 * call("conj", V))], 0)
-        r = rotate(t, 2.1)
-        assert np.max(np.abs(r.modes[0] - t.modes[0])) < 1e-15
-
-    def test_rotate_preserves_argmax_and_magnitude(self):
-        rng = np.random.default_rng(9)
-        t = random_bandlimited(rng, k_max=5)
-        norms = t.mode_norms()
-        r = rotate(t, 1.234)
-        rnorms = r.mode_norms()
-        assert np.argmax(norms) == np.argmax(rnorms)
-        assert np.max(np.abs(norms - rnorms)) < 1e-12
-
     def test_contract_composition(self):
         rng = np.random.default_rng(13)
         t = random_bandlimited(rng, k_max=5)

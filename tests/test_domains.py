@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maform import domains
-from maform.atlas import blowup_forward
+from maform.atlas import ChartAtlas, blowup_forward
 from maform.domains import (
     DomainError,
     PseudoconvexityError,
@@ -184,7 +184,9 @@ N_theta = 16
         spec = parse_domain_spec(self.GOOD)
         assert spec.kind == "ellipsoid"
         assert spec.params == {"a": 1.0, "b": 4.0}
-        assert (spec.n_v, spec.n_r, spec.n_theta) == (33, 8, 16)
+        assert spec.n_v == 33
+        # N_r and N_theta are range-checked and read by nothing
+        assert spec.atlas() == ChartAtlas(n=2, n_v=33)
         assert spec.raw == self.GOOD  # bit-exact echo source
 
     def test_parse_perturbed_q_list(self):
@@ -319,7 +321,7 @@ class TestSpecReader:
         values, coords, modes = parse_tensor_spec(
             "n = 3\nN_v = 5\nk_max = 2\nmode 2 2 1 = v1*conj(v2)\n"
         )
-        assert values == {"n": 3, "N_v": 5, "N_r": 8, "N_theta": 16, "k_max": 2}
+        assert values == {"n": 3, "N_v": 5, "k_max": 2}
         assert coords == [BASES["v1"], BASES["v2"]]
         [(k, a, b, expr)] = modes
         pts = _sample_points(BASES)[1:]
