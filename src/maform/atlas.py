@@ -61,7 +61,7 @@ class ChartAtlas(_AtlasFields):
         X, Y = np.meshgrid(self.xs, self.xs, indexing="ij")
         return X + 1j * Y
 
-    def base_points3(self, chart=0):
+    def base_points3(self):
         """n = 3: two complex base coordinates, each shape (n_v,)*4."""
         if self.n != 3:
             raise ValueError("base_points3 is for n = 3 atlases")

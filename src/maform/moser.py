@@ -4,10 +4,18 @@ The circle-bundle geometry of a gauge mu on C^2 induces a curvature 2-form
 on the base CP^1.  A Moser flow deforms the reference area form into that
 curvature form.  Its horizontal lift to the unit sphere has the closed form
 u = e^{i theta} (1, v) / sqrt(1 + |v|^2) on chart 0 (the Hopf connection),
-so the one flow carries the phase theta next to the base point, and a
-phase correction aligns the connection data; the assembled map is
-fiber-linear over the base, z = zeta(1, v) -> zeta * W(v), normalizes the
-gauge, and is the input to deformation-tensor extraction.
+so the one flow carries the phase theta next to the base point; the
+assembled map is fiber-linear over the base, z = zeta(1, v) -> zeta * W(v),
+normalizes the gauge, and is the input to deformation-tensor extraction.
+
+The lift carries the connection as well as the curvature (Moser's argument,
+Trans. AMS 120, 1965, applied to connections).  In a chart the connections
+eta_t = eta_o + t alpha have d(eta_t) = omega_t, and the field solves
+i_{X_t} omega_t = -alpha, so alpha(X_t) = -omega_t(X_t, X_t) = 0: the
+Hopf-horizontal lift Y of X_t is eta_t-horizontal for every t.  Then
+L_Y eta_t + d(eta_t)/dt = i_Y omega_t + alpha = 0, which gives
+psi_1^* eta_1 = eta_o.  The phase defect that assemble measures is the
+flow's RK4 truncation error, and falls 16-fold per step doubling.
 
 Design notes: all flow fields are evaluated from exact chart expressions.
 The curvature coefficient and the primitive, with their x and y
@@ -18,14 +26,11 @@ sampling of results, not through the dynamics.  The curvature check reads
 the coefficient alone, from the order-2 jet.  The nodes of all charts
 advance as one batched flow on real planes, and each RK4 stage makes one
 call per distinct chart field, giving the field and its exact Jacobian as
-12 planes.  The ambient gradient of mu^2 (horizontal planes, the lift's
-gauge derivative) comes from its order-1 jet.
-Derivative data that downstream consumers need at grid nodes (dW,
-dlambda) is propagated by variational Jacobians along the flow and stored
-exactly at the nodes, never re-estimated by differencing an interpolant.
-Off-node values of the phase defect, along the integration segments of
-the phase potential, come from one numpy not-a-knot bicubic interpolant
-through the node samples, NotAKnotBicubic.
+12 planes.  The ambient gradient of mu^2 (the lift's gauge derivative and
+the phase component of the defect) comes from its order-1 jet.
+The derivative dW that extraction needs at grid nodes is propagated by
+variational Jacobians along the flow and stored exactly at the nodes,
+never re-estimated by differencing an interpolant.
 """
 
 from __future__ import annotations
@@ -36,8 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atlas import ChartAtlas, R_OUTER
-from .domains import MinkowskiField, ambient_coords, uniform_samples
-from .exterior import standard_j_matrix
+from .domains import MinkowskiField, ambient_coords
 from .ode import rk4_step
 from .symforms import Jet, call, real_coords, to_real
 
@@ -47,7 +51,6 @@ class MoserError(ValueError):
 
 
 FS_AREA = 4.0 * np.pi  # integral of the reference form under the convention
-_BLOCK = 2048  # points per block of a NotAKnotBicubic call and of the segment rule
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +184,6 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
             f"reference {FS_AREA:.10f}: chart/weight inconsistency"
         )
     return conn
-
-
-def horizontal_space(mink: MinkowskiField, u):
-    """Real basis of ker d(mu~) /\\ ker(d(mu~) o J) at ambient points u.
-
-    Returns (N, 2, 4) real vectors spanning the J-invariant plane: with g
-    the gradient of mu^2, k1 = (-g2, g3, g0, -g1) / |g| is orthogonal to g
-    and to gJ = (g1, -g0, g3, -g2), and k2 = J k1.
-    """
-    g = _gauge_grad(mink, u)
-    k1 = np.stack([-g[:, 2], g[:, 3], g[:, 0], -g[:, 1]], axis=1)
-    k1 /= np.linalg.norm(g, axis=1)[:, None]
-    return np.stack([k1, k1 @ standard_j_matrix(4).T], axis=1)
 
 
 def _gauge_grad(mink: MinkowskiField, u):
@@ -368,176 +358,35 @@ def moser_flow(conn: ConnectionData, n_steps=200):
 
 
 # ---------------------------------------------------------------------------
-# phase correction
+# assembly
 
 
 def measure_connection_mismatch(mink, atlas, chart, W, dWx, dWy):
     """Phase defect 1-form at the chart nodes of a fiber-linear map.
 
-    For a map z = zeta p(v) -> zeta W(v), the reference horizontal vectors
-    at z = p(v) push to dphi(h); their component along the fiber phase
-    direction i W, relative to the base displacement dpi(h), is the 1-form
-    nu whose exact potential corrects the fiber phase.  Returns nu with
-    shape (n_v, n_v, 2).
+    For a map z = zeta p(v) -> zeta W(v), the reference horizontal lift of
+    the base direction e (1 or i, the x or y direction) at z = p(v) pushes
+    to X = dW_e - e vbar W / (1 + |v|^2); nu(e) is its component along the
+    fiber phase direction iW, -d(mu^2)(iX) / d(mu^2)(W): d(mu^2) kills the
+    gauge-horizontal plane, which is J-invariant, and iW, and reads 2 mu^2
+    on W by Euler's identity.  Returns nu with shape (n_v, n_v, 2).
     """
     V = atlas.base_points(chart)
-    shape = V.shape
-    ones = np.ones_like(V)
-    if chart == 0:
-        h1 = np.stack([-np.conj(V), ones], axis=-1)
-    else:
-        h1 = np.stack([ones, -np.conj(V)], axis=-1)
-    flatW = W.reshape(-1, 2)
-    # basis of the target splitting at u' = W(v): gauge-horizontal plane,
-    # radial direction W, phase direction iW
-    K = horizontal_space(mink, flatW)
-    cols = np.empty((len(flatW), 4, 4))
-    cols[:, :, 0] = K[:, 0, :]
-    cols[:, :, 1] = K[:, 1, :]
-    cols[:, :, 2] = to_real(flatW)
-    cols[:, :, 3] = to_real(1j * flatW)
-    s = np.empty(shape + (2,))
-    Y = np.empty(shape + (2,), dtype=complex)
-    for j, h in enumerate((h1, 1j * h1)):
-        dzeta = h[..., 0] if chart == 0 else h[..., 1]
-        if chart == 0:
-            dv = h[..., 1] - V * h[..., 0]
-        else:
-            dv = h[..., 0] - V * h[..., 1]
-        dphi = (
-            dzeta[..., None] * W
-            + dv.real[..., None] * dWx
-            + dv.imag[..., None] * dWy
-        )
-        coeff = np.linalg.solve(cols, to_real(dphi.reshape(-1, 2))[..., None])[..., 0]
-        s[..., j] = coeff[:, 3].reshape(shape)
-        Y[..., j] = dv
-    return np.linalg.solve(to_real(Y[..., None]), s[..., None])[..., 0]
+    grad = _gauge_grad(mink, W.reshape(-1, 2)).reshape(V.shape + (4,))
 
+    def d_mu_sq(X):
+        return np.sum(grad * to_real(X), axis=-1)
 
-class NotAKnotBicubic:
-    """Tensor-product cubic spline with not-a-knot ends through samples
-    F[i, j, ...] at (xs[i], xs[j]) on a uniform grid of at least 4 nodes,
-    the interpolant FITPACK fits at s = 0 (de Boor, A Practical Guide to
-    Splines, ch. IV).
-
-    Along each axis the spline is written through its node values f and
-    second derivatives ("moments") M = K f, so one cell's bicubic is fixed
-    by the value, the x and y moments and the cross moment at its four
-    corners.  Arguments outside the box are clamped to it, as FITPACK's
-    fpbisp does.
-    """
-
-    def __init__(self, xs, F):
-        n = len(xs)
-        self.n, self.value_shape = n, F.shape[2:]
-        self.lo, self.hi, self.h = xs[0], xs[-1], (xs[-1] - xs[0]) / (n - 1)
-        A, B = np.zeros((n, n)), np.zeros((n, n))
-        for i in range(1, n - 1):
-            A[i, i - 1:i + 2] = (1.0, 4.0, 1.0)
-            B[i, i - 1:i + 2] = np.array((6.0, -12.0, 6.0)) / self.h**2
-        # not-a-knot: the third derivative is continuous at xs[1] and xs[-2]
-        A[0, :3] = A[-1, -3:] = (1.0, -2.0, 1.0)
-        K = np.linalg.solve(A, B)
-        KF = np.einsum("ik,kj...->ij...", K, F)
-        FK, KFK = (np.einsum("jk,ik...->ij...", K, G) for G in (F, KF))
-        # per cell: value, x, y and cross moment (a, b) at each corner (d, e)
-        G = np.array([[F, FK], [KF, KFK]])
-        cells = np.array([[G[:, :, d:n - 1 + d, e:n - 1 + e] for e in (0, 1)] for d in (0, 1)])
-        self.cells = np.moveaxis(cells, (4, 5), (0, 1)).reshape((n - 1) ** 2, 16, -1)
-
-    def _cell(self, x):
-        """Cell index along one axis and the (end, kind) weights of the
-        value and the moment at the cell's two ends."""
-        s = (np.clip(x, self.lo, self.hi) - self.lo) / self.h
-        i = np.minimum(s.astype(int), self.n - 2)
-        t = s - i
-        u = 1.0 - t
-        c = self.h**2 / 6.0
-        return i, np.array([[u, (u**3 - u) * c], [t, (t**3 - t) * c]])
-
-    def __call__(self, x, y):
-        """Values at the points (x, y) of one shape, shape x.shape +
-        F.shape[2:] and the dtype of F, in blocks of _BLOCK points.  The
-        weights' point axis is their fast one, so matmul runs its one
-        non-BLAS loop on every block and a value does not depend on its call."""
-        xs, ys = np.ravel(x), np.ravel(y)
-        out = np.empty((len(xs), self.cells.shape[-1]), dtype=self.cells.dtype)
-        w = np.empty((2, 2, 2, 2, _BLOCK))
-        for s in range(0, len(xs), _BLOCK):
-            i, wx = self._cell(xs[s:s + _BLOCK])
-            j, wy = self._cell(ys[s:s + _BLOCK])
-            np.multiply(wx[:, None, :, None], wy[None, :, None, :], out=w[..., :len(i)])
-            wt = w.reshape(16, 1, _BLOCK)[..., :len(i)].T
-            out[s:s + _BLOCK] = np.matmul(wt, self.cells[i * (self.n - 1) + j])[:, 0]
-        return out.reshape(np.shape(x) + self.value_shape)
-
-
-def _segment_integral(nu, starts, ends, n_quad=24):
-    """Line integrals of the interpolated real 1-form nu along the straight
-    segments from starts to ends, broadcast together.  The segments run in
-    blocks of a multiple of 16 of them, about _BLOCK quadrature nodes, so
-    the working set does not grow with the segment count, and the vector
-    kernel of the weighted sum sees each segment in the lane it has in one
-    call on all of them, which keeps the integrals' bits."""
-    nodes, weights = _gauss_legendre(n_quad)
-    starts, delta = np.broadcast_arrays(starts, np.asarray(ends, dtype=complex) - starts)
-    out = np.empty(delta.shape)
-    starts, delta, flat = starts.ravel(), delta.ravel(), out.reshape(-1)
-    step = _BLOCK // n_quad // 16 * 16
-    for s in range(0, len(delta), step):
-        d = delta[s:s + step]
-        p = starts[s:s + step] + np.multiply.outer(0.5 * (nodes + 1.0), d)
-        vals = nu(p.real, p.imag)
-        flat[s:s + step] = np.tensordot(0.5 * weights, vals[..., 0] * d.real + vals[..., 1] * d.imag, axes=1)
-    return out
-
-
-def circulation_residual(atlas, nu_chart, side=0.3, n_loops=16, seed=5):
-    """Closedness probe: circulations of the interpolated 1-form around
-    square loops, normalized by the loop area."""
-    centers = uniform_samples(seed, n_loops, 2, -0.7, 0.7)
-    corners = (centers[:, 0] + 1j * centers[:, 1])[:, None] + side / 2 * np.array(
-        [1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]
-    )
-    sides = _segment_integral(
-        NotAKnotBicubic(atlas.xs, nu_chart), corners, np.roll(corners, -1, axis=1)
-    )
-    return float(np.max(np.abs(np.sum(sides, axis=1)))) / side**2
-
-
-def phase_correction(atlas, nu):
-    """Integrate the phase defect into a potential on both charts.
-
-    lambda is gauged to vanish at the chart-0 origin and integrated along
-    straight segments (chart 1 from the shared point v = w = 1); the
-    overlap mismatch between the two chart potentials is returned as the
-    path-dependence diagnostic.
-    """
-    nu0, nu1 = (NotAKnotBicubic(atlas.xs, nu[c]) for c in atlas.charts)
-    V0 = atlas.base_points(0)
-    lam0 = -_segment_integral(nu0, 0.0 + 0.0j, V0)
-    base1 = 1.0 + 0.0j
-    lam_base = -float(_segment_integral(nu0, 0.0 + 0.0j, np.array([base1]))[0])
-    V1 = atlas.base_points(1)
-    lam1 = lam_base - _segment_integral(nu1, base1, V1)
-    # overlap consistency: evaluate the chart-1 potential at 1/v for
-    # chart-0 nodes in the annulus and compare
-    band = (np.abs(V0) > 0.85) & (np.abs(V0) < 1.18)
-    other = lam_base - _segment_integral(nu1, base1, 1.0 / V0[band])
-    mismatch = float(np.max(np.abs(other - lam0[band]))) if np.any(band) else 0.0
-    return {0: lam0, 1: lam1}, mismatch
-
-
-# ---------------------------------------------------------------------------
-# assembly
+    drift = (np.conj(V) / (1.0 + np.abs(V) ** 2))[..., None] * W
+    nu = [-d_mu_sq(1j * (dW - e * drift)) for e, dW in ((1.0, dWx), (1j, dWy))]
+    return np.stack(nu, axis=-1) / d_mu_sq(W)[..., None]
 
 
 class NormalizingMap(NamedTuple):
     """Fiber-linear normalizing diffeomorphism z = zeta p(v) -> zeta W(v).
 
     W and its base derivatives are stored exactly at the grid nodes
-    (flow-accurate), with the phase potential lam and its differential.
+    (flow-accurate).
     """
 
     mink: MinkowskiField
@@ -545,26 +394,23 @@ class NormalizingMap(NamedTuple):
     W: dict  # chart -> complex (n_v, n_v, 2)
     dWx: dict
     dWy: dict
-    lam: dict  # chart -> real (n_v, n_v)
-    dlam: dict  # chart -> real (n_v, n_v, 2), exact node samples
     residuals: dict
 
 
 def assemble(flow: MoserFlowResult) -> NormalizingMap:
-    """Combine the lifted base flow and the phase correction into the
-    final map.
+    """The final map from the lifted base flow.
 
-    Builds W_raw = m_o * s_hat / mu(s_hat) per chart from the horizontal
-    lift s_hat of the flow endpoints, with flow-accurate derivatives,
-    measures the phase defect, integrates and applies the correction
-    (keeping the defect samples as the exact differential of the phase),
-    and re-measures the defect as the (iii) residual.
+    Builds W = m_o * s_hat / mu(s_hat) per chart from the horizontal lift
+    s_hat of the flow endpoints, with flow-accurate derivatives, and
+    measures the phase defect of that map (module docstring) as the
+    connection_mismatch residual.
     """
     conn = flow.conn
     mink = conn.mink
     at = conn.atlas
 
-    W_raw, dWx_raw, dWy_raw = {}, {}, {}
+    W, dWx, dWy = {}, {}, {}
+    connection = gauge_resid = 0.0
     for chart in at.charts:
         V = at.base_points(chart)
         m_o = np.sqrt(1.0 + np.abs(V) ** 2)
@@ -580,58 +426,21 @@ def assemble(flow: MoserFlowResult) -> NormalizingMap:
         dmu_y = (np.sum(grad * to_real(sy.reshape(-1, 2)), axis=1) / (2 * mu.ravel())).reshape(V.shape)
         mo3 = m_o[..., None]
         mu3 = mu[..., None]
-        W_raw[chart] = mo3 * s / mu3
-        dWx_raw[chart] = dm_dx * s / mu3 + mo3 * sx / mu3 - mo3 * s * (dmu_x / mu**2)[..., None]
-        dWy_raw[chart] = dm_dy * s / mu3 + mo3 * sy / mu3 - mo3 * s * (dmu_y / mu**2)[..., None]
-
-    nu = {
-        c: measure_connection_mismatch(mink, at, c, W_raw[c], dWx_raw[c], dWy_raw[c])
-        for c in at.charts
-    }
-    closedness = max(circulation_residual(at, nu[c]) for c in at.charts)
-    lam, path_mismatch = phase_correction(at, nu)
-    dlam = {c: -nu[c] for c in at.charts}
-
-    W, dWx, dWy = {}, {}, {}
-    for c in at.charts:
-        phase = np.exp(1j * lam[c])[..., None]
-        W[c] = phase * W_raw[c]
-        dWx[c] = phase * (dWx_raw[c] + 1j * dlam[c][..., 0][..., None] * W_raw[c])
-        dWy[c] = phase * (dWy_raw[c] + 1j * dlam[c][..., 1][..., None] * W_raw[c])
-
-    nu_corr = max(
-        float(np.max(np.abs(measure_connection_mismatch(mink, at, c, W[c], dWx[c], dWy[c]))))
-        for c in at.charts
-    )
-
-    # gauge normalization at the stored nodes
-    gauge_resid = 0.0
-    for c in at.charts:
-        V = at.base_points(c)
-        m_o = np.sqrt(1.0 + np.abs(V) ** 2)
-        mu = mink.mu(W[c].reshape(-1, 2)).reshape(V.shape)
-        gauge_resid = max(gauge_resid, float(np.max(np.abs(mu - m_o))))
+        W[chart] = mo3 * s / mu3
+        dWx[chart] = dm_dx * s / mu3 + mo3 * sx / mu3 - mo3 * s * (dmu_x / mu**2)[..., None]
+        dWy[chart] = dm_dy * s / mu3 + mo3 * sy / mu3 - mo3 * s * (dmu_y / mu**2)[..., None]
+        nu = measure_connection_mismatch(mink, at, chart, W[chart], dWx[chart], dWy[chart])
+        connection = max(connection, float(np.max(np.abs(nu))))
+        # gauge normalization at the stored nodes
+        gauge = mink.mu(W[chart].reshape(-1, 2)).reshape(V.shape) - m_o
+        gauge_resid = max(gauge_resid, float(np.max(np.abs(gauge))))
 
     residuals = {
         "endpoint": flow.endpoint_residual,
-        "closedness": closedness,
-        "phase_path_mismatch": path_mismatch,
-        "connection_mismatch_raw": max(
-            float(np.max(np.abs(nu[c]))) for c in at.charts
-        ),
-        "connection_mismatch": nu_corr,
+        "connection_mismatch": connection,
         "gauge_normalization": gauge_resid,
     }
-    return NormalizingMap(
-        mink=mink,
-        atlas=at,
-        W=W,
-        dWx=dWx,
-        dWy=dWy,
-        lam=lam,
-        dlam=dlam,
-        residuals=residuals,
-    )
+    return NormalizingMap(mink=mink, atlas=at, W=W, dWx=dWx, dWy=dWy, residuals=residuals)
 
 
 def normalize_domain(mink: MinkowskiField, atlas=None, n_steps=200) -> NormalizingMap:

@@ -611,7 +611,7 @@ class TestDeterminism:
         # them to the opposite chart and back; at 20 steps the endpoint
         # residual fails the default bound, and the outputs are written
         dom = write(tmp_path, "ellipsoid.dom", ELLIPSOID_DOM.replace("N_v = 17", "N_v = 9"))
-        names = ("normalize_report.txt", "map_psi.dat", "map_lambda.dat")
+        names = ("normalize_report.txt", "map_psi.dat")
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
@@ -631,20 +631,23 @@ class TestPipelineCommands:
         recs = load_records(str(tmp_path / "map_psi.dat"))
         assert [c for c, _ in recs] == [0, 1]
         assert recs[0][1].shape == (9, 9, 2)
-        text = (tmp_path / "normalize_report.txt").read_text()
-        assert "lambda_table: map_lambda.dat" in text
-        assert "connection_mismatch" in text
-        assert "all_pass: pass" in text
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ball.dom", "map_psi.dat", "normalize_report.txt"]
+        lines = (tmp_path / "normalize_report.txt").read_text().splitlines()
+        rows = lines[lines.index("# residual  value") + 1:]
+        assert [line.split()[0] for line in rows] == [
+            "connection_mismatch", "endpoint", "gauge_normalization", "all_pass:"]
+        assert rows[-1] == "all_pass: pass"
 
     def test_normalize_gates_every_printed_residual(self, tmp_path):
         # at 20 steps the ellipsoid's endpoint residual (4.0e-6) exceeds
-        # the header's moser= bound, while the two residuals gated before
-        # stay under it
+        # the header's moser= bound, while the other two residuals stay
+        # under it
         dom = write(tmp_path, "ell.dom", "n = 2\nmu.kind = ellipsoid\na = 1\nb = 4\nN_v = 9\n")
         assert run(["normalize", "--domain", dom, "--out", str(tmp_path), "--steps", "20"]) == 1
         text = (tmp_path / "normalize_report.txt").read_text()
         rows = {line.split()[0]: float(line.split()[1]) for line in text.splitlines()
-                if line.startswith(("endpoint", "gauge_normalization", "connection_mismatch "))}
+                if line.startswith(("endpoint", "gauge_normalization", "connection_mismatch"))}
         assert rows["endpoint"] > 1e-6
         assert rows["gauge_normalization"] <= 1e-6 and rows["connection_mismatch"] <= 1e-6
         assert "all_pass: fail" in text
