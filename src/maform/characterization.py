@@ -88,10 +88,16 @@ def scaling_test(tensor, k, iters=20, slope_tol=1e-6):
     arr = np.stack(trace)  # (iters+1, k_max+1)
     slopes = np.zeros(tensor.k_max + 1)
     expected = np.arange(tensor.k_max + 1) * np.log(k)
-    idx = np.arange(iters + 1)
+    # the least-squares line through (i, log n_j(i)) in closed form: the
+    # slope is sum (i - mean i)(y_i - mean y) / sum (i - mean i)^2
+    centered = np.arange(iters + 1) - iters / 2
     for j in range(tensor.k_max + 1):
         # an empty mode's decay rate is unobservable
-        slopes[j] = np.polyfit(idx, np.log(arr[:, j]), 1)[0] if base[j] > 0 else expected[j]
+        if base[j] > 0:
+            logs = np.log(arr[:, j])
+            slopes[j] = np.sum(centered * (logs - np.mean(logs))) / np.sum(centered * centered)
+        else:
+            slopes[j] = expected[j]
     slope_err = float(np.max(np.abs(slopes - expected)))
     mode0_drift = max(
         float(np.max(np.abs(it.modes[c][0] - tensor.modes[c][0])))

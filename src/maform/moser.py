@@ -22,15 +22,23 @@ The curvature coefficient and the primitive, with their x and y
 partials, come from the compiled order-3 jet of log m^2 (symforms.Jet.compile,
 once per distinct chart expression) and the closed forms of the reference
 terms, so spatial discretization error enters only through the node
-sampling of results, not through the dynamics.  The curvature check reads
-the coefficient alone, from the order-2 jet.  The nodes of all charts
-advance as one batched flow on real planes, and each RK4 stage makes one
-call per distinct chart field, giving the field and its exact Jacobian as
-12 planes.  The ambient gradient of mu^2 (the lift's gauge derivative and
+sampling of results, not through the dynamics.  The curvature check and
+its disk integral read the coefficient from the same jet, so each chart
+expression compiles once.  The nodes of all charts advance as one batched
+flow on real planes, sorted by chart field so that each field's points
+are one contiguous slice (re-sorted only on steps that hand points to the
+other chart).  Each RK4 stage calls each distinct field once on its
+slice, giving the field and its exact Jacobian as 12 planes, and writes
+the slope and the 3x2 variational slope of the slice into buffers that
+rk4_step sums in place, so a stage allocates only plane temporaries of
+its slice.  The ambient gradient of mu^2 (the lift's gauge derivative and
 the phase component of the defect) comes from its order-1 jet.
 The derivative dW that extraction needs at grid nodes is propagated by
 variational Jacobians along the flow and stored exactly at the nodes,
-never re-estimated by differencing an interpolant.
+never re-estimated by differencing an interpolant.  The small dense
+algebra is closed-form: the quadrature rule by Newton's iteration and
+the endpoint determinant as ad - bc, so the Moser commands at n = 2 call
+no LAPACK or BLAS routine.
 """
 
 from __future__ import annotations
@@ -77,16 +85,23 @@ class ConnectionData(NamedTuple):
 @cache
 def _gauss_legendre(n):
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
-    the eigenvalues of the Jacobi matrix of the Legendre recurrence and
-    twice the squared first components of its eigenvectors (Golub and
-    Welsch, Math. Comp. 23, 1969)."""
-    k = np.arange(1.0, n)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    return nodes, 2.0 * vectors[0] ** 2
+    Newton's iteration on the roots of P_n from the three-term recurrence,
+    started at the asymptotic estimates cos(pi (i - 1/4) / (n + 1/2)),
+    and the weights 2 / ((1 - x^2) P_n'(x)^2) (Abramowitz and Stegun
+    25.4.29), ascending."""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        p, prev = x, np.ones_like(x)
+        for k in range(2, n + 1):
+            p, prev = ((2 * k - 1) * x * p - (k - 1) * prev) / k, p
+        slope = n * (x * p - prev) / (x * x - 1.0)
+        if np.max(np.abs(p / slope)) < 1e-15:
+            return x, 2.0 / ((1.0 - x * x) * slope * slope)
+        x = x - p / slope
+    raise MoserError(f"Gauss-Legendre nodes for n = {n} did not converge")
 
 
-def _disk_integral(fn, n_r=80, n_theta=160):
+def _disk_integral(fn, n_r=40, n_theta=80):
     """Integral of a smooth density over the unit disk.
 
     Gauss-Legendre in radius and a trapezoid rule in angle (spectrally
@@ -140,25 +155,21 @@ def _charts_by_field(fields):
 def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     """Curvature form of the gauge circle bundle on the base charts.
 
-    omega = ddc log m^2 per chart, its coefficient w = L_xx + L_yy from the
-    order-2 jet of L = log m^2; positivity of the coefficient witnesses
+    omega = ddc log m^2 per chart, its coefficient w = L_xx + L_yy read
+    from the flow's fields (_chart_fields), so each distinct chart
+    expression compiles one jet; positivity of the coefficient witnesses
     strict pseudoconvexity of the gauge, and the chart-weighted integral
     must reproduce the reference total area (the two forms differ by an
-    exact form).  The flow's fields come from _chart_fields.
+    exact form).
     """
     if mink.n != 2:
         raise MoserError("curvature data is implemented for n = 2")
     if atlas is None:
         atlas = ChartAtlas(n=2, n_v=33)
-    m_sq = [mink.m_sq_charts[c] for c in atlas.charts]
-    shared = {Jet.compile(call("log", m), real_coords(2), 2): m_sq.count(m) for m in m_sq}
-
-    def w(jet, xs, ys):
-        _, _, _, Lxx, _, Lyy = jet(xs, ys)
-        return Lxx + Lyy
-
+    fields = {c: _chart_fields(mink.m_sq_charts[c]) for c in atlas.charts}
+    shared = {fn: len(charts) for fn, charts in _charts_by_field(fields).items()}
     V = atlas.base_points(0)  # every chart has the same node grid
-    min_coeff = min(float(np.min(w(jet, V.real, V.imag))) for jet in shared)
+    min_coeff = min(float(np.min(fn(V.real, V.imag)[1])) for fn in shared)
     if min_coeff <= 0:
         raise MoserError(
             f"curvature coefficient not positive (min {min_coeff:.3e}): "
@@ -168,13 +179,13 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     # boundary circles are identified), and the integrand is analytic, so
     # the high-order disk rule resolves the total to machine precision
     total = sum(
-        count * _disk_integral(lambda xs, ys, jet=jet: w(jet, xs, ys))
-        for jet, count in shared.items()
+        count * _disk_integral(lambda xs, ys, fn=fn: fn(xs, ys)[1])
+        for fn, count in shared.items()
     )
     conn = ConnectionData(
         mink=mink,
         atlas=atlas,
-        fields={c: _chart_fields(mink.m_sq_charts[c]) for c in atlas.charts},
+        fields=fields,
         integral=total,
         min_coefficient=min_coeff,
     )
@@ -210,52 +221,53 @@ class MoserFlowResult(NamedTuple):
     endpoint_residual: float
 
 
-def _lifted_field(fields, chart_of, node_shape):
+def _lifted_field(groups, chart_of, node, node_shape):
     """The base field X_t and the Hopf phase rate theta' = (Re X y - Im X
     x) / (1 + |v|^2) of the horizontal lift, as f(t, state, M) for rk4_step
     on real planes: the state of shape (3, P) holds (x, y, theta) of P points
-    in the charts chart_of, and M of shape (3, k, P) their derivatives.
+    in the charts chart_of, and M of shape (3, 2, P) their derivatives.
+    groups holds (field, slice) pairs: the points of each slice lie in
+    charts with that field callable, and the slices partition the points.
 
     With omega_t = (1-t) omega_o + t omega and the exact primitive alpha of
     omega - omega_o, X_t solves i_{X_t} omega_t = -alpha, which in a chart
-    is X = (-alpha_y + i alpha_x) / w_t.  Each stage calls each distinct
-    chart field once and reads its 12 planes.  The field does not depend on
-    theta, so the variational slope is Df[:, :2] @ M[:2], formed as plane
-    products.  A degenerate w_t names the point's chart and its index in
-    node_shape: in moser_flow, its start node (start chart, j, k).
+    is X = (-alpha_y + i alpha_x) / w_t.  Each stage calls each field once,
+    on its contiguous slice, reads its 12 planes and writes the slope and
+    the variational slope of the slice into the two buffers that f returns
+    from every call.  The field does not depend on theta, so the
+    variational slope is Df[:, :2] M[:2], formed as plane products.  A
+    degenerate w_t names the point's chart and its start node: the flat
+    index node of the point in node_shape (in moser_flow, (start chart, j,
+    k)).
     """
-    groups = [(fn, np.flatnonzero(np.isin(chart_of, cs)))
-              for fn, cs in _charts_by_field(fields).items()]
-    groups = [(fn, idx) for fn, idx in groups if len(idx)]
+    slope, var = np.empty((3, len(node))), np.empty((3, 2, len(node)))
 
     def f(t, state, M):
-        x, y = state[0], state[1]
-        if len(groups) == 1:
-            F = groups[0][0](x, y)
-        else:
-            F = [np.empty(len(x)) for _ in range(12)]
-            for fn, idx in groups:
-                for plane, part in zip(F, fn(x[idx], y[idx])):
-                    plane[idx] = part
-        w = [(1.0 - t) * F[k] + t * F[k + 1] for k in (0, 4, 8)]  # w_t and its partials
-        if np.min(w[0]) <= 0:
-            p = np.argmin(w[0])
-            raise MoserError(
-                f"interpolated form degenerates at t={t:.3f}, chart {chart_of[p]}, "
-                f"start node {tuple(map(int, np.unravel_index(p, node_shape)))}, "
-                f"v={complex(x[p], y[p]):.4f}"
-            )
-        a = -F[3] / w[0]  # Re X
-        b = F[2] / w[0]  # Im X
-        # x and y partials, rows of (2, P), by the quotient rule
-        dw = np.array(w[1:])
-        da = (-np.array([F[7], F[11]]) - a * dw) / w[0]
-        db = (np.array([F[6], F[10]]) - b * dw) / w[0]
-        q = 1.0 + x * x + y * y
-        rate = (a * y - b * x) / q
-        drate = (da * y - db * x + np.array([-b, a]) - 2.0 * rate * state[:2]) / q
-        D = np.array([da, db, drate])  # Df[row, coordinate]
-        return np.array([a, b, rate]), D[:, 0, None] * M[0] + D[:, 1, None] * M[1]
+        for field, s in groups:
+            x, y = state[0, s], state[1, s]
+            F = field(x, y)
+            w, wx, wy = [(1.0 - t) * F[k] + t * F[k + 1] for k in (0, 4, 8)]  # w_t and its partials
+            if np.min(w) <= 0:
+                p = s.start + int(np.argmin(w))
+                raise MoserError(
+                    f"interpolated form degenerates at t={t:.3f}, chart {chart_of[p]}, "
+                    f"start node {tuple(map(int, np.unravel_index(node[p], node_shape)))}, "
+                    f"v={complex(state[0, p], state[1, p]):.4f}"
+                )
+            a = np.divide(-F[3], w, out=slope[0, s])  # Re X
+            b = np.divide(F[2], w, out=slope[1, s])  # Im X
+            q = 1.0 + x * x + y * y
+            rate = np.divide(a * y - b * x, q, out=slope[2, s])
+            # the x and y partials of (a, b, rate), by the quotient rule
+            da = ((-F[7] - a * wx) / w, (-F[11] - a * wy) / w)
+            db = ((F[6] - b * wx) / w, (F[10] - b * wy) / w)
+            two_rate = 2.0 * rate
+            drate = ((da[0] * y - db[0] * x - b - two_rate * x) / q,
+                     (da[1] * y - db[1] * x + a - two_rate * y) / q)
+            for out, (dx, dy) in zip(var[..., s], (da, db, drate)):
+                np.multiply(dx, M[0, :, s], out=out)
+                out += dy * M[1, :, s]
+        return slope, var
 
     return f
 
@@ -304,23 +316,35 @@ def moser_flow(conn: ConnectionData, n_steps=200):
     the Hopf phase of the lift to the unit sphere, with the variational 3x2
     Jacobian propagated alongside, the nodes of all charts as one state of
     real planes.  Trajectories that wander far from their chart are handed
-    to the opposite chart (a regrouping by chart field) and converted back
-    for storage.  Charts with one field callable start from one node grid
-    and flow alike to the bit, so only the first chart of each field flows
-    and the others get copies of its results.  The endpoint contract (the
-    pullback of the target form equals the reference form) is measured at
-    every node.
+    to the opposite chart and converted back for storage.  The points stay
+    sorted by field callable, each field's points one slice, so a hand-off
+    step that moves points between fields re-sorts them (np.take, which
+    keeps the planes C-ordered; y[:, order] would not), and the endpoints
+    are put back in start-node order.  Charts with one field callable
+    start from one node grid and flow alike to the bit, so only the first
+    chart of each field flows and the others get copies of its results.
+    The endpoint contract (the pullback of the target form equals the
+    reference form, its determinant ad - bc) is measured at every node.
     """
     at = conn.atlas
     lead = {fn: charts[0] for fn, charts in _charts_by_field(conn.fields).items()}
     flown = sorted(lead.values())
+    fns = [conn.fields[c] for c in flown]
+    # chart -> the position of its field's lead chart among the flown ones
+    rank = np.array([flown.index(lead[conn.fields[c]]) for c in at.charts])
     V0 = np.stack([at.base_points(c) for c in flown])
     start = np.repeat(flown, V0[0].size)
-    chart_of = start.copy()
+    chart_of, node = start.copy(), np.arange(V0.size)
     y = np.array([V0.real.ravel(), V0.imag.ravel(), np.zeros(V0.size)])
     M = np.zeros((3, 2, V0.size))
     M[0, 0] = M[1, 1] = 1.0
-    f = _lifted_field(conn.fields, chart_of, V0.shape)
+
+    def field():
+        bounds = np.searchsorted(rank[chart_of], np.arange(len(fns) + 1))
+        groups = [(fn, slice(lo, hi)) for fn, lo, hi in zip(fns, bounds, bounds[1:]) if hi > lo]
+        return _lifted_field(groups, chart_of, node, V0.shape)
+
+    f = field()
     dt = 1.0 / n_steps
     for i in range(n_steps):
         y, M = rk4_step(f, i * dt, y, dt, M)
@@ -329,14 +353,19 @@ def moser_flow(conn: ConnectionData, n_steps=200):
         if np.any(far):
             y[:, far], M[..., far] = _hand_off(y[:, far], M[..., far])
             chart_of[far] = 1 - chart_of[far]
-            f = _lifted_field(conn.fields, chart_of, V0.shape)
-    # represent endpoints in the start chart
-    flipped = chart_of != start
+            if len(fns) > 1:
+                order = np.argsort(rank[chart_of], kind="stable")
+                y, M = np.take(y, order, axis=-1), np.take(M, order, axis=-1)
+                chart_of, node = chart_of[order], node[order]
+                f = field()
+    # represent endpoints in the start chart, in start-node order
+    flipped = chart_of != start[node]
     if np.any(flipped):
         y[:, flipped], M[..., flipped] = _hand_off(y[:, flipped], M[..., flipped])
-    rows = [flown.index(lead[conn.fields[c]]) for c in at.charts]
-    y = y.reshape((3,) + V0.shape)[:, rows]
-    M = np.moveaxis(M.reshape((3, 2) + V0.shape)[:, :, rows], (0, 1), (-2, -1))
+    order = np.argsort(node)
+    y, M = np.take(y, order, axis=-1), np.take(M, order, axis=-1)
+    y = y.reshape((3,) + V0.shape)[:, rank]
+    M = np.moveaxis(M.reshape((3, 2) + V0.shape)[:, :, rank], (0, 1), (-2, -1))
     endpoints = {c: y[0, c] + 1j * y[1, c] for c in at.charts}
     phases = {c: y[2, c] for c in at.charts}
     jacobians = {c: M[c] for c in at.charts}
@@ -344,7 +373,8 @@ def moser_flow(conn: ConnectionData, n_steps=200):
     resid = 0.0
     for c in at.charts:
         fields, E, V = conn.fields[c], endpoints[c], at.base_points(c)
-        pulled = fields(E.real, E.imag)[1] * np.linalg.det(jacobians[c][..., :2, :])
+        J = jacobians[c]
+        pulled = fields(E.real, E.imag)[1] * (J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0])
         ref = fields(V.real, V.imag)[0]
         resid = max(resid, float(np.max(np.abs(pulled - ref)[np.abs(V) <= R_OUTER])))
     return MoserFlowResult(

@@ -9,19 +9,33 @@ stages (Hairer, Norsett, Wanner, Solving Ordinary Differential Equations I).
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def rk4_step(f, t, y, dt, M):
     """One RK4 step from t to t + dt of the pair (y, M), y' = g(t, y) and
     M' = Dg(t, y) M.
 
     f(t, y, M) returns the slope g(t, y) and the variational slope Dg M
-    at a stage point from one call, each with the shape of its argument,
-    and (y_new, M_new) is returned.
+    at a stage point from one call, each with the shape of its argument;
+    it may return the same buffers from every call, overwritten, but not
+    its arguments.  The stages are summed in place, in the order of
+    y + dt/6 (k1 + 2 k2 + 2 k3 + k4), in one buffer pair while another
+    holds the next stage point and then the weighted slope (a weight of 1
+    multiplies exactly), and (y_new, M_new) is returned in new arrays.
     """
     half = dt / 2
-    k1, N1 = f(t, y, M)
-    k2, N2 = f(t + half, y + half * k1, M + half * N1)
-    k3, N3 = f(t + half, y + half * k2, M + half * N2)
-    k4, N4 = f(t + dt, y + dt * k3, M + dt * N3)
-    y_new = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y_new, M + dt / 6 * (N1 + 2 * N2 + 2 * N3 + N4)
+    slopes = f(t, y, M)
+    total, point = (np.empty_like(y), np.empty_like(M)), (np.empty_like(y), np.empty_like(M))
+    for acc, k in zip(total, slopes):
+        np.copyto(acc, k)
+    for s, weight in ((half, 2.0), (half, 2.0), (dt, 1.0)):
+        for at, k, start in zip(point, slopes, (y, M)):
+            np.add(start, np.multiply(k, s, out=at), out=at)
+        slopes = f(t + s, *point)
+        for acc, k, scratch in zip(total, slopes, point):
+            acc += np.multiply(k, weight, out=scratch)
+    for acc, start in zip(total, (y, M)):
+        acc *= dt / 6
+        acc += start
+    return total

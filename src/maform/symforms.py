@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
-
-from . import exterior
 
 
 class Expr:
@@ -269,6 +268,8 @@ _NAMESPACE = {
     for name in [f for f, _ in _UNARY.values()] + list(_LINEAR.values())
     + ["full", "broadcast", "inf", "nan"]
 }
+# a name bound in emitted source
+_TEMP = re.compile(r"\bt\d+\b")
 # (coords, expr, order) -> compiled jet; nodes are immutable, so a hit is
 # the same function whatever caller asked first
 _COMPILED = {}
@@ -331,6 +332,13 @@ class _Walk:
                 else:
                     coef *= f
             if coef != 0 and names:
+                # numpy multiplies left to right, so the scaled leading
+                # factor (or, unscaled, the leading pair of three or more)
+                # is a product of its own, bound once for every term
+                if coef != 1 and len(names) > 1:
+                    coef, names = 1, [self.bind(f"{_literal(coef)} * {names[0]}")] + names[1:]
+                elif len(names) > 2:
+                    names = [self.bind(f"{names[0]} * {names[1]}")] + names[2:]
                 parts.append((coef, " * ".join(names)))
             elif coef != 0:
                 const += coef
@@ -428,6 +436,38 @@ class _Walk:
         return self.chain(f"{self.term(u.get((), 0))} ** {_literal(p)}", p * _Z ** (p - 1), u)
 
 
+def _jet_source(coords, expr, order):
+    """The source of Jet.compile's function: one line per bound product
+    or sum, each name deleted after its last read unless it is returned,
+    so a call holds only the temporaries still to be read."""
+    d = len(coords)
+    lines = {}
+    seeds = {c: {(): f"x{k}", (k,): 1} for k, c in enumerate(coords)}
+    walk = _Walk(lines, seeds, d, order)
+    jet = walk(expr)
+    comps = [jet.get(I, 0) for I in walk.idx]
+    out = ", ".join(walk.term(c) if isinstance(c, (str, tuple)) else f"full(shape, {_literal(c)})"
+                    for c in comps)
+    args = ", ".join(f"x{k}" for k in range(d))
+    last = {}  # name -> the line that reads it last
+    for k, (text, name) in enumerate(lines.items()):
+        last.update((used, k) for used in _TEMP.findall(text))
+        last.setdefault(name, k)
+    returned = set(_TEMP.findall(out))
+    dead = {}
+    for name, k in last.items():
+        if name not in returned:
+            dead.setdefault(k, []).append(name)
+    body = []
+    for k, (text, name) in enumerate(lines.items()):
+        body.append(f"    {name} = {text}")
+        if k in dead:
+            body.append(f"    del {', '.join(dead[k])}")
+    if "full(" in out:
+        body.append(f"    shape = broadcast({args}).shape")
+    return "\n".join([f"def jet({args}):", *body, f"    return ({out},)"])
+
+
 class Jet:
     """The partials of an expression at N points: parts[k] (N,) + (d,) * k
     holds its k-th partials, for k up to the order."""
@@ -453,21 +493,8 @@ class Jet:
         """
         key = (tuple(coords), as_node(expr), order)
         if key not in _COMPILED:
-            d = len(key[0])
-            lines = {}
-            seeds = {c: {(): f"x{k}", (k,): 1} for k, c in enumerate(key[0])}
-            walk = _Walk(lines, seeds, d, order)
-            jet = walk(key[1])
-            comps = [jet.get(I, 0) for I in walk.idx]
-            out = [walk.term(c) if isinstance(c, (str, tuple)) else f"full(shape, {_literal(c)})"
-                   for c in comps]
-            args = ", ".join(f"x{k}" for k in range(d))
-            body = [f"    {name} = {text}" for text, name in lines.items()]
-            if len(out) > sum(isinstance(c, (str, tuple)) for c in comps):
-                body.append(f"    shape = broadcast({args}).shape")
-            source = "\n".join([f"def jet({args}):", *body, f"    return ({', '.join(out)},)"])
             namespace = dict(_NAMESPACE)
-            exec(source, namespace)
+            exec(_jet_source(*key), namespace)
             _COMPILED[key] = namespace["jet"]
         return _COMPILED[key]
 
@@ -487,10 +514,21 @@ class Jet:
         return cls(parts)
 
 
+def times_j(M):
+    """The product M J (..., d, d) with the matrix J of the standard
+    structure (exterior.standard_j_matrix), as the signed column swap it
+    is: column 2m of M J is column 2m + 1 of M, and column 2m + 1 is minus
+    column 2m."""
+    MJ = np.empty_like(M)
+    MJ[..., 0::2] = M[..., 1::2]
+    MJ[..., 1::2] = -M[..., 0::2]
+    return MJ
+
+
 def ddc_matrix(hess):
     """The antisymmetric matrix A (..., d, d) of ddc f from the Hessian of f
     (..., d, d): A = (HJ)^T - HJ, since dc f = -J^T grad f in components."""
-    HJ = hess @ exterior.standard_j_matrix(hess.shape[-1])
+    HJ = times_j(hess)
     return np.swapaxes(HJ, -1, -2) - HJ
 
 

@@ -150,6 +150,15 @@ class TestScaling:
         arr = np.stack(rep.trace)
         assert np.max(np.abs(arr[:, 0] - arr[0, 0])) == 0.0
 
+    def test_slopes_are_the_least_squares_lines(self):
+        # the closed-form slope of each mode is the line np.polyfit fits
+        # through the logarithms of its trace
+        t = random_tensor(np.random.default_rng(49))
+        rep = scaling_test(t, 0.6, iters=20)
+        logs = np.log(np.stack(rep.trace))
+        for j, slope in enumerate(rep.slopes):
+            assert abs(slope - np.polyfit(np.arange(len(logs)), logs[:, j], 1)[0]) <= 1e-14
+
     def test_ratio_domain(self):
         rng = np.random.default_rng(43)
         t = random_tensor(rng)

@@ -620,6 +620,31 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+class TestLapackFree:
+    def test_moser_commands_call_no_numpy_linalg(self, tmp_path, monkeypatch):
+        # at n = 2 the Levi eigenvalue, the quadrature rule, the endpoint
+        # determinant and the mode norms are closed forms: classify on the
+        # perturbed ball, and invariants and normalize on the ellipsoid, run
+        # with every public numpy.linalg function raising
+        from maform import moser
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"numpy.linalg.{name} called")
+
+            return call
+
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse(name))
+        moser._gauss_legendre.cache_clear()
+        pert = write(tmp_path, "perturbed.dom", PERTURBED_DOM)
+        ell = write(tmp_path, "ellipsoid.dom", ELLIPSOID_DOM)
+        for argv in (["classify", "--domain", pert], ["invariants", "--domain", ell],
+                     ["normalize", "--domain", ell]):
+            assert run(argv + ["--steps", "50", "--out", str(tmp_path)]) == 0, argv
+
+
 class TestPipelineCommands:
     def test_normalize_dump_and_report(self, tmp_path):
         dom = write(tmp_path, "ball.dom", BALL_DOM)

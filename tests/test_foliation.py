@@ -139,7 +139,7 @@ class TestComputeZ:
             return Z, DZ @ M
 
         for step in (2e-2, 1e-2):
-            moved, jac = rk4_step(slope, 0.0, pts, step, M=np.eye(4))
+            moved, jac = rk4_step(slope, 0.0, pts, step, M=np.tile(np.eye(4), (len(pts), 1, 1)))
             A = ev.fields(moved)[3]
             Zm = ev.flow(moved)[0]
             JZm = Zm @ ev.J.T

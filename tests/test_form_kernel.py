@@ -3,13 +3,15 @@ symbolic references of the tests."""
 
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from maform.domains import _FUNCTIONS, _mu_sq_expression, ambient_coords, parse_tensor_spec
-from maform.symforms import Jet, call, num, real_coords, subs, sym
+from maform.domains import _FUNCTIONS, _mu_sq_expression, ambient_coords, make_circular_domain, parse_tensor_spec
+from maform.symforms import Jet, _jet_source, call, num, real_coords, subs, sym
 from symbolic_forms import (
     SYMPY_FUNCTIONS,
     AnalyticForm,
@@ -185,6 +187,40 @@ class TestJet:
             assert len(parts) == order + 1
             for got, want in zip(parts, full):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", [{"eps": 0.05}, {"eps": 0.2, "q": {2: 1.0, 3: 0.5}}])
+    def test_emitted_source_binds_each_scaled_factor_once(self, spec):
+        # numpy multiplies left to right, so c * a * b is (c * a) * b and
+        # the emitter binds c * a (for c = 1 and three factors or more, a
+        # * b) as a name of its own: no term of the source of the chart
+        # jets of log m^2 (order 3) or of mu^2 (order 2) continues a
+        # product past a number times a name, so none repeats one
+        mink, _ = make_circular_domain({"kind": "perturbed_ball", **spec})
+        for source in (_jet_source(real_coords(2), call("log", mink.m_sq_charts[0]), 3),
+                       _jet_source(ambient_coords(2), mink.mu_sq_ambient, 2)):
+            terms = [term for line in source.splitlines()[1:] if " = " in line
+                     for term in line.split(" = ", 1)[1].split(" + ")]
+            scaled = Counter(tuple(factors[:2]) for factors in (term.split(" * ") for term in terms)
+                             if len(factors) > 2 and factors[0][0] in "0123456789(")
+            assert not scaled, scaled
+
+    def test_jet_call_holds_only_live_temporaries(self):
+        # each name of the emitted source is deleted after its last read:
+        # evaluating 0.0763 / (1 + v conj v) at 16,641 complex points peaks
+        # at two arrays, the result and the one it is computed from (five
+        # when every name lived to the return)
+        v = sym("v")
+        fn = Jet.compile(0.0763 / (1 + v * call("conj", v)), (v,), 0)
+        points = np.linspace(-1.0, 1.0, 16641) + 0.5j
+        fn(points)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn(points)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * points.nbytes
 
     @pytest.mark.parametrize("number", [num(math.inf), num(complex(1, math.inf)), num(math.nan)])
     def test_non_finite_numbers_raise(self, number):

@@ -11,6 +11,8 @@ from maform.domains import MinkowskiField, make_circular_domain
 from maform.moser import (
     FS_AREA,
     MoserError,
+    _charts_by_field,
+    _disk_integral,
     _gauss_legendre,
     _hand_off,
     _lifted_field,
@@ -21,6 +23,7 @@ from maform.moser import (
     normalize_domain,
 )
 from maform.symforms import call, num, real_coords
+from flow_reference import reference_flow
 from symbolic_forms import AnalyticForm, lambdify_rows, sympy_coords, to_sympy
 
 ATLAS = ChartAtlas(n=2, n_v=17)
@@ -196,9 +199,9 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n", [24, 80])
+@pytest.mark.parametrize("n", [24, 40, 80])
 def test_gauss_legendre_matches_numpy(n):
-    # the Golub-Welsch rule against numpy's leggauss, and exact on
+    # the Newton-iterated rule against numpy's leggauss, and exact on
     # x^(2n - 2), the highest even power an n-point rule integrates exactly
     nodes, weights = _gauss_legendre(n)
     want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
@@ -258,8 +261,30 @@ class TestCurvature:
             conn = curvature(mink, ATLAS)
             assert abs(conn.integral - FS_AREA) < 1e-6, spec
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "ball"},
+            {"kind": "ellipsoid", "a": 1, "b": 4},
+            {"kind": "ellipsoid", "a": 1, "b": 20},
+            {"kind": "perturbed_ball", "eps": 0.05},
+            {"kind": "perturbed_ball", "eps": 0.2, "q": {3: 1}},
+        ],
+    )
+    def test_disk_rule_is_resolved(self, spec):
+        # the default 40 x 80 rule and the 80 x 160 rule agree on the
+        # curvature coefficient of every distinct chart field (measured
+        # within 7.2e-15), so the smaller rule loses nothing
+        mink, _ = make_circular_domain(spec)
+        conn = curvature(mink, ATLAS)
+        for fn in _charts_by_field(conn.fields):
+            def w(xs, ys):
+                return fn(xs, ys)[1]
+
+            assert abs(_disk_integral(w) - _disk_integral(w, 80, 160)) <= 1e-13
+
     def test_disk_rule_working_set_is_bounded(self):
-        # the 80 x 160 disk rule runs in blocks of radii, so one curvature
+        # the 40 x 80 disk rule runs in blocks of radii, so one curvature
         # call at N_v = 17 stays below 2 MB (compiled jets warm)
         mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
         curvature(mink, ATLAS)
@@ -330,28 +355,31 @@ class TestMoserFlow:
 
     def test_lifted_field_jacobian_matches_central_differences(self):
         # the exact Df, the variational slope at M = I, entry by entry
-        # against central differences of the slope; the theta row is the
-        # Hopf phase rate, whose partials enter the phase correction
+        # against central differences of the slope; the field does not
+        # depend on theta, so its theta column is zero.  f returns its two
+        # buffers from every call, so each result is copied before the next
         mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
         conn = curvature(mink, ATLAS)
         rng = np.random.default_rng(29)
         n, h = 200, 1e-5
-        eye = np.broadcast_to(np.eye(3)[..., None], (3, 3, n))
+        eye = np.broadcast_to(np.eye(3, 2)[..., None], (3, 2, n))
         rows = ("Re X", "Im X", "theta'")
         for chart in (0, 1):
             y = np.stack(
                 [*rng.uniform(-2.5, 2.5, (2, n)), rng.uniform(-np.pi, np.pi, n)]
             )
-            f = _lifted_field(conn.fields, np.full(n, chart), (n,))
+            f = _lifted_field([(conn.fields[chart], slice(0, n))], np.full(n, chart), np.arange(n), (n,))
             for t in (0.0, 0.37, 1.0):
-                _, D = f(t, y, eye)
+                D = f(t, y, eye)[1].copy()
                 for k, coord in enumerate(("x", "y", "theta")):
                     e = np.zeros((3, 1))
                     e[k] = h
-                    fd = (f(t, y + e, eye)[0] - f(t, y - e, eye)[0]) / (2 * h)
+                    plus = f(t, y + e, eye)[0].copy()
+                    fd = (plus - f(t, y - e, eye)[0]) / (2 * h)
                     for r, row in enumerate(rows):
-                        scale = np.max(np.abs(D[r, :2]))
-                        err = np.max(np.abs(D[r, k] - fd[r]))
+                        scale = np.max(np.abs(D[r]))
+                        exact = D[r, k] if k < 2 else 0.0
+                        err = np.max(np.abs(exact - fd[r]))
                         assert err <= 1e-6 * scale, (
                             f"d({row})/d{coord}, chart {chart}, t = {t}: "
                             f"{err:.2e} against scale {scale:.2e}"
@@ -374,6 +402,38 @@ class TestMoserFlow:
             for c in ATLAS.charts:
                 assert got[c].shape == want[c].shape
                 assert np.max(np.abs(got[c] - want[c])) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "spec, handed",
+        [({"kind": "ellipsoid", "a": 1, "b": 4}, (11, 152)), ({"kind": "perturbed_ball", "eps": 0.05}, (0, 0))],
+    )
+    def test_flow_matches_the_reference_to_the_bit(self, spec, handed):
+        # the in-place flow, its points sorted by field and re-sorted on
+        # hand-off steps, against the stage arithmetic of flow_reference on
+        # points in start order: the same operations on every point, so
+        # equal to the bit.  On the ellipsoid 10 hand-off steps and the
+        # return to the start charts move 152 points between two fields
+        mink, _ = make_circular_domain(spec)
+        conn = curvature(mink, ChartAtlas(n=2, n_v=33))
+        flow = moser_flow(conn, n_steps=50)
+        want, moved = reference_flow(conn, 50)
+        assert moved == handed
+        for got, ref in zip((flow.endpoints, flow.phases, flow.jacobians), want):
+            for c in ATLAS.charts:
+                assert got[c].shape == ref[c].shape
+                assert np.array_equal(got[c], ref[c])
+
+    @pytest.mark.parametrize("n_v", [33, 65])
+    def test_flow_working_set_is_bounded(self, n_v):
+        # the stages write into buffers, so the flow's traced peak above
+        # its start stays below 8.5 times the bytes of the state and its
+        # Jacobians, 9 planes of P points (measured 7.5; the stages with
+        # fresh arrays of flow_reference peak at 11.7 and 11.0)
+        mink, _ = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
+        conn = curvature(mink, ChartAtlas(n=2, n_v=n_v))
+        moser_flow(conn, n_steps=10)
+        state_bytes = 9 * 8 * 2 * n_v**2
+        assert traced_peak(lambda: moser_flow(conn, n_steps=10)) < 8.5 * state_bytes
 
     @pytest.mark.parametrize("spec", [{"kind": "ball"}, {"kind": "perturbed_ball", "eps": 0.05}])
     def test_charts_with_one_field_and_grid_flow_alike(self, spec):
@@ -426,7 +486,7 @@ class TestMoserFlow:
     def test_degenerate_form_names_the_points_chart_and_start_node(self):
         # w_t <= 0 at one chart-1 point names chart 1 and the point's start
         # node (start chart, j, k), also when the charts share one field
-        # call
+        # call, and through a point order that is not the start order
         mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
         conn = curvature(mink, ATLAS)
         good = conn.fields[0]
@@ -441,8 +501,9 @@ class TestMoserFlow:
             moser_flow(conn._replace(fields={0: good, 1: bad}), n_steps=10)
         shared, calls = spied(conn._replace(fields={0: bad, 1: bad}))
         v = np.array([0.1, 0.2j, 0.3, 0.1, P, 0.3])
-        f = _lifted_field(shared.fields, np.array([0, 0, 0, 1, 1, 1]), (2, 3))
-        with pytest.raises(MoserError, match=r"t=0\.500, chart 1, start node \(1, 1\)"):
+        f = _lifted_field([(shared.fields[0], slice(0, 6))], np.array([0, 0, 0, 1, 1, 1]),
+                          np.array([5, 3, 4, 0, 1, 2]), (2, 3))
+        with pytest.raises(MoserError, match=r"t=0\.500, chart 1, start node \(0, 1\)"):
             f(0.5, np.stack([v.real, v.imag, np.zeros(6)]), np.zeros((3, 2, 6)))
         assert len(calls) == 1
 
