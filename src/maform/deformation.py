@@ -7,10 +7,9 @@ holomorphic ones, through the graph relation: the J-anti-holomorphic
 horizontal space is {w + phi(w)}.  A tensor is the stack of its
 fiber-Fourier modes phi = sum_k phi_k(v) zeta^k over the base nodes; the
 fiber itself is never sampled.  This module extracts phi from a
-normalizing map, builds the tensor of a synthetic-tensor spec, measures
-the modes at the fiber radius R_FIBER and implements the contraction
-action on modes; the integrability conditions of an n = 3 tensor are in
-the integrability module.
+normalizing map, builds the tensor of a synthetic-tensor spec and
+measures the modes at the fiber radius R_FIBER; the integrability
+conditions of an n = 3 tensor are in the integrability module.
 
 Extraction (n = 2) is closed-form 2 x 2 complex algebra.  In the
 coordinates p d/dz + q d/dzbar the (0,1) space of J is {(p, q):
@@ -45,7 +44,6 @@ __all__ = [
     "chart_axes",
     "frame_vectors",
     "extract",
-    "contract",
     "tensor_from_mode_functions",
 ]
 
@@ -180,17 +178,23 @@ class DeformationTensor(NamedTuple):
         return sorted(self.modes.keys())
 
     def mode_norms(self):
-        """Reference-metric operator norm of each mode, sup over nodes.
+        """The mode norms n_k (mode_norm) of every mode k."""
+        return np.array([self.mode_norm(k) for k in range(self.k_max + 1)])
+
+    def mode_norm(self, k, modes=None):
+        """Reference-metric operator norm of mode k, sup over the nodes of
+        every chart, or of modes {chart: array} in place of the charts'
+        mode k when given.
 
         The norm of phi_k zeta^k is evaluated at |zeta| = R_FIBER (n = 2)
         and on the unit fiber (n = 3).
         """
-        r = R_FIBER if self.n == 2 else 1.0
-        out = np.zeros(self.k_max + 1)
+        scale = (R_FIBER if self.n == 2 else 1.0) ** np.arange(self.k_max + 1)
+        out = 0.0
         for chart in self.charts:
+            mode = self.modes[chart][k] if modes is None else modes[chart]
             # np.max and np.maximum keep a NaN node, so no verdict passes on it
-            ops = np.array([np.max(op) for op in _operator_norms(self, chart)])
-            out = np.maximum(out, ops * r ** np.arange(self.k_max + 1))
+            out = np.maximum(out, np.max(_node_norms(self, chart, mode)) * scale[k])
         return out
 
 
@@ -238,19 +242,19 @@ def _levi_roots(tensor, chart):
     return _LEVI_ROOTS[key]
 
 
-def _operator_norms(tensor, chart):
-    """Per-mode operator norms w.r.t. the reference Levi metric at nodes,
-    one mode at a time.
+def _node_norms(tensor, chart, mode):
+    """Operator norms w.r.t. the reference Levi metric at the nodes of one
+    mode of a chart, flattened over the nodes.
 
     At n = 2 both Gram matrices are the scalar |e|^2 = 1/(1 + |v|^2), so
     Q^(1/2) phi_k P^(-1/2) = phi_k and the norm of mode k is |phi_k|.
     """
     m = tensor.n - 1
-    modes = tensor.modes[chart].reshape(tensor.k_max + 1, -1, m, m)
+    mode = mode.reshape(-1, m, m)
     if m == 1:
-        return (np.abs(M[:, 0, 0]) for M in modes)
+        return np.abs(mode[:, 0, 0])
     Qhalf, Pinvh = _levi_roots(tensor, chart)
-    return (np.linalg.norm(Qhalf @ M @ Pinvh, ord=2, axis=(-2, -1)) for M in modes)
+    return np.linalg.norm(Qhalf @ mode @ Pinvh, ord=2, axis=(-2, -1))
 
 
 def _mat_sqrt(H):
@@ -326,22 +330,3 @@ def tensor_from_mode_functions(atlas, coords, entries, k_max):
         )
     modes = {0: stack.reshape((k_max + 1,) + grid + (n - 1, n - 1))}
     return DeformationTensor(n=n, atlas=atlas, k_max=k_max, modes=modes, spec=(coords, entries))
-
-
-# ---------------------------------------------------------------------------
-# contraction
-
-
-def contract(tensor: DeformationTensor, k, out=None) -> DeformationTensor:
-    """Evaluate the tensor at ([v], k zeta): mode j scales by k^j.  The
-    modes are written over those of out when it is given (out=tensor
-    contracts in place) and into new arrays otherwise."""
-    if not (0 < k <= 1):
-        raise DeformationError("contraction ratio must lie in (0, 1]")
-    factors = np.asarray(k, dtype=float) ** np.arange(tensor.k_max + 1)
-    if out is None:
-        out = tensor._replace(modes={}, diagnostics=dict(tensor.diagnostics), spec=None)
-    for c, m in tensor.modes.items():
-        f = factors.reshape((-1,) + (1,) * (m.ndim - 1))
-        out.modes[c] = np.multiply(m, f, out=out.modes.get(c))
-    return out

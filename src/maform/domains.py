@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atlas import ChartAtlas, blowup_forward
-from .symforms import Expr, Jet, call, ddc_matrix, num, real_coords, subs, sym, symbols, times_j, to_complex, to_real
+from .symforms import Expr, Jet, call, levi_matrix, num, real_coords, subs, sym, symbols, to_complex, to_real
 
 
 class DomainError(ValueError):
@@ -155,22 +155,17 @@ def uniform_samples(seed, n, d, lo=-1.0, hi=1.0):
     return np.array([rng.uniform(lo, hi) for _ in range(n * d)]).reshape(n, d)
 
 
-def _least_levi_eigenvalues(mu_sq, coords, pts):
-    """The least eigenvalue of the Levi form of ddc(mu^2) at real points
-    pts (N, 2n).
+def least_levi_eigenvalues(H):
+    """The least eigenvalue (N,) of the Levi forms H (N, n, n), the
+    Hermitian matrices of symforms.levi_matrix.
 
-    The Levi form is the symmetric matrix S of ddc(mu^2)(., J .), which
-    commutes with J.  So at n = 2 it is the real form of the Hermitian
-    2 x 2 matrix [[S00, c], [conj c, S22]], |c|^2 = S20^2 + S30^2, each
-    eigenvalue twice, and the least one has the closed form
-    (S00 + S22)/2 - |((S00 - S22)/2, c)|.
+    At n = 2 it has the closed form (H00 + H11)/2 - |((H00 - H11)/2,
+    H10)|; at n = 3 it is the least eigenvalue of eigvalsh.
     """
-    AJ = times_j(ddc_matrix(Jet.of(mu_sq, coords, pts, order=2).hess))
-    S = 0.5 * (AJ + AJ.swapaxes(1, 2))
-    if len(coords) > 4:
-        return np.linalg.eigvalsh(S)[:, 0]
-    half_gap = np.hypot(0.5 * (S[:, 0, 0] - S[:, 2, 2]), np.hypot(S[:, 2, 0], S[:, 3, 0]))
-    return 0.5 * (S[:, 0, 0] + S[:, 2, 2]) - half_gap
+    if H.shape[-1] > 2:
+        return np.linalg.eigvalsh(H)[:, 0]
+    a, d = H[:, 0, 0].real, H[:, 1, 1].real
+    return 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(H[:, 1, 0]))
 
 
 def _levi_witness(mu_sq, coords, n_samples=60, seed=7):
@@ -178,7 +173,7 @@ def _levi_witness(mu_sq, coords, n_samples=60, seed=7):
     raises PseudoconvexityError with the offending point."""
     pts = uniform_samples(seed, n_samples, len(coords))
     pts = pts[np.sqrt(np.sum(pts * pts, axis=1)) > 0.3]
-    least = _least_levi_eigenvalues(mu_sq, coords, pts)
+    least = least_levi_eigenvalues(levi_matrix(Jet.of(mu_sq, coords, pts, order=2).hess))
     worst = int(np.argmin(least))
     if least[worst] <= 0:
         raise PseudoconvexityError(to_complex(pts[worst]), least[worst])

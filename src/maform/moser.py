@@ -346,8 +346,13 @@ def moser_flow(conn: ConnectionData, n_steps=200):
 
     f = field()
     dt = 1.0 / n_steps
+    # the step's sum and stage pairs; each step's start pair becomes the
+    # next step's sum, so the steps allocate no state
+    spare = [(np.empty_like(y), np.empty_like(M)) for _ in range(2)]
     for i in range(n_steps):
-        y, M = rk4_step(f, i * dt, y, dt, M)
+        start_pair = (y, M)
+        y, M = rk4_step(f, i * dt, y, dt, M, spare)
+        spare[0] = start_pair
         # hand far wanderers to the opposite chart (avoids infinity)
         far = np.hypot(y[0], y[1]) > 3.0
         if np.any(far):

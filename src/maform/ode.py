@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def rk4_step(f, t, y, dt, M):
+def rk4_step(f, t, y, dt, M, buffers=None):
     """One RK4 step from t to t + dt of the pair (y, M), y' = g(t, y) and
     M' = Dg(t, y) M.
 
@@ -22,11 +22,17 @@ def rk4_step(f, t, y, dt, M):
     its arguments.  The stages are summed in place, in the order of
     y + dt/6 (k1 + 2 k2 + 2 k3 + k4), in one buffer pair while another
     holds the next stage point and then the weighted slope (a weight of 1
-    multiplies exactly), and (y_new, M_new) is returned in new arrays.
+    multiplies exactly), and (y_new, M_new) is returned in the first pair.
+    buffers ((y_new, M_new), (y_stage, M_stage)) gives the two pairs, each
+    of the shapes of (y, M) and neither holding them, so that a caller
+    that rotates them across steps allocates nothing per step; without it
+    both pairs are new arrays.
     """
     half = dt / 2
     slopes = f(t, y, M)
-    total, point = (np.empty_like(y), np.empty_like(M)), (np.empty_like(y), np.empty_like(M))
+    if buffers is None:
+        buffers = [(np.empty_like(y), np.empty_like(M)) for _ in range(2)]
+    total, point = buffers
     for acc, k in zip(total, slopes):
         np.copyto(acc, k)
     for s, weight in ((half, 2.0), (half, 2.0), (dt, 1.0)):

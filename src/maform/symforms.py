@@ -516,9 +516,9 @@ class Jet:
 
 def times_j(M):
     """The product M J (..., d, d) with the matrix J of the standard
-    structure (exterior.standard_j_matrix), as the signed column swap it
-    is: column 2m of M J is column 2m + 1 of M, and column 2m + 1 is minus
-    column 2m."""
+    structure, J e_2m = e_2m+1 and J e_2m+1 = -e_2m, as the signed column
+    swap it is: column 2m of M J is column 2m + 1 of M, and column 2m + 1
+    is minus column 2m."""
     MJ = np.empty_like(M)
     MJ[..., 0::2] = M[..., 1::2]
     MJ[..., 1::2] = -M[..., 0::2]
@@ -530,6 +530,21 @@ def ddc_matrix(hess):
     (..., d, d): A = (HJ)^T - HJ, since dc f = -J^T grad f in components."""
     HJ = times_j(hess)
     return np.swapaxes(HJ, -1, -2) - HJ
+
+
+def levi_matrix(hess):
+    """The Levi form of f as the complex Hermitian matrix H (..., n, n)
+    from the Hessian of f (..., 2n, 2n).
+
+    The real Levi matrix S = AJ of ddc f(., J .), A = ddc_matrix(hess),
+    is symmetric (to the bit, since A is antisymmetric to the bit and J
+    only swaps signs) and commutes with J, so it is the real form of H,
+    H[m, l] = S[2m, 2l] + i S[2m+1, 2l], with S[2m, 2l+1] = -Im H[m, l]
+    and S[2m+1, 2l+1] = Re H[m, l]: S x = y reads H z = w on z_m = x_2m +
+    i x_2m+1, each eigenvalue of H is one of S twice, and det S = |det H|^2.
+    """
+    S = times_j(ddc_matrix(hess))
+    return S[..., 0::2, 0::2] + 1j * S[..., 1::2, 0::2]
 
 
 def real_coords(dim, prefix=None):

@@ -25,6 +25,17 @@ SYMPY_FUNCTIONS = {
 _NODE_KINDS = {f: name for name, f in SYMPY_FUNCTIONS.items()}
 
 
+def standard_j_matrix(dim):
+    """The matrix of the standard structure J_o on tangent vectors,
+    J e_2m = e_2m+1 and J e_2m+1 = -e_2m: the reference of the signed
+    swaps of symforms.times_j."""
+    J = np.zeros((dim, dim))
+    for m in range(0, dim, 2):
+        J[m + 1, m] = 1.0
+        J[m, m + 1] = -1.0
+    return J
+
+
 def to_sympy(e, real=True):
     """The sympy tree of a node (or a number), node for node (unevaluated);
     its symbols are real, or complex with real=False."""

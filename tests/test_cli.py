@@ -228,6 +228,18 @@ class TestExitCodes:
         assert "error: ddc tau degenerate at node 0" in text
         assert "all_pass: fail" in text
 
+    def test_indefinite_tau_fails_the_definition_rows_silently(self, tmp_path):
+        # tau < 0 at some samples and an indefinite Levi form: every
+        # identity row passes, the positivity and levi rows fail, and the
+        # log of tau <= 0 writes no warning to stderr
+        dom = write(tmp_path, "indefinite.dom", "n = 2\ntau.expr = x1**2 + y1**2 - (x2**2 + y2**2)/2\n")
+        out = run_process(["verify", "--domain", dom, "--out", str(tmp_path)])
+        assert out.returncode == 1 and out.stderr == "", out.stderr
+        text = (tmp_path / "verify_report.txt").read_text()
+        failed = [line.split()[0] for line in text.splitlines() if line.endswith("  fail")]
+        assert failed == ["levi", "positivity"]
+        assert "levi  2.000000000000e+00  0.000e+00  fail" in text
+
     def test_elementary_functions_tau_expr_verifies(self, tmp_path):
         # sqrt, exp and log in tau.expr go through the jet's chain rule
         dom = write(
@@ -620,6 +632,20 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+def refuse_numpy_linalg(monkeypatch):
+    """Make every public numpy.linalg function raise AssertionError."""
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+
+        return call
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+
+
 class TestLapackFree:
     def test_moser_commands_call_no_numpy_linalg(self, tmp_path, monkeypatch):
         # at n = 2 the Levi eigenvalue, the quadrature rule, the endpoint
@@ -628,21 +654,60 @@ class TestLapackFree:
         # with every public numpy.linalg function raising
         from maform import moser
 
-        def refuse(name):
-            def call(*args, **kwargs):
-                raise AssertionError(f"numpy.linalg.{name} called")
-
-            return call
-
-        for name in np.linalg.__all__:
-            if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
-                monkeypatch.setattr(np.linalg, name, refuse(name))
+        refuse_numpy_linalg(monkeypatch)
         moser._gauss_legendre.cache_clear()
         pert = write(tmp_path, "perturbed.dom", PERTURBED_DOM)
         ell = write(tmp_path, "ellipsoid.dom", ELLIPSOID_DOM)
         for argv in (["classify", "--domain", pert], ["invariants", "--domain", ell],
                      ["normalize", "--domain", ell]):
             assert run(argv + ["--steps", "50", "--out", str(tmp_path)]) == 0, argv
+
+    def test_identity_and_tensor_commands_call_no_numpy_linalg(self, tmp_path, monkeypatch):
+        # verify solves the Z system on the 2 x 2 Hermitian Levi matrix by
+        # Cramer's rule, and the scaling test and the n = 2 mode norms are
+        # moduli: verify on the perturbed ball, the ellipsoid and a
+        # tau.expr (which fails top_degeneracy), scale-test and classify
+        # --tensor, with every public numpy.linalg function raising
+        refuse_numpy_linalg(monkeypatch)
+        tns = write(tmp_path, "synth.tns", SYNTH_TNS)
+        for argv, code in (
+            (["verify", "--domain", write(tmp_path, "perturbed.dom", PERTURBED_DOM)], 0),
+            (["verify", "--domain", write(tmp_path, "ellipsoid.dom", ELLIPSOID_DOM)], 0),
+            (["verify", "--domain", write(tmp_path, "nonma.dom", NONMA_DOM)], 1),
+            (["scale-test", "--tensor", tns], 0),
+            (["classify", "--tensor", tns], 0),
+        ):
+            assert run(argv + ["--out", str(tmp_path)]) == code, argv
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs the Linux /proc")
+    def test_verify_faults_in_no_openblas_page(self, tmp_path):
+        # no BLAS product runs either: the resident size of the OpenBLAS
+        # library that numpy maps stays what the import left (the LAPACK
+        # solves and products of the real 4 x 4 system added 636 KB)
+        dom = write(tmp_path, "perturbed.dom", PERTURBED_DOM)
+        script = (
+            "from maform.cli import main\n"
+            "def rss():\n"
+            "    total, inside = None, False\n"
+            "    for line in open('/proc/self/smaps'):\n"
+            "        if '-' in line.split()[0]:  # a mapping's header line\n"
+            "            inside = 'openblas' in line\n"
+            "        elif inside and line.startswith('Rss:'):\n"
+            "            total = (total or 0) + int(line.split()[1])\n"
+            "    return total\n"
+            "before = rss()\n"
+            f"code = main(['verify', '--domain', {dom!r}, '--out', {str(tmp_path)!r}])\n"
+            "print(code, before, rss())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=package_env(), capture_output=True,
+            text=True, check=True, timeout=300,
+        )
+        code, before, after = out.stdout.split()[-3:]
+        if before == "None":
+            pytest.skip("numpy maps no OpenBLAS library")
+        assert code == "0"
+        assert int(after) == int(before), (before, after)
 
 
 class TestPipelineCommands:

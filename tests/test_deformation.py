@@ -1,4 +1,4 @@
-"""Deformation tensors: extraction, modes, verifiers, and the contraction action."""
+"""Deformation tensors: extraction, modes, verifiers, and the scaling test."""
 
 import tracemalloc
 
@@ -13,8 +13,6 @@ from maform.deformation import (
     DeformationError,
     DeformationTensor,
     _levi_roots,
-    _operator_norms,
-    contract,
     extract,
     frame_vectors,
     hol_rep,
@@ -31,7 +29,6 @@ from maform.integrability import (
     verify_mode_equations,
 )
 from maform.domains import make_circular_domain
-from maform.exterior import standard_j_matrix
 from maform.moser import normalize_domain
 from maform.symforms import call, sym, symbols
 from structure_reference import (
@@ -40,6 +37,7 @@ from structure_reference import (
     fourier_modes_from_components,
     reconstruct,
 )
+from symbolic_forms import standard_j_matrix
 
 ATLAS = ChartAtlas(n=2, n_v=17)
 ATLAS3 = ChartAtlas(n=3, n_v=7, box=1.0)
@@ -334,31 +332,6 @@ class TestFourierModes:
             fourier_modes_from_components(ATLAS, {0: comp}, 12)
 
 
-class TestGroupActions:
-    def test_contract_composition(self):
-        rng = np.random.default_rng(13)
-        t = random_bandlimited(rng, k_max=5)
-        a = contract(contract(t, 0.7), 0.4)
-        b = contract(t, 0.28)
-        assert np.max(np.abs(a.modes[0] - b.modes[0])) < 1e-14
-
-    def test_contract_decay_to_mode_zero(self):
-        rng = np.random.default_rng(15)
-        t = random_bandlimited(rng, k_max=3)
-        it = t
-        for _ in range(20):
-            it = contract(it, 0.5)
-        assert np.max(np.abs(it.modes[0][0] - t.modes[0][0])) < 1e-15
-        for k in (1, 2, 3):
-            bound = 0.5 ** (20 * k) * np.max(np.abs(t.modes[0][k]))
-            assert np.max(np.abs(it.modes[0][k])) <= bound + 1e-18
-
-    def test_contract_ratio_domain(self):
-        t = tensor_from_mode_functions(ATLAS, (V,), [(1, 1, 1, 0.1)], 1)
-        with pytest.raises(DeformationError, match="ratio"):
-            contract(t, 1.5)
-
-
 class TestStructureField:
     def test_zero_tensor_gives_standard_structure(self):
         t = tensor_from_mode_functions(ATLAS, (V,), [], 0)
@@ -571,19 +544,21 @@ class TestAllocation:
     def test_n2_norms_build_no_gram_matrices(self, synthetic_129, monkeypatch):
         # the Levi Gram matrices of a new geometry measured 6.5 MB at
         # N_v = 129, and a list of every mode's node norms 1.3 MB; the
-        # moduli of one mode at a time measure 0.27 MB
+        # moduli of one mode at a time measure 0.14 MB
         monkeypatch.setattr(deformation, "_LEVI_ROOTS", {})
-        peak = traced_peak(lambda: [np.max(op) for op in _operator_norms(synthetic_129, 0)])
-        assert peak < 1e6
+        assert traced_peak(synthetic_129.mode_norms) < 1e6
 
     def test_scaling_test_holds_one_iterate(self, synthetic_129):
-        # one (8, 129, 129, 1, 1) complex mode stack is 2.1 MB: the
-        # iteration measures 2.5 MB beside its input; a new tensor per
-        # contraction, made while the last one lives, measured 4.4 MB
-        assert traced_peak(scaling_test, synthetic_129, 0.5) < 3e6
-        # the iterate contracted in place keeps the bits of a new tensor per step
+        # one complex (129, 129, 1, 1) mode is 0.27 MB and its node norms
+        # 0.13 MB: iterated one mode at a time the test measures 0.40 MB
+        # beside its input; a second mode buffer (0.67 MB) or the iterate
+        # of the whole (8, 129, 129, 1, 1) stack (2.5 MB) breaks the bound
+        assert traced_peak(scaling_test, synthetic_129, 0.5) < 0.5e6
+        # each row keeps the bits of the norms of the whole tensor
+        # evaluated at ([v], 0.5^i zeta), mode j scaled by 0.5^j per step
         report = scaling_test(synthetic_129, 0.5, iters=4)
+        factors = (0.5 ** np.arange(8)).reshape(8, 1, 1, 1, 1)
         it = synthetic_129
         for row in report.trace:
             assert np.array_equal(row, it.mode_norms())
-            it = contract(it, 0.5)
+            it = it._replace(modes={c: m * factors for c, m in it.modes.items()})

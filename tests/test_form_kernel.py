@@ -17,6 +17,7 @@ from symbolic_forms import (
     AnalyticForm,
     from_sympy,
     lambdify_rows,
+    standard_j_matrix,
     sympy_coords,
     to_sympy,
 )
@@ -286,8 +287,6 @@ class TestAnalyticCalculus:
         ddc = tau.dc().d()
         pts = sample_points(4, lo=0.15, hi=0.9)
         A = ddc.matrix_at(pts).real
-        from maform.exterior import standard_j_matrix
-
         J = standard_j_matrix(4)
         g = 0.5 * (A @ J + (A @ J).swapaxes(1, 2))
         eigs = np.linalg.eigvalsh(g)

@@ -704,3 +704,38 @@ class TestNormalizingMap:
             dists.append(float(np.max(np.abs(nm.W[0] - ident))))
         ratio = dists[1] / dists[0]
         assert 1.6 < ratio < 2.4, dists
+
+
+class TestClosedForms:
+    """The pipeline against the closed form of closed_forms.py, node by
+    node: curvature, flow and lift, assembly, extraction and the mode norm
+    at once."""
+
+    def test_reinhardt_mode0_norm_is_the_beltrami_coefficient(self):
+        # mu^2 = |z|^2 + 0.3 (|z1|^4 + |z2|^4) / |z|^2, built as a node as
+        # make_circular_domain builds a gauge, at N_v = 17 and 50 steps:
+        # at every node with 0 < |v| < 1.7 of both charts |phi_0| is
+        # |mu_B(psi^-1(|v|))| within 5e-11, the measured 1.8e-11 with a
+        # margin of 2.7; the error is the flow's RK4 truncation (7.2e-14
+        # at 200 steps), and without psi^-1 it reads 1.6e-2
+        from closed_forms import RHO, RadialMoserMap
+        from maform.domains import _chart_inclusion, ambient_coords
+        from maform.symforms import subs
+
+        c = 0.3
+        coords = ambient_coords(2)
+        x1, y1, x2, y2 = coords
+        a1, a2 = x1**2 + y1**2, x2**2 + y2**2
+        mu_sq = a1 + a2 + c * (a1**2 + a2**2) / (a1 + a2)
+        m_sq = {chart: subs(mu_sq, dict(zip(coords, _chart_inclusion(2, chart, real_coords(2)))))
+                for chart in ATLAS.charts}
+        mink = MinkowskiField(n=2, kind="reinhardt", params={}, mu_sq_ambient=mu_sq, m_sq_charts=m_sq)
+        tensor = extract(normalize_domain(mink, atlas=ATLAS, n_steps=50))
+        radial = RadialMoserMap(1 + RHO**2 + c * (1 + RHO**4) / (1 + RHO**2))
+        for chart in ATLAS.charts:
+            p = np.abs(ATLAS.base_points(chart))
+            inside = (p > 0) & (p < 1.7)
+            want = np.array([radial.mode0_norm(r) for r in p[inside]])
+            got = np.abs(tensor.modes[chart][0][..., 0, 0][inside])
+            assert inside.sum() == 284
+            assert np.max(np.abs(got - want)) < 5e-11
