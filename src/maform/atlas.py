@@ -1,10 +1,13 @@
 """Chart atlas for the blow-up coordinates (v, zeta).
 
-The base CP^{n-1} is covered by stereographic-style affine charts; for
-n = 2 two charts with transition v -> 1/v, each a square grid of half-width
-1.25 so the charts overlap.  The fiber is not sampled: a tensor carries
-its fiber-Fourier modes, and mode norms are read at the one fiber radius
-R_FIBER.
+The base CP^{n-1} is covered by affine charts: the chart point v at fiber
+value zeta is the ambient point z = zeta (1, v), with 1 in the chart's
+slot (deformation._ambient_of).  For n = 2 two charts with transition
+v -> 1/v, each a square grid of half-width 1.25 so the charts overlap.
+Chart geometry is read in closed form from v wherever it is needed, so
+no ambient point is mapped back to a chart.  The fiber is not sampled: a
+tensor carries its fiber-Fourier modes, and mode norms are read at the
+one fiber radius R_FIBER.
 
 ChartAtlas is a named tuple that checks its fields when built: it
 compares and hashes by value, so an atlas can key a cache.
@@ -61,32 +64,13 @@ class ChartAtlas(_AtlasFields):
         X, Y = np.meshgrid(self.xs, self.xs, indexing="ij")
         return X + 1j * Y
 
-    def base_points3(self):
-        """n = 3: two complex base coordinates, each shape (n_v,)*4."""
-        if self.n != 3:
-            raise ValueError("base_points3 is for n = 3 atlases")
+    def points(self, chart):
+        """The chart nodes as a flat array: complex v, shape (N,), at n = 2
+        and (v1, v2) pairs, shape (N, 2), at n = 3, in the row-major order
+        of the grid (n_v,) * 2(n-1)."""
+        if self.n == 2:
+            return self.base_points(chart).ravel()
+        if chart not in self.charts:
+            raise ValueError(f"unknown chart {chart}")
         X1, Y1, X2, Y2 = np.meshgrid(self.xs, self.xs, self.xs, self.xs, indexing="ij")
-        return X1 + 1j * Y1, X2 + 1j * Y2
-
-
-def blowup_forward(z):
-    """Map points of C^n \\ {0} to (chart, v, zeta).
-
-    Chart is the index of the largest-modulus homogeneous coordinate; v
-    collects the remaining coordinates divided by z[chart], zeta = z[chart].
-    """
-    z = np.asarray(z, dtype=complex)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    if np.any(np.all(z == 0, axis=1)):
-        raise ValueError("blow-up coordinates are undefined at z = 0")
-    chart = np.argmax(np.abs(z), axis=1)
-    zeta = np.take_along_axis(z, chart[:, None], axis=1)[:, 0]
-    n = z.shape[1]
-    rest = np.arange(n) != chart[:, None]
-    v = (z / zeta[:, None])[rest].reshape(-1, n - 1)
-    if single:
-        return int(chart[0]), v[0], zeta[0]
-    return chart, v, zeta
-
+        return np.stack([(X1 + 1j * Y1).ravel(), (X2 + 1j * Y2).ravel()], axis=-1)

@@ -198,14 +198,6 @@ class DeformationTensor(NamedTuple):
         return out
 
 
-def _chart_points(atlas, chart):
-    """Base points of a chart as a flat complex array (n=2) or (N,2)."""
-    if atlas.n == 2:
-        return atlas.base_points(chart).ravel()
-    V1, V2 = atlas.base_points3()
-    return np.stack([V1.ravel(), V2.ravel()], axis=-1)
-
-
 def _ambient_of(n, chart, v, zeta):
     """Ambient points z for base coordinates v (complex for n = 2, shape
     (..., n-1) otherwise) and fiber values zeta, broadcast together."""
@@ -227,18 +219,22 @@ def _levi_roots(tensor, chart):
     """Q^(1/2) and P^(-1/2) of the reference Levi Gram matrices at the chart
     nodes, shape (N, n-1, n-1).
 
-    Evaluated at zeta = 1; the Gram matrices scale by |zeta|^2, so
-    Q^(1/2) phi P^(-1/2) does not depend on the fiber point.  They depend
-    on the atlas geometry only and are computed once per geometry.
+    At zeta = 1 the frame has the Gram matrices Q = I - v v^H / q and P =
+    I - vbar v^T / q, q = 1 + |v|^2, each the identity but for the
+    eigenvalue 1/q along v (vbar), so Q^(1/2) = I - v v^H / (sqrt(q) (1 +
+    sqrt(q))) and P^(-1/2) = I + vbar v^T / (1 + sqrt(q)).  The Gram
+    matrices scale by |zeta|^2, so Q^(1/2) phi P^(-1/2) does not depend on
+    the fiber point.  They depend on the atlas geometry only and are
+    computed once per geometry.
     """
     n = tensor.n
     key = (n, tensor.atlas.n_v, tensor.atlas.box, chart)
     if key not in _LEVI_ROOTS:
-        z = _ambient_of(n, chart, _chart_points(tensor.atlas, chart), 1.0)
-        e, A = frame_vectors(n, chart, z), reference_form_matrix(n)
-        Pg = np.einsum("...ai,ij,...bj->...ab", hol_rep(e), A, antihol_rep(np.conj(e))) / (2j)
-        Qg = np.einsum("...ai,ij,...bj->...ab", antihol_rep(np.conj(e)), A, hol_rep(e)) / (-2j)
-        _LEVI_ROOTS[key] = (_mat_sqrt(Qg), np.linalg.inv(_mat_sqrt(Pg)))
+        v = tensor.atlas.points(chart).reshape(-1, n - 1)
+        root = np.sqrt(1.0 + np.sum(v.real**2 + v.imag**2, axis=-1))[:, None, None]
+        vvh = v[:, :, None] * np.conj(v[:, None, :])
+        eye = np.eye(n - 1)
+        _LEVI_ROOTS[key] = (eye - vvh / (root * (1.0 + root)), eye + np.conj(vvh) / (1.0 + root))
     return _LEVI_ROOTS[key]
 
 
@@ -247,21 +243,27 @@ def _node_norms(tensor, chart, mode):
     mode of a chart, flattened over the nodes.
 
     At n = 2 both Gram matrices are the scalar |e|^2 = 1/(1 + |v|^2), so
-    Q^(1/2) phi_k P^(-1/2) = phi_k and the norm of mode k is |phi_k|.
+    Q^(1/2) phi_k P^(-1/2) = phi_k and the norm of mode k is |phi_k|.  At
+    n = 3 it is the largest singular value of the 2 x 2 matrix B = Q^(1/2)
+    phi_k P^(-1/2), in closed form: with u^2 = conj(det B) / |det B| (u = 1
+    where det B = 0) the matrix uB has a real determinant |det B|, so
+    (sigma_1 + sigma_2, sigma_1 - sigma_2) are the moduli of (uB00 +
+    conj(uB11), uB01 - conj(uB10)) and (uB00 - conj(uB11), uB01 +
+    conj(uB10)), and no difference of squares cancels where sigma_1 and
+    sigma_2 meet.
     """
     m = tensor.n - 1
     mode = mode.reshape(-1, m, m)
     if m == 1:
         return np.abs(mode[:, 0, 0])
     Qhalf, Pinvh = _levi_roots(tensor, chart)
-    return np.linalg.norm(Qhalf @ mode @ Pinvh, ord=2, axis=(-2, -1))
-
-
-def _mat_sqrt(H):
-    """Hermitian PSD square root, vectorized over leading axes."""
-    w, U = np.linalg.eigh(H)
-    w = np.maximum(w, 0.0)
-    return (U * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))
+    B = np.einsum("pab,pbc,pcd->pad", Qhalf, mode, Pinvh)
+    det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+    size = np.abs(det)
+    u = np.sqrt(np.divide(np.conj(det), size, out=np.ones_like(det), where=size > 0))
+    a, b, c, d = (u * B[:, i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return 0.5 * (np.hypot(np.abs(a + np.conj(d)), np.abs(b - np.conj(c)))
+                  + np.hypot(np.abs(a - np.conj(d)), np.abs(b + np.conj(c))))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +318,7 @@ def tensor_from_mode_functions(atlas, coords, entries, k_max):
     carry both charts.
     """
     n, coords, entries = atlas.n, tuple(coords), tuple(entries)
-    v = _chart_points(atlas, 0)
+    v = atlas.points(0)
     stack = np.zeros((k_max + 1, len(v), n - 1, n - 1), dtype=complex)
     with np.errstate(all="ignore"):  # a value that is not finite is refused below
         for k, a, b, expr in entries:

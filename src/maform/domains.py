@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atlas import ChartAtlas, blowup_forward
+from .atlas import ChartAtlas
 from .symforms import Expr, Jet, call, levi_matrix, num, real_coords, subs, sym, symbols, to_complex, to_real
 
 
@@ -116,22 +116,13 @@ class MinkowskiField(NamedTuple):
         shape = v.shape if self.n == 2 else v.shape[:-1]
         return np.sqrt(np.real(m_sq)).reshape(shape)
 
-    def mu(self, z):
-        """Gauge value at ambient points z, shape (..., n) complex."""
+    def mu_sq_jet(self, z):
+        """mu^2 and its real gradient at ambient points z (..., n) complex,
+        of shapes z.shape[:-1] and z.shape[:-1] + (2n,), from the order-1
+        jet of mu_sq_ambient in the interleaved real coordinates (to_real)."""
         z = np.asarray(z, dtype=complex)
-        single = z.ndim == 1
-        zz = z[None, :] if single else z.reshape(-1, self.n)
-        chart, v, zeta = blowup_forward(zz)
-        out = np.empty(len(zz))
-        for c in range(self.n):
-            sel = chart == c
-            if not np.any(sel):
-                continue
-            vv = v[sel, 0] if self.n == 2 else v[sel]
-            out[sel] = np.abs(zeta[sel]) * self.m(c, vv)
-        if single:
-            return float(out[0])
-        return out.reshape(z.shape[:-1])
+        jet = Jet.of(self.mu_sq_ambient, ambient_coords(self.n), to_real(z.reshape(-1, self.n)), order=1)
+        return jet.parts[0].reshape(z.shape[:-1]), jet.grad.reshape(z.shape[:-1] + (2 * self.n,))
 
 
 class ExhaustionField(NamedTuple):
@@ -205,15 +196,10 @@ def make_circular_domain(mu_spec, atlas=None):
     )
 
     # positivity of the gauge on the chart grids
-    for chart in ((0, 1) if n == 2 else (0,)):
-        if n == 2:
-            V = atlas.base_points(chart)
-            m = mink.m(chart, V)
-        else:
-            V1, V2 = atlas.base_points3()
-            m = mink.m(chart, np.stack([V1, V2], axis=-1))
+    for chart in atlas.charts:
+        m = mink.m(chart, atlas.points(chart))
         if np.min(m) <= 0 or not np.all(np.isfinite(m)):
-            bad = np.unravel_index(np.argmin(m), m.shape)
+            bad = np.unravel_index(np.argmin(m), (atlas.n_v,) * (2 * n - 2))
             raise DomainError(f"gauge not positive at chart {chart} node {bad}")
 
     _levi_witness(mu_sq, coords)

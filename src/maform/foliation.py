@@ -62,11 +62,12 @@ class ZFieldEvaluator:
         tau, dtau, hess, third = (np.real(p) for p in jet.parts)
         return tau, dtau, hess, ddc_matrix(hess), ddc_matrix(third)
 
-    def flow(self, pts):
+    def flow(self, pts, fields):
         """Z, DZ (DZ[:, i, k] = d_k Z_i), A and the Lie derivative L of ddc
-        tau along Z at pts: M d_k Z = d_k dtau - (d_k M) Z, and by Cartan's
-        formula L = Z^k d_k A + DZ^T A + A DZ."""
-        _, dtau, hess, A, dA = self.fields(pts)
+        tau along Z at pts, from their fields (self.fields(pts)): M d_k Z =
+        d_k dtau - (d_k M) Z, and by Cartan's formula L = Z^k d_k A + DZ^T A
+        + A DZ."""
+        _, dtau, hess, A, dA = fields
         H = levi_matrix(hess)
         det = _hermitian_det(H)
         dets = det * det  # det M
@@ -169,7 +170,8 @@ def verify_ma_identities(exh: ExhaustionField, n_samples=40, seed=13):
         ddc_matrix(np.real(Jet.of(e, ev.coords, pts, order=2).hess))
         for e in [call("log", t)] + [t**k for k in range(2, n)]
     ]
-    tau, dtau, hess, A, _ = ev.fields(pts)
+    fields = ev.fields(pts)
+    tau, dtau, hess, A, _ = fields
     report["positivity"] = -float(np.min(tau))
     report["levi"] = -float(np.min(least_levi_eigenvalues(levi_matrix(hess))))
     dc = -times_j(dtau)  # dc f = -J^T grad f in components
@@ -188,7 +190,7 @@ def verify_ma_identities(exh: ExhaustionField, n_samples=40, seed=13):
 
     sub = slice(20)
     try:
-        Z, _, A, lie = ev.flow(pts[sub])
+        Z, _, A, lie = ev.flow(pts[sub], [f[sub] for f in fields])
     except FoliationError as exc:  # no Z: both rows fail, and the node is named
         report["contraction"] = report["flow_invariance"] = float("nan")
         report["error"] = str(exc)

@@ -6,7 +6,9 @@ Complex Manifolds and Deformation of Complex Structures, ch. 5) takes its
 brackets [U, V]^i = U^d d_d V^i - V^d d_d U^i from order-1 jets
 (symforms.Jet) of the frame fields and of the spec's mode coefficients in
 the real ambient coordinates, so no derivative is approximated.  The
-frame and the chart geometry are those of the deformation module.
+frame and the chart geometry are those of the deformation module, and the
+frame coefficients of a bracket are read in closed form (_split), so no
+linear system is solved.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .deformation import (
     DeformationError,
     _ambient_of,
-    _chart_points,
     antihol_rep,
     chart_axes,
     frame_vectors,
@@ -44,7 +45,7 @@ def condition_symmetry(tensor, chart=0):
     each mode on its own: mode k is checked at zeta = 1.
     """
     n = tensor.n
-    z = _ambient_of(n, chart, _chart_points(tensor.atlas, chart), 1.0)
+    z = _ambient_of(n, chart, tensor.atlas.points(chart), 1.0)
     e = frame_vectors(n, chart, z)
     modes = tensor.modes[chart].reshape(tensor.k_max + 1, len(z), n - 1, n - 1)
     A = reference_form_matrix(n)
@@ -53,16 +54,23 @@ def condition_symmetry(tensor, chart=0):
     return np.max(np.abs(B - np.swapaxes(B, -1, -2)), axis=(1, 2, 3))
 
 
-def _graph_basis(n, chart, z):
-    """Columns [ebar_a, zbar, e_a, zhol] of the complexified splitting."""
-    e = frame_vectors(n, chart, z)
-    cols = np.empty(z.shape[:-1] + (2 * n, 2 * n), dtype=complex)
-    for a in range(n - 1):
-        cols[..., :, a] = antihol_rep(np.conj(e[..., a, :]))
-        cols[..., :, n + a] = hol_rep(e[..., a, :])
-    cols[..., :, n - 1] = antihol_rep(np.conj(z))
-    cols[..., :, 2 * n - 1] = hol_rep(z)
-    return cols
+def _split(chart, v, zeta, vec):
+    """The ebar_a and e_a coefficients (N, n-1) each of rep vectors vec
+    (N, 2n) in the splitting [ebar_a, zbar, e_a, zhol] at the points
+    zeta (1, v) of a chart.
+
+    vec is hol_rep(p) + antihol_rep(q) with p = u_x + i u_y and q = u_x -
+    i u_y, so p lies in the span of e_a and z, and q in that of their
+    conjugates.  On the axes j_b of the chart e_a has the components
+    zeta delta_ab + v_b e_a[chart] and z the components v_b z[chart], so
+    the e_a coefficient of p is (p_(j_a) - v_a p_chart) / zeta: G^-1 <p, e>
+    for the frame's Gram matrix G, written out; likewise for q.
+    """
+    axes = chart_axes(v.shape[-1] + 1, chart)
+    p = vec[:, 0::2] + 1j * vec[:, 1::2]
+    q = vec[:, 0::2] - 1j * vec[:, 1::2]
+    return ((q[:, axes] - np.conj(v) * q[:, chart, None]) / np.conj(zeta),
+            (p[:, axes] - v * p[:, chart, None]) / zeta)
 
 
 @lru_cache(maxsize=1)
@@ -71,17 +79,16 @@ def _jets(atlas, k_max, spec, chart, zeta):
     the 2n real ambient coordinates: part 0 is the value and part 1 + d
     the partial along coordinate d.
 
-    Returns (E, C, Q): the frame vectors E (n-1, 1+2n, N, n), the
+    Returns (E, C): the frame vectors E (n-1, 1+2n, N, n) and the
     coefficients C (k_max+1, n-1, n-1, 1+2n, N) of zeta^k phi_k, with v =
-    z_axes / zeta substituted into the spec's entries, and Q (N, 2n, 2n),
-    which takes rep vectors to their coefficients over [ebar_a, zbar, e_a,
-    zhol].  Cached, since verify_mode_equations reads them repeatedly.
+    z_axes / zeta substituted into the spec's entries.  Cached, since
+    verify_mode_equations reads them repeatedly.
     """
     n = atlas.n
     coords = ambient_coords(n)
     Z = [x + 1j * y for x, y in zip(coords[0::2], coords[1::2])]
     axes = chart_axes(n, chart)
-    z = _ambient_of(n, chart, _chart_points(atlas, chart), zeta)
+    z = _ambient_of(n, chart, atlas.points(chart), zeta)
     x = to_real(z).T
 
     def jet(expr):
@@ -97,7 +104,7 @@ def _jets(atlas, k_max, spec, chart, zeta):
     C = np.zeros((k_max + 1, n - 1, n - 1, 1 + 2 * n, len(z)), dtype=complex)
     for k, a, b, expr in entries:
         C[k, a - 1, b - 1] += jet(subs(Z[chart] ** k * expr, v))
-    return np.moveaxis(E, 1, -1), C, np.linalg.inv(_graph_basis(n, chart, z))
+    return np.moveaxis(E, 1, -1), C
 
 
 def _times(f, g):
@@ -131,7 +138,8 @@ def maurer_cartan_residual(tensor, chart=0, zeta=0.5, dbar_mode=None, bracket_pa
         raise DeformationError("the structure equation needs the mode expressions of a spec tensor")
     if bracket_pairs is None:
         bracket_pairs = [(None, None)]
-    E, C, Q = _jets(tensor.atlas, tensor.k_max, tensor.spec, chart, zeta)
+    E, C = _jets(tensor.atlas, tensor.k_max, tensor.spec, chart, zeta)
+    v = tensor.atlas.points(chart)
     images = {}
 
     def coef(k):
@@ -145,9 +153,7 @@ def maurer_cartan_residual(tensor, chart=0, zeta=0.5, dbar_mode=None, bracket_pa
         return images[k, a]
 
     def split(vec):
-        # the ebar and e coefficients of rep vectors (N, 2n)
-        c = np.einsum("pij,pj->pi", Q, vec)
-        return c[:, : n - 1], c[:, n : 2 * n - 1]
+        return _split(chart, v, zeta, vec)
 
     X = [antihol_rep(np.conj(e)) for e in E]
     phi_sel = coef(dbar_mode)[:, :, 0]

@@ -31,8 +31,9 @@ other chart).  Each RK4 stage calls each distinct field once on its
 slice, giving the field and its exact Jacobian as 12 planes, and writes
 the slope and the 3x2 variational slope of the slice into buffers that
 rk4_step sums in place, so a stage allocates only plane temporaries of
-its slice.  The ambient gradient of mu^2 (the lift's gauge derivative and
-the phase component of the defect) comes from its order-1 jet.
+its slice.  mu^2 and its ambient gradient (the lift's gauge derivative,
+the phase component of the defect and the gauge residual) come from its
+order-1 jet, evaluated once at the sphere points and once at W.
 The derivative dW that extraction needs at grid nodes is propagated by
 variational Jacobians along the flow and stored exactly at the nodes,
 never re-estimated by differencing an interpolant.  The small dense
@@ -49,7 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .atlas import ChartAtlas, R_OUTER
-from .domains import MinkowskiField, ambient_coords
+from .deformation import _ambient_of
+from .domains import MinkowskiField
 from .ode import rk4_step
 from .symforms import Jet, call, real_coords, to_real
 
@@ -169,12 +171,18 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     fields = {c: _chart_fields(mink.m_sq_charts[c]) for c in atlas.charts}
     shared = {fn: len(charts) for fn, charts in _charts_by_field(fields).items()}
     V = atlas.base_points(0)  # every chart has the same node grid
-    min_coeff = min(float(np.min(fn(V.real, V.imag)[1])) for fn in shared)
-    if min_coeff <= 0:
-        raise MoserError(
-            f"curvature coefficient not positive (min {min_coeff:.3e}): "
-            "gauge is not strictly pseudoconvex"
-        )
+    mins = []
+    for fn, charts in _charts_by_field(fields).items():
+        w = fn(V.real, V.imag)[1]
+        node = np.unravel_index(np.argmin(w), w.shape)
+        if w[node] <= 0:
+            raise MoserError(
+                f"curvature coefficient not positive on chart {charts[0]} at node "
+                f"{tuple(map(int, node))}, v={V[node]:.4f} (min {w[node]:.3e}): "
+                "gauge is not strictly pseudoconvex"
+            )
+        mins.append(float(w[node]))
+    min_coeff = min(mins)
     # each chart's closed unit disk covers CP^1 exactly once (the two
     # boundary circles are identified), and the integrand is analytic, so
     # the high-order disk rule resolves the total to machine precision
@@ -195,12 +203,6 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
             f"reference {FS_AREA:.10f}: chart/weight inconsistency"
         )
     return conn
-
-
-def _gauge_grad(mink: MinkowskiField, u):
-    """Real gradient of mu^2 at ambient points u, shape (N, 4), from its
-    first-order jet."""
-    return Jet.of(mink.mu_sq_ambient, ambient_coords(2), to_real(u), order=1).grad
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +296,7 @@ def _sphere_point(chart, v, theta, M):
     Returns s, ds_dx, ds_dy, each of shape v.shape + (2,).
     """
     m = np.sqrt(1.0 + np.abs(v) ** 2)[..., None]
-    ones = np.ones_like(v)
-    p = np.stack([ones, v] if chart == 0 else [v, ones], axis=-1)
+    p = _ambient_of(2, chart, v, 1.0)
     e = np.zeros_like(p)
     e[..., 1 - chart] = 1.0
     rot = np.exp(1j * theta)[..., None]
@@ -396,7 +397,7 @@ def moser_flow(conn: ConnectionData, n_steps=200):
 # assembly
 
 
-def measure_connection_mismatch(mink, atlas, chart, W, dWx, dWy):
+def measure_connection_mismatch(atlas, chart, W, dWx, dWy, grad):
     """Phase defect 1-form at the chart nodes of a fiber-linear map.
 
     For a map z = zeta p(v) -> zeta W(v), the reference horizontal lift of
@@ -404,10 +405,10 @@ def measure_connection_mismatch(mink, atlas, chart, W, dWx, dWy):
     to X = dW_e - e vbar W / (1 + |v|^2); nu(e) is its component along the
     fiber phase direction iW, -d(mu^2)(iX) / d(mu^2)(W): d(mu^2) kills the
     gauge-horizontal plane, which is J-invariant, and iW, and reads 2 mu^2
-    on W by Euler's identity.  Returns nu with shape (n_v, n_v, 2).
+    on W by Euler's identity; grad is the real gradient of mu^2 at W
+    (MinkowskiField.mu_sq_jet).  Returns nu with shape (n_v, n_v, 2).
     """
     V = atlas.base_points(chart)
-    grad = _gauge_grad(mink, W.reshape(-1, 2)).reshape(V.shape + (4,))
 
     def d_mu_sq(X):
         return np.sum(grad * to_real(X), axis=-1)
@@ -454,20 +455,20 @@ def assemble(flow: MoserFlowResult) -> NormalizingMap:
         s, sx, sy = _sphere_point(
             chart, flow.endpoints[chart], flow.phases[chart], flow.jacobians[chart]
         )
-        flat_s = s.reshape(-1, 2)
-        mu = mink.mu(flat_s).reshape(V.shape)
-        grad = _gauge_grad(mink, flat_s)
-        dmu_x = (np.sum(grad * to_real(sx.reshape(-1, 2)), axis=1) / (2 * mu.ravel())).reshape(V.shape)
-        dmu_y = (np.sum(grad * to_real(sy.reshape(-1, 2)), axis=1) / (2 * mu.ravel())).reshape(V.shape)
+        mu_sq, grad = mink.mu_sq_jet(s)
+        mu = np.sqrt(mu_sq)
+        dmu_x = np.sum(grad * to_real(sx), axis=-1) / (2 * mu)
+        dmu_y = np.sum(grad * to_real(sy), axis=-1) / (2 * mu)
         mo3 = m_o[..., None]
         mu3 = mu[..., None]
         W[chart] = mo3 * s / mu3
         dWx[chart] = dm_dx * s / mu3 + mo3 * sx / mu3 - mo3 * s * (dmu_x / mu**2)[..., None]
         dWy[chart] = dm_dy * s / mu3 + mo3 * sy / mu3 - mo3 * s * (dmu_y / mu**2)[..., None]
-        nu = measure_connection_mismatch(mink, at, chart, W[chart], dWx[chart], dWy[chart])
+        mu_sq, grad = mink.mu_sq_jet(W[chart])
+        nu = measure_connection_mismatch(at, chart, W[chart], dWx[chart], dWy[chart], grad)
         connection = max(connection, float(np.max(np.abs(nu))))
         # gauge normalization at the stored nodes
-        gauge = mink.mu(W[chart].reshape(-1, 2)).reshape(V.shape) - m_o
+        gauge = np.sqrt(mu_sq) - m_o
         gauge_resid = max(gauge_resid, float(np.max(np.abs(gauge))))
 
     residuals = {

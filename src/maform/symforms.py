@@ -198,18 +198,15 @@ _UNARY = {
     "atanh": ("arctanh", lambda z: 1 / (1 - z**2)),
 }
 _LINEAR = {"conj": "conj", "re": "real", "im": "imag"}
-# the other functions of a node: arg u = Im log u, and atan2(y, x) =
-# arg(x + iy), with their number folds
+# the other functions of a node, with their number folds
 _OTHER = {
     "conj": lambda x: x.conjugate(),
     "re": lambda x: x.real,
     "im": lambda x: x.imag,
     "abs": abs,
-    "arg": cmath.phase,
-    "atan2": lambda y, x: cmath.phase(x + 1j * y),
 }
 # every function name of a node, with its number of arguments
-CALLS = {**dict.fromkeys(_UNARY, 1), **dict.fromkeys(_OTHER, 1), "atan2": 2}
+CALLS = dict.fromkeys([*_UNARY, *_OTHER], 1)
 
 
 def _fold(name, *values):
@@ -361,9 +358,9 @@ class _Walk:
 
     def rule(self, e):
         """The jet of the node e: numbers are constants, u^w for w not a
-        number is exp(w log u), conj, re and im act on every part, abs and
-        arg (atan2) go through powers and log, and the functions of _UNARY
-        through their first derivatives; a symbol that is not a seed, and
+        number is exp(w log u), conj, re and im act on every part, abs goes
+        through powers, and the functions of _UNARY through their first
+        derivatives; a symbol that is not a seed, and
         a number that is not finite, raises ValueError."""
         kind, args = e.kind, e.args
         if e in self.seeds:
@@ -387,9 +384,6 @@ class _Walk:
         if kind == "abs":  # |u| = (u conj u)^(1/2)
             u = self(args[0])
             return self.power(self.mul(u, self.linear("conj", u)), 0.5)
-        if kind in ("arg", "atan2"):  # arg u = Im log u, atan2(y, x) = arg(x + iy)
-            u = self(args[0]) if kind == "arg" else self.combine([(1, self(args[1])), (1j, self(args[0]))])
-            return self.linear("im", self.unary("log", u))
         return self.unary(kind, self(args[0]))
 
     def combine(self, terms):
@@ -547,14 +541,12 @@ def levi_matrix(hess):
     return S[..., 0::2, 0::2] + 1j * S[..., 1::2, 0::2]
 
 
-def real_coords(dim, prefix=None):
+def real_coords(dim):
     """Standard real coordinate symbols.
 
     dim=2 -> (x, y); dim=4 -> (x, y, s, t); dim=6 -> (x1, y1, x2, y2, s, t).
     v = x + iy is the base affine coordinate, zeta = s + it the fiber one.
     """
-    if prefix is not None:
-        return symbols(" ".join(f"{prefix}{i}" for i in range(dim)))
     names = {2: "x y", 4: "x y s t", 6: "x1 y1 x2 y2 s t"}
     if dim not in names:
         raise ValueError(f"no standard coordinate set for dim {dim}")

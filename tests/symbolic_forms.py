@@ -20,7 +20,7 @@ from maform.exterior import merge_indices, wedge_comps
 # node kind <-> sympy function
 SYMPY_FUNCTIONS = {
     **{name: getattr(sp, name) for name in symforms._UNARY},
-    "conj": sp.conjugate, "re": sp.re, "im": sp.im, "abs": sp.Abs, "arg": sp.arg, "atan2": sp.atan2,
+    "conj": sp.conjugate, "re": sp.re, "im": sp.im, "abs": sp.Abs,
 }
 _NODE_KINDS = {f: name for name, f in SYMPY_FUNCTIONS.items()}
 

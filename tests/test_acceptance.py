@@ -24,7 +24,7 @@ from maform.moser import FS_AREA, curvature, moser_flow, normalize_domain
 from maform.symforms import call, sym, symbols
 from structure_reference import extract_from_structure, reconstruct
 from test_characterization import rotation_defect
-from test_moser import forward
+from test_moser import forward, mu
 
 ATLAS = ChartAtlas(n=2, n_v=17)
 ATLAS3 = ChartAtlas(n=3, n_v=7, box=1.0)
@@ -80,7 +80,7 @@ def levi_pairing(v):
 
 def tensor_with_bilinear_form(Bfn):
     # node samples: condition (i) needs no derivatives
-    v = np.stack([V.ravel() for V in ATLAS3.base_points3()], axis=-1)
+    v = ATLAS3.points(0)
     phi = np.linalg.solve(np.swapaxes(levi_pairing(v), -1, -2), Bfn(v))
     modes = {0: phi.reshape((1,) + (ATLAS3.n_v,) * 4 + (2, 2))}
     return DeformationTensor(n=3, atlas=ATLAS3, k_max=0, modes=modes)
@@ -142,7 +142,7 @@ def test_c05_map_contract(ellipsoid_nm, perturbed_nm):
     )[:, None]
     gauge = nu = 0.0
     for mink, nm in (ellipsoid_nm, perturbed_nm):
-        gauge = max(gauge, float(np.max(np.abs(mink.mu(forward(nm, z)) - ball.mu(z)))))
+        gauge = max(gauge, float(np.max(np.abs(mu(mink, forward(nm, z)) - mu(ball, z)))))
         nu = max(nu, nm.residuals["connection_mismatch"])
     report(5, gauge < 1e-7 and nu < 1e-6,
            f"gauge {gauge:.2e}, connection mismatch {nu:.2e}")

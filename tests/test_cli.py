@@ -667,15 +667,26 @@ class TestLapackFree:
         # Cramer's rule, and the scaling test and the n = 2 mode norms are
         # moduli: verify on the perturbed ball, the ellipsoid and a
         # tau.expr (which fails top_degeneracy), scale-test and classify
-        # --tensor, with every public numpy.linalg function raising
+        # --tensor, with every public numpy.linalg function raising; at
+        # n = 3 the Levi roots, the 2 x 2 operator norms and the frame
+        # coefficients of the structure equation are closed forms too, so
+        # both tensor commands run on FAILING_N3_TNS (which fails its
+        # integrability rows)
+        from maform import deformation, integrability
+
         refuse_numpy_linalg(monkeypatch)
+        deformation._LEVI_ROOTS.clear()
+        integrability._jets.cache_clear()
         tns = write(tmp_path, "synth.tns", SYNTH_TNS)
+        tns3 = write(tmp_path, "failing3.tns", FAILING_N3_TNS)
         for argv, code in (
             (["verify", "--domain", write(tmp_path, "perturbed.dom", PERTURBED_DOM)], 0),
             (["verify", "--domain", write(tmp_path, "ellipsoid.dom", ELLIPSOID_DOM)], 0),
             (["verify", "--domain", write(tmp_path, "nonma.dom", NONMA_DOM)], 1),
             (["scale-test", "--tensor", tns], 0),
             (["classify", "--tensor", tns], 0),
+            (["scale-test", "--tensor", tns3], 1),
+            (["classify", "--tensor", tns3], 1),
         ):
             assert run(argv + ["--out", str(tmp_path)]) == code, argv
 

@@ -23,6 +23,7 @@ from maform.deformation import (
 from maform.integrability import (
     _bracket,
     _jets,
+    _split,
     _times,
     condition_symmetry,
     maurer_cartan_residual,
@@ -155,7 +156,7 @@ def levi_pairing(v):
 def tensor_with_bilinear_form(Bfn):
     """n = 3 mode-0 tensor whose associated bilinear form is Bfn(v), from
     node samples: condition (i) needs no derivatives."""
-    v = np.stack([V.ravel() for V in ATLAS3.base_points3()], axis=-1)
+    v = ATLAS3.points(0)
     # B = phi^T M, so phi solves M^T phi = B
     phi = np.linalg.solve(np.swapaxes(levi_pairing(v), -1, -2), Bfn(v))
     modes = {0: phi.reshape((1,) + (ATLAS3.n_v,) * 4 + (2, 2))}
@@ -235,7 +236,7 @@ def reference_mode_norms(tensor):
         if n == 2:
             v = at.base_points(chart).reshape(-1, 1)
         else:
-            v = np.stack([V.ravel() for V in at.base_points3()], axis=-1)
+            v = at.points(chart)
         z = np.insert(v, chart, 1.0, axis=1)
         e = frame_vectors(n, chart, z)
         P = np.einsum("pai,ij,pbj->pab", hol_rep(e), A, antihol_rep(np.conj(e))) / 2j
@@ -413,6 +414,27 @@ def five_point_bracket(U, W, z, h=1e-3):
 
 
 class TestMaurerCartan:
+    @pytest.mark.parametrize("zeta", [0.5, 0.3 - 0.4j])
+    def test_split_matches_the_inverse_of_the_graph_basis(self, zeta):
+        # the closed-form frame coefficients of rep vectors against the
+        # inverse of the basis [ebar_a, zbar, e_a, zhol] (LAPACK), for 20
+        # random rep vectors at every node at N_v = 5
+        v = ChartAtlas(n=3, n_v=5).points(0)
+        z = np.concatenate([np.full((len(v), 1), zeta), zeta * v], axis=-1)
+        e = frame_vectors(3, 0, z)
+        basis = np.stack([antihol_rep(np.conj(e[:, 0])), antihol_rep(np.conj(e[:, 1])),
+                          antihol_rep(np.conj(z)), hol_rep(e[:, 0]), hol_rep(e[:, 1]),
+                          hol_rep(z)], axis=-1)
+        inverse = np.linalg.inv(basis)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            u = rng.normal(size=(len(v), 6)) + 1j * rng.normal(size=(len(v), 6))
+            want = np.einsum("pij,pj->pi", inverse, u)
+            ebar, hol = _split(0, v, zeta, u)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(ebar - want[:, :2])) < 1e-13 * scale
+            assert np.max(np.abs(hol - want[:, 3:5])) < 1e-13 * scale
+
     def test_exact_solution_passes(self):
         t = mc_exact_tensor()
         assert np.sum(t.mode_norms()) < 1.0
@@ -448,7 +470,7 @@ class TestMaurerCartan:
         # built from frame_vectors and the coefficients in numpy
         c, g, w = 0.2, 0.1, 0.15
         t = mc_exact_tensor(c, w, g)
-        E, C, _ = _jets(ATLAS3, 0, t.spec, 0, 0.5)
+        E, C = _jets(ATLAS3, 0, t.spec, 0, 0.5)
         jet_image = [hol_rep(_times(C[0, 0, a], E[0]) + _times(C[0, 1, a], E[1])) for a in (0, 1)]
 
         def ebar1(z):
@@ -466,7 +488,7 @@ class TestMaurerCartan:
 
             return field
 
-        v = np.stack([V.ravel() for V in ATLAS3.base_points3()], axis=-1)
+        v = ATLAS3.points(0)
         z = np.concatenate([np.full((len(v), 1), 0.5 + 0j), 0.5 * v], axis=-1)
         X1 = antihol_rep(np.conj(E[0]))
         for got, want in [

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maform import domains
-from maform.atlas import ChartAtlas, blowup_forward
+from maform.atlas import ChartAtlas
+from maform.deformation import _ambient_of
 from maform.domains import (
     DomainError,
     PseudoconvexityError,
@@ -59,16 +60,25 @@ class TestMakeCircularDomain:
         mink, _ = make_circular_domain({"kind": "perturbed_ball", "eps": 0.05})
         z = RNG.normal(size=(30, 2)) + 1j * RNG.normal(size=(30, 2))
         lam = RNG.uniform(0.2, 2.0, 30) * np.exp(1j * RNG.uniform(0, 2 * np.pi, 30))
-        mu1 = mink.mu(z * lam[:, None])
-        mu0 = mink.mu(z)
+        mu1 = np.sqrt(mink.mu_sq_jet(z * lam[:, None])[0])
+        mu0 = np.sqrt(mink.mu_sq_jet(z)[0])
         assert np.max(np.abs(mu1 - np.abs(lam) * mu0)) < 1e-10
 
     def test_exhaustion_matches_gauge_squared(self):
-        mink, exh = make_circular_domain({"kind": "ellipsoid", "a": 1, "b": 4})
+        # tau = mu^2 is |zeta|^2 m^2(v) at z = zeta (1, v) on every chart:
+        # the chart expressions agree with the ambient one, by sympy
         z = RNG.normal(size=(20, 2)) + 1j * RNG.normal(size=(20, 2))
         coords = sympy_coords(ambient_coords(2))
-        tau = AnalyticForm.scalar(coords, to_sympy(exh.tau_ambient)).scalar_at(to_real(z)).real
-        assert np.max(np.abs(tau - mink.mu(z) ** 2)) < 1e-10
+        for spec in ({"kind": "ellipsoid", "a": 1, "b": 4},
+                     {"kind": "perturbed_ball", "eps": 0.2, "q": {3: 1}}):
+            mink, exh = make_circular_domain(spec)
+            tau = AnalyticForm.scalar(coords, to_sympy(exh.tau_ambient)).scalar_at(to_real(z)).real
+            assert np.max(np.abs(tau - mink.mu_sq_jet(z)[0])) < 1e-10
+            for chart in (0, 1):
+                zeta = z[:, chart]
+                v = z[:, 1 - chart] / zeta
+                assert np.max(np.abs(_ambient_of(2, chart, v, zeta) - z)) < 1e-14
+                assert np.max(np.abs(tau - np.abs(zeta) ** 2 * mink.m(chart, v) ** 2)) < 1e-10
 
     def test_pseudoconvexity_eps_scan(self):
         # scan the perturbation upward; the witness must flip from pass to
@@ -176,20 +186,26 @@ class TestMakeCircularDomain:
 
 
 class TestBlowupCoords:
+    """The chart inclusion z = zeta (1, v), 1 in the chart slot
+    (deformation._ambient_of), inverts the blow-up coordinates of z: the
+    chart of its largest-modulus coordinate, zeta that coordinate and v
+    the others divided by it."""
+
     def test_axis_points(self):
-        chart, v, zeta = blowup_forward(np.array([1.0, 0.0], dtype=complex))
-        assert chart == 0 and abs(v[0]) < 1e-15 and abs(zeta - 1.0) < 1e-15
-        chart, v, zeta = blowup_forward(np.array([0.5, 0.5], dtype=complex))
-        assert chart == 0 and abs(v[0] - 1.0) < 1e-15 and abs(zeta - 0.5) < 1e-15
+        assert np.array_equal(_ambient_of(2, 0, 0.0, 1.0), [1.0, 0.0])
+        assert np.array_equal(_ambient_of(2, 0, 1.0, 0.5), [0.5, 0.5])
+        assert np.array_equal(_ambient_of(2, 1, 2.0, 0.5), [1.0, 0.5])
 
     @staticmethod
     def _assert_round_trip(z):
-        chart, v, zeta = blowup_forward(z)
-        # the same arithmetic row by row, and the rebuild zeta * (1, v)
-        # with 1 in slot chart
-        assert np.array_equal(v, [np.delete(r / r[c], c) for r, c in zip(z, chart)])
-        rows = [s * np.insert(r, c, 1.0) for r, c, s in zip(v, chart, zeta)]
-        assert np.max(np.abs(np.array(rows) - z)) < 1e-12
+        n = z.shape[1]
+        chart = np.argmax(np.abs(z), axis=1)
+        out = np.empty_like(z)
+        for c in range(n):
+            sel = chart == c
+            v = np.delete(z[sel] / z[sel, c, None], c, axis=1)
+            out[sel] = _ambient_of(n, c, v[:, 0] if n == 2 else v, z[sel, c])
+        assert np.max(np.abs(out - z)) < 1e-12
         return chart
 
     @staticmethod
@@ -207,10 +223,6 @@ class TestBlowupCoords:
         self._assert_round_trip(RNG.normal(size=(50, 3)) + 1j * RNG.normal(size=(50, 3)))
         charts = self._assert_round_trip(self._every_chart_batch(3))
         assert set(charts.tolist()) == {0, 1, 2}
-
-    def test_origin_rejected(self):
-        with pytest.raises(ValueError, match="undefined"):
-            blowup_forward(np.zeros(2, dtype=complex))
 
 
 class TestSpecFiles:

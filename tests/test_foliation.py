@@ -19,7 +19,7 @@ from maform.foliation import (
     verify_ma_identities,
 )
 from maform.ode import rk4_step
-from maform.symforms import ddc_matrix, levi_matrix, real_coords, to_complex, to_real
+from maform.symforms import ddc_matrix, levi_matrix, symbols, to_complex, to_real
 from symbolic_forms import AnalyticForm, lambdify_rows, standard_j_matrix, sympy_coords, to_sympy
 
 RNG = np.random.default_rng(20260825)
@@ -39,7 +39,7 @@ def z_field(exh, n_samples, seed=11):
     """The evaluator of Z for exh and Z at random shell points."""
     ev = ZFieldEvaluator(exh)
     pts = _ambient_points(exh.n, n_samples, seed=seed)
-    return ev, pts, ev.flow(pts)[0]
+    return ev, pts, ev.flow(pts, ev.fields(pts))[0]
 
 
 def normal_basis(ev, pts, Z):
@@ -141,13 +141,14 @@ class TestComputeZ:
         resids = []
 
         def slope(_t, y, M):
-            Z, DZ = ev.flow(y)[:2]
+            Z, DZ = ev.flow(y, ev.fields(y))[:2]
             return Z, DZ @ M
 
         for step in (2e-2, 1e-2):
             moved, jac = rk4_step(slope, 0.0, pts, step, M=np.tile(np.eye(4), (len(pts), 1, 1)))
-            A = ev.fields(moved)[3]
-            Zm = ev.flow(moved)[0]
+            fields = ev.fields(moved)
+            A = fields[3]
+            Zm = ev.flow(moved, fields)[0]
             JZm = Zm @ J4.T
             pushed = np.einsum("nij,naj->nai", jac, H)
             r = 0.0
@@ -332,7 +333,7 @@ class TestNumericWedge:
     @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 2), (1, 3)])
     def test_matches_symbolic_wedge_and_shuffle_oracle(self, dim, p, q):
         rng = np.random.default_rng(100 * dim + 10 * p + q)
-        coords = sympy_coords(real_coords(dim, prefix="x"))
+        coords = sympy_coords(symbols(" ".join(f"x{i}" for i in range(dim))))
         a, b = self.random_form(coords, p, rng), self.random_form(coords, q, rng)
         pts = rng.uniform(-0.9, 0.9, size=(12, dim))
         numeric = wedge_comps(a.evaluate(pts), b.evaluate(pts))
@@ -428,7 +429,9 @@ class TestExactOracle:
         ev, pts, Z = z_field(exh, 20, seed=13)
         Z_exact, DZ, A, L = exact_z_jets(exh, pts)
         assert np.max(np.abs(Z - Z_exact)) < 1e-12
-        assert np.max(np.abs(A - ev.fields(pts)[3])) < 1e-12
-        assert np.max(np.abs(ev.flow(pts)[1] - DZ)) < 1e-12
-        assert np.max(np.abs(ev.flow(pts)[3] - L)) < 1e-12
+        fields = ev.fields(pts)
+        assert np.max(np.abs(A - fields[3])) < 1e-12
+        _, DZ_jet, _, L_jet = ev.flow(pts, fields)
+        assert np.max(np.abs(DZ_jet - DZ)) < 1e-12
+        assert np.max(np.abs(L_jet - L)) < 1e-12
         assert np.max(np.abs(L - A)) < 1e-14

@@ -117,8 +117,7 @@ def _rule_cases():
     """Expressions in (x, y) that reach every jet rule: each function of the
     spec grammar at a real and at a complex argument inside its domain
     (unevaluated, so sympy keeps the node), numbers, a complex
-    intermediate, powers with a non-numeric exponent, and arg and atan2,
-    which sympy writes for some of the functions."""
+    intermediate and powers with a non-numeric exponent."""
     x, y = sympy_coords(real_coords(2))
     inner = sp.Rational(3, 10) + x * y / 5 + x**2 / 10
     cases = {}
@@ -131,8 +130,6 @@ def _rule_cases():
     cases["complex_product"] = (x + sp.I * y) * (x - sp.I * y)
     cases["symbolic_exponent"] = x ** (y + 1)
     cases["numeric_base"] = 2 ** (x * y)
-    cases["arg"] = sp.im(sp.log(x + sp.I * y))  # sympy writes arg(x + I*y)
-    cases["atan2"] = sp.atan2(x * y + 1, x - 2)
     cases["numbers_either_side"] = (2 - x) / (1 + y * y) ** 3 + 3 / x - x / 2
     return (x, y), cases
 
@@ -235,8 +232,8 @@ class TestJet:
         coords = ambient_coords(2)
         with pytest.raises(ValueError, match="unknown function 'f'"):
             call("f", coords[0])
-        with pytest.raises(TypeError, match="atan2 takes 2"):
-            call("atan2", coords[0])
+        with pytest.raises(TypeError, match="log takes 1"):
+            call("log", coords[0], coords[1])
         with pytest.raises(ValueError, match="symbol w is not a coordinate"):
             Jet.of(coords[0] ** 2 + sym("w"), coords, sample_points(4), order=2)
 
