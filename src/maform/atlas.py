@@ -10,7 +10,7 @@ tensor carries its fiber-Fourier modes, and mode norms are read at the
 one fiber radius R_FIBER.
 
 ChartAtlas is a named tuple that checks its fields when built: it
-compares and hashes by value, so an atlas can key a cache.
+compares and hashes by value.
 """
 
 from __future__ import annotations

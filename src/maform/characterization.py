@@ -72,10 +72,11 @@ def scaling_test(tensor, k, iters=20, slope_tol=1e-6):
 
     The contraction evaluates the tensor at ([v], k zeta), so mode j
     decays by the factor k^j per iteration; a log-linear fit of the
-    recorded norms recovers the slope j*log k, and the fiber-constant mode
-    is a fixed point, so the iteration limit is the mode-0 tensor.  Modes
-    do not mix, so each is iterated alone: one buffer per chart holds a
-    copy of mode j, scaled in place, and its norm
+    recorded norms recovers the slope j*log k, fitted on the norms that
+    are normal doubles, so iterates that underflow drop out of it; the
+    fiber-constant mode is a fixed point, so the iteration limit is the
+    mode-0 tensor.  Modes do not mix, so each is iterated alone: one
+    buffer per chart holds a copy of mode j, scaled in place, and its norm
     (DeformationTensor.mode_norm) is recorded.
     """
     if not (0 < k < 1):
@@ -96,19 +97,20 @@ def scaling_test(tensor, k, iters=20, slope_tol=1e-6):
                 float(np.max(np.abs(np.subtract(it, tensor.modes[c][0], out=it))))
                 for c, it in its.items()
             )
-    base = arr[0]
     slopes = np.zeros(tensor.k_max + 1)
     expected = np.arange(tensor.k_max + 1) * np.log(k)
-    # the least-squares line through (i, log n_j(i)) in closed form: the
-    # slope is sum (i - mean i)(y_i - mean y) / sum (i - mean i)^2
-    centered = np.arange(iters + 1) - iters / 2
     for j in range(tensor.k_max + 1):
-        # an empty mode's decay rate is unobservable
-        if base[j] > 0:
-            logs = np.log(arr[:, j])
-            slopes[j] = np.sum(centered * (logs - np.mean(logs))) / np.sum(centered * centered)
-        else:
+        # the iterates whose norm is a normal double; a mode with fewer
+        # than two, an empty mode among them, has an unobservable rate
+        seen = np.flatnonzero(arr[:, j] >= np.finfo(float).tiny)
+        if len(seen) < 2:
             slopes[j] = expected[j]
+            continue
+        # the least-squares line through (i, log n_j(i)) in closed form: the
+        # slope is sum (i - mean i)(y_i - mean y) / sum (i - mean i)^2
+        logs = np.log(arr[seen, j])
+        centered = seen - np.mean(seen)
+        slopes[j] = np.sum(centered * (logs - np.mean(logs))) / np.sum(centered * centered)
     slope_err = float(np.max(np.abs(slopes - expected)))
     tail = float(np.sum(arr[-1, 1:]))
     return ClassificationReport(

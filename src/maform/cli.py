@@ -102,12 +102,12 @@ def _integrability(tensor):
     conditions are vacuous at n = 2, and the report says so."""
     if tensor.n == 2:
         return None, ["integrability: vacuous at n = 2"], True
-    from .integrability import INTEGRABILITY_TOL, condition_symmetry, verify_mode_equations
+    from .integrability import INTEGRABILITY_TOL, condition_symmetry, mode_residuals
 
     rows = []
     for name, per_mode in (
         ("integrability_symmetry", condition_symmetry(tensor)),
-        ("structure_equation", verify_mode_equations(tensor)["per_mode"]),
+        ("structure_equation", mode_residuals(tensor)),
     ):
         rows += [(name, str(k), value) for k, value in enumerate(per_mode)]
     passed = [value <= INTEGRABILITY_TOL for *_, value in rows]
@@ -281,10 +281,12 @@ def _checked(cast, ok, what):
     return parse
 
 
-# the argparse types of a tolerance, a count and the mode cutoff
+# the argparse types of a tolerance, a count, the mode cutoff and the
+# contraction ratio
 _positive = _checked(float, lambda v: v > 0, "positive")
 _count = _checked(int, lambda v: v >= 1, "at least 1")
 _index = _checked(int, lambda v: v >= 0, "at least 0")
+_ratio = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 # every option, with its one default
@@ -299,7 +301,7 @@ _OPTIONS = {
     "--mode-tol": dict(type=_positive, default=1e-5, help="circularity bound on positive modes"),
     "--steps": dict(type=_count, default=200, help="RK4 steps"),
     "--kmax": dict(type=_index, default=7, help="fiber mode cutoff"),
-    "--k": dict(type=float, default=0.5, help="contraction ratio"),
+    "--k": dict(type=_ratio, default=0.5, help="contraction ratio, in (0, 1)"),
     "--iters": dict(type=_count, default=20, help="contraction iterations"),
 }
 

@@ -78,15 +78,6 @@ def antihol_rep(q):
     return out
 
 
-def reference_form_matrix(n):
-    """Constant matrix of the reference Levi form in real coordinates."""
-    A = np.zeros((2 * n, 2 * n))
-    for m in range(n):
-        A[2 * m, 2 * m + 1] = 4.0
-        A[2 * m + 1, 2 * m] = -4.0
-    return A
-
-
 def frame_vectors(n, chart, z):
     """Horizontal holomorphic frame at ambient points z, shape (..., n).
 

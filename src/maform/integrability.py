@@ -1,19 +1,21 @@
 """Integrability conditions of a deformation tensor at n = 3.
 
-Both conditions are vacuous at n = 2.  (i) The symmetry of ddc tau_o(phi
-X, Y) reads the node samples, and (ii) the structure equation (Kodaira,
-Complex Manifolds and Deformation of Complex Structures, ch. 5) takes its
-brackets [U, V]^i = U^d d_d V^i - V^d d_d U^i from order-1 jets
-(symforms.Jet) of the frame fields and of the spec's mode coefficients in
-the real ambient coordinates, so no derivative is approximated.  The
-frame and the chart geometry are those of the deformation module, and the
-frame coefficients of a bracket are read in closed form (_split), so no
-linear system is solved.
+Both conditions are vacuous at n = 2, where no command runs them.  (i) The
+symmetry of ddc tau_o(phi X, Y) reads the node samples, with the reference
+pairing in closed form.  (ii) The structure equation (Kodaira, Complex
+Manifolds and Deformation of Complex Structures, ch. 5) is checked mode by
+mode in one pass: mode k couples its own derivative term with the
+brackets of the mode pairs (i, k - i).  The brackets [U, V]^i = U^d d_d
+V^i - V^d d_d U^i come from order-1 jets (symforms.Jet) of the frame
+fields and of the spec's mode coefficients in the real ambient
+coordinates, evaluated once per tensor, so no derivative is approximated.
+Both read chart 0, the only chart at n = 3; (ii) lifts it to the fiber
+value ZETA.  The frame and the chart geometry are those of the deformation
+module, and the frame coefficients of a bracket are read in closed form
+(_split), so no linear system is solved.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .deformation import (
     chart_axes,
     frame_vectors,
     hol_rep,
-    reference_form_matrix,
 )
 from .domains import ambient_coords
 from .symforms import Jet, call, subs, to_real
@@ -35,22 +36,25 @@ from .symforms import Jet, call, subs, to_real
 # leaves two orders of headroom above the larger
 INTEGRABILITY_TOL = 1e-12
 
+# the fiber value at which (ii) is evaluated
+ZETA = 0.5
 
-def condition_symmetry(tensor, chart=0):
+
+def condition_symmetry(tensor):
     """Residuals of (i), one per mode: the symmetry of ddc tau_o(phi(X),
     Y) on the anti-holomorphic horizontal frame, from the node samples.
 
     (i) must hold at every fiber value zeta, and phi = sum_k zeta^k phi_k
     with the form of phi_k scaling by |zeta|^2 zeta^k, so it holds for
-    each mode on its own: mode k is checked at zeta = 1.
+    each mode on its own: mode k is checked at zeta = 1.  The reference
+    form pairs p d_z with q d_zbar as ddc|z|^2(p d_z, q d_zbar) = 2i p.q.
     """
     n = tensor.n
-    z = _ambient_of(n, chart, tensor.atlas.points(chart), 1.0)
-    e = frame_vectors(n, chart, z)
-    modes = tensor.modes[chart].reshape(tensor.k_max + 1, len(z), n - 1, n - 1)
-    A = reference_form_matrix(n)
+    z = _ambient_of(n, 0, tensor.atlas.points(0), 1.0)
+    e = frame_vectors(n, 0, z)
+    modes = tensor.modes[0].reshape(tensor.k_max + 1, len(z), n - 1, n - 1)
     img = np.einsum("kpba,pbi->kpai", modes, e)
-    B = np.einsum("kpai,ij,pbj->kpab", hol_rep(img), A, antihol_rep(np.conj(e)))
+    B = 2j * np.einsum("kpai,pbi->kpab", img, np.conj(e))
     return np.max(np.abs(B - np.swapaxes(B, -1, -2)), axis=(1, 2, 3))
 
 
@@ -73,22 +77,20 @@ def _split(chart, v, zeta, vec):
             (p[:, axes] - v * p[:, chart, None]) / zeta)
 
 
-@lru_cache(maxsize=1)
-def _jets(atlas, k_max, spec, chart, zeta):
-    """Order-1 jets at the chart nodes, lifted to the fiber value zeta, in
-    the 2n real ambient coordinates: part 0 is the value and part 1 + d
-    the partial along coordinate d.
+def _jets(tensor):
+    """Order-1 jets of a spec tensor at the nodes of chart 0, lifted to
+    the fiber value ZETA, in the 2n real ambient coordinates: part 0 is
+    the value and part 1 + d the partial along coordinate d.
 
     Returns (E, C): the frame vectors E (n-1, 1+2n, N, n) and the
     coefficients C (k_max+1, n-1, n-1, 1+2n, N) of zeta^k phi_k, with v =
-    z_axes / zeta substituted into the spec's entries.  Cached, since
-    verify_mode_equations reads them repeatedly.
+    z_axes / zeta substituted into the spec's entries.
     """
-    n = atlas.n
+    n = tensor.n
     coords = ambient_coords(n)
     Z = [x + 1j * y for x, y in zip(coords[0::2], coords[1::2])]
-    axes = chart_axes(n, chart)
-    z = _ambient_of(n, chart, atlas.points(chart), zeta)
+    axes = chart_axes(n, 0)
+    z = _ambient_of(n, 0, tensor.atlas.points(0), ZETA)
     x = to_real(z).T
 
     def jet(expr):
@@ -96,14 +98,14 @@ def _jets(atlas, k_max, spec, chart, zeta):
 
     nsq = sum(c**2 for c in coords)
     E = np.array([
-        [jet(Z[chart] * (int(i == j) - call("conj", Z[j]) * Z[i] / nsq)) for i in range(n)]
+        [jet(Z[0] * (int(i == j) - call("conj", Z[j]) * Z[i] / nsq)) for i in range(n)]
         for j in axes
     ])
-    base, entries = spec
-    v = {c: Z[j] / Z[chart] for c, j in zip(base, axes)}
-    C = np.zeros((k_max + 1, n - 1, n - 1, 1 + 2 * n, len(z)), dtype=complex)
+    base, entries = tensor.spec
+    v = {c: Z[j] / Z[0] for c, j in zip(base, axes)}
+    C = np.zeros((tensor.k_max + 1, n - 1, n - 1, 1 + 2 * n, len(z)), dtype=complex)
     for k, a, b, expr in entries:
-        C[k, a - 1, b - 1] += jet(subs(Z[chart] ** k * expr, v))
+        C[k, a - 1, b - 1] += jet(subs(Z[0] ** k * expr, v))
     return np.moveaxis(E, 1, -1), C
 
 
@@ -121,99 +123,34 @@ def _bracket(U, V):
     return np.einsum("pd,dpi->pi", U[0], V[1:]) - np.einsum("pd,dpi->pi", V[0], U[1:])
 
 
-def maurer_cartan_residual(tensor, chart=0, zeta=0.5, dbar_mode=None, bracket_pairs=None):
-    """Residual arrays of the structure equation at the chart nodes.
+def mode_residuals(tensor):
+    """Sup residuals of the graded structure equation, one per mode, at the
+    nodes of chart 0 lifted to the fiber value ZETA.
 
-    dbar_mode selects the fiber mode entering the derivative term (None
-    for the full tensor); bracket_pairs lists the (i, j) mode pairs of
-    the quadratic term (None entries meaning the full tensor).  Returns a
-    dict with per-point residual magnitudes ("field"), the sup norm
-    ("residual"), and the anti-holomorphic leak of the bracket, the
-    measured counterpart of the structural containment assumption.
+    On the frame fields X = ebar_1 and Y = ebar_2, mode k reads
+    [X, phi_k Y] - [Y, phi_k X] - phi_k [X, Y] + sum_{i+j=k} [phi_i X,
+    phi_j Y] (antisymmetrized, halved) in the e_a coefficients; the jets
+    of the images phi_k(ebar_a) are built once per mode.
     """
-    n = tensor.n
-    if n < 3:
-        return {"residual": 0.0, "antihol_leak": 0.0, "field": 0.0}
     if tensor.spec is None:
         raise DeformationError("the structure equation needs the mode expressions of a spec tensor")
-    if bracket_pairs is None:
-        bracket_pairs = [(None, None)]
-    E, C = _jets(tensor.atlas, tensor.k_max, tensor.spec, chart, zeta)
-    v = tensor.atlas.points(chart)
-    images = {}
-
-    def coef(k):
-        # coefficient jets of mode k (None: the full tensor)
-        return C.sum(axis=0) if k is None else C[k]
-
-    def image(k, a):
-        # jet of phi(ebar_a) for mode k
-        if (k, a) not in images:
-            images[k, a] = hol_rep(sum(_times(coef(k)[b, a], E[b]) for b in range(n - 1)))
-        return images[k, a]
+    E, C = _jets(tensor)
+    v = tensor.atlas.points(0)
 
     def split(vec):
-        return _split(chart, v, zeta, vec)
+        return _split(0, v, ZETA, vec)
 
-    X = [antihol_rep(np.conj(e)) for e in E]
-    phi_sel = coef(dbar_mode)[:, :, 0]
-    worst = 0.0
-    leak = 0.0
-    fields = []
-    for a in range(n - 1):
-        for b in range(a + 1, n - 1):
-            leak1, c1 = split(_bracket(X[a], image(dbar_mode, b)))  # [X, phi(Y)]
-            leak2, c2 = split(_bracket(X[b], image(dbar_mode, a)))  # [Y, phi(X)]
-            cXY = split(_bracket(X[a], X[b]))[0]
-            total = c1 - c2 - np.einsum("abp,pb->pa", phi_sel, cXY)
-            leak = max(leak, float(np.max(np.abs(leak1))), float(np.max(np.abs(leak2))))
-            for ki, kj in bracket_pairs:
-                Bij = _bracket(image(ki, a), image(kj, b))
-                Bji = _bracket(image(ki, b), image(kj, a))
-                total = total + 0.5 * split(0.5 * (Bij - Bji))[1]
-            fields.append(total)
-            worst = max(worst, float(np.max(np.abs(total))))
-    return {
-        "residual": worst,
-        "antihol_leak": leak,
-        "field": np.concatenate([f[..., None] for f in fields], axis=-1),
-    }
-
-
-def verify_mode_equations(tensor, k_max=None, chart=0, zeta=0.5):
-    """Per-mode residuals of the graded structure equations.
-
-    Mode k couples its own derivative term with the quadratic terms of
-    all mode splittings i + j = k; the per-mode residual fields must sum
-    to the full-tensor residual, which is returned as a consistency gap.
-    """
-    if k_max is None:
-        k_max = tensor.k_max
-    out = {"per_mode": [], "consistency": 0.0}
-    if tensor.n < 3:
-        out["per_mode"] = [0.0] * (k_max + 1)
-        return out
-    full = maurer_cartan_residual(tensor, chart, zeta)
-    acc = None
-    for k in range(k_max + 1):
-        pairs = [(i, k - i) for i in range(k + 1)]
-        res = maurer_cartan_residual(tensor, chart, zeta, dbar_mode=k, bracket_pairs=pairs)
-        out["per_mode"].append(res["residual"])
-        acc = res["field"] if acc is None else acc + res["field"]
-    # the graded residuals must reassemble the ungraded one
-    tail_pairs = [
-        (i, j)
-        for i in range(tensor.k_max + 1)
-        for j in range(tensor.k_max + 1)
-        if i + j > k_max
-    ]
-    if tail_pairs:
-        # bracket content of the splittings beyond k_max, isolated by
-        # subtracting a run with an empty pair list
-        extra = maurer_cartan_residual(
-            tensor, chart, zeta, dbar_mode=None, bracket_pairs=tail_pairs
-        )
-        base = maurer_cartan_residual(tensor, chart, zeta, dbar_mode=None, bracket_pairs=[])
-        acc = acc + (extra["field"] - base["field"])
-    out["consistency"] = float(np.max(np.abs(acc - full["field"])))
+    images = [[hol_rep(sum(_times(Ck[b, a], E[b]) for b in range(2))) for a in range(2)]
+              for Ck in C]
+    X, Y = (antihol_rep(np.conj(e)) for e in E)
+    cXY = split(_bracket(X, Y))[0]
+    out = []
+    for k, (phiX, phiY) in enumerate(images):
+        total = (split(_bracket(X, phiY))[1] - split(_bracket(Y, phiX))[1]
+                 - np.einsum("abp,pb->pa", C[k, :, :, 0], cXY))
+        for i in range(k + 1):
+            Bij = _bracket(images[i][0], images[k - i][1])
+            Bji = _bracket(images[i][1], images[k - i][0])
+            total = total + 0.5 * split(0.5 * (Bij - Bji))[1]
+        out.append(float(np.max(np.abs(total))))
     return out

@@ -81,7 +81,6 @@ class ConnectionData(NamedTuple):
     atlas: ChartAtlas
     fields: dict
     integral: float
-    min_coefficient: float
 
 
 @cache
@@ -171,7 +170,6 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
     fields = {c: _chart_fields(mink.m_sq_charts[c]) for c in atlas.charts}
     shared = {fn: len(charts) for fn, charts in _charts_by_field(fields).items()}
     V = atlas.base_points(0)  # every chart has the same node grid
-    mins = []
     for fn, charts in _charts_by_field(fields).items():
         w = fn(V.real, V.imag)[1]
         node = np.unravel_index(np.argmin(w), w.shape)
@@ -181,8 +179,6 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
                 f"{tuple(map(int, node))}, v={V[node]:.4f} (min {w[node]:.3e}): "
                 "gauge is not strictly pseudoconvex"
             )
-        mins.append(float(w[node]))
-    min_coeff = min(mins)
     # each chart's closed unit disk covers CP^1 exactly once (the two
     # boundary circles are identified), and the integrand is analytic, so
     # the high-order disk rule resolves the total to machine precision
@@ -190,13 +186,7 @@ def curvature(mink: MinkowskiField, atlas=None) -> ConnectionData:
         count * _disk_integral(lambda xs, ys, fn=fn: fn(xs, ys)[1])
         for fn, count in shared.items()
     )
-    conn = ConnectionData(
-        mink=mink,
-        atlas=atlas,
-        fields=fields,
-        integral=total,
-        min_coefficient=min_coeff,
-    )
+    conn = ConnectionData(mink=mink, atlas=atlas, fields=fields, integral=total)
     if abs(conn.integral - FS_AREA) > 1e-6:
         raise MoserError(
             f"total curvature {conn.integral:.10f} deviates from the "

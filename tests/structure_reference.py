@@ -10,6 +10,11 @@ is not fiber-invariant, so the round trip runs on a polar fiber grid of
 its own (fiber_zetas: N_R radii up to R_FIBER, N_THETA angles, a power of
 two so that the DFT is exact on band-limited data), where extract needs
 only zeta = 1.
+
+reference_form_matrix is the reference Levi form as a real matrix, the
+tests' reference for the closed-form pairing ddc|z|^2(p d_z, q d_zbar) =
+2i p.q of the integrability module and for the Levi Gram matrices of the
+mode norms.
 """
 
 from typing import NamedTuple
@@ -31,6 +36,15 @@ from maform.deformation import (
 # exceptional set zeta = 0
 N_R, N_THETA = 8, 16
 RADII = np.linspace(0.1125, R_FIBER, N_R)
+
+
+def reference_form_matrix(n):
+    """Constant matrix of the reference Levi form in real coordinates."""
+    A = np.zeros((2 * n, 2 * n))
+    for m in range(n):
+        A[2 * m, 2 * m + 1] = 4.0
+        A[2 * m + 1, 2 * m] = -4.0
+    return A
 
 
 class StructureField(NamedTuple):

@@ -672,11 +672,10 @@ class TestLapackFree:
         # coefficients of the structure equation are closed forms too, so
         # both tensor commands run on FAILING_N3_TNS (which fails its
         # integrability rows)
-        from maform import deformation, integrability
+        from maform import deformation
 
         refuse_numpy_linalg(monkeypatch)
         deformation._LEVI_ROOTS.clear()
-        integrability._jets.cache_clear()
         tns = write(tmp_path, "synth.tns", SYNTH_TNS)
         tns3 = write(tmp_path, "failing3.tns", FAILING_N3_TNS)
         for argv, code in (
@@ -830,14 +829,29 @@ class TestPipelineCommands:
         first, second = float(rows[0][4]), float(rows[1][4])
         assert abs(second / first - 0.125) < 1e-12
 
-    def test_bad_ratio_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("ratio", ["1.5", "0", "-0.5", "nan", "inf"])
+    def test_bad_ratio_exits_2(self, tmp_path, capsys, ratio):
+        # a contraction ratio outside (0, 1) is a bad option, refused before
+        # the tensor is built
         tns = write(tmp_path, "synth.tns", SYNTH_TNS)
-        code = run(
-            ["scale-test", "--tensor", tns, "--k", "1.5",
-             "--out", str(tmp_path)]
-        )
-        assert code == 1
-        assert "ratio" in capsys.readouterr().err
+        assert run(["scale-test", "--tensor", tns, "--k", ratio, "--out", str(tmp_path)]) == 2
+        assert f"argument --k: must be in (0, 1), got {ratio}" in capsys.readouterr().err
+        assert not (tmp_path / "scale_report.txt").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_iterates_leave_the_fit(self, tmp_path):
+        # at k = 0.001 the mode-1 norm falls below the least normal double
+        # after about 100 of 120 iterations: the rate is fitted on the
+        # iterates above it, and no log(0) enters the fit
+        tns = write(tmp_path, "two.tns", "n = 2\nN_v = 5\nk_max = 1\nmode 0 1 1 = 0.05\nmode 1 1 1 = 0.02*v\n")
+        argv = ["scale-test", "--tensor", tns, "--k", "0.001", "--iters", "120", "--out", str(tmp_path)]
+        assert run(argv) == 0
+        text = (tmp_path / "scale_report.txt").read_text()
+        assert "scaling_rates: pass\n" in text
+        [error] = [line.split()[1] for line in text.splitlines() if line.startswith("slope_error: ")]
+        assert float(error) < 1e-12
+        [last] = [line.split() for line in text.splitlines() if line.startswith("   120 ")]
+        assert float(last[2]) == 0.0
 
 
 def integrability_rows(text):
@@ -874,8 +888,22 @@ class TestIntegrability:
         # mode 0 solves the structure equation: exact brackets leave roundoff
         assert rows["structure_equation", "0"][0] <= 1e-12
         assert rows["structure_equation", "0"][1:] == ("1.000e-12", "pass")
+        # mode 1 reads its derivative term with the brackets of the pairs
+        # (0, 1) and (1, 0); without the pair (0, k) it reads 6.28e-3
         residual, _, verdict = rows["structure_equation", "1"]
-        assert residual > 1e-3 and verdict == "fail"
+        assert abs(residual - 1.2556e-2) < 1e-6 and verdict == "fail"
+
+    @pytest.mark.parametrize("command", ["classify", "scale-test"])
+    def test_one_jet_evaluation_per_command(self, tmp_path, monkeypatch, command):
+        # every mode's residual reads the jets of one _jets call
+        from maform import integrability
+
+        calls = []
+        jets = integrability._jets
+        monkeypatch.setattr(integrability, "_jets", lambda t: calls.append(t) or jets(t))
+        tns = write(tmp_path, "fail3.tns", FAILING_N3_TNS)
+        assert run([command, "--tensor", tns, "--out", str(tmp_path)]) == 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["classify", "scale-test"])
     def test_zero_n3_tensor_exits_0(self, tmp_path, command):

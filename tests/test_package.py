@@ -74,6 +74,25 @@ def test_no_unreferenced_definitions():
     assert defs and not dead, dead
 
 
+def test_no_unread_fields():
+    # a field of a named tuple of the sources that no source, test or
+    # benchmark file reads as an attribute is dead data
+    fields = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and "NamedTuple" in {getattr(b, "id", "") for b in node.bases}:
+                fields += [(stmt.target.id, f"{path.name}:{stmt.lineno}: {node.name}.{stmt.target.id}")
+                           for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    read = {
+        sub.attr
+        for path in USERS
+        for sub in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    dead = sorted(where for name, where in fields if name not in read)
+    assert fields and not dead, dead
+
+
 def test_runtime_dependencies_match_imports():
     # the third-party packages the sources import are exactly the
     # [project] dependencies: no undeclared import, no unused requirement
